@@ -1,5 +1,5 @@
-//! Bench of the STBA pipeline: VCD dump, parse and cycle-by-cycle
-//! alignment comparison.
+//! Bench of the STBA pipeline: cycle-by-cycle alignment on typed port
+//! traces, and the file-based flow (VCD parse, then the same comparison).
 
 use catg::{tests_lib, Testbench, TestbenchOptions};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -11,16 +11,22 @@ fn bench_analyzer(c: &mut Criterion) {
         cfg.clone(),
         TestbenchOptions {
             capture_vcd: true,
+            capture_trace: true,
             ..TestbenchOptions::default()
         },
     );
     let spec = tests_lib::random_mixed(40);
     let mut rtl = catg::build_view(&cfg, ViewKind::Rtl);
     let mut bca = catg::build_view(&cfg, ViewKind::Bca);
-    let a = bench.run(rtl.as_mut(), &spec, 1).vcd.expect("captured");
-    let b = bench.run(bca.as_mut(), &spec, 1).vcd.expect("captured");
+    let ra = bench.run(rtl.as_mut(), &spec, 1);
+    let rb = bench.run(bca.as_mut(), &spec, 1);
+    let (ta, tb) = (ra.trace.expect("captured"), rb.trace.expect("captured"));
+    let (a, b) = (ra.vcd.expect("captured"), rb.vcd.expect("captured"));
 
     let mut group = c.benchmark_group("analyzer");
+    group.bench_function("compare_traces_pair", |bb| {
+        bb.iter(|| stba::compare_traces(&ta, &tb).expect("aligns"));
+    });
     group.bench_function("parse_vcd", |bb| {
         bb.iter(|| vcd::VcdDocument::parse(&a).expect("parses"));
     });

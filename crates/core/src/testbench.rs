@@ -18,8 +18,13 @@ use telemetry::{Json, Telemetry};
 /// Knobs of a testbench run.
 #[derive(Clone, Debug)]
 pub struct TestbenchOptions {
-    /// Capture a VCD dump of the run (needed for STBA comparison).
+    /// Capture the run's waveform as VCD text in [`RunResult::vcd`] — the
+    /// paper's file-based flow, for exports and examples. Rendering the
+    /// text costs far more than recording the trace it is rendered from.
     pub capture_vcd: bool,
+    /// Capture the run's typed port trace in [`RunResult::trace`] — what
+    /// the STBA comparators take.
+    pub capture_trace: bool,
     /// Hard cycle limit including the drain phase.
     pub max_cycles: u64,
     /// Starvation-watchdog threshold override.
@@ -39,6 +44,7 @@ impl Default for TestbenchOptions {
     fn default() -> Self {
         TestbenchOptions {
             capture_vcd: false,
+            capture_trace: false,
             max_cycles: 50_000,
             starvation_limit: None,
             checks: true,
@@ -107,8 +113,11 @@ pub struct RunResult {
     pub completed: bool,
     /// Transactions completed across all initiators.
     pub transactions: u64,
-    /// The VCD text, when capture was requested.
+    /// The VCD text, when [`TestbenchOptions::capture_vcd`] was set.
     pub vcd: Option<String>,
+    /// The typed port trace, when [`TestbenchOptions::capture_trace`] was
+    /// set.
+    pub trace: Option<stba::Trace>,
 }
 
 impl RunResult {
@@ -119,6 +128,14 @@ impl RunResult {
             && self.scoreboard_errors.is_empty()
             && self.anomalies.is_empty()
             && self.completed
+    }
+
+    /// The result without its waveforms (VCD text and trace): reports and
+    /// cache entries keep verdicts, not waveforms.
+    pub fn without_waveforms(mut self) -> Self {
+        self.vcd = None;
+        self.trace = None;
+        self
     }
 
     /// A one-line summary for regression logs.
@@ -219,7 +236,10 @@ impl Testbench {
         }
         let mut scoreboard = Scoreboard::new(cfg);
         let mut coverage = FunctionalCoverage::new(cfg);
-        let mut vcd = self.options.capture_vcd.then(|| VcdDump::new(cfg));
+        // The `vcd` phase times waveform capture: recording the trace,
+        // plus rendering VCD text when that was asked for.
+        let capture = self.options.capture_vcd || self.options.capture_trace;
+        let mut vcd = capture.then(|| VcdDump::new(cfg));
 
         // Out-of-order and outstanding tracking for the coverage features.
         let mut issue_order: Vec<VecDeque<Option<usize>>> = vec![VecDeque::new(); cfg.n_initiators];
@@ -340,14 +360,16 @@ impl Testbench {
         }
 
         let transactions = harnesses.iter().map(|h| h.stats().completed).sum();
-        let vcd_text = vcd.map(|v| {
-            let t = profiling.then(Instant::now);
-            let text = v.finish();
-            if let Some(t) = t {
-                phase_vcd += t.elapsed();
-            }
-            text
-        });
+        let t = profiling.then(Instant::now);
+        let trace = vcd.map(VcdDump::finish_trace);
+        let vcd_text = trace
+            .as_ref()
+            .filter(|_| self.options.capture_vcd)
+            .map(|trace| trace.to_vcd(crate::vcd_dump::CYCLE_TIME));
+        let trace = trace.filter(|_| self.options.capture_trace);
+        if let Some(t) = t {
+            phase_vcd += t.elapsed();
+        }
         let result = RunResult {
             test: spec.name.clone(),
             seed,
@@ -365,6 +387,7 @@ impl Testbench {
             completed,
             transactions,
             vcd: vcd_text,
+            trace,
         };
 
         let wall = started.elapsed();
@@ -549,5 +572,33 @@ mod tests {
         let text = result.vcd.expect("captured");
         let doc = vcd::VcdDocument::parse(&text).unwrap();
         assert!(doc.end_time() > 0);
+        assert!(result.trace.is_none(), "trace capture not requested");
+    }
+
+    #[test]
+    fn trace_capture_is_what_vcd_text_renders() {
+        let cfg = NodeConfig::reference();
+        let spec = tests_lib::basic_read_write(5);
+        let run = |capture_vcd, capture_trace| {
+            let tb = Testbench::new(
+                cfg.clone(),
+                TestbenchOptions {
+                    capture_vcd,
+                    capture_trace,
+                    ..TestbenchOptions::default()
+                },
+            );
+            let mut dut = build_view(&cfg, ViewKind::Rtl);
+            tb.run(dut.as_mut(), &spec, 1)
+        };
+        let traced = run(false, true);
+        assert!(traced.vcd.is_none(), "no text unless asked for");
+        let trace = traced.trace.expect("captured");
+        assert_eq!(trace.cycles(), traced.cycles);
+        let both = run(true, true);
+        assert_eq!(both.trace.as_ref(), Some(&trace));
+        assert_eq!(both.vcd, Some(trace.to_vcd(crate::vcd_dump::CYCLE_TIME)));
+        let stripped = both.without_waveforms();
+        assert!(stripped.vcd.is_none() && stripped.trace.is_none());
     }
 }

@@ -467,10 +467,22 @@ pub mod qualification {
         TestbenchOptions::default()
     }
 
-    /// Testbench options for the alignment stage (waveforms captured).
+    /// Testbench options for the alignment stage with the waveforms
+    /// captured as VCD text — the file-based flow, for callers that
+    /// export or replay the dumps.
     pub fn alignment_options() -> TestbenchOptions {
         TestbenchOptions {
             capture_vcd: true,
+            ..TestbenchOptions::default()
+        }
+    }
+
+    /// Testbench options for the alignment stage with the waveforms
+    /// captured as typed port traces — what the qualification campaign
+    /// compares.
+    pub fn alignment_trace_options() -> TestbenchOptions {
+        TestbenchOptions {
+            capture_trace: true,
             ..TestbenchOptions::default()
         }
     }
@@ -513,12 +525,12 @@ pub mod qualification {
         a: &mut dyn DutView,
         b: &mut dyn DutView,
     ) -> Option<f64> {
-        let bench = Testbench::new(config.clone(), alignment_options());
+        let bench = Testbench::new(config.clone(), alignment_trace_options());
         let spec = alignment_spec();
         let ra = bench.run(a, &spec, ALIGNMENT_SEED);
         let rb = bench.run(b, &spec, ALIGNMENT_SEED);
-        match (&ra.vcd, &rb.vcd) {
-            (Some(va), Some(vb)) => stba::compare_vcd(va, vb, crate::vcd_cycle_time())
+        match (&ra.trace, &rb.trace) {
+            (Some(ta), Some(tb)) => stba::compare_traces(ta, tb)
                 .ok()
                 .map(|report| report.min_rate()),
             _ => None,

@@ -1,14 +1,19 @@
-//! Per-run VCD dumping.
+//! Per-run waveform capture: the typed port trace, and its VCD export.
 //!
 //! "Moreover, an associated VCD file, a standard format for waveform
 //! recording, is generated so that it can be used later for bus accurate
-//! comparison" (paper §4). Both design views are dumped through this same
-//! code path from the same [`CycleRecord`]s, so the two files declare an
-//! identical variable tree — exactly what the `stba` analyzer needs.
+//! comparison" (paper §4). Both design views are captured through this
+//! same code path from the same [`CycleRecord`]s, so the two traces
+//! declare an identical variable tree — exactly what the `stba` analyzer
+//! needs. Each cycle is packed straight into the run's [`stba::Trace`]
+//! (one word snapshot per port, kept only when the port changed); VCD
+//! text is rendered from the trace only when asked for
+//! ([`VcdDump::finish`]).
 
 use crate::record::CycleRecord;
+use stba::{PortLayout, Trace};
 use stbus_protocol::{NodeConfig, ReqCell, RspCell, RspKind};
-use vcd::{Scalar, VarId, VcdValue, VcdWriter};
+use std::sync::Arc;
 
 /// Nanoseconds of simulated time per clock cycle in the dump.
 pub const CYCLE_TIME: u64 = 10;
@@ -38,126 +43,117 @@ pub fn port_var_names(bus_bytes: usize) -> Vec<(&'static str, usize)> {
     ]
 }
 
-fn bytes_value(bytes: &[u8]) -> VcdValue {
-    // MSB-first binary literal.
-    let s: String = bytes.iter().rev().map(|b| format!("{b:08b}")).collect();
-    VcdValue::from_binary_str(&s).expect("binary digits")
+/// Fills one port snapshot, variable by variable in [`port_var_names`]
+/// order.
+struct Packer<'a> {
+    words: &'a mut [u64],
+    at: usize,
 }
 
-struct PortVars {
-    vars: Vec<VarId>,
+impl Packer<'_> {
+    fn word(&mut self, value: u64) {
+        self.words[self.at] = value;
+        self.at += 1;
+    }
+
+    fn flag(&mut self, value: bool) {
+        self.word(u64::from(value));
+    }
+
+    /// Byte lanes, little-endian, eight to a word.
+    fn lanes(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.word(u64::from_le_bytes(word));
+        }
+    }
+
+    fn request(&mut self, req: bool, cell: &ReqCell, gnt: bool, bus_bytes: usize) {
+        let be_mask = (1u64 << bus_bytes) - 1;
+        self.flag(req);
+        self.word(cell.addr);
+        self.word(u64::from(cell.opcode.encode()));
+        self.lanes(cell.data.lanes(bus_bytes));
+        self.word(u64::from(cell.be) & be_mask);
+        self.flag(cell.eop);
+        self.flag(cell.lock);
+        self.word(u64::from(cell.tid.0));
+        self.word(u64::from(cell.src.0));
+        self.word(u64::from(cell.pri));
+        self.flag(gnt);
+    }
+
+    fn response(&mut self, r_req: bool, cell: &RspCell, r_gnt: bool, bus_bytes: usize) {
+        self.flag(r_req);
+        self.lanes(cell.data.lanes(bus_bytes));
+        self.flag(cell.kind == RspKind::Error);
+        self.flag(cell.eop);
+        self.word(u64::from(cell.tid.0));
+        self.word(u64::from(cell.src.0));
+        self.flag(r_gnt);
+    }
 }
 
-/// Streams cycle records of one run into an in-memory VCD document.
+/// Records the cycle records of one run into its typed port trace.
 pub struct VcdDump {
-    writer: VcdWriter<Vec<u8>>,
-    ports: Vec<PortVars>,
-    widths: Vec<(&'static str, usize)>,
-    last: Vec<Vec<Option<VcdValue>>>,
+    trace: Trace,
+    n_initiators: usize,
     bus_bytes: usize,
-    end: u64,
+    /// One port snapshot, refilled for every port of every cycle.
+    words: Vec<u64>,
 }
 
 impl VcdDump {
-    /// Declares the full variable tree for a configuration.
+    /// Declares the full variable tree for a configuration: ports
+    /// `init0..` then `tgt0..`, each with [`port_var_names`].
     pub fn new(config: &NodeConfig) -> Self {
-        let mut writer = VcdWriter::new(Vec::new(), "1ns");
-        let widths = port_var_names(config.bus_bytes);
-        let mut ports = Vec::new();
-        writer.push_scope("tb");
+        let layout = Arc::new(PortLayout::new(port_var_names(config.bus_bytes)));
+        let mut trace = Trace::new();
         for i in 0..config.n_initiators {
-            writer.push_scope(&format!("init{i}"));
-            let vars = widths.iter().map(|(n, w)| writer.add_var(n, *w)).collect();
-            ports.push(PortVars { vars });
-            writer.pop_scope();
+            trace.add_port(format!("init{i}"), Arc::clone(&layout));
         }
         for t in 0..config.n_targets {
-            writer.push_scope(&format!("tgt{t}"));
-            let vars = widths.iter().map(|(n, w)| writer.add_var(n, *w)).collect();
-            ports.push(PortVars { vars });
-            writer.pop_scope();
+            trace.add_port(format!("tgt{t}"), Arc::clone(&layout));
         }
-        writer.pop_scope();
-        writer.begin().expect("in-memory write cannot fail");
-        let n_ports = ports.len();
-        let n_vars = widths.len();
         VcdDump {
-            writer,
-            ports,
-            widths,
-            last: vec![vec![None; n_vars]; n_ports],
+            trace,
+            n_initiators: config.n_initiators,
             bus_bytes: config.bus_bytes,
-            end: 0,
+            words: vec![0; layout.stride()],
         }
     }
 
-    fn req_values(&self, req: bool, cell: &ReqCell, gnt: bool) -> Vec<VcdValue> {
-        vec![
-            VcdValue::scalar(Scalar::from_bool(req)),
-            VcdValue::from_u64(cell.addr, 64),
-            VcdValue::from_u64(cell.opcode.encode() as u64, 8),
-            bytes_value(cell.data.lanes(self.bus_bytes)),
-            VcdValue::from_u64(cell.be as u64, self.bus_bytes),
-            VcdValue::scalar(Scalar::from_bool(cell.eop)),
-            VcdValue::scalar(Scalar::from_bool(cell.lock)),
-            VcdValue::from_u64(cell.tid.0 as u64, 8),
-            VcdValue::from_u64(cell.src.0 as u64, 8),
-            VcdValue::from_u64(cell.pri as u64, 8),
-            VcdValue::scalar(Scalar::from_bool(gnt)),
-        ]
-    }
-
-    fn rsp_values(&self, r_req: bool, cell: &RspCell, r_gnt: bool) -> Vec<VcdValue> {
-        vec![
-            VcdValue::scalar(Scalar::from_bool(r_req)),
-            bytes_value(cell.data.lanes(self.bus_bytes)),
-            VcdValue::scalar(Scalar::from_bool(cell.kind == RspKind::Error)),
-            VcdValue::scalar(Scalar::from_bool(cell.eop)),
-            VcdValue::from_u64(cell.tid.0 as u64, 8),
-            VcdValue::from_u64(cell.src.0 as u64, 8),
-            VcdValue::scalar(Scalar::from_bool(r_gnt)),
-        ]
-    }
-
-    /// Appends one cycle.
+    /// Appends one cycle. Cycles must increase from call to call.
     pub fn record(&mut self, rec: &CycleRecord) {
-        let time = rec.cycle * CYCLE_TIME;
-        self.end = self.end.max(time);
-        let ni = rec.inputs.initiator.len();
-        for p in 0..self.ports.len() {
-            let mut values = if p < ni {
-                let (req, cell, gnt) = rec.init_request(p);
-                let mut v = self.req_values(req, cell, gnt);
-                let (r_req, r_cell, r_gnt) = rec.init_response(p);
-                v.extend(self.rsp_values(r_req, r_cell, r_gnt));
-                v
+        let n_ports = self.trace.ports().len();
+        for p in 0..n_ports {
+            let ((req, cell, gnt), (r_req, r_cell, r_gnt)) = if p < self.n_initiators {
+                (rec.init_request(p), rec.init_response(p))
             } else {
-                let t = p - ni;
-                let (req, cell, gnt) = rec.target_request(t);
-                let mut v = self.req_values(req, cell, gnt);
-                let (r_req, r_cell, r_gnt) = rec.target_response(t);
-                v.extend(self.rsp_values(r_req, r_cell, r_gnt));
-                v
+                let t = p - self.n_initiators;
+                (rec.target_request(t), rec.target_response(t))
             };
-            debug_assert_eq!(values.len(), self.widths.len());
-            for (k, value) in values.drain(..).enumerate() {
-                if self.last[p][k].as_ref() != Some(&value) {
-                    self.writer
-                        .change_value(time, self.ports[p].vars[k], &value)
-                        .expect("in-memory write cannot fail");
-                    self.last[p][k] = Some(value);
-                }
-            }
+            let mut packer = Packer {
+                words: &mut self.words,
+                at: 0,
+            };
+            packer.request(req, cell, gnt, self.bus_bytes);
+            packer.response(r_req, r_cell, r_gnt, self.bus_bytes);
+            debug_assert_eq!(packer.at, self.words.len());
+            self.trace.record(p, rec.cycle, &self.words);
         }
     }
 
-    /// Finishes the dump and returns the VCD text.
+    /// Finishes the capture and returns the trace.
+    pub fn finish_trace(self) -> Trace {
+        self.trace
+    }
+
+    /// Finishes the capture and returns it rendered as VCD text
+    /// ([`Trace::to_vcd`] at [`CYCLE_TIME`]).
     pub fn finish(self) -> String {
-        let buf = self
-            .writer
-            .finish(self.end + CYCLE_TIME)
-            .expect("in-memory write cannot fail");
-        String::from_utf8(buf).expect("vcd is ascii")
+        self.trace.to_vcd(CYCLE_TIME)
     }
 }
 

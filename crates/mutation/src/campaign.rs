@@ -15,7 +15,7 @@ use crate::report::{AlignmentCell, Detection, MutationOutcome, QualificationRepo
 use crate::{catalogue, CatalogueEntry, Detector, Mutation};
 use catg::tests_lib::qualification as qual;
 use catg::{CoverageReport, TestSpec, Testbench, TestbenchOptions};
-use stba::{compare_transactions_with, compare_vcd_with};
+use stba::{compare_trace_transactions_with, compare_traces_with};
 use stbus_protocol::{NodeConfig, ViewKind};
 use std::collections::BTreeSet;
 use std::time::Instant;
@@ -125,7 +125,7 @@ fn run_cell(job: &CellJob) -> CellOut {
                 job.config.clone(),
                 TestbenchOptions {
                     telemetry: tel.clone(),
-                    ..qual::alignment_options()
+                    ..qual::alignment_trace_options()
                 },
             );
             let mut clean = job.entry.build_clean_opposite(&job.config);
@@ -141,12 +141,12 @@ fn run_cell(job: &CellJob) -> CellOut {
             // The untimed view holds no cycle discipline, so TLM-view
             // entries are compared by committed transaction order; every
             // cycle-accurate view keeps the paper's per-cycle comparison.
-            let rate = match (&ra.vcd, &rb.vcd) {
+            let rate = match (&ra.trace, &rb.trace) {
                 (Some(a), Some(b)) => {
                     let outcome = if job.entry.mutated_view() == ViewKind::Tlm {
-                        compare_transactions_with(a, b, catg::vcd_cycle_time(), &tel)
+                        compare_trace_transactions_with(a, b, &tel)
                     } else {
-                        compare_vcd_with(a, b, catg::vcd_cycle_time(), &tel)
+                        compare_traces_with(a, b, &tel)
                     };
                     outcome.ok().map(|r| r.min_rate())
                 }

@@ -95,7 +95,7 @@ pub fn run_differential(
         config.clone(),
         TestbenchOptions {
             telemetry: tel.clone(),
-            ..qual::alignment_options()
+            ..qual::alignment_trace_options()
         },
     );
     let mut rtl: Box<dyn DutView> = Box::new(RtlNode::with_bugs(config.clone(), &inject.rtl));
@@ -143,8 +143,8 @@ pub fn run_differential(
     // view runs at exact fidelity, so any sign-off shortfall is a real
     // cross-view divergence, not a modeling allowance.
     if finding.is_none() && da.is_none() && db.is_none() {
-        if let (Some(va), Some(vb)) = (&ra.vcd, &rb.vcd) {
-            if let Ok(report) = stba::compare_vcd(va, vb, catg::vcd_cycle_time()) {
+        if let (Some(ta), Some(tb)) = (&ra.trace, &rb.trace) {
+            if let Ok(report) = stba::compare_traces(ta, tb) {
                 let rate = report.min_rate();
                 if rate < qual::SIGNOFF {
                     finding = Some(DiffFinding {

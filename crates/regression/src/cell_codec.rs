@@ -6,8 +6,8 @@
 //! cell's metric contribution. This module serializes exactly that set —
 //! the [`RunRecord`] (minus wall-clock, which is never cached), the RTL
 //! node's [`ActivityCoverage`], the cell's private
-//! [`telemetry::MetricsSnapshot`], and a digest of each view's VCD — and
-//! parses it back field-for-field.
+//! [`telemetry::MetricsSnapshot`], and a digest of each view's waveform
+//! trace — and parses it back field-for-field.
 //!
 //! Every enum crosses the boundary through its stable `Display` name
 //! (the same names the human-readable reports print), so the payload has
@@ -28,8 +28,10 @@ use telemetry::{Json, MetricsSnapshot};
 ///
 /// `/2` added the TLM view fields: per-run result, the two TLM-vs-RTL
 /// alignment figures (cycle and transaction-order) and the TLM VCD
-/// digest.
-pub const CELL_SCHEMA: &str = "stbus-cell/2";
+/// digest. `/3` keeps the payload shape but the three `*_vcd_digest`
+/// fields now digest each view's typed port trace
+/// ([`stba::Trace::digest`]) instead of its VCD text.
+pub const CELL_SCHEMA: &str = "stbus-cell/3";
 
 /// Everything one cell contributes to a campaign, in cacheable form.
 #[derive(Clone, Debug)]
@@ -43,7 +45,12 @@ pub struct CachedCell {
     /// The cell's private metric contribution, replayed into the campaign
     /// registry on a hit so warm totals equal cold totals.
     pub metrics: MetricsSnapshot,
-    /// FNV-1a 64 digest of each view's VCD text, when captured.
+    /// Digest of each view's captured waveform: the runner stores
+    /// [`stba::Trace::digest`] of the typed port trace. The field (and payload
+    /// key) keeps its `vcd` name from schema `/2`, when it digested the
+    /// VCD text: the payload shape is unchanged and struct-literal
+    /// builders of `CachedCell` keep compiling; the schema tag is what
+    /// tells the two digests apart.
     pub rtl_vcd_digest: Option<u64>,
     /// See `rtl_vcd_digest`.
     pub bca_vcd_digest: Option<u64>,
@@ -275,6 +282,7 @@ fn result_from_json(json: &Json) -> Option<RunResult> {
         completed: json.get("completed")?.as_bool()?,
         transactions: json.get("transactions")?.as_u64()?,
         vcd: None,
+        trace: None,
     })
 }
 
@@ -470,8 +478,9 @@ fn parse_port(s: &str) -> Option<PortId> {
     None
 }
 
-/// Used by the runner to record what a captured waveform looked like
-/// without caching megabytes of VCD text.
+/// FNV-1a 64 digest of a run's VCD text, for callers that capture the
+/// text rather than the trace (the runner records
+/// [`stba::Trace::digest`] instead).
 pub fn vcd_digest(vcd: Option<&String>) -> Option<u64> {
     vcd.map(|text| cache::fnv64(text.as_bytes()))
 }

@@ -2,8 +2,9 @@
 //!
 //! For every configuration: run the test suite with the same seeds on both
 //! views; merge functional coverage; and — once everything passed — run
-//! the bus-accurate comparison on the VCD pairs ("Compare VCD results if
-//! full functional coverage").
+//! the bus-accurate comparison on the waveform pairs ("Compare VCD results
+//! if full functional coverage") — on the typed port traces the
+//! testbench records, not on rendered VCD text.
 //!
 //! The `{config × test × seed}` matrix is embarrassingly parallel: each
 //! cell owns its testbench, its RTL and BCA nodes, both runs and the
@@ -21,7 +22,7 @@ use crate::cell_codec;
 use cache::{GcPolicy, Key, Lookup, Store};
 use catg::{CoverageReport, RunResult, TestSpec, Testbench, TestbenchOptions};
 use sim_kernel::SimBackend;
-use stba::{compare_transactions_with, compare_vcd_with};
+use stba::{compare_trace_transactions_with, compare_traces_with};
 use stbus_bca::{BcaBug, BcaNode, Fidelity};
 use stbus_protocol::{DutView, NodeConfig, ViewKind};
 use stbus_rtl::RtlNode;
@@ -59,7 +60,7 @@ pub struct RegressionOptions {
     /// are identical on both; only the `kernel.*` vs `kernel.compiled.*`
     /// metric namespaces (and wall-clock) differ.
     pub engine: SimBackend,
-    /// Capture VCDs and run the alignment comparison.
+    /// Capture waveform traces and run the alignment comparison.
     pub compare_waveforms: bool,
     /// Worker threads running `{config, test, seed}` cells; `0` (the
     /// default) means one per available hardware thread, `1` runs the
@@ -588,7 +589,7 @@ fn run_cell(job: &CellJob) -> CellResult {
     let bench = Testbench::new(
         job.config.clone(),
         TestbenchOptions {
-            capture_vcd: job.compare_waveforms,
+            capture_trace: job.compare_waveforms,
             telemetry: tel.clone(),
             ..TestbenchOptions::default()
         },
@@ -637,10 +638,10 @@ fn run_cell(job: &CellJob) -> CellResult {
     // verification runs passed.
     let mut compare_wall_us = None;
     let alignment = if job.compare_waveforms && rtl_result.passed() && bca_result.passed() {
-        match (&rtl_result.vcd, &bca_result.vcd) {
+        match (&rtl_result.trace, &bca_result.trace) {
             (Some(a), Some(b)) => {
                 let started = Instant::now();
-                let outcome = compare_vcd_with(a, b, catg::vcd_cycle_time(), &tel);
+                let outcome = compare_traces_with(a, b, &tel);
                 compare_wall_us = Some(started.elapsed().as_micros() as u64);
                 outcome.ok().map(ports_of)
             }
@@ -655,11 +656,11 @@ fn run_cell(job: &CellJob) -> CellResult {
     let mut tlm_compare_wall_us = None;
     let (tlm_alignment, tlm_tx_alignment) = match &tlm_result {
         Some(tlm_result) if job.compare_waveforms && rtl_result.passed() && tlm_result.passed() => {
-            match (&rtl_result.vcd, &tlm_result.vcd) {
+            match (&rtl_result.trace, &tlm_result.trace) {
                 (Some(a), Some(b)) => {
                     let started = Instant::now();
-                    let cycles = compare_vcd_with(a, b, catg::vcd_cycle_time(), &tel);
-                    let transfers = compare_transactions_with(a, b, catg::vcd_cycle_time(), &tel);
+                    let cycles = compare_traces_with(a, b, &tel);
+                    let transfers = compare_trace_transactions_with(a, b, &tel);
                     tlm_compare_wall_us = Some(started.elapsed().as_micros() as u64);
                     (cycles.ok().map(&ports_of), transfers.ok().map(&ports_of))
                 }
@@ -669,18 +670,19 @@ fn run_cell(job: &CellJob) -> CellResult {
         _ => (None, None),
     };
 
-    let rtl_vcd_digest = cell_codec::vcd_digest(rtl_result.vcd.as_ref());
-    let bca_vcd_digest = cell_codec::vcd_digest(bca_result.vcd.as_ref());
-    let tlm_vcd_digest = cell_codec::vcd_digest(tlm_result.as_ref().and_then(|r| r.vcd.as_ref()));
+    let digest = |r: &RunResult| r.trace.as_ref().map(stba::Trace::digest);
+    let rtl_vcd_digest = digest(&rtl_result);
+    let bca_vcd_digest = digest(&bca_result);
+    let tlm_vcd_digest = tlm_result.as_ref().and_then(digest);
     let result = CellResult {
         config_idx: job.config_idx,
         record: RunRecord {
             test: job.spec.name.clone(),
             seed: job.seed,
-            rtl: strip_vcd(rtl_result),
-            bca: strip_vcd(bca_result),
+            rtl: rtl_result.without_waveforms(),
+            bca: bca_result.without_waveforms(),
             alignment,
-            tlm: tlm_result.map(strip_vcd),
+            tlm: tlm_result.map(RunResult::without_waveforms),
             tlm_alignment,
             tlm_tx_alignment,
             rtl_wall_us,
@@ -895,12 +897,6 @@ fn merge_cov(acc: &mut Option<CoverageReport>, new: &CoverageReport) {
         Some(a) => a.merge(new),
         None => *acc = Some(new.clone()),
     }
-}
-
-/// VCD text is large; the report keeps results, not waveforms.
-fn strip_vcd(mut r: RunResult) -> RunResult {
-    r.vcd = None;
-    r
 }
 
 #[cfg(test)]

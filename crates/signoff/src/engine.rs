@@ -28,7 +28,7 @@ use std::fmt;
 
 use catg::{CoverageReport, TestSpec, Testbench, TestbenchOptions};
 use sim_kernel::ActivityCoverage;
-use stba::compare_vcd_with;
+use stba::compare_traces_with;
 use stbus_bca::{BcaBug, BcaNode, Fidelity};
 use stbus_protocol::{DutView, NodeConfig};
 use stbus_rtl::{ProbePoint, RtlBug, RtlNode};
@@ -304,7 +304,7 @@ fn gate_unit(unit: &Unit, views: &Views, tel: Telemetry) -> GateRun {
     let bench = Testbench::new(
         views.config.clone(),
         TestbenchOptions {
-            capture_vcd: true,
+            capture_trace: true,
             telemetry: tel.clone(),
             ..TestbenchOptions::default()
         },
@@ -320,15 +320,13 @@ fn gate_unit(unit: &Unit, views: &Views, tel: Telemetry) -> GateRun {
     // As in the Figure 4 flow, the bus-accurate comparison runs once both
     // verification runs passed.
     let alignment = if rtl_passed && bca_passed {
-        match (&rtl_result.vcd, &bca_result.vcd) {
-            (Some(a), Some(b)) => compare_vcd_with(a, b, catg::vcd_cycle_time(), &tel)
-                .ok()
-                .map(|r| {
-                    r.ports
-                        .into_iter()
-                        .map(|p| (p.port, p.matching_cycles, p.total_cycles))
-                        .collect()
-                }),
+        match (&rtl_result.trace, &bca_result.trace) {
+            (Some(a), Some(b)) => compare_traces_with(a, b, &tel).ok().map(|r| {
+                r.ports
+                    .into_iter()
+                    .map(|p| (p.port, p.matching_cycles, p.total_cycles))
+                    .collect()
+            }),
             _ => None,
         }
     } else {

@@ -1,7 +1,9 @@
-//! Cycle-by-cycle waveform alignment between two VCD dumps.
+//! Cycle-by-cycle waveform alignment between two traces (or, through
+//! the file-based adapter, two VCD dumps).
 
-use std::collections::BTreeMap;
-use vcd::{ParseVcdError, VcdDocument};
+use crate::trace::{self, PortTrace, Snap, Trace};
+use telemetry::Json;
+use vcd::{ParseVcdError, VarId, VcdDocument};
 
 /// The alignment result of one port.
 #[derive(Clone, Debug, PartialEq)]
@@ -85,7 +87,7 @@ impl std::fmt::Display for AlignmentReport {
     }
 }
 
-/// Errors from [`compare_vcd`].
+/// Errors from [`compare_vcd`] and the other comparators.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CompareVcdError {
     /// One of the dumps failed to parse.
@@ -117,49 +119,227 @@ impl std::fmt::Display for CompareVcdError {
 
 impl std::error::Error for CompareVcdError {}
 
-/// Groups a document's variables by their `tb.<port>.<var>` path.
-pub(crate) fn ports_of(doc: &VcdDocument) -> BTreeMap<String, Vec<(String, vcd::VarId)>> {
-    let mut out: BTreeMap<String, Vec<(String, vcd::VarId)>> = BTreeMap::new();
-    for (idx, info) in doc.vars().iter().enumerate() {
+/// Groups a document's `tb.<port>.<var>` variables by port, ports and
+/// variables in declaration order.
+pub(crate) fn ports_of(doc: &VcdDocument) -> Vec<(String, Vec<(String, VarId)>)> {
+    let mut out: Vec<(String, Vec<(String, VarId)>)> = Vec::new();
+    for (id, info) in doc.var_entries() {
         let parts: Vec<&str> = info.path.split('.').collect();
         if parts.len() == 3 && parts[0] == "tb" {
-            let id = doc
-                .var_by_name(&info.path)
-                .expect("path comes from the doc itself");
-            out.entry(parts[1].to_owned())
-                .or_default()
-                .push((parts[2].to_owned(), id));
+            let var = (parts[2].to_owned(), id);
+            match out.iter_mut().find(|(port, _)| port == parts[1]) {
+                Some((_, vars)) => vars.push(var),
+                None => out.push((parts[1].to_owned(), vec![var])),
+            }
         }
-        let _ = idx;
     }
     out
 }
 
-/// Compares two dumps cycle by cycle on a `cycle_time` grid.
+/// A trace's ports in lexicographic name order — the order every report
+/// lists ports in.
+fn sorted_ports(trace: &Trace) -> Vec<&PortTrace> {
+    let mut ports: Vec<&PortTrace> = trace.ports().iter().collect();
+    ports.sort_unstable_by(|x, y| x.name().cmp(y.name()));
+    ports
+}
+
+fn port_sets_differ(a: &[String], b: &[String]) -> CompareVcdError {
+    CompareVcdError::StructureMismatch {
+        detail: format!("port sets differ: {a:?} vs {b:?}"),
+    }
+}
+
+/// Both traces' ports in lexicographic order, paired by name.
 ///
-/// The dumps must declare the same port scopes and variables (which they
-/// do when both come from the common environment's [`VcdDump`]); the
-/// comparison covers `max(end_a, end_b) / cycle_time + 1` cycles, so a run
-/// that finished earlier counts its missing tail as misaligned only if
-/// signal values differ (VCD semantics hold the last value).
+/// # Errors
+///
+/// [`CompareVcdError::StructureMismatch`] when the port sets differ.
+pub(crate) fn matched_ports<'a>(
+    first: &'a Trace,
+    second: &'a Trace,
+) -> Result<(Vec<&'a PortTrace>, Vec<&'a PortTrace>), CompareVcdError> {
+    let (a, b) = (sorted_ports(first), sorted_ports(second));
+    if a.iter().map(|p| p.name()).ne(b.iter().map(|p| p.name())) {
+        let names = |ports: &[&PortTrace]| -> Vec<String> {
+            ports.iter().map(|p| p.name().to_owned()).collect()
+        };
+        return Err(port_sets_differ(&names(&a), &names(&b)));
+    }
+    Ok((a, b))
+}
+
+/// Describes how two same-named ports' layouts differ.
+fn layout_mismatch(a: &PortTrace, b: &PortTrace) -> CompareVcdError {
+    let names = |p: &PortTrace| -> Vec<String> {
+        p.layout()
+            .vars()
+            .iter()
+            .map(|v| v.name.to_string())
+            .collect()
+    };
+    let detail = match a
+        .layout()
+        .vars()
+        .iter()
+        .zip(b.layout().vars())
+        .find(|(va, vb)| va.width != vb.width)
+    {
+        Some((va, vb)) if names(a) == names(b) => format!(
+            "port {}: var {} is {} bits vs {}",
+            a.name(),
+            va.name,
+            va.width,
+            vb.width
+        ),
+        _ => format!("port {}: vars {:?} vs {:?}", a.name(), names(a), names(b)),
+    };
+    CompareVcdError::StructureMismatch { detail }
+}
+
+/// Compares two traces cycle by cycle.
+///
+/// Both traces must declare the same ports (in any order), each with the
+/// same variables — names, order and widths — as two runs of the common
+/// environment's [`VcdDump`] on one configuration do. The comparison
+/// covers `max(a.cycles(), b.cycles())` cycles, i.e. up to and including
+/// the last cycle either run recorded: a run that finished earlier holds
+/// its last values (VCD semantics), so its missing tail counts as
+/// misaligned only where those values differ. A cycle of a port matches
+/// when every variable holds the same four-state value in both traces.
+/// Ports are reported in lexicographic name order (`init10` before
+/// `init2`).
+///
+/// The walk visits each pair of change-list segments once: O(changes ×
+/// variables), independent of how many cycles a segment spans.
+///
+/// # Errors
+///
+/// [`CompareVcdError::StructureMismatch`] when the port or variable
+/// trees differ.
+///
+/// [`VcdDump`]: ../catg/struct.VcdDump.html
+pub fn compare_traces(first: &Trace, second: &Trace) -> Result<AlignmentReport, CompareVcdError> {
+    let (ports_a, ports_b) = matched_ports(first, second)?;
+    for (a, b) in ports_a.iter().zip(&ports_b) {
+        if a.layout() != b.layout() {
+            return Err(layout_mismatch(a, b));
+        }
+    }
+    let cycles = first.cycles().max(second.cycles());
+    let ports = ports_a
+        .into_iter()
+        .zip(ports_b)
+        .map(|(a, b)| align_port(a, b, cycles))
+        .collect();
+    Ok(AlignmentReport { ports, cycles })
+}
+
+fn align_port(a: &PortTrace, b: &PortTrace, cycles: u64) -> PortAlignment {
+    let vars = a.layout().vars();
+    let zeros = vec![0; a.layout().stride()];
+    let unknown = Snap::all_unknown(a.layout(), &zeros);
+    let mut diverged = vec![false; vars.len()];
+    let (mut mismatching, mut first_divergence) = (0u64, None);
+    // `seen_*`: snapshots at or before cycle `t`.
+    let (mut seen_a, mut seen_b, mut t) = (0usize, 0usize, 0u64);
+    while t < cycles {
+        while a.cycle(seen_a).is_some_and(|c| c <= t) {
+            seen_a += 1;
+        }
+        while b.cycle(seen_b).is_some_and(|c| c <= t) {
+            seen_b += 1;
+        }
+        let until = [a.cycle(seen_a), b.cycle(seen_b), Some(cycles)]
+            .into_iter()
+            .flatten()
+            .min()
+            .expect("cycles bounds the segment");
+        let sa = if seen_a == 0 {
+            unknown
+        } else {
+            a.snap(seen_a - 1)
+        };
+        let sb = if seen_b == 0 {
+            unknown
+        } else {
+            b.snap(seen_b - 1)
+        };
+        let mut differs = false;
+        for (var, diverged) in vars.iter().zip(&mut diverged) {
+            if !sa.var_eq(&sb, var) {
+                *diverged = true;
+                differs = true;
+            }
+        }
+        if differs {
+            mismatching += until - t;
+            first_divergence.get_or_insert(t);
+        }
+        t = until;
+    }
+    PortAlignment {
+        port: a.name().to_owned(),
+        matching_cycles: cycles - mismatching,
+        total_cycles: cycles,
+        first_divergence,
+        diverging_vars: vars
+            .iter()
+            .zip(&diverged)
+            .filter(|(_, d)| **d)
+            .map(|(v, _)| v.name.to_string())
+            .collect(),
+    }
+}
+
+/// [`compare_traces`] with telemetry: wraps the comparison in an
+/// `stba.compare` span whose end event carries the comparison duration,
+/// and emits one `stba.divergence` warning per diverging port with the
+/// first diverging cycle and the variables involved.
+///
+/// # Errors
+///
+/// Same as [`compare_traces`].
+pub fn compare_traces_with(
+    first: &Trace,
+    second: &Trace,
+    tel: &telemetry::Telemetry,
+) -> Result<AlignmentReport, CompareVcdError> {
+    CYCLE_ALIGNMENT.observe(tel, trace_sizes(first, second), |timings| {
+        let (report, compare_us) = timed(|| compare_traces(first, second));
+        timings.push(("compare_us", compare_us));
+        report
+    })
+}
+
+/// Compares two VCD dumps cycle by cycle on a `cycle_time` grid — the
+/// paper's file-based flow.
+///
+/// A thin adapter over [`compare_traces`], whose rules apply: both dumps
+/// are parsed and sampled into traces on the grid, over the cycles each
+/// spans (its last timestamp over `cycle_time`). The dumps must declare
+/// the same `tb.<port>.<var>` trees; a variable declared at different
+/// widths is compared at the wider one. Values compare four-state: `x`
+/// and `z` equal only themselves, and a literal narrower than the
+/// comparison width extends by the VCD rule (its `x`/`z` MSB, else 0).
 ///
 /// # Errors
 ///
 /// [`CompareVcdError::Parse`] on malformed input and
 /// [`CompareVcdError::StructureMismatch`] when the variable trees differ.
-///
-/// [`VcdDump`]: ../catg/struct.VcdDump.html
 pub fn compare_vcd(
     first: &str,
     second: &str,
     cycle_time: u64,
 ) -> Result<AlignmentReport, CompareVcdError> {
-    compare_vcd_with(first, second, cycle_time, &telemetry::Telemetry::disabled())
+    let (a, b) = parse_pair(first, second)?;
+    let (a, b) = sample_pair(&a, &b, cycle_time)?;
+    compare_traces(&a, &b)
 }
 
 /// [`compare_vcd`] with telemetry: wraps the comparison in an
-/// `stba.compare` span whose end event carries the extraction (VCD
-/// parse) and comparison durations, and emits one `stba.divergence`
+/// `stba.compare` span whose end event carries the extraction (parse and
+/// sampling) and comparison durations, and emits one `stba.divergence`
 /// warning per diverging port with the first diverging cycle and the
 /// variables involved.
 ///
@@ -172,125 +352,171 @@ pub fn compare_vcd_with(
     cycle_time: u64,
     tel: &telemetry::Telemetry,
 ) -> Result<AlignmentReport, CompareVcdError> {
-    use telemetry::Json;
-
-    let span = tel
-        .span("stba.compare")
-        .field("first_bytes", Json::from(first.len()))
-        .field("second_bytes", Json::from(second.len()));
-    let parse_started = std::time::Instant::now();
-    let doc_a = VcdDocument::parse(first).map_err(|error| CompareVcdError::Parse {
-        which: "first",
-        error,
-    })?;
-    let doc_b = VcdDocument::parse(second).map_err(|error| CompareVcdError::Parse {
-        which: "second",
-        error,
-    })?;
-    let extract_us = parse_started.elapsed().as_micros() as u64;
-    let compare_started = std::time::Instant::now();
-    let report = compare_docs(&doc_a, &doc_b, cycle_time)?;
-    let compare_us = compare_started.elapsed().as_micros() as u64;
-
-    let metrics = tel.metrics();
-    metrics.counter("stba.compares").inc();
-    metrics
-        .counter("stba.ports_compared")
-        .add(report.ports.len() as u64);
-    for p in &report.ports {
-        if let Some(cycle) = p.first_divergence {
-            metrics.counter("stba.diverging_ports").inc();
-            tel.warn(
-                "stba.divergence",
-                "port diverges",
-                [
-                    ("port", Json::from(p.port.as_str())),
-                    ("first_cycle", Json::from(cycle)),
-                    ("rate", Json::from(p.rate())),
-                    ("vars", Json::from(p.diverging_vars.clone())),
-                ],
-            );
-        }
-    }
-    span.end([
-        ("extract_us", Json::from(extract_us)),
-        ("compare_us", Json::from(compare_us)),
-        ("cycles", Json::from(report.cycles)),
-        ("ports", Json::from(report.ports.len())),
-        ("min_rate", Json::from(report.min_rate())),
-        ("mean_rate", Json::from(report.mean_rate())),
-    ]);
-    Ok(report)
+    CYCLE_ALIGNMENT.observe(tel, text_sizes(first, second), |timings| {
+        let (traces, extract_us) = timed(|| {
+            let (a, b) = parse_pair(first, second)?;
+            sample_pair(&a, &b, cycle_time)
+        });
+        timings.push(("extract_us", extract_us));
+        let (a, b) = traces?;
+        let (report, compare_us) = timed(|| compare_traces(&a, &b));
+        timings.push(("compare_us", compare_us));
+        report
+    })
 }
 
-fn compare_docs(
+pub(crate) fn parse_pair(
+    first: &str,
+    second: &str,
+) -> Result<(VcdDocument, VcdDocument), CompareVcdError> {
+    let parse = |text, which| {
+        VcdDocument::parse(text).map_err(|error| CompareVcdError::Parse { which, error })
+    };
+    Ok((parse(first, "first")?, parse(second, "second")?))
+}
+
+/// Samples two dumps into traces with identical layouts: the same ports
+/// and variables, each at the wider of its two declared widths.
+fn sample_pair(
     doc_a: &VcdDocument,
     doc_b: &VcdDocument,
     cycle_time: u64,
-) -> Result<AlignmentReport, CompareVcdError> {
-    let ports_a = ports_of(doc_a);
-    let ports_b = ports_of(doc_b);
-    if ports_a.keys().collect::<Vec<_>>() != ports_b.keys().collect::<Vec<_>>() {
-        return Err(CompareVcdError::StructureMismatch {
-            detail: format!(
-                "port sets differ: {:?} vs {:?}",
-                ports_a.keys().collect::<Vec<_>>(),
-                ports_b.keys().collect::<Vec<_>>()
-            ),
-        });
+) -> Result<(Trace, Trace), CompareVcdError> {
+    let mut ports_a = ports_of(doc_a);
+    let mut ports_b = ports_of(doc_b);
+    ports_a.sort_unstable_by(|x, y| x.0.cmp(&y.0));
+    ports_b.sort_unstable_by(|x, y| x.0.cmp(&y.0));
+    let names = |ports: &[(String, Vec<(String, VarId)>)]| -> Vec<String> {
+        ports.iter().map(|(p, _)| p.clone()).collect()
+    };
+    if names(&ports_a) != names(&ports_b) {
+        return Err(port_sets_differ(&names(&ports_a), &names(&ports_b)));
     }
-
-    let cycle_time = cycle_time.max(1);
-    let cycles = (doc_a.end_time().max(doc_b.end_time()) / cycle_time).max(1);
-    let mut ports = Vec::with_capacity(ports_a.len());
-    // One mismatch mask reused across ports; port names move out of the
-    // grouping map instead of being cloned.
-    let mut mismatch_at = vec![false; cycles as usize];
-    for (port, vars_a) in ports_a {
-        let vars_b = &ports_b[&port];
-        if vars_a
-            .iter()
-            .map(|(n, _)| n)
-            .ne(vars_b.iter().map(|(n, _)| n))
-        {
-            let names_a: Vec<&String> = vars_a.iter().map(|(n, _)| n).collect();
-            let names_b: Vec<&String> = vars_b.iter().map(|(n, _)| n).collect();
+    let mut widths = Vec::with_capacity(ports_a.len());
+    for ((port, vars_a), (_, vars_b)) in ports_a.iter().zip(&ports_b) {
+        let var_names = |vars: &[(String, VarId)]| -> Vec<String> {
+            vars.iter().map(|(n, _)| n.clone()).collect()
+        };
+        if var_names(vars_a) != var_names(vars_b) {
             return Err(CompareVcdError::StructureMismatch {
-                detail: format!("port {port}: vars {names_a:?} vs {names_b:?}"),
+                detail: format!(
+                    "port {port}: vars {:?} vs {:?}",
+                    var_names(vars_a),
+                    var_names(vars_b)
+                ),
             });
         }
-        // Walk every variable pair over the cycle grid with forward
-        // cursors: O(changes + cycles) per variable, no value clones.
-        mismatch_at.fill(false);
-        let mut diverging_vars = Vec::new();
-        for ((name, ia), (_, ib)) in vars_a.iter().zip(vars_b) {
-            let width = doc_a.var(*ia).width.max(doc_b.var(*ib).width);
-            let mut cursor_a = doc_a.cursor(*ia);
-            let mut cursor_b = doc_b.cursor(*ib);
-            let mut var_diverged = false;
-            for (k, slot) in mismatch_at.iter_mut().enumerate() {
-                let t = k as u64 * cycle_time;
-                let va = cursor_a.advance_to(t);
-                if !va.equals_at_width(cursor_b.advance_to(t), width) {
-                    *slot = true;
-                    var_diverged = true;
-                }
-            }
-            if var_diverged {
-                diverging_vars.push(name.clone());
+        widths.push(
+            vars_a
+                .iter()
+                .zip(vars_b)
+                .map(|((_, ia), (_, ib))| doc_a.var(*ia).width.max(doc_b.var(*ib).width))
+                .collect::<Vec<_>>(),
+        );
+    }
+    Ok((
+        trace::sample(doc_a, cycle_time, &ports_a, &widths),
+        trace::sample(doc_b, cycle_time, &ports_b, &widths),
+    ))
+}
+
+/// Runs `f` and returns its result with its duration in microseconds.
+pub(crate) fn timed<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let started = std::time::Instant::now();
+    let out = f();
+    (out, started.elapsed().as_micros() as u64)
+}
+
+pub(crate) fn text_sizes(first: &str, second: &str) -> [(&'static str, Json); 2] {
+    [
+        ("first_bytes", Json::from(first.len())),
+        ("second_bytes", Json::from(second.len())),
+    ]
+}
+
+pub(crate) fn trace_sizes(first: &Trace, second: &Trace) -> [(&'static str, Json); 2] {
+    let changes = |t: &Trace| t.ports().iter().map(PortTrace::len).sum::<usize>();
+    [
+        ("first_changes", Json::from(changes(first))),
+        ("second_changes", Json::from(changes(second))),
+    ]
+}
+
+/// The telemetry names of one comparison discipline.
+pub(crate) struct Discipline {
+    /// The span wrapping each comparison.
+    pub span: &'static str,
+    /// Counter: comparisons made.
+    pub compares: &'static str,
+    /// Counter: ports compared.
+    pub ports: &'static str,
+    /// Counter: ports that diverged.
+    pub diverging: &'static str,
+    /// The per-diverging-port warning scope and message.
+    pub warning: (&'static str, &'static str),
+    /// Warning field names for the first divergence and the diverging
+    /// names.
+    pub fields: (&'static str, &'static str),
+}
+
+/// The cycle-by-cycle discipline.
+pub(crate) const CYCLE_ALIGNMENT: Discipline = Discipline {
+    span: "stba.compare",
+    compares: "stba.compares",
+    ports: "stba.ports_compared",
+    diverging: "stba.diverging_ports",
+    warning: ("stba.divergence", "port diverges"),
+    fields: ("first_cycle", "vars"),
+};
+
+impl Discipline {
+    /// Runs one comparison inside the discipline's span (opened with
+    /// `sizes`; `run` appends its phase durations), then counts it and
+    /// warns once per diverging port. A failed comparison only closes
+    /// the span.
+    pub(crate) fn observe(
+        &self,
+        tel: &telemetry::Telemetry,
+        sizes: [(&'static str, Json); 2],
+        run: impl FnOnce(&mut Vec<(&'static str, u64)>) -> Result<AlignmentReport, CompareVcdError>,
+    ) -> Result<AlignmentReport, CompareVcdError> {
+        let mut span = tel.span(self.span);
+        for (key, value) in sizes {
+            span.add_field(key, value);
+        }
+        let mut timings = Vec::new();
+        let report = run(&mut timings)?;
+        let metrics = tel.metrics();
+        metrics.counter(self.compares).inc();
+        metrics.counter(self.ports).add(report.ports.len() as u64);
+        for p in &report.ports {
+            if let Some(first) = p.first_divergence {
+                metrics.counter(self.diverging).inc();
+                tel.warn(
+                    self.warning.0,
+                    self.warning.1,
+                    [
+                        ("port", Json::from(p.port.as_str())),
+                        (self.fields.0, Json::from(first)),
+                        ("rate", Json::from(p.rate())),
+                        (self.fields.1, Json::from(p.diverging_vars.clone())),
+                    ],
+                );
             }
         }
-        let matching = mismatch_at.iter().filter(|m| !**m).count() as u64;
-        let first_divergence = mismatch_at.iter().position(|m| *m).map(|c| c as u64);
-        ports.push(PortAlignment {
-            port,
-            matching_cycles: matching,
-            total_cycles: cycles,
-            first_divergence,
-            diverging_vars,
-        });
+        span.end(
+            timings
+                .into_iter()
+                .map(|(key, us)| (key, Json::from(us)))
+                .chain([
+                    ("cycles", Json::from(report.cycles)),
+                    ("ports", Json::from(report.ports.len())),
+                    ("min_rate", Json::from(report.min_rate())),
+                    ("mean_rate", Json::from(report.mean_rate())),
+                ]),
+        );
+        Ok(report)
     }
-    Ok(AlignmentReport { ports, cycles })
 }
 
 #[cfg(test)]

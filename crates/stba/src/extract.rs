@@ -1,10 +1,12 @@
-//! Transaction extraction from VCD dumps.
+//! Transaction extraction from traces and VCD dumps.
 //!
 //! STBA "extracts from VCD files … STBus transaction information": here,
 //! the stream of cell transfers at one port, reconstructed purely from the
-//! dumped handshake signals.
+//! recorded handshake signals.
 
-use vcd::{VcdDocument, VcdValue};
+use crate::align::ports_of;
+use crate::trace::{self, PortTrace, Trace};
+use vcd::{VarId, VcdDocument};
 
 /// Which handshake a transfer used.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -34,61 +36,107 @@ pub struct ExtractedTransfer {
     pub src: u8,
 }
 
-fn as_u64(v: &VcdValue) -> u64 {
-    v.as_u64().unwrap_or(0)
-}
-
-/// Extracts the transfer stream of port scope `port` (e.g. `"init0"`).
+/// Extracts the transfer stream of port scope `port` (e.g. `"init0"`)
+/// from a parsed dump, sampled on the `cycle_time` grid over the cycles
+/// the dump spans — the file-based form of [`extract_trace_transfers`].
+/// A variable holding any `x`/`z` bit reads as 0.
 ///
-/// Returns `None` when the dump does not declare that port.
+/// Returns `None` when the dump does not declare that port's handshake
+/// variables.
 pub fn extract_transfers(
     doc: &VcdDocument,
     port: &str,
     cycle_time: u64,
 ) -> Option<Vec<ExtractedTransfer>> {
-    let var = |name: &str| doc.var_by_name(&format!("tb.{port}.{name}"));
-    let req = var("req")?;
-    let gnt = var("gnt")?;
-    let addr = var("addr")?;
-    let opc = var("opc")?;
-    let eop = var("eop")?;
-    let tid = var("tid")?;
-    let src = var("src")?;
-    let r_req = var("r_req")?;
-    let r_gnt = var("r_gnt")?;
-    let r_eop = var("r_eop")?;
-    let r_tid = var("r_tid")?;
-    let r_src = var("r_src")?;
+    let ports: Vec<_> = ports_of(doc)
+        .into_iter()
+        .filter(|(p, _)| p == port)
+        .collect();
+    let widths: Vec<Vec<usize>> = ports
+        .iter()
+        .map(|(_, vars)| lossless_widths(doc, vars))
+        .collect();
+    let trace = trace::sample(doc, cycle_time, &ports, &widths);
+    extract_trace_transfers(&trace, port)
+}
 
-    let cycle_time = cycle_time.max(1);
-    // The dump's closing timestamp (one cycle past the last recorded one)
-    // must not be sampled — values hold there and would double-count a
-    // transfer that fired on the final cycle.
-    let cycles = ((doc.end_time() / cycle_time) as usize).max(1);
+/// Per variable, a width that holds every literal of its change list
+/// unabridged: the declared width, or the longest literal if wider.
+pub(crate) fn lossless_widths(doc: &VcdDocument, vars: &[(String, VarId)]) -> Vec<usize> {
+    vars.iter()
+        .map(|(_, id)| {
+            let longest = doc.changes(*id).iter().map(|(_, v)| v.width()).max();
+            longest.unwrap_or(0).max(doc.var(*id).width)
+        })
+        .collect()
+}
+
+/// Extracts the transfer stream of port `port` from a trace: every cycle
+/// (up to [`Trace::cycles`]) on which `req && gnt` or `r_req && r_gnt`
+/// held, with the cell fields sampled on it — request before response
+/// within a cycle.
+///
+/// Returns `None` when the trace has no such port or the port lacks any
+/// of the handshake variables (`req`, `gnt`, `addr`, `opc`, `eop`, `tid`,
+/// `src`, `r_req`, `r_gnt`, `r_eop`, `r_tid`, `r_src`).
+pub fn extract_trace_transfers(trace: &Trace, port: &str) -> Option<Vec<ExtractedTransfer>> {
+    port_transfers(trace.port(port)?, trace.cycles())
+}
+
+/// [`extract_trace_transfers`] on one port of a trace spanning `cycles`.
+pub(crate) fn port_transfers(port: &PortTrace, cycles: u64) -> Option<Vec<ExtractedTransfer>> {
+    let layout = port.layout();
+    let var = |name: &str| layout.var(name);
+    let (req, gnt, addr, opc, eop, tid, src) = (
+        var("req")?,
+        var("gnt")?,
+        var("addr")?,
+        var("opc")?,
+        var("eop")?,
+        var("tid")?,
+        var("src")?,
+    );
+    let (r_req, r_gnt, r_eop, r_tid, r_src) = (
+        var("r_req")?,
+        var("r_gnt")?,
+        var("r_eop")?,
+        var("r_tid")?,
+        var("r_src")?,
+    );
+
     let mut out = Vec::new();
-    for k in 0..cycles {
-        let t = k as u64 * cycle_time;
-        if as_u64(&doc.value_at(req, t)) == 1 && as_u64(&doc.value_at(gnt, t)) == 1 {
-            out.push(ExtractedTransfer {
-                cycle: k as u64,
-                phase: TransferPhase::Request,
-                addr: as_u64(&doc.value_at(addr, t)),
-                opc: as_u64(&doc.value_at(opc, t)) as u8,
-                eop: as_u64(&doc.value_at(eop, t)) == 1,
-                tid: as_u64(&doc.value_at(tid, t)) as u8,
-                src: as_u64(&doc.value_at(src, t)) as u8,
-            });
+    // Before the first snapshot every bit is `x`: nothing fires. Each
+    // snapshot holds until the next one (or the end of the trace).
+    for i in 0..port.len() {
+        let snap = port.snap(i);
+        let field = |v| snap.known_u64(v).unwrap_or(0);
+        let request = (field(req) == 1 && field(gnt) == 1).then(|| ExtractedTransfer {
+            cycle: 0,
+            phase: TransferPhase::Request,
+            addr: field(addr),
+            opc: field(opc) as u8,
+            eop: field(eop) == 1,
+            tid: field(tid) as u8,
+            src: field(src) as u8,
+        });
+        let response = (field(r_req) == 1 && field(r_gnt) == 1).then(|| ExtractedTransfer {
+            cycle: 0,
+            phase: TransferPhase::Response,
+            addr: 0,
+            opc: 0,
+            eop: field(r_eop) == 1,
+            tid: field(r_tid) as u8,
+            src: field(r_src) as u8,
+        });
+        if request.is_none() && response.is_none() {
+            continue;
         }
-        if as_u64(&doc.value_at(r_req, t)) == 1 && as_u64(&doc.value_at(r_gnt, t)) == 1 {
-            out.push(ExtractedTransfer {
-                cycle: k as u64,
-                phase: TransferPhase::Response,
-                addr: 0,
-                opc: 0,
-                eop: as_u64(&doc.value_at(r_eop, t)) == 1,
-                tid: as_u64(&doc.value_at(r_tid, t)) as u8,
-                src: as_u64(&doc.value_at(r_src, t)) as u8,
-            });
+        let from = port.cycle(i).expect("snapshot index in range");
+        let until = port.cycle(i + 1).unwrap_or(cycles).min(cycles);
+        for cycle in from..until {
+            for t in request.iter().chain(&response) {
+                out.push(ExtractedTransfer { cycle, ..t.clone() });
+            }
         }
     }
     Some(out)

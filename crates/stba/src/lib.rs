@@ -8,20 +8,32 @@
 //! signals port are aligned over total number of clock cycles. The
 //! targeted value, in order to consider BCA model signed off is 99%."
 //!
-//! This crate reimplements that tool: it parses the two VCD dumps a
-//! regression run produced (one per design view), groups variables by
-//! port scope, samples them on the common clock grid, and reports the
-//! per-port alignment rate plus the transaction streams it extracted.
+//! This crate reimplements that tool. Its comparators work on the typed
+//! per-port [`Trace`] a regression run records for each design view: the
+//! per-port cycle alignment rate ([`compare_traces`]) and the committed
+//! transaction streams ([`compare_trace_transactions`]). The paper's
+//! file-based flow — parse two VCD dumps, group variables by port scope,
+//! sample them on the common clock grid — is a thin adapter in front of
+//! the same comparators ([`compare_vcd`], [`compare_transactions`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod align;
 mod extract;
+mod trace;
 mod txalign;
 
-pub use align::{compare_vcd, compare_vcd_with, AlignmentReport, CompareVcdError, PortAlignment};
-pub use extract::{
-    diff_transfers, extract_transfers, ExtractedTransfer, TransferDiff, TransferPhase,
+pub use align::{
+    compare_traces, compare_traces_with, compare_vcd, compare_vcd_with, AlignmentReport,
+    CompareVcdError, PortAlignment,
 };
-pub use txalign::{compare_transactions, compare_transactions_with, AlignmentMode};
+pub use extract::{
+    diff_transfers, extract_trace_transfers, extract_transfers, ExtractedTransfer, TransferDiff,
+    TransferPhase,
+};
+pub use trace::{PortLayout, PortTrace, Trace, TraceVar};
+pub use txalign::{
+    compare_trace_transactions, compare_trace_transactions_with, compare_transactions,
+    compare_transactions_with, AlignmentMode,
+};

@@ -1,4 +1,5 @@
-//! Transaction-order alignment between two VCD dumps.
+//! Transaction-order alignment between two traces (or, through the
+//! file-based adapter, two VCD dumps).
 //!
 //! The cycle-by-cycle comparison of [`crate::compare_vcd`] holds two
 //! views to the same *timing*; an untimed TLM view can never pass it.
@@ -21,8 +22,12 @@
 //! to change: each initiator's own commit order at every port, and the
 //! cell content of every transfer.
 
-use crate::align::{ports_of, AlignmentReport, CompareVcdError, PortAlignment};
-use crate::extract::{extract_transfers, ExtractedTransfer, TransferPhase};
+use crate::align::{
+    matched_ports, parse_pair, ports_of, text_sizes, timed, trace_sizes, AlignmentReport,
+    CompareVcdError, Discipline, PortAlignment,
+};
+use crate::extract::{lossless_widths, port_transfers, ExtractedTransfer, TransferPhase};
+use crate::trace::{self, Trace};
 use std::collections::BTreeMap;
 use vcd::VcdDocument;
 
@@ -192,7 +197,17 @@ fn align_streams(first: &[ExtractedTransfer], second: &[ExtractedTransfer]) -> S
     }
 }
 
-/// Compares the committed transaction streams of two dumps.
+/// The transaction-order discipline.
+const TX_ALIGNMENT: Discipline = Discipline {
+    span: "stba.tx_compare",
+    compares: "stba.tx_compares",
+    ports: "stba.tx_ports_compared",
+    diverging: "stba.tx_diverging_ports",
+    warning: ("stba.tx_divergence", "port transaction streams diverge"),
+    fields: ("first_index", "streams"),
+};
+
+/// Compares the committed transaction streams of two traces.
 ///
 /// The result reuses the [`AlignmentReport`] shape of the cycle
 /// comparison so thresholds, sign-off and rendering work unchanged —
@@ -200,8 +215,79 @@ fn align_streams(first: &[ExtractedTransfer], second: &[ExtractedTransfer]) -> S
 /// count *transfers*, `first_divergence` is the index of the first
 /// diverging transfer within its stream, and `diverging_vars` names the
 /// diverging streams (`req:src<i>` / `rsp:src<i>.tid<t>`). A port that
-/// carried no transfers in either dump rates 1.0, mirroring the
-/// empty-ports guard of the cycle comparison.
+/// carried no transfers in either trace rates 1.0, mirroring the
+/// empty-ports guard of the cycle comparison. Each trace's streams are
+/// extracted over the cycles it spans ([`crate::extract_trace_transfers`]);
+/// the report's `cycles` is the longer span. A port whose variables lack
+/// the handshake set in both traces (e.g. a programming port) is skipped.
+///
+/// # Errors
+///
+/// [`CompareVcdError::StructureMismatch`] when the port sets differ, or a
+/// port has the handshake variables in only one trace.
+pub fn compare_trace_transactions(
+    first: &Trace,
+    second: &Trace,
+) -> Result<AlignmentReport, CompareVcdError> {
+    let (ports_a, ports_b) = matched_ports(first, second)?;
+    let mut ports = Vec::with_capacity(ports_a.len());
+    for (a, b) in ports_a.into_iter().zip(ports_b) {
+        let stream_a = port_transfers(a, first.cycles());
+        let stream_b = port_transfers(b, second.cycles());
+        let (stream_a, stream_b) = match (stream_a, stream_b) {
+            (Some(a), Some(b)) => (a, b),
+            (None, None) => continue,
+            _ => {
+                return Err(CompareVcdError::StructureMismatch {
+                    detail: format!(
+                        "port {}: handshake variables present in only one dump",
+                        a.name()
+                    ),
+                })
+            }
+        };
+        let aligned = align_streams(&stream_a, &stream_b);
+        ports.push(PortAlignment {
+            port: a.name().to_owned(),
+            matching_cycles: aligned.matching,
+            total_cycles: aligned.total,
+            first_divergence: aligned.first_divergence,
+            diverging_vars: aligned.diverging_groups,
+        });
+    }
+    Ok(AlignmentReport {
+        ports,
+        cycles: first.cycles().max(second.cycles()),
+    })
+}
+
+/// [`compare_trace_transactions`] with telemetry: wraps the comparison
+/// in an `stba.tx_compare` span and emits one `stba.tx_divergence`
+/// warning per diverging port naming the diverging streams.
+///
+/// # Errors
+///
+/// Same as [`compare_trace_transactions`].
+pub fn compare_trace_transactions_with(
+    first: &Trace,
+    second: &Trace,
+    tel: &telemetry::Telemetry,
+) -> Result<AlignmentReport, CompareVcdError> {
+    TX_ALIGNMENT.observe(tel, trace_sizes(first, second), |timings| {
+        let (report, compare_us) = timed(|| compare_trace_transactions(first, second));
+        timings.push(("compare_us", compare_us));
+        report
+    })
+}
+
+/// Compares the committed transaction streams of two VCD dumps — the
+/// paper's file-based flow.
+///
+/// A thin adapter over [`compare_trace_transactions`], whose rules
+/// apply: each dump is parsed and sampled into a trace on the
+/// `cycle_time` grid over the cycles it spans, every variable wide
+/// enough for its longest literal. A handshake or field variable holding
+/// any `x`/`z` bit reads as 0.
 ///
 /// # Errors
 ///
@@ -212,12 +298,15 @@ pub fn compare_transactions(
     second: &str,
     cycle_time: u64,
 ) -> Result<AlignmentReport, CompareVcdError> {
-    compare_transactions_with(first, second, cycle_time, &telemetry::Telemetry::disabled())
+    let (a, b) = sample_pair(first, second, cycle_time)?;
+    compare_trace_transactions(&a, &b)
 }
 
 /// [`compare_transactions`] with telemetry: wraps the comparison in an
-/// `stba.tx_compare` span and emits one `stba.tx_divergence` warning per
-/// diverging port naming the diverging streams.
+/// `stba.tx_compare` span whose end event carries the extraction (parse
+/// and sampling) and comparison durations, and emits one
+/// `stba.tx_divergence` warning per diverging port naming the diverging
+/// streams.
 ///
 /// # Errors
 ///
@@ -228,101 +317,33 @@ pub fn compare_transactions_with(
     cycle_time: u64,
     tel: &telemetry::Telemetry,
 ) -> Result<AlignmentReport, CompareVcdError> {
-    use telemetry::Json;
-
-    let span = tel
-        .span("stba.tx_compare")
-        .field("first_bytes", Json::from(first.len()))
-        .field("second_bytes", Json::from(second.len()));
-    let parse_started = std::time::Instant::now();
-    let doc_a = VcdDocument::parse(first).map_err(|error| CompareVcdError::Parse {
-        which: "first",
-        error,
-    })?;
-    let doc_b = VcdDocument::parse(second).map_err(|error| CompareVcdError::Parse {
-        which: "second",
-        error,
-    })?;
-    let extract_us = parse_started.elapsed().as_micros() as u64;
-    let compare_started = std::time::Instant::now();
-    let report = compare_docs(&doc_a, &doc_b, cycle_time)?;
-    let compare_us = compare_started.elapsed().as_micros() as u64;
-
-    let metrics = tel.metrics();
-    metrics.counter("stba.tx_compares").inc();
-    metrics
-        .counter("stba.tx_ports_compared")
-        .add(report.ports.len() as u64);
-    for p in &report.ports {
-        if let Some(index) = p.first_divergence {
-            metrics.counter("stba.tx_diverging_ports").inc();
-            tel.warn(
-                "stba.tx_divergence",
-                "port transaction streams diverge",
-                [
-                    ("port", Json::from(p.port.as_str())),
-                    ("first_index", Json::from(index)),
-                    ("rate", Json::from(p.rate())),
-                    ("streams", Json::from(p.diverging_vars.clone())),
-                ],
-            );
-        }
-    }
-    span.end([
-        ("extract_us", Json::from(extract_us)),
-        ("compare_us", Json::from(compare_us)),
-        ("cycles", Json::from(report.cycles)),
-        ("ports", Json::from(report.ports.len())),
-        ("min_rate", Json::from(report.min_rate())),
-        ("mean_rate", Json::from(report.mean_rate())),
-    ]);
-    Ok(report)
+    TX_ALIGNMENT.observe(tel, text_sizes(first, second), |timings| {
+        let (traces, extract_us) = timed(|| sample_pair(first, second, cycle_time));
+        timings.push(("extract_us", extract_us));
+        let (a, b) = traces?;
+        let (report, compare_us) = timed(|| compare_trace_transactions(&a, &b));
+        timings.push(("compare_us", compare_us));
+        report
+    })
 }
 
-fn compare_docs(
-    doc_a: &VcdDocument,
-    doc_b: &VcdDocument,
+/// Parses two dumps and samples each into a trace wide enough for every
+/// literal it holds.
+fn sample_pair(
+    first: &str,
+    second: &str,
     cycle_time: u64,
-) -> Result<AlignmentReport, CompareVcdError> {
-    let ports_a = ports_of(doc_a);
-    let ports_b = ports_of(doc_b);
-    if ports_a.keys().collect::<Vec<_>>() != ports_b.keys().collect::<Vec<_>>() {
-        return Err(CompareVcdError::StructureMismatch {
-            detail: format!(
-                "port sets differ: {:?} vs {:?}",
-                ports_a.keys().collect::<Vec<_>>(),
-                ports_b.keys().collect::<Vec<_>>()
-            ),
-        });
-    }
-
-    let cycle_time = cycle_time.max(1);
-    let cycles = (doc_a.end_time().max(doc_b.end_time()) / cycle_time).max(1);
-    let mut ports = Vec::with_capacity(ports_a.len());
-    for port in ports_a.keys() {
-        let stream_a = extract_transfers(doc_a, port, cycle_time);
-        let stream_b = extract_transfers(doc_b, port, cycle_time);
-        let (stream_a, stream_b) = match (stream_a, stream_b) {
-            (Some(a), Some(b)) => (a, b),
-            // A scope without the handshake variables (e.g. a programming
-            // port) carries no transactions in either dump: skip it.
-            (None, None) => continue,
-            _ => {
-                return Err(CompareVcdError::StructureMismatch {
-                    detail: format!("port {port}: handshake variables present in only one dump"),
-                })
-            }
-        };
-        let aligned = align_streams(&stream_a, &stream_b);
-        ports.push(PortAlignment {
-            port: port.clone(),
-            matching_cycles: aligned.matching,
-            total_cycles: aligned.total,
-            first_divergence: aligned.first_divergence,
-            diverging_vars: aligned.diverging_groups,
-        });
-    }
-    Ok(AlignmentReport { ports, cycles })
+) -> Result<(Trace, Trace), CompareVcdError> {
+    let (doc_a, doc_b) = parse_pair(first, second)?;
+    let sample = |doc: &VcdDocument| {
+        let ports = ports_of(doc);
+        let widths: Vec<Vec<usize>> = ports
+            .iter()
+            .map(|(_, vars)| lossless_widths(doc, vars))
+            .collect();
+        trace::sample(doc, cycle_time, &ports, &widths)
+    };
+    Ok((sample(&doc_a), sample(&doc_b)))
 }
 
 #[cfg(test)]

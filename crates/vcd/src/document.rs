@@ -64,6 +64,14 @@ impl VcdDocument {
         &self.vars
     }
 
+    /// Every declared variable with its id, in declaration order.
+    pub fn var_entries(&self) -> impl Iterator<Item = (VarId, &VarInfo)> {
+        self.vars
+            .iter()
+            .enumerate()
+            .map(|(i, info)| (VarId(i as u32), info))
+    }
+
     /// Looks up a variable by dotted path.
     pub fn var_by_name(&self, path: &str) -> Option<VarId> {
         self.by_path.get(path).copied()

@@ -23,6 +23,7 @@ pub(crate) fn id_code(index: usize) -> String {
 struct VarDecl {
     name: String,
     width: usize,
+    code: String,
 }
 
 /// A streaming VCD writer.
@@ -100,6 +101,7 @@ impl<W: Write> VcdWriter<W> {
         self.vars.push(VarDecl {
             name: name.to_owned(),
             width,
+            code: id_code(id.index()),
         });
         self.header_ops.push(HeaderOp::Var(id.0 as usize));
         id
@@ -124,13 +126,7 @@ impl<W: Write> VcdWriter<W> {
                 HeaderOp::Pop => writeln!(self.out, "$upscope $end")?,
                 HeaderOp::Var(i) => {
                     let v = &self.vars[*i];
-                    writeln!(
-                        self.out,
-                        "$var wire {} {} {} $end",
-                        v.width,
-                        id_code(*i),
-                        v.name
-                    )?;
+                    writeln!(self.out, "$var wire {} {} {} $end", v.width, v.code, v.name)?;
                 }
             }
         }
@@ -157,11 +153,11 @@ impl<W: Write> VcdWriter<W> {
     }
 
     fn write_value(&mut self, index: usize, value: &VcdValue) -> io::Result<()> {
-        let width = self.vars[index].width;
-        if width == 1 {
-            writeln!(self.out, "{}{}", value.bit(0).to_char(), id_code(index))
+        let var = &self.vars[index];
+        if var.width == 1 {
+            writeln!(self.out, "{}{}", value.bit(0).to_char(), var.code)
         } else {
-            writeln!(self.out, "b{} {}", value.to_binary_string(), id_code(index))
+            writeln!(self.out, "b{} {}", value.to_binary_string(), var.code)
         }
     }
 
@@ -208,6 +204,32 @@ impl<W: Write> VcdWriter<W> {
         assert!(self.began, "change before begin()");
         self.advance_time(time)?;
         self.write_value(var.0 as usize, value)
+    }
+
+    /// Emits a change at `time` given as its MSB-first value characters
+    /// (`0`, `1`, `x`, `z`), one per bit of the variable's width — the
+    /// allocation-free path for callers that hold values as bit planes.
+    /// Renders exactly as [`change_value`](Self::change_value) with the
+    /// equivalent value.
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O errors.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `begin` was not called or time moves backwards.
+    pub fn change_digits(&mut self, time: u64, var: VarId, digits: &str) -> io::Result<()> {
+        assert!(self.began, "change before begin()");
+        debug_assert!(digits.chars().all(|c| Scalar::from_char(c).is_some()));
+        self.advance_time(time)?;
+        let var = &self.vars[var.index()];
+        debug_assert_eq!(digits.len(), var.width, "one digit per bit");
+        if var.width == 1 {
+            writeln!(self.out, "{digits}{}", var.code)
+        } else {
+            writeln!(self.out, "b{digits} {}", var.code)
+        }
     }
 
     /// Writes a final timestamp and flushes.
@@ -279,6 +301,29 @@ mod tests {
         w.finish(8).unwrap();
         let text = String::from_utf8(buf).unwrap();
         assert_eq!(text.matches("#7").count(), 1);
+    }
+
+    #[test]
+    fn digit_changes_render_like_value_changes() {
+        let render = |digits: bool| {
+            let mut buf = Vec::new();
+            let mut w = VcdWriter::new(&mut buf, "1ns");
+            let a = w.add_var("a", 1);
+            let d = w.add_var("d", 4);
+            w.begin().unwrap();
+            if digits {
+                w.change_digits(2, a, "z").unwrap();
+                w.change_digits(2, d, "10x1").unwrap();
+            } else {
+                w.change_scalar(2, a, Scalar::Z).unwrap();
+                let v = VcdValue::from_binary_str("10x1").unwrap();
+                w.change_value(2, d, &v).unwrap();
+            }
+            w.finish(3).unwrap();
+            String::from_utf8(buf).unwrap()
+        };
+        assert_eq!(render(true), render(false));
+        assert!(render(true).contains("#2\nz!\nb10x1 \"\n"));
     }
 
     #[test]
