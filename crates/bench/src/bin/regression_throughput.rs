@@ -37,11 +37,11 @@
 //! subcommand), keyed per engine, making bench runs part of the same
 //! trend the CLI inspects.
 //!
-//! Note: the checked-in `BENCH_regression.json` was recorded on a 1-core
-//! container host — every multi-worker sweep point there is flagged
-//! `single_core_artifact` and the meaningful numbers are the RTL-view
-//! step rates and the cache warm-run speedup, which do not need parallel
-//! hardware.
+//! Note: the checked-in `BENCH_regression.json` records the core count of
+//! the host it was measured on (`host`). On a 1-core host every
+//! multi-worker sweep point is flagged `single_core_artifact` and the
+//! meaningful numbers are the RTL-view step rates and the cache warm-run
+//! speedup, which do not need parallel hardware.
 
 use regression::{run_regression, standard_configs, RegressionOptions, RegressionReport};
 use sim_kernel::SimBackend;

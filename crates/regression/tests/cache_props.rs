@@ -7,10 +7,18 @@
 //! different whenever any identity component differs.
 
 use cache::{Key, Lookup, Store};
+use catg::{
+    CheckerReport, CoverageGroup, CoverageReport, InitiatorStats, PortId, RunResult,
+    ScoreboardError, Violation, ViolationKind,
+};
 use proptest::prelude::*;
-use stbus_protocol::{ArbitrationKind, Architecture, NodeConfig, ProtocolType};
-use stbus_regression::{cell_codec, cell_key, run_regression, RegressionOptions};
+use sim_kernel::{ActivityCoverage, BranchActivity, ProcessActivity};
+use stbus_protocol::{ArbitrationKind, Architecture, NodeConfig, ProtocolType, RuleId, ViewKind};
+use stbus_regression::cell_codec::CachedCell;
+use stbus_regression::{cell_codec, cell_key, run_regression, RegressionOptions, RunRecord};
+use std::collections::BTreeMap;
 use std::path::PathBuf;
+use telemetry::{HistogramSnapshot, MetricsSnapshot};
 
 fn temp_store(tag: &str) -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("stbus-cache-props-{tag}"));
@@ -25,6 +33,110 @@ fn temp_store(tag: &str) -> PathBuf {
 fn arb_string(max_len: usize) -> impl Strategy<Value = String> {
     proptest::collection::vec(0u32..0x11_0000, 0..max_len)
         .prop_map(|points| points.into_iter().filter_map(char::from_u32).collect())
+}
+
+/// Strings that stress the codec's escaping: pieces of `arb_string`
+/// mixed with the characters JSON must escape or that span several
+/// bytes — quotes, backslashes, newlines and other control characters,
+/// non-ASCII and non-BMP characters.
+fn hostile_string() -> impl Strategy<Value = String> {
+    const SPECIALS: [&str; 12] = [
+        "\"", "\\", "\n", "\r\n", "\t", "\u{0}", "\u{1f}", "\u{7f}", "é", "日本", "😀", "\u{2028}",
+    ];
+    let piece = prop_oneof![
+        arb_string(6),
+        (0..SPECIALS.len()).prop_map(|i| SPECIALS[i].to_owned()),
+    ];
+    proptest::collection::vec(piece, 1..8).prop_map(|pieces| pieces.concat())
+}
+
+/// A cell carrying `s[k]` in every string field the codec writes, each
+/// collection non-empty so that no field is skipped.
+fn cell_with_strings(s: &[String]) -> CachedCell {
+    let result = |view| RunResult {
+        test: s[0].clone(),
+        seed: 7,
+        view,
+        cycles: 120,
+        checker: CheckerReport {
+            violations: vec![Violation {
+                kind: ViolationKind::Rule(RuleId::ReqStable),
+                port: PortId::Initiator(1),
+                cycle: 9,
+                message: s[1].clone(),
+            }],
+            suppressed: 2,
+            checks_passed: BTreeMap::from([(RuleId::EopPosition, 30)]),
+        },
+        scoreboard_errors: vec![ScoreboardError {
+            cycle: 11,
+            port: PortId::Target(0),
+            message: s[2].clone(),
+        }],
+        scoreboard_checks: 40,
+        coverage: CoverageReport {
+            groups: vec![CoverageGroup {
+                name: s[3].clone(),
+                bins: BTreeMap::from([(s[4].clone(), 3), (format!("{}/2", s[4]), 0)]),
+            }],
+        },
+        stats: vec![InitiatorStats {
+            issued: 5,
+            completed: 4,
+            errors: 1,
+            total_latency: 77,
+        }],
+        anomalies: vec![s[5].clone()],
+        completed: false,
+        transactions: 4,
+        vcd: None,
+        trace: None,
+    };
+    let ports = Some(vec![(s[6].clone(), 10, 12)]);
+    CachedCell {
+        record: RunRecord {
+            test: s[0].clone(),
+            seed: u64::MAX,
+            rtl: result(ViewKind::Rtl),
+            bca: result(ViewKind::Bca),
+            alignment: ports.clone(),
+            tlm: Some(result(ViewKind::Tlm)),
+            tlm_alignment: ports.clone(),
+            tlm_tx_alignment: ports,
+            rtl_wall_us: 0,
+            bca_wall_us: 0,
+            tlm_wall_us: 0,
+            compare_wall_us: Some(0),
+            tlm_compare_wall_us: Some(0),
+        },
+        rtl_activity: ActivityCoverage {
+            processes: vec![ProcessActivity {
+                name: s[7].clone(),
+                runs: 3,
+            }],
+            branches: vec![BranchActivity {
+                name: s[8].clone(),
+                hits: 0,
+            }],
+        },
+        metrics: MetricsSnapshot {
+            counters: BTreeMap::from([(s[9].clone(), 6)]),
+            gauges: BTreeMap::from([(s[10].clone(), -2)]),
+            histograms: BTreeMap::from([(
+                s[11].clone(),
+                HistogramSnapshot {
+                    bounds: vec![1, 4],
+                    buckets: vec![0, 2, 1],
+                    count: 3,
+                    sum: 9,
+                    max: 5,
+                },
+            )]),
+        },
+        rtl_vcd_digest: Some(0xdead_beef),
+        bca_vcd_digest: None,
+        tlm_vcd_digest: Some(u64::MAX),
+    }
 }
 
 fn arb_config() -> impl Strategy<Value = NodeConfig> {
@@ -85,6 +197,23 @@ proptest! {
         prop_assert_eq!(lookup, Lookup::Hit);
         prop_assert_eq!(got.as_deref(), Some(payload.as_str()));
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// `decode ∘ encode` is the identity on cells whose every string —
+    /// test name, violation and scoreboard messages, anomalies, coverage
+    /// group and bin names, alignment port names, activity names, metric
+    /// names — holds characters the JSON layer must escape or decode.
+    #[test]
+    fn cells_with_hostile_strings_round_trip(
+        strings in proptest::collection::vec(hostile_string(), 12),
+    ) {
+        let cell = cell_with_strings(&strings);
+        let payload = cell_codec::encode(&cell);
+        let back = cell_codec::decode(&payload).expect("own payload decodes");
+        // The cell types have no `PartialEq`; their `Debug` form renders
+        // every field, strings escaped.
+        prop_assert_eq!(format!("{back:?}"), format!("{cell:?}"));
+        prop_assert_eq!(cell_codec::encode(&back), payload);
     }
 
     /// The content key is a pure function of the cell identity: the hex

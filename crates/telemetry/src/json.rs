@@ -4,8 +4,15 @@
 //! The workspace builds offline (no serde_json), and the telemetry layer
 //! needs real, machine-readable JSON for its JSONL event streams and the
 //! regression `manifest.json`. This module provides exactly that: a value
-//! enum, escaping-correct rendering, and a parser used by the round-trip
-//! tests and by any tool that wants to consume the artifacts in-process.
+//! enum, escaping-correct rendering, and the one parser every in-process
+//! consumer of those artifacts shares.
+//!
+//! The parser is on two hot paths: every cell-cache hit
+//! (`cell_codec::decode` in the regression crate) and every serve-daemon
+//! request line and `--client` reply, a single line that runs to hundreds
+//! of kilobytes. Its contract is therefore linear time in the input
+//! length: string contents are copied run by run between the bytes that
+//! need attention, never re-validated per character.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -288,13 +295,14 @@ impl std::error::Error for JsonParseError {}
 
 impl Json {
     /// Parses one JSON document; trailing whitespace is allowed, trailing
-    /// garbage is not.
+    /// garbage is not. Runs in time linear in `text.len()`.
     ///
     /// # Errors
     ///
     /// [`JsonParseError`] with the byte offset of the first problem.
     pub fn parse(text: &str) -> Result<Json, JsonParseError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -309,6 +317,9 @@ impl Json {
 }
 
 struct Parser<'a> {
+    /// The input, for slicing string runs out of.
+    text: &'a str,
+    /// The same input as bytes, for scanning.
     bytes: &'a [u8],
     pos: usize,
 }
@@ -418,6 +429,16 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote, backslash or control byte
+            // in one step. Every stop byte is ASCII, so both ends of the run
+            // are char boundaries of the `&str` input: no re-validation.
+            let rest = &self.bytes[self.pos..];
+            let run = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(rest.len());
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -426,47 +447,78 @@ impl Parser<'_> {
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| self.err("non-ASCII \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("invalid \\u escape"))?;
-                            // Surrogate pairs are not needed by our own
-                            // renderer; map lone surrogates to U+FFFD.
-                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("invalid escape")),
-                    }
-                    self.pos += 1;
+                    out.push(self.escape()?);
                 }
-                Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let c = s.chars().next().expect("non-empty by peek");
-                    if (c as u32) < 0x20 {
-                        return Err(self.err("raw control character in string"));
-                    }
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(_) => return Err(self.err("raw control character in string")),
             }
         }
+    }
+
+    /// Decodes the escape whose backslash was just consumed and steps past
+    /// it. A `\u` high surrogate directly followed by a `\u` low surrogate
+    /// decodes to the pair's scalar; any other surrogate is U+FFFD.
+    fn escape(&mut self) -> Result<char, JsonParseError> {
+        let c = match self.peek() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'u') => {
+                let code = self.hex4()?;
+                let scalar = match code {
+                    0xD800..=0xDBFF => match self.low_surrogate() {
+                        Some(low) => 0x1_0000 + ((code - 0xD800) << 10) + (low - 0xDC00),
+                        None => code,
+                    },
+                    _ => code,
+                };
+                char::from_u32(scalar).unwrap_or('\u{FFFD}')
+            }
+            _ => return Err(self.err("invalid escape")),
+        };
+        self.pos += 1;
+        Ok(c)
+    }
+
+    /// After the last digit of a `\u` escape at `self.pos`: consumes a
+    /// directly following `\u` low-surrogate escape and returns its value.
+    /// Consumes nothing otherwise, leaving any other escape to be decoded
+    /// (or rejected) on its own.
+    fn low_surrogate(&mut self) -> Option<u32> {
+        let last_digit = self.pos;
+        if !self.bytes[last_digit + 1..].starts_with(b"\\u") {
+            return None;
+        }
+        self.pos += 2;
+        match self.hex4() {
+            Ok(low @ 0xDC00..=0xDFFF) => Some(low),
+            _ => {
+                self.pos = last_digit;
+                None
+            }
+        }
+    }
+
+    /// The value of the exactly four hex digits after the `u` at
+    /// `self.pos`; leaves `self.pos` on the last digit.
+    fn hex4(&mut self) -> Result<u32, JsonParseError> {
+        let digits = self
+            .bytes
+            .get(self.pos + 1..self.pos + 5)
+            .ok_or_else(|| self.err("truncated \\u escape"))?;
+        let mut code = 0;
+        for &d in digits {
+            let digit = char::from(d)
+                .to_digit(16)
+                .ok_or_else(|| self.err("invalid \\u escape"))?;
+            code = code * 16 + digit;
+        }
+        self.pos += 4;
+        Ok(code)
     }
 
     fn number(&mut self) -> Result<Json, JsonParseError> {
@@ -565,5 +617,116 @@ mod tests {
             Json::parse("\"\\u0041\\u00e9\"").unwrap().as_str(),
             Some("Aé")
         );
+    }
+
+    fn parse_str(text: &str) -> String {
+        Json::parse(text).unwrap().as_str().unwrap().to_owned()
+    }
+
+    fn parse_err(text: &str) -> (usize, String) {
+        let err = Json::parse(text).unwrap_err();
+        (err.at, err.message)
+    }
+
+    #[test]
+    fn multibyte_runs_meet_escapes() {
+        assert_eq!(parse_str(r#""é\n日本\t😀""#), "é\n日本\t😀");
+        assert_eq!(parse_str(r#""\"é\\日本\u00e9😀\/""#), "\"é\\日本é😀/");
+        assert_eq!(parse_str(r#""😀\u0041é""#), "😀Aé");
+        assert_eq!(parse_str(r#""""#), "");
+        let s = "日本\u{1}é\"😀\\\u{7f}\u{2028}";
+        assert_eq!(parse_str(&Json::str(s).render()), s);
+    }
+
+    #[test]
+    fn raw_control_bytes_error_at_their_own_offset() {
+        let control = |at| (at, "raw control character in string".to_owned());
+        // At the start of a run: after the opening quote, after an escape.
+        assert_eq!(parse_err("\"\u{1}abc\""), control(1));
+        assert_eq!(parse_err("\"\\n\u{0}\""), control(3));
+        // In the middle of one, after ASCII and after multibyte text.
+        assert_eq!(parse_err("\"ab\u{1f}c\""), control(3));
+        assert_eq!(parse_err("[\"x\", \"é日\nb\"]"), control(12));
+    }
+
+    #[test]
+    fn a_run_reaching_eof_is_unterminated() {
+        let unterminated = |at| (at, "unterminated string".to_owned());
+        assert_eq!(parse_err("\"abc"), unterminated(4));
+        assert_eq!(parse_err("\"日本😀"), unterminated(11));
+        assert_eq!(parse_err("{\"k\": \"a\\n"), unterminated(10));
+        assert_eq!(parse_err("\""), unterminated(1));
+        assert_eq!(parse_err("\"ab\\"), (4, "invalid escape".to_owned()));
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        for bad in [
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u 041""#,
+            r#""\u00g1""#,
+            r#""\u00é""#,
+        ] {
+            assert_eq!(
+                parse_err(bad),
+                (2, "invalid \\u escape".to_owned()),
+                "{bad}"
+            );
+        }
+        assert_eq!(
+            parse_err(r#""\u004"#),
+            (2, "truncated \\u escape".to_owned())
+        );
+        assert_eq!(parse_str(r#""\u004A\u004a""#), "JJ");
+    }
+
+    #[test]
+    fn surrogate_pairs_combine_and_lone_surrogates_degrade() {
+        // What Python's `json.dump` writes for a non-BMP character.
+        assert_eq!(parse_str(r#""\ud83d\ude00""#), "😀");
+        assert_eq!(
+            parse_str(r#""a\uD83D\uDE00b\udbff\udfff""#),
+            "a😀b\u{10FFFF}"
+        );
+        assert_eq!(parse_str(r#""\ud83d""#), "\u{FFFD}");
+        assert_eq!(parse_str(r#""\ude00\ud83d""#), "\u{FFFD}\u{FFFD}");
+        assert_eq!(parse_str(r#""\ud83dx""#), "\u{FFFD}x");
+        assert_eq!(parse_str(r#""\ud83d\n""#), "\u{FFFD}\n");
+        // The escape after a high surrogate stands on its own when it is
+        // not a low one.
+        assert_eq!(parse_str(r#""\ud83d\u0041""#), "\u{FFFD}A");
+        assert_eq!(parse_str(r#""\ud83d\ud83d\ude00""#), "\u{FFFD}😀");
+        assert_eq!(parse_str(r#""\u0041\ude00""#), "A\u{FFFD}");
+        assert_eq!(
+            parse_err(r#""\ud83d\u+041""#),
+            (8, "invalid \\u escape".to_owned())
+        );
+        assert_eq!(
+            parse_err(r#""\ud83d\ude0"#),
+            (8, "truncated \\u escape".to_owned())
+        );
+    }
+
+    /// A `--client` report line holds the whole manifest on one line. A
+    /// parser that re-validates the remaining input per character needs
+    /// minutes for this; a linear scan takes milliseconds, even in a debug
+    /// build.
+    #[test]
+    fn a_multi_megabyte_line_of_short_strings_parses_in_linear_time() {
+        let item = Json::obj([
+            ("port", Json::str("init3")),
+            ("message", Json::str("beat \"0\" é")),
+            ("bins", Json::from(vec!["a", "bb", "日本"])),
+        ]);
+        let items = vec![item; 40_000];
+        let line = Json::Arr(items.clone()).render();
+        assert!(line.len() >= 2_000_000, "{} bytes", line.len());
+        assert!(!line.contains('\n'));
+        let start = std::time::Instant::now();
+        let parsed = Json::parse(&line).unwrap();
+        let elapsed = start.elapsed();
+        assert_eq!(parsed, Json::Arr(items));
+        assert!(elapsed.as_secs() < 10, "parse took {elapsed:?}");
     }
 }
