@@ -1,1135 +1,620 @@
 //! The regression CLI: the paper's regression tool without the GUI.
 //!
+//! One invocation runs exactly one mode. A mode is picked by its mode
+//! flag (regress is the default) and reads only the flags listed for it
+//! below; any other flag, or a second mode flag, exits 2 before anything
+//! runs. The logging flags `[--log-format text|json] [--log-file PATH]
+//! [--quiet]` are accepted everywhere. `--help` prints the same table.
+//!
 //! ```text
-//! stbus-regress [--configs <dir>] [--out <dir>] [--seeds N] [--intensity N]
+//! stbus-regress [--configs DIR] [--out DIR] [--seeds N] [--intensity N]
 //!               [--jobs N] [--engine event|compiled] [--deterministic]
 //!               [--views rtl,bca[,tlm]] [--no-compare] [--exact]
 //!               [--cache] [--cache-dir DIR] [--cache-max-entries N]
-//!               [--cache-max-bytes N]
-//!               [--log-format text|json] [--log-file PATH] [--quiet]
-//!               [--profile] [--trace-out FILE] [--no-history]
-//!               [--history-dir DIR]
-//!               [--qualify] [--hunts-dir DIR]
-//!               [--close-coverage] [--batch N] [--budget N]
-//!               [--signoff] [--waivers FILE] [--from-closure FILE]
+//!               [--cache-max-bytes N] [--profile] [--trace-out FILE]
+//!               [--no-history] [--history-dir DIR]
+//! stbus-regress --client SOCKET [--configs DIR] [--seeds N] [--intensity N]
+//!               [--engine event|compiled] [--views rtl,bca[,tlm]]
+//!               [--no-compare] [--deterministic] [--out DIR]
+//! stbus-regress --serve SOCKET [--cache-dir DIR] [--cache-max-entries N]
+//!               [--cache-max-bytes N] [--jobs N]
+//! stbus-regress --qualify [--seeds N] [--intensity N] [--jobs N]
+//!               [--deterministic] [--out DIR] [--hunts-dir DIR]
 //! stbus-regress --hunt [--hunt-budget N] [--hunt-seed N]
 //!               [--hunt-inject LABEL[,LABEL]] [--hunt-shrink N]
 //!               [--hunt-shrink-budget N] [--jobs N] [--deterministic]
-//!               [--out <dir>]
+//!               [--out DIR]
 //! stbus-regress --hunt-replay FILE
 //! stbus-regress --hunt-promote FILE [--hunts-dir DIR]
-//! stbus-regress --serve SOCKET [--cache-dir DIR] [--jobs N] [...]
-//! stbus-regress --client SOCKET [--configs <dir>] [--seeds N] [...]
+//! stbus-regress --close-coverage [--configs DIR] [--batch N] [--budget N]
+//!               [--jobs N] [--out DIR]
+//! stbus-regress --signoff [--configs DIR] [--waivers FILE]
+//!               [--from-closure FILE] [--exact] [--seeds N] [--intensity N]
+//!               [--jobs N] [--out DIR]
 //! stbus-regress history [--baseline N] [--max-regression PCT] [--dir DIR]
 //! ```
 //!
-//! With `--configs <dir>`, every `*.cfg` text file in the directory is
-//! loaded ("It's sufficient to indicate the directory to which the tool
-//! has to point"); otherwise the built-in >36-configuration sweep runs.
+//! Two pairs are rejected even inside one mode, because the first flag
+//! makes the second meaningless: `--from-closure` with `--seeds` or
+//! `--intensity`, and `--no-history` with `--history-dir`. A missing or
+//! malformed flag value exits 2 naming the flag; an `--out` artifact that
+//! cannot be written exits 1 once the mode's table is printed.
 //!
-//! `--views rtl,bca,tlm` adds the untimed transaction-level view to
-//! every cell: TLM runs the same tests with the same seeds through the
-//! same checkers/scoreboard/coverage, then is compared against RTL both
-//! cycle-accurately (expected <99% — an untimed model holds no cycle
-//! discipline) and by committed transaction order (expected 100% on a
-//! clean model). The summary gains a per-configuration TLM block; RTL
-//! and BCA are always required.
+//! **regress** runs the `{config × test × seed}` matrix on RTL and BCA
+//! (plus TLM with `--views rtl,bca,tlm`), writes `summary.txt`,
+//! `manifest.json` and per-config reports to `--out`, and ends with the
+//! "N of M configurations signed off" line. `--configs DIR` loads every
+//! `*.cfg` file in the directory ("It's sufficient to indicate the
+//! directory to which the tool has to point"); otherwise the built-in
+//! sweep of more than 36 configurations runs. `--jobs N` fans cells out across N
+//! workers (0 = one per hardware thread); results are reassembled in
+//! matrix order, and `--deterministic` zeroes wall-clock fields so every
+//! artifact is byte-identical across runs and worker counts. `--engine`
+//! picks the RTL backend (event-driven reference or levelized compiled;
+//! same reports). `--cache` (or any `--cache-*` flag) consults the
+//! content-addressed cell store (default `.stbus/cell-cache`) and writes
+//! `cache_stats.json`. `--profile` prints the span-tree profile after the
+//! table (`profile.txt` / `profile.folded` under `--out`), `--trace-out`
+//! writes Chrome `trace_event` JSON, and every campaign appends one record
+//! to `.stbus/history.jsonl` under `--history-dir` unless `--no-history`.
 //!
-//! `--qualify` switches the tool into mutation-qualification mode: every
-//! catalogue defect (five BCA, six RTL, two TLM) is injected in turn and run
-//! through the common environment's hunt shape; the run fails unless all
-//! mutations are killed *and* each is attributed to its declared
-//! detector. `--jobs`, `--deterministic`, `--seeds`, `--intensity`,
-//! `--out` and the logging flags apply as in regression mode; the report
-//! directory receives `qualification.json`. When a promoted-reproducer
-//! catalogue exists (`hunts/` by default, `--hunts-dir` relocates it),
-//! every pinned entry is also replayed through the differential runner;
-//! the run fails unless each reproducer still fires its recorded
-//! detector class, and `qualification.json` gains a `promoted` section.
+//! **--client SOCKET** submits the campaign described by its flags to a
+//! `--serve SOCKET` daemon, which shares one cell store and one worker
+//! pool across all clients and stops on a `shutdown` request or EOF on
+//! its stdin.
 //!
-//! `--hunt` switches the tool into differential bug-hunt mode: the fleet
-//! spends `--hunt-budget` probes (default 24) drawing random
-//! `(configuration, recipe, seed)` triples from the audited legal space,
-//! runs each with identical stimulus on the RTL view and the
-//! exact-fidelity BCA view — protocol checkers armed on both, STBA cycle
-//! comparison as the backstop — and delta-debugs up to `--hunt-shrink`
-//! divergences (default 4, `--hunt-shrink-budget` re-validations each)
-//! down to minimal reproducers. `--hunt-seed` keys the campaign;
-//! `--hunt-inject R2` seeds catalogue defects for meta-testing the
-//! fleet. `--out` receives `hunt.json` (schema `stbus-hunt/1`) plus one
-//! `repro_<k>.json` (schema `stbus-repro/1`) per shrunk divergence;
-//! under `--deterministic` both are byte-identical for any `--jobs`.
-//! A clean hunt (no `--hunt-inject`) exits 1 when it finds a divergence
-//! — a real cross-view bug is a failure of the models, loudly; a seeded
-//! hunt exits 1 when the planted defect escapes.
+//! **--qualify** injects every catalogue defect in turn and fails unless
+//! each is killed by its declared detector, then replays every promoted
+//! reproducer under `--hunts-dir` (default `hunts/`); `--out` receives
+//! `qualification.json`. **--hunt** draws random `(configuration, recipe,
+//! seed)` probes, runs each on RTL and exact BCA, shrinks divergences to
+//! minimal reproducers and writes `hunt.json` plus `repro_<k>.json`; a
+//! clean hunt that diverges, or a seeded hunt that does not, exits 1.
+//! **--hunt-replay FILE** re-runs one reproducer; **--hunt-promote FILE**
+//! validates it and pins it into `--hunts-dir`.
 //!
-//! `--hunt-replay FILE` re-runs one reproducer and exits 0 only when the
-//! divergence still fires with the recorded detector class.
-//! `--hunt-promote FILE` validates a reproducer the same way, then pins
-//! it into the `--hunts-dir` catalogue under its content id, where every
-//! later `--qualify` run picks it up.
+//! **--close-coverage** runs the CDG loop (generate, run both views, merge
+//! coverage, re-bias at the holes) on one configuration — the first
+//! `--configs` entry or the reference node — and writes `closure.json`.
+//! **--signoff** distills the minimal regression from the test library or
+//! a recorded `--from-closure` trajectory on that same configuration,
+//! judges the paper's three gates against `--waivers`, and writes
+//! `signoff.json`; it exits 2 on an invalid waiver file and 1 on a failed
+//! gate.
 //!
-//! `--close-coverage` switches the tool into coverage-closure mode: the
-//! CDG engine starts from a deliberately narrow generated test and
-//! iterates generate → run on both views → merge coverage → re-bias at
-//! the holes, until 100% functional coverage or the `--budget` iteration
-//! cap (default 12; `--batch` seeds per iteration, default 4). The
-//! campaign runs on the first `--configs` entry, or the built-in
-//! reference configuration when no directory is given. stdout gets the
-//! per-iteration closure trajectory; `--out` receives `closure.json`
-//! (schema `stbus-closure/1`, byte-identical for any `--jobs`), which
-//! records every iteration's recipe and seeds so the closed coverage
-//! replays as a fixed regression. Exits nonzero if coverage did not
-//! close.
-//!
-//! `--signoff` switches the tool into sign-off-gate mode: the engine
-//! measures every candidate run's coverage footprint on both views,
-//! distills the minimal fixed regression still covering every functional
-//! bin and every reachable RTL branch point (greedy set cover), replays
-//! it with waveform capture, and evaluates the paper's three gates —
-//! 100% functional coverage on both views, 100% *justified* RTL line
-//! coverage, ≥99% per-port cycle alignment. Candidates come from a
-//! recorded closure trajectory (`--from-closure closure.json`) or the
-//! built-in test library (`--intensity`, `--seeds`). `--waivers FILE`
-//! names the waiver file (schema `stbus-waivers/1`) justifying each
-//! structurally unreachable branch; without it the sign-off runs against
-//! the generated template, which an audited flow should check in and
-//! review instead. The sign-off targets the first `--configs` entry (or
-//! the reference node) and writes `signoff.json` (schema
-//! `stbus-signoff/1`, no wall-clock fields, byte-identical for any
-//! `--jobs`) to `--out`. Exits 2 on an invalid waiver file, 1 on any
-//! failed gate.
-//!
-//! `--cache` (or any `--cache-*` flag) turns on the content-addressed
-//! cell store: every `{config, test, seed}` cell consults the store
-//! before simulating and records its result on a miss, so repeating an
-//! unchanged campaign performs zero simulations and reproduces the same
-//! reports. `--cache-dir` relocates the store (default
-//! `.stbus/cell-cache`); `--cache-max-entries` / `--cache-max-bytes`
-//! bound it with LRU eviction after the campaign. With `--out`, a
-//! `cache_stats.json` lands next to the reports recording
-//! hits/misses/puts/corrupt/evicted/simulated.
-//!
-//! `--serve SOCKET` runs the tool as a long-lived daemon on a Unix
-//! socket: line-delimited JSON requests (`ping`, `stats`, `campaign`,
-//! `shutdown`), one shared cell store and one shared worker pool across
-//! all clients — concurrent campaigns queue their cells behind the pool,
-//! which is the daemon's backpressure. The daemon shuts down cleanly on
-//! a `shutdown` request or EOF on its stdin. `--client SOCKET` is the
-//! matching thin client: it submits the campaign described by the other
-//! flags and prints the daemon's report.
-//!
-//! `--jobs N` fans the `{config × test × seed}` cells out across N worker
-//! threads (default: one per hardware thread; `--jobs 1` is fully
-//! serial). Results are reassembled in matrix order, so the table and
-//! `manifest.json` do not depend on N. `--deterministic` additionally
-//! zeroes the wall-clock fields, making every written artifact
-//! byte-identical across repeat runs and worker counts.
-//!
-//! `--engine event|compiled` selects the simulation backend the RTL view
-//! is elaborated onto: the event-driven reference kernel (default) or the
-//! levelized compiled engine, which topologically sorts the netlist once
-//! at elaboration and evaluates it with no event queue — same results,
-//! several times faster. Under `--deterministic`, `summary.txt` and every
-//! per-config report file are byte-identical across engines; only
-//! `manifest.json`'s `"engine"` tag and kernel metric namespaces differ.
-//!
-//! Progress goes to stderr through the telemetry layer: `--log-format`
-//! selects human-readable lines (default) or JSONL, `--log-file` appends
-//! the JSONL event stream to a file as well, and `--quiet` silences
-//! stderr (the file sink, when given, still receives everything). The
-//! final result table and the sign-off line stay on stdout either way.
-//!
-//! `--profile` prints the aggregated span-tree profile of the campaign
-//! after the table: per-node total/self wall-clock, call counts and
-//! min/max/mean, with kernel settle / testbench drive / VCD write /
-//! checking time attributed per configuration cell through the
-//! testbench's phase annotations, and STBA compare / coverage-merge time
-//! through their own spans. With `--out`, `profile.txt` and
-//! `profile.folded` (flamegraph folded-stacks) land in the report
-//! directory; `--deterministic` strips the timings so the printed tree
-//! shape is byte-identical for any `--jobs`. `--trace-out FILE` writes
-//! the same spans as Chrome `trace_event` JSON (one thread row per
-//! worker), loadable in Perfetto or `chrome://tracing`.
-//!
-//! Every regression campaign also appends one record to the persistent
-//! history store `.stbus/history.jsonl` (`--history-dir` relocates the
-//! store root, `--no-history` opts out): per-phase wall-clock, the
-//! campaign shape, host info, and a content key hashing the
-//! configuration matrix + test library + engine version. The `history`
-//! subcommand prints the trend table and compares the latest record
-//! against the `--baseline`-th prior record with the *same* content key
-//! (default: the immediately preceding matching run), exiting nonzero
-//! when any phase slowed beyond `--max-regression` percent (default 20).
+//! **history** prints the campaign trend and compares the latest record
+//! with the `--baseline`-th prior one sharing its content key, exiting 1
+//! when a phase slowed beyond `--max-regression` percent (default 20).
 
 use stbus_bca::Fidelity;
-use stbus_protocol::{NodeConfig, ViewKind};
+use stbus_protocol::NodeConfig;
 use stbus_regression::{
-    parse_config, render_config, run_regression, serve, standard_configs, RegressionOptions,
+    parse_config, parse_views, render_config, run_regression, serve, standard_configs,
+    RegressionOptions,
 };
-use telemetry::{Json, JsonlSink, Level, Telemetry, TextSink};
+use std::cell::Cell;
+use std::fmt::Display;
+use std::path::{Path, PathBuf};
+use std::str::FromStr;
+use telemetry::{Json, JsonlSink, Level, MemorySink, MemorySinkHandle, Telemetry, TextSink};
 
-/// Where the cell store lives when `--cache` is given without a
-/// `--cache-dir`.
+/// Where the cell store lives when no `--cache-dir` is given.
 const DEFAULT_CACHE_DIR: &str = ".stbus/cell-cache";
+/// Where promoted reproducers live when no `--hunts-dir` is given.
+const DEFAULT_HUNTS_DIR: &str = "hunts";
+
+/// The tool's modes; exactly one runs per invocation.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Mode {
+    Regress,
+    Client,
+    Serve,
+    Qualify,
+    Hunt,
+    HuntReplay,
+    HuntPromote,
+    CloseCoverage,
+    Signoff,
+    History,
+}
+
+/// One row of the mode table: the token that selects the mode, the flags
+/// its function reads, and the function.
+struct ModeSpec {
+    mode: Mode,
+    /// The selecting token (`""` for the default regress mode).
+    select: &'static str,
+    /// Placeholder of the token's operand (`""` when it takes none).
+    operand: &'static str,
+    /// Space-separated flags the mode reads, besides [`LOGGING`].
+    flags: &'static str,
+    run: fn(&Ctx) -> i32,
+}
+
+impl ModeSpec {
+    fn name(&self) -> &'static str {
+        if self.select.is_empty() {
+            "regress"
+        } else {
+            self.select
+        }
+    }
+
+    fn reads(&self, flag: &str) -> bool {
+        LOGGING.contains(&flag) || self.flags.split_whitespace().any(|f| f == flag)
+    }
+}
+
+const MODES: &[ModeSpec] = &[
+    ModeSpec {
+        mode: Mode::Regress,
+        select: "",
+        operand: "",
+        flags: "--configs --out --seeds --intensity --jobs --engine --deterministic --views \
+                --no-compare --exact --cache --cache-dir --cache-max-entries --cache-max-bytes \
+                --profile --trace-out --no-history --history-dir",
+        run: regress,
+    },
+    ModeSpec {
+        mode: Mode::Client,
+        select: "--client",
+        operand: "SOCKET",
+        // Not --exact: the daemon protocol has no fidelity field.
+        flags: "--configs --seeds --intensity --engine --views --no-compare --deterministic --out",
+        run: client,
+    },
+    ModeSpec {
+        mode: Mode::Serve,
+        select: "--serve",
+        operand: "SOCKET",
+        flags: "--cache-dir --cache-max-entries --cache-max-bytes --jobs",
+        run: serve_daemon,
+    },
+    ModeSpec {
+        mode: Mode::Qualify,
+        select: "--qualify",
+        operand: "",
+        flags: "--seeds --intensity --jobs --deterministic --out --hunts-dir",
+        run: qualify,
+    },
+    ModeSpec {
+        mode: Mode::Hunt,
+        select: "--hunt",
+        operand: "",
+        flags: "--hunt-budget --hunt-seed --hunt-inject --hunt-shrink --hunt-shrink-budget \
+                --jobs --deterministic --out",
+        run: bug_hunt,
+    },
+    ModeSpec {
+        mode: Mode::HuntReplay,
+        select: "--hunt-replay",
+        operand: "FILE",
+        flags: "",
+        run: hunt_replay,
+    },
+    ModeSpec {
+        mode: Mode::HuntPromote,
+        select: "--hunt-promote",
+        operand: "FILE",
+        flags: "--hunts-dir",
+        run: hunt_promote,
+    },
+    ModeSpec {
+        mode: Mode::CloseCoverage,
+        select: "--close-coverage",
+        operand: "",
+        flags: "--configs --batch --budget --jobs --out",
+        run: close_coverage,
+    },
+    ModeSpec {
+        mode: Mode::Signoff,
+        select: "--signoff",
+        operand: "",
+        flags: "--configs --waivers --from-closure --exact --seeds --intensity --jobs --out",
+        run: sign_off,
+    },
+    ModeSpec {
+        mode: Mode::History,
+        select: "history",
+        operand: "",
+        flags: "--baseline --max-regression --dir",
+        run: history,
+    },
+];
+
+/// Every option flag and its value placeholder (`""` for a switch).
+const FLAGS: &[(&str, &str)] = &[
+    ("--configs", "DIR"),
+    ("--out", "DIR"),
+    ("--seeds", "N"),
+    ("--intensity", "N"),
+    ("--jobs", "N"),
+    ("--engine", "event|compiled"),
+    ("--deterministic", ""),
+    ("--views", "rtl,bca[,tlm]"),
+    ("--no-compare", ""),
+    ("--exact", ""),
+    ("--cache", ""),
+    ("--cache-dir", "DIR"),
+    ("--cache-max-entries", "N"),
+    ("--cache-max-bytes", "N"),
+    ("--profile", ""),
+    ("--trace-out", "FILE"),
+    ("--no-history", ""),
+    ("--history-dir", "DIR"),
+    ("--hunts-dir", "DIR"),
+    ("--hunt-budget", "N"),
+    ("--hunt-seed", "N"),
+    ("--hunt-inject", "LABEL[,LABEL]"),
+    ("--hunt-shrink", "N"),
+    ("--hunt-shrink-budget", "N"),
+    ("--batch", "N"),
+    ("--budget", "N"),
+    ("--waivers", "FILE"),
+    ("--from-closure", "FILE"),
+    ("--baseline", "N"),
+    ("--max-regression", "PCT"),
+    ("--dir", "DIR"),
+    ("--log-format", "text|json"),
+    ("--log-file", "PATH"),
+    ("--quiet", ""),
+];
+
+/// Flags every mode accepts.
+const LOGGING: &[&str] = &["--log-format", "--log-file", "--quiet"];
+
+/// `(a, b)`: once `a` is given, `b` has no effect, so it is rejected.
+const OVERRIDES: &[(&str, &str)] = &[
+    ("--from-closure", "--seeds"),
+    ("--from-closure", "--intensity"),
+    ("--no-history", "--history-dir"),
+];
 
 fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.first().map(String::as_str) == Some("history") {
-        run_history(&argv[1..]);
+    let args = parse(std::env::args().skip(1));
+    let spec = validate(&args);
+    let ctx = Ctx::new(args);
+    let mut code = (spec.run)(&ctx);
+    ctx.tel.flush();
+    if ctx.write_failed.get() {
+        code = code.max(1);
     }
-    let mut args = argv.into_iter();
-    let mut config_dir: Option<String> = None;
-    let mut out_dir: Option<String> = None;
-    let mut options = RegressionOptions::default();
-    // The CLI default is deep enough to reach full functional coverage on
-    // every sweep configuration (the library default favors test speed).
-    let mut intensity = 30;
-    let mut log_format = "text".to_owned();
-    let mut log_file: Option<String> = None;
-    let mut quiet = false;
-    let mut deterministic = false;
-    let mut qualify = false;
-    let mut hunt_mode = false;
-    let mut hunt_opts = hunt::HuntOptions::default();
-    let mut hunt_inject_labels: Vec<String> = Vec::new();
-    let mut hunt_replay: Option<String> = None;
-    let mut hunt_promote: Option<String> = None;
-    let mut hunts_dir = "hunts".to_owned();
-    let mut close_coverage = false;
-    let mut signoff_mode = false;
-    let mut waivers_path: Option<String> = None;
-    let mut from_closure: Option<String> = None;
-    let mut closure_opts = cdg::ClosureOptions::default();
-    let mut seeds_given = false;
-    let mut intensity_given = false;
-    let mut profile_flag = false;
-    let mut trace_out: Option<String> = None;
-    let mut no_history = false;
-    let mut history_dir = ".".to_owned();
-    let mut cache_flag = false;
-    let mut cache_dir: Option<String> = None;
-    let mut cache_gc = cache::GcPolicy::default();
-    let mut serve_socket: Option<String> = None;
-    let mut client_socket: Option<String> = None;
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--qualify" => qualify = true,
-            "--hunt" => hunt_mode = true,
-            "--hunt-budget" => {
-                hunt_opts.budget = match args.next().and_then(|s| s.parse().ok()) {
-                    Some(n) if n > 0 => n,
-                    _ => {
-                        eprintln!("--hunt-budget takes a positive probe count");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--hunt-seed" => {
-                hunt_opts.campaign_seed = match args.next().and_then(|s| s.parse().ok()) {
-                    Some(n) => n,
-                    None => {
-                        eprintln!("--hunt-seed takes a campaign seed");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--hunt-inject" => {
-                let list = args.next().unwrap_or_default();
-                if list.is_empty() {
-                    eprintln!("--hunt-inject takes a comma list of catalogue labels (R1..R6, B1..B5)");
-                    std::process::exit(2);
-                }
-                hunt_inject_labels.extend(
-                    list.split(',')
-                        .filter(|s| !s.is_empty())
-                        .map(str::to_owned),
-                );
-            }
-            "--hunt-shrink" => {
-                hunt_opts.max_shrinks = match args.next().and_then(|s| s.parse().ok()) {
-                    Some(n) => n,
-                    None => {
-                        eprintln!("--hunt-shrink takes a divergence cap (0 = report only)");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--hunt-shrink-budget" => {
-                hunt_opts.shrink_budget = match args.next().and_then(|s| s.parse().ok()) {
-                    Some(n) if n > 0 => n,
-                    _ => {
-                        eprintln!("--hunt-shrink-budget takes a positive re-validation count");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--hunt-replay" => {
-                hunt_replay = match args.next() {
-                    Some(p) => Some(p),
-                    None => {
-                        eprintln!("--hunt-replay takes a repro.json path");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--hunt-promote" => {
-                hunt_promote = match args.next() {
-                    Some(p) => Some(p),
-                    None => {
-                        eprintln!("--hunt-promote takes a repro.json path");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--hunts-dir" => {
-                hunts_dir = match args.next() {
-                    Some(d) => d,
-                    None => {
-                        eprintln!("--hunts-dir takes a directory");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--close-coverage" => close_coverage = true,
-            "--signoff" => signoff_mode = true,
-            "--waivers" => waivers_path = args.next(),
-            "--from-closure" => from_closure = args.next(),
-            "--batch" => {
-                closure_opts.tests_per_batch = match args.next().and_then(|s| s.parse().ok()) {
-                    Some(n) if n > 0 => n,
-                    _ => {
-                        eprintln!("--batch takes a positive seed count per iteration");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--budget" => {
-                closure_opts.max_batches = match args.next().and_then(|s| s.parse().ok()) {
-                    Some(n) if n > 0 => n,
-                    _ => {
-                        eprintln!("--budget takes a positive iteration cap");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--configs" => config_dir = args.next(),
-            "--out" => out_dir = args.next(),
-            "--jobs" => {
-                options.jobs = match args.next().and_then(|s| s.parse().ok()) {
-                    Some(n) => n,
-                    None => {
-                        eprintln!("--jobs takes a worker count (0 = auto)");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--deterministic" => deterministic = true,
-            "--engine" => {
-                options.engine = match args.next().map(|s| s.parse()) {
-                    Some(Ok(engine)) => engine,
-                    Some(Err(e)) => {
-                        eprintln!("{e}");
-                        std::process::exit(2);
-                    }
-                    None => {
-                        eprintln!("--engine takes `event` or `compiled`");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--seeds" => {
-                let n: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(2);
-                options.seeds = (1..=n).collect();
-                seeds_given = true;
-            }
-            "--intensity" => {
-                intensity = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or(intensity);
-                intensity_given = true;
-            }
-            "--no-compare" => options.compare_waveforms = false,
-            "--exact" => options.fidelity = Fidelity::Exact,
+    std::process::exit(code);
+}
+
+/// Prints `msg` to stderr and exits with `code`.
+fn die(code: i32, msg: impl Display) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(code)
+}
+
+/// The command line. Numeric values are parsed into the option structs
+/// the modes hand to their engines; paths and switches are read back
+/// from `given`.
+struct Args {
+    mode: Mode,
+    /// The mode token's SOCKET or FILE operand.
+    operand: String,
+    /// Every option flag given, with its raw value (`""` for a switch).
+    given: Vec<(&'static str, String)>,
+    regress: RegressionOptions,
+    hunt: hunt::HuntOptions,
+    closure: cdg::ClosureOptions,
+    baseline: usize,
+    max_regression: f64,
+}
+
+impl Args {
+    fn has(&self, flag: &str) -> bool {
+        self.given.iter().any(|(f, _)| *f == flag)
+    }
+
+    /// The value of the last occurrence of `flag`.
+    fn text(&self, flag: &str) -> Option<&str> {
+        let (_, v) = self.given.iter().rev().find(|(f, _)| *f == flag)?;
+        Some(v)
+    }
+
+    /// Stores the typed form of one flag value; exits 2 if it is malformed.
+    fn set(&mut self, flag: &str, v: &str) {
+        let o = &mut self.regress;
+        match flag {
+            "--seeds" => o.seeds = (1..=positive(flag, v)).collect(),
+            "--intensity" => o.intensity = count(flag, v),
+            "--jobs" => o.jobs = count(flag, v),
+            "--engine" => o.engine = value(flag, v, "`event` or `compiled`", |_| true),
             "--views" => {
-                let list = args.next().unwrap_or_default();
-                let mut views = Vec::new();
-                for name in list.split(',').filter(|s| !s.is_empty()) {
-                    let view = ViewKind::ALL
-                        .into_iter()
-                        .find(|v| v.to_string().eq_ignore_ascii_case(name));
-                    match view {
-                        Some(v) if !views.contains(&v) => views.push(v),
-                        Some(_) => {}
-                        None => {
-                            eprintln!("--views takes a comma list of rtl, bca, tlm (got `{name}`)");
-                            std::process::exit(2);
-                        }
-                    }
-                }
-                if !views.contains(&ViewKind::Rtl) || !views.contains(&ViewKind::Bca) {
-                    eprintln!("--views must include both rtl and bca (they anchor the alignment comparisons)");
-                    std::process::exit(2);
-                }
-                options.views = views;
+                o.views = parse_views(v.split(',').filter(|s| !s.is_empty()))
+                    .unwrap_or_else(|e| die(2, format!("--views: {e}")));
             }
-            "--cache" => cache_flag = true,
-            "--cache-dir" => {
-                cache_dir = match args.next() {
-                    Some(d) => Some(d),
-                    None => {
-                        eprintln!("--cache-dir takes a directory");
-                        std::process::exit(2);
-                    }
-                };
+            "--no-compare" => o.compare_waveforms = false,
+            "--exact" => o.fidelity = Fidelity::Exact,
+            "--cache-max-entries" => o.cache_gc.max_entries = Some(positive(flag, v)),
+            "--cache-max-bytes" => o.cache_gc.max_bytes = Some(positive(flag, v)),
+            "--hunt-budget" => self.hunt.budget = positive(flag, v),
+            "--hunt-seed" => self.hunt.campaign_seed = count(flag, v),
+            "--hunt-shrink" => self.hunt.max_shrinks = count(flag, v),
+            "--hunt-shrink-budget" => self.hunt.shrink_budget = positive(flag, v),
+            "--batch" => self.closure.tests_per_batch = positive(flag, v),
+            "--budget" => self.closure.max_batches = positive(flag, v),
+            "--baseline" => self.baseline = positive(flag, v),
+            "--max-regression" => {
+                self.max_regression = value(flag, v, "a percentage", |p: &f64| *p >= 0.0);
             }
-            "--cache-max-entries" => {
-                cache_gc.max_entries = match args.next().and_then(|s| s.parse().ok()) {
-                    Some(n) if n > 0 => Some(n),
-                    _ => {
-                        eprintln!("--cache-max-entries takes a positive entry count");
-                        std::process::exit(2);
-                    }
-                };
+            "--log-format" if v != "text" && v != "json" => {
+                die(2, "--log-format takes `text` or `json`")
             }
-            "--cache-max-bytes" => {
-                cache_gc.max_bytes = match args.next().and_then(|s| s.parse().ok()) {
-                    Some(n) if n > 0 => Some(n),
-                    _ => {
-                        eprintln!("--cache-max-bytes takes a positive byte budget");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--serve" => {
-                serve_socket = match args.next() {
-                    Some(s) => Some(s),
-                    None => {
-                        eprintln!("--serve takes a socket path");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--client" => {
-                client_socket = match args.next() {
-                    Some(s) => Some(s),
-                    None => {
-                        eprintln!("--client takes a socket path");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--log-format" => {
-                log_format = args.next().unwrap_or_default();
-                if log_format != "text" && log_format != "json" {
-                    eprintln!("--log-format must be `text` or `json`");
-                    std::process::exit(2);
-                }
-            }
-            "--log-file" => log_file = args.next(),
-            "--quiet" => quiet = true,
-            "--profile" => profile_flag = true,
-            "--trace-out" => trace_out = args.next(),
-            "--no-history" => no_history = true,
-            "--history-dir" => {
-                history_dir = match args.next() {
-                    Some(d) => d,
-                    None => {
-                        eprintln!("--history-dir takes a directory");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: stbus-regress [--configs <dir>] [--out <dir>] [--seeds N] [--intensity N] [--jobs N] [--engine event|compiled] [--deterministic] [--views rtl,bca[,tlm]] [--no-compare] [--exact] [--cache] [--cache-dir DIR] [--cache-max-entries N] [--cache-max-bytes N] [--log-format text|json] [--log-file PATH] [--quiet] [--profile] [--trace-out FILE] [--no-history] [--history-dir DIR] [--qualify] [--hunts-dir DIR] [--close-coverage] [--batch N] [--budget N] [--signoff] [--waivers FILE] [--from-closure FILE]\n       stbus-regress --hunt [--hunt-budget N] [--hunt-seed N] [--hunt-inject LABEL[,LABEL]] [--hunt-shrink N] [--hunt-shrink-budget N] [--jobs N] [--deterministic] [--out <dir>]\n       stbus-regress --hunt-replay FILE\n       stbus-regress --hunt-promote FILE [--hunts-dir DIR]\n       stbus-regress --serve SOCKET [--cache-dir DIR] [--cache-max-entries N] [--cache-max-bytes N] [--jobs N]\n       stbus-regress --client SOCKET [--configs <dir>] [--seeds N] [--intensity N] [--engine event|compiled] [--views rtl,bca[,tlm]] [--no-compare] [--deterministic] [--out <dir>]\n       stbus-regress history [--baseline N] [--max-regression PCT] [--dir DIR]"
-                );
-                return;
-            }
-            other => {
-                eprintln!("unknown argument `{other}` (try --help)");
-                std::process::exit(2);
-            }
+            _ => {}
         }
     }
-    options.intensity = intensity;
-    // Any cache flag switches the store on; --cache alone uses the
-    // default location.
-    if cache_flag
-        || cache_dir.is_some()
-        || cache_gc.max_entries.is_some()
-        || cache_gc.max_bytes.is_some()
-    {
-        options.cache_dir = Some(std::path::PathBuf::from(
-            cache_dir
-                .clone()
-                .unwrap_or_else(|| DEFAULT_CACHE_DIR.to_owned()),
-        ));
-        options.cache_gc = cache_gc;
-    }
+}
 
-    let mut builder = Telemetry::builder().min_level(Level::Info);
-    if !quiet {
-        builder = if log_format == "json" {
-            builder.with_sink(Box::new(JsonlSink::new(std::io::stderr())))
-        } else {
-            builder.with_sink(Box::new(TextSink::stderr()))
-        };
+/// The one value parser: `raw` as a `T` that passes `ok`, or exit 2
+/// naming the flag.
+fn value<T: FromStr>(flag: &str, raw: &str, expected: &str, ok: impl Fn(&T) -> bool) -> T {
+    match raw.parse() {
+        Ok(v) if ok(&v) => v,
+        _ => die(2, format!("{flag} takes {expected} (got `{raw}`)")),
     }
-    // Regression mode replays its own event stream through the span-tree
-    // profiler (for --profile / --trace-out and for the per-phase history
-    // record), so it captures events in memory regardless of --quiet.
-    let capture_events = !qualify
-        && !close_coverage
-        && !signoff_mode
-        && !hunt_mode
-        && hunt_replay.is_none()
-        && hunt_promote.is_none()
-        && (profile_flag || trace_out.is_some() || !no_history);
-    let capture_handle = if capture_events {
-        let (sink, handle) = telemetry::MemorySink::new();
-        builder = builder.with_sink(Box::new(sink));
-        Some(handle)
-    } else {
-        None
+}
+
+fn positive<T: FromStr + PartialOrd + Default>(flag: &str, raw: &str) -> T {
+    value(flag, raw, "a positive integer", |n| *n > T::default())
+}
+
+fn count<T: FromStr>(flag: &str, raw: &str) -> T {
+    value(flag, raw, "a non-negative integer", |_| true)
+}
+
+/// The next argument as the value of `flag`, or exit 2 naming the flag.
+fn take(argv: &mut impl Iterator<Item = String>, flag: &str, placeholder: &str) -> String {
+    argv.next()
+        .unwrap_or_else(|| die(2, format!("{flag} takes {placeholder}")))
+}
+
+/// Reads every flag into one [`Args`]. An unknown flag, a missing or
+/// malformed value, or a second mode token exits 2; `--help` prints the
+/// mode table and exits 0.
+fn parse(argv: impl IntoIterator<Item = String>) -> Args {
+    let mut args = Args {
+        mode: Mode::Regress,
+        operand: String::new(),
+        given: Vec::new(),
+        // The CLI default is deep enough to reach full functional coverage
+        // on every sweep configuration (the library default favors speed).
+        regress: RegressionOptions {
+            intensity: 30,
+            ..RegressionOptions::default()
+        },
+        hunt: hunt::HuntOptions::default(),
+        closure: cdg::ClosureOptions::default(),
+        baseline: 1,
+        max_regression: 20.0,
     };
-    if let Some(path) = &log_file {
-        builder = match builder.with_jsonl_file(std::path::Path::new(path)) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("cannot open log file {path}: {e}");
-                std::process::exit(1);
-            }
-        };
-    }
-    let tel = builder.build();
-    options.telemetry = tel.clone();
-
-    if let Some(socket) = &serve_socket {
-        let sopts = serve::ServeOptions {
-            socket: std::path::PathBuf::from(socket),
-            cache_dir: options
-                .cache_dir
-                .clone()
-                .unwrap_or_else(|| std::path::PathBuf::from(DEFAULT_CACHE_DIR)),
-            jobs: options.jobs,
-            cache_gc,
-            telemetry: tel.clone(),
-        };
-        let server = match serve::Server::bind(sopts) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("cannot serve on {socket}: {e}");
-                std::process::exit(1);
-            }
-        };
-        // EOF on stdin is the no-signal shutdown path: the daemon dies
-        // with whoever spawned it once the write end of its stdin closes.
-        let flag = server.shutdown_flag();
-        std::thread::spawn(move || {
-            use std::io::Read;
-            let mut sink = [0u8; 256];
-            let mut stdin = std::io::stdin();
-            loop {
-                match stdin.read(&mut sink) {
-                    Ok(0) | Err(_) => {
-                        flag.store(true, std::sync::atomic::Ordering::SeqCst);
-                        return;
-                    }
-                    Ok(_) => {}
-                }
-            }
-        });
-        match server.run() {
-            Ok(_) => {
-                tel.flush();
-                return;
-            }
-            Err(e) => {
-                eprintln!("daemon failed: {e}");
-                tel.flush();
-                std::process::exit(1);
-            }
+    let mut mode_token: Option<String> = None;
+    let mut argv = argv.into_iter();
+    while let Some(arg) = argv.next() {
+        if arg == "--help" || arg == "-h" {
+            eprint!("{}", usage());
+            std::process::exit(0);
         }
-    }
-
-    if let Some(path) = &hunt_replay {
-        let repro = load_repro(path);
-        tel.info(
-            "hunt.replay",
-            "replaying reproducer",
-            [
-                ("id", Json::from(repro.id())),
-                ("path", Json::str(path.as_str())),
-            ],
-        );
-        match repro.replay(&tel) {
-            Ok(Some(finding)) => {
-                println!(
-                    "replay {}: {} fired on the {} view (recorded {})",
-                    repro.id(),
-                    finding.detector,
-                    finding.view,
-                    repro.detector,
-                );
-                tel.flush();
-                if !repro.matches(&finding) {
-                    eprintln!(
-                        "replay misattributed: expected class `{}`, got `{}`",
-                        repro.detector_column,
-                        finding.detector.column(),
-                    );
-                    std::process::exit(1);
-                }
-            }
-            Ok(None) => {
-                tel.flush();
-                eprintln!(
-                    "replay {}: no divergence — the reproducer no longer fires",
-                    repro.id()
-                );
-                std::process::exit(1);
-            }
-            Err(e) => {
-                tel.flush();
-                eprintln!("{path}: {e}");
-                std::process::exit(2);
-            }
-        }
-        return;
-    }
-
-    if let Some(path) = &hunt_promote {
-        let mut repro = load_repro(path);
-        tel.info(
-            "hunt.promote",
-            "validating reproducer before promotion",
-            [
-                ("id", Json::from(repro.id())),
-                ("path", Json::str(path.as_str())),
-            ],
-        );
-        // A reproducer is only pinned if it still fires its recorded
-        // detector class right now — the catalogue must never accumulate
-        // entries that fail on their very first qualification replay.
-        match repro.replay(&tel) {
-            Ok(Some(finding)) if repro.matches(&finding) => {}
-            Ok(Some(finding)) => {
-                tel.flush();
-                eprintln!(
-                    "refusing to promote {path}: detector class drifted to `{}` (recorded `{}`)",
-                    finding.detector.column(),
-                    repro.detector_column,
-                );
-                std::process::exit(1);
-            }
-            Ok(None) => {
-                tel.flush();
-                eprintln!("refusing to promote {path}: the reproducer no longer diverges");
-                std::process::exit(1);
-            }
-            Err(e) => {
-                tel.flush();
-                eprintln!("{path}: {e}");
-                std::process::exit(2);
-            }
-        }
-        let dir = std::path::Path::new(&hunts_dir);
-        let dest = dir.join(format!("{}.json", repro.id()));
-        repro.replay = format!("stbus-regress --hunt-replay {}", dest.display());
-        let write = std::fs::create_dir_all(dir)
-            .and_then(|()| std::fs::write(&dest, repro.to_json().render_pretty()));
-        if let Err(e) = write {
-            tel.flush();
-            eprintln!("cannot write {}: {e}", dest.display());
-            std::process::exit(1);
-        }
-        println!(
-            "promoted {path} -> {} ({}, class {})",
-            dest.display(),
-            repro.detector,
-            repro.detector_column,
-        );
-        tel.flush();
-        return;
-    }
-
-    if hunt_mode {
-        hunt_opts.jobs = options.jobs;
-        hunt_opts.telemetry = tel.clone();
-        hunt_opts.inject = match hunt::Injections::from_labels(&hunt_inject_labels) {
-            Ok(inject) => inject,
-            Err(e) => {
-                eprintln!("--hunt-inject: {e}");
-                std::process::exit(2);
-            }
-        };
-        tel.info(
-            "hunt.start",
-            "differential hunt starting",
-            [
-                ("budget", Json::from(hunt_opts.budget)),
-                ("campaign_seed", Json::from(hunt_opts.campaign_seed)),
-                (
-                    "inject",
-                    Json::Arr(
-                        hunt_opts
-                            .inject
-                            .labels()
-                            .iter()
-                            .map(|s| Json::str(s.as_str()))
-                            .collect(),
-                    ),
-                ),
-                ("jobs", Json::from(exec::resolve_jobs(hunt_opts.jobs))),
-            ],
-        );
-        let mut report = hunt::run_hunt(&hunt_opts);
-        if deterministic {
-            report.strip_timings();
-        }
-        println!("{}", report.table());
-        if let Some(out) = &out_dir {
-            let dir = std::path::Path::new(out);
-            let write = std::fs::create_dir_all(dir).and_then(|()| {
-                let mut status =
-                    std::fs::write(dir.join("hunt.json"), report.hunt_json().render_pretty());
-                for (k, repro) in report.repros.iter().enumerate() {
-                    if status.is_ok() {
-                        status = std::fs::write(
-                            dir.join(format!("repro_{k}.json")),
-                            repro.to_json().render_pretty(),
-                        );
-                    }
-                }
-                status
-            });
-            match write {
-                Ok(()) => tel.info(
-                    "hunt.reports",
-                    "hunt.json written",
-                    [
-                        ("dir", Json::from(dir.display().to_string())),
-                        ("repros", Json::from(report.repros.len())),
-                    ],
-                ),
-                Err(e) => {
-                    tel.error(
-                        "hunt.reports",
-                        "cannot write hunt reports",
-                        [("error", Json::from(e.to_string()))],
-                    );
-                    tel.flush();
-                    eprintln!("cannot write reports to {out}: {e}");
-                    std::process::exit(1);
-                }
-            }
-        }
-        tel.flush();
-        // A clean hunt that diverges has found a real cross-view bug —
-        // fail loudly so CI notices. A seeded hunt that does NOT diverge
-        // let a planted defect escape the fleet — also a failure.
-        let diverged = report.divergences() > 0;
-        if hunt_opts.inject.is_empty() && diverged {
-            eprintln!(
-                "hunt found {} cross-view divergence(s); see the repro files",
-                report.divergences()
-            );
-            std::process::exit(1);
-        }
-        if !hunt_opts.inject.is_empty() && !diverged {
-            eprintln!(
-                "seeded defect(s) {} escaped the {}-probe hunt",
-                report.injected.join("+"),
-                report.budget,
-            );
-            std::process::exit(1);
-        }
-        return;
-    }
-
-    if qualify {
-        let mut qopts = mutation::QualifyOptions {
-            jobs: options.jobs,
-            telemetry: tel.clone(),
-            ..mutation::QualifyOptions::default()
-        };
-        if seeds_given {
-            qopts.seeds = options.seeds.clone();
-        }
-        if intensity_given {
-            qopts.tests = catg::tests_lib::all(intensity);
-        }
-        tel.info(
-            "mutation.start",
-            "qualification campaign starting",
-            [
-                ("configs", Json::from(qopts.configs.len())),
-                ("tests", Json::from(qopts.tests.len())),
-                ("seeds", Json::from(qopts.seeds.len())),
-                ("jobs", Json::from(exec::resolve_jobs(qopts.jobs))),
-            ],
-        );
-        let mut report = mutation::run_qualification(&qopts);
-        if deterministic {
-            report.strip_timings();
-        }
-        // The promoted-reproducer catalogue rides along: every pinned
-        // hunt find must still fire its recorded detector class, or the
-        // qualification fails like any escaped mutation.
-        let promoted_entries =
-            match mutation::PromotedRepro::load_dir(std::path::Path::new(&hunts_dir)) {
-                Ok(entries) => entries,
-                Err(e) => {
-                    tel.flush();
-                    eprintln!("{e}");
-                    std::process::exit(1);
-                }
-            };
-        let promoted = mutation::run_promoted(&promoted_entries, &tel);
-        println!("{}", report.table());
-        if !promoted.is_empty() {
-            println!("{}", mutation::promoted::promoted_table(&promoted));
-        }
-        if let Some(out) = out_dir {
-            let dir = std::path::Path::new(&out);
-            let mut qjson = report.qualification_json();
-            if let Json::Obj(pairs) = &mut qjson {
-                pairs.push((
-                    "promoted".to_owned(),
-                    mutation::promoted::promoted_json(&promoted),
-                ));
-            }
-            let write = std::fs::create_dir_all(dir).and_then(|()| {
-                std::fs::write(dir.join("qualification.json"), qjson.render_pretty())
-            });
-            match write {
-                Ok(()) => tel.info(
-                    "mutation.reports",
-                    "qualification.json written",
-                    [("dir", Json::from(dir.display().to_string()))],
-                ),
-                Err(e) => tel.error(
-                    "mutation.reports",
-                    "cannot write qualification.json",
-                    [("error", Json::from(e.to_string()))],
-                ),
-            }
-        }
-        tel.flush();
-        let promoted_failed = promoted.iter().any(|o| !o.attributed);
-        if !report.passed() || promoted_failed {
-            for o in report.attribution_issues() {
-                eprintln!(
-                    "qualification failure: {} expected {}, got {}",
-                    o.label,
-                    o.expected_detector,
-                    o.detector
-                        .map_or("no detection".to_owned(), |d| d.to_string()),
-                );
-            }
-            for o in promoted.iter().filter(|o| !o.attributed) {
-                eprintln!(
-                    "promoted reproducer failure: {} expected class `{}`, got {}",
-                    o.source,
-                    o.expected_column,
-                    o.observed.as_deref().unwrap_or("no divergence"),
-                );
-            }
-            std::process::exit(1);
-        }
-        return;
-    }
-
-    let configs: Vec<NodeConfig> = match &config_dir {
-        Some(dir) => {
-            let mut configs = Vec::new();
-            let entries = match std::fs::read_dir(dir) {
-                Ok(e) => e,
-                Err(e) => {
-                    eprintln!("cannot read {dir}: {e}");
-                    std::process::exit(1);
-                }
-            };
-            let mut paths: Vec<_> = entries
-                .flatten()
-                .map(|e| e.path())
-                .filter(|p| p.extension().is_some_and(|x| x == "cfg"))
-                .collect();
-            paths.sort();
-            for path in paths {
-                let text = std::fs::read_to_string(&path).unwrap_or_default();
-                match parse_config(&text) {
-                    Ok(cfg) => configs.push(cfg),
-                    Err(e) => {
-                        eprintln!("{}: {e}", path.display());
-                        std::process::exit(1);
-                    }
-                }
-            }
-            configs
-        }
-        None => standard_configs(),
-    };
-
-    if configs.is_empty() {
-        eprintln!("no configurations to run");
-        std::process::exit(1);
-    }
-
-    if let Some(socket) = &client_socket {
-        // The client re-renders its resolved configurations into the
-        // request, so the daemon runs exactly what this invocation would
-        // have run locally (not the daemon's idea of the sweep).
-        let request = Json::obj([
-            ("op", Json::from("campaign")),
-            (
-                "config_text",
-                Json::Arr(
-                    configs
-                        .iter()
-                        .map(|c| Json::from(render_config(c)))
-                        .collect(),
-                ),
-            ),
-            (
-                "seeds",
-                Json::Arr(options.seeds.iter().map(|&s| Json::from(s)).collect()),
-            ),
-            ("intensity", Json::from(options.intensity)),
-            ("engine", Json::from(options.engine.to_string())),
-            (
-                "views",
-                Json::Arr(
-                    options
-                        .views
-                        .iter()
-                        .map(|v| Json::from(v.to_string().to_ascii_lowercase()))
-                        .collect(),
-                ),
-            ),
-            ("compare", Json::from(options.compare_waveforms)),
-            ("deterministic", Json::from(deterministic)),
-        ]);
-        let responses = match serve::client_request(std::path::Path::new(socket), &request.render())
-        {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("cannot reach daemon at {socket}: {e}");
-                std::process::exit(1);
-            }
-        };
-        let report = responses
+        if let Some(spec) = MODES
             .iter()
-            .find(|r| r.get("event").and_then(Json::as_str) == Some("report"));
-        let Some(report) = report else {
-            let error = responses
-                .last()
-                .and_then(|r| r.get("error"))
-                .and_then(Json::as_str)
-                .unwrap_or("daemon sent no report");
-            eprintln!("campaign rejected: {error}");
-            std::process::exit(1);
-        };
-        if let Some(table) = report.get("table").and_then(Json::as_str) {
-            println!("{table}");
-        }
-        if let Some(out) = &out_dir {
-            let dir = std::path::Path::new(out);
-            let write = std::fs::create_dir_all(dir).and_then(|()| {
-                let mut status = Ok(());
-                if let Some(manifest) = report.get("manifest") {
-                    status = std::fs::write(dir.join("manifest.json"), manifest.render_pretty());
-                }
-                if let (Ok(()), Some(stats)) = (&status, report.get("cache")) {
-                    status = std::fs::write(dir.join("cache_stats.json"), stats.render_pretty());
-                }
-                status
-            });
-            if let Err(e) = write {
-                eprintln!("cannot write reports to {out}: {e}");
-                std::process::exit(1);
+            .find(|m| !m.select.is_empty() && m.select == arg)
+        {
+            if let Some(first) = &mode_token {
+                die(2, format!("{first} and {arg} select two modes; give one"));
             }
+            args.mode = spec.mode;
+            if !spec.operand.is_empty() {
+                args.operand = take(&mut argv, &arg, spec.operand);
+            }
+            mode_token = Some(arg);
+            continue;
         }
-        if let Some(cache) = report.get("cache") {
-            println!(
-                "cache: {} hits, {} misses, {} simulated",
-                cache.get("hits").and_then(Json::as_u64).unwrap_or(0),
-                cache.get("misses").and_then(Json::as_u64).unwrap_or(0),
-                cache.get("simulated").and_then(Json::as_u64).unwrap_or(0),
+        let Some(&(flag, placeholder)) = FLAGS.iter().find(|(f, _)| *f == arg) else {
+            die(2, format!("unknown argument `{arg}` (try --help)"));
+        };
+        let v = if placeholder.is_empty() {
+            String::new()
+        } else {
+            take(&mut argv, flag, placeholder)
+        };
+        args.set(flag, &v);
+        args.given.push((flag, v));
+    }
+    if args.has("--hunt-inject") {
+        let labels: Vec<&str> = args
+            .given
+            .iter()
+            .filter(|(f, _)| *f == "--hunt-inject")
+            .flat_map(|(_, v)| v.split(',').filter(|s| !s.is_empty()))
+            .collect();
+        if labels.is_empty() {
+            die(2, "--hunt-inject takes catalogue labels (R1..R6, B1..B5)");
+        }
+        args.hunt.inject = hunt::Injections::from_labels(&labels)
+            .unwrap_or_else(|e| die(2, format!("--hunt-inject: {e}")));
+    }
+    args
+}
+
+/// The mode's table row, once every given flag is known to take effect
+/// in it; otherwise exits 2 naming the flag and the mode.
+fn validate(args: &Args) -> &'static ModeSpec {
+    let spec = MODES
+        .iter()
+        .find(|m| m.mode == args.mode)
+        .expect("every mode has a table row");
+    for (flag, _) in &args.given {
+        if !spec.reads(flag) {
+            die(
+                2,
+                format!("{flag} has no effect in {} mode (see --help)", spec.name()),
             );
         }
-        tel.flush();
-        return;
     }
+    for (by, flag) in OVERRIDES {
+        if args.has(by) && args.has(flag) {
+            die(2, format!("{flag} has no effect together with {by}"));
+        }
+    }
+    spec
+}
 
-    if close_coverage {
-        // Closure targets one configuration: the first of `--configs`, or
-        // the built-in reference node when no directory was given.
-        let config = match &config_dir {
-            Some(_) => configs[0].clone(),
-            None => NodeConfig::reference(),
-        };
-        closure_opts.jobs = options.jobs;
-        closure_opts.telemetry = tel.clone();
-        tel.info(
-            "cdg.start",
-            "coverage-closure campaign starting",
-            [
-                ("config", Json::from(config.name.clone())),
-                ("batch", Json::from(closure_opts.tests_per_batch)),
-                ("budget", Json::from(closure_opts.max_batches)),
-                ("jobs", Json::from(exec::resolve_jobs(closure_opts.jobs))),
-            ],
-        );
-        let start = cdg::Recipe::narrow(&config);
-        let report = cdg::close_coverage(&config, &start, &closure_opts);
-        println!("closing functional coverage on `{}`:", config.name);
-        println!("{}", report.table());
-        if let Some(out) = out_dir {
-            let dir = std::path::Path::new(&out);
-            let write = std::fs::create_dir_all(dir).and_then(|()| {
-                std::fs::write(
-                    dir.join("closure.json"),
-                    report.closure_json().render_pretty(),
-                )
-            });
-            match write {
-                Ok(()) => tel.info(
-                    "cdg.reports",
-                    "closure.json written",
-                    [("dir", Json::from(dir.display().to_string()))],
-                ),
-                Err(e) => tel.error(
-                    "cdg.reports",
-                    "cannot write closure.json",
-                    [("error", Json::from(e.to_string()))],
-                ),
+/// `--help`: one synopsis line per mode, built from the mode table.
+fn usage() -> String {
+    let mut text = String::from("usage:\n");
+    for spec in MODES {
+        let mut line = String::from("  stbus-regress");
+        for word in [spec.select, spec.operand] {
+            if !word.is_empty() {
+                line += &format!(" {word}");
             }
         }
-        tel.flush();
-        if !report.closed {
-            eprintln!(
-                "coverage did not close within {} iterations",
-                closure_opts.max_batches
-            );
-            std::process::exit(1);
+        for flag in spec.flags.split_whitespace() {
+            let (_, placeholder) = FLAGS.iter().find(|(f, _)| *f == flag).expect("known flag");
+            line += &format!(" [{}]", format!("{flag} {placeholder}").trim_end());
         }
-        return;
+        text += &format!("{line}\n");
+    }
+    text += "every mode also takes [--log-format text|json] [--log-file PATH] [--quiet]\n";
+    for (by, flag) in OVERRIDES {
+        text += &format!("{flag} is rejected together with {by}\n");
+    }
+    text
+}
+
+/// What every mode shares: the parsed flags, the telemetry pipeline, and
+/// the artifact writer's failure flag.
+struct Ctx {
+    args: Args,
+    tel: Telemetry,
+    /// In-memory copy of the event stream, replayed by regress's
+    /// profile, trace and history record.
+    capture: Option<MemorySinkHandle>,
+    write_failed: Cell<bool>,
+}
+
+impl Ctx {
+    fn new(args: Args) -> Ctx {
+        let mut builder = Telemetry::builder().min_level(Level::Info);
+        if !args.has("--quiet") {
+            builder = if args.text("--log-format") == Some("json") {
+                builder.with_sink(Box::new(JsonlSink::new(std::io::stderr())))
+            } else {
+                builder.with_sink(Box::new(TextSink::stderr()))
+            };
+        }
+        // Captured regardless of --quiet: the span-tree profiler replays it.
+        let capture = args.mode == Mode::Regress
+            && (args.has("--profile") || args.has("--trace-out") || !args.has("--no-history"));
+        let capture = if capture {
+            let (sink, handle) = MemorySink::new();
+            builder = builder.with_sink(Box::new(sink));
+            Some(handle)
+        } else {
+            None
+        };
+        if let Some(path) = args.text("--log-file") {
+            builder = builder
+                .with_jsonl_file(Path::new(path))
+                .unwrap_or_else(|e| die(1, format!("cannot open log file {path}: {e}")));
+        }
+        Ctx {
+            tel: builder.build(),
+            capture,
+            args,
+            write_failed: Cell::new(false),
+        }
     }
 
-    if signoff_mode {
-        // Like closure, sign-off targets one configuration: the first of
-        // `--configs`, or the built-in reference node.
-        let config = match &config_dir {
-            Some(_) => configs[0].clone(),
+    /// The configurations of `--configs DIR` (every `*.cfg`, sorted), or
+    /// the built-in sweep. An unreadable or empty set exits 1.
+    fn configs(&self) -> Vec<NodeConfig> {
+        let Some(dir) = self.args.text("--configs") else {
+            return standard_configs();
+        };
+        let entries =
+            std::fs::read_dir(dir).unwrap_or_else(|e| die(1, format!("cannot read {dir}: {e}")));
+        let mut paths: Vec<_> = entries
+            .flatten()
+            .map(|e| e.path())
+            .filter(|p| p.extension().is_some_and(|x| x == "cfg"))
+            .collect();
+        if paths.is_empty() {
+            die(1, "no configurations to run");
+        }
+        paths.sort();
+        paths
+            .iter()
+            .map(|path| {
+                let text = std::fs::read_to_string(path).unwrap_or_default();
+                parse_config(&text).unwrap_or_else(|e| die(1, format!("{}: {e}", path.display())))
+            })
+            .collect()
+    }
+
+    /// The one configuration closure and sign-off target: the first
+    /// `--configs` entry, or the built-in reference node.
+    fn target_config(&self) -> NodeConfig {
+        match self.args.text("--configs") {
+            Some(_) => self.configs().swap_remove(0),
             None => NodeConfig::reference(),
-        };
-        let waivers = match &waivers_path {
-            Some(path) => {
-                let text = match std::fs::read_to_string(path) {
-                    Ok(t) => t,
-                    Err(e) => {
-                        eprintln!("cannot read waiver file {path}: {e}");
-                        std::process::exit(2);
-                    }
-                };
-                match signoff::WaiverFile::parse(&text) {
-                    Ok(w) => w,
-                    Err(e) => {
-                        eprintln!("{path}: {e}");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            None => {
-                tel.warn(
-                    "signoff.waivers",
-                    "no --waivers file; using the generated template (an audited flow should review and commit one)",
-                    [("config", Json::from(config.name.clone()))],
-                );
-                signoff::WaiverFile::template(&config)
-            }
-        };
-        let candidates = match &from_closure {
-            Some(path) => {
-                let text = match std::fs::read_to_string(path) {
-                    Ok(t) => t,
-                    Err(e) => {
-                        eprintln!("cannot read closure record {path}: {e}");
-                        std::process::exit(2);
-                    }
-                };
-                match cdg::parse_closure_replay(&text) {
-                    Ok(entries) => signoff::closure_candidates(&entries),
-                    Err(e) => {
-                        eprintln!("{path}: {e}");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            None => signoff::library_candidates(options.intensity, &options.seeds),
-        };
-        let sopts = signoff::SignoffOptions {
-            jobs: options.jobs,
-            fidelity: options.fidelity,
-            telemetry: tel.clone(),
-            ..signoff::SignoffOptions::default()
-        };
-        tel.info(
-            "signoff.start",
-            "sign-off gate run starting",
-            [
-                ("config", Json::from(config.name.clone())),
-                ("candidates", Json::from(candidates.len())),
-                ("waivers", Json::from(waivers.waivers.len())),
-                ("jobs", Json::from(exec::resolve_jobs(sopts.jobs))),
-            ],
-        );
-        let report = match signoff::run_signoff(&config, &waivers, &candidates, &sopts) {
-            Ok(r) => r,
+        }
+    }
+
+    /// The one `--out` writer: `write` gets the directory, created on
+    /// demand. A failure is logged and remembered; the mode still prints
+    /// its table, then the process exits 1.
+    fn out(&self, what: &str, write: impl FnOnce(&Path) -> std::io::Result<()>) {
+        if let Some(dir) = self.args.text("--out") {
+            let dir = Path::new(dir);
+            let result = std::fs::create_dir_all(dir).and_then(|()| write(dir));
+            self.check(what, dir, result);
+        }
+    }
+
+    /// Writes one `--out` file rendered by `render`.
+    fn out_file(&self, name: &str, render: impl FnOnce() -> String) {
+        self.out(name, |dir| std::fs::write(dir.join(name), render()));
+    }
+
+    /// Logs the outcome of one artifact write; a failure is also printed
+    /// and remembered for the exit code.
+    fn check(&self, what: &str, path: &Path, result: std::io::Result<()>) {
+        let path = path.display().to_string();
+        match result {
+            Ok(()) => self.tel.info(
+                "cli.out",
+                &format!("{what} written"),
+                [("path", Json::from(path))],
+            ),
             Err(e) => {
-                eprintln!("{e}");
-                tel.flush();
-                std::process::exit(2);
-            }
-        };
-        print!("{}", report.table());
-        if let Some(out) = out_dir {
-            let dir = std::path::Path::new(&out);
-            let write = std::fs::create_dir_all(dir).and_then(|()| {
-                std::fs::write(
-                    dir.join("signoff.json"),
-                    report.signoff_json().render_pretty(),
-                )
-            });
-            match write {
-                Ok(()) => tel.info(
-                    "signoff.reports",
-                    "signoff.json written",
-                    [("dir", Json::from(dir.display().to_string()))],
-                ),
-                Err(e) => tel.error(
-                    "signoff.reports",
-                    "cannot write signoff.json",
-                    [("error", Json::from(e.to_string()))],
-                ),
+                let error = [("error", Json::from(e.to_string()))];
+                self.tel
+                    .error("cli.out", &format!("cannot write {what}"), error);
+                eprintln!("cannot write {what} to {path}: {e}");
+                self.write_failed.set(true);
             }
         }
-        tel.flush();
-        if !report.passed() {
-            for gate in report.gates() {
-                for line in &gate.detail {
-                    eprintln!("sign-off failure ({}): {line}", gate.name);
-                }
-            }
-            std::process::exit(1);
-        }
-        return;
     }
+}
 
+/// Regress: the `{config × test × seed}` matrix on every view.
+fn regress(ctx: &Ctx) -> i32 {
+    let (args, tel) = (&ctx.args, &ctx.tel);
+    let mut options = args.regress.clone();
+    options.telemetry = tel.clone();
+    // Any --cache* flag switches the store on; --cache alone uses the
+    // default location.
+    if args.given.iter().any(|(f, _)| f.starts_with("--cache")) {
+        let dir = args.text("--cache-dir").unwrap_or(DEFAULT_CACHE_DIR);
+        options.cache_dir = Some(PathBuf::from(dir));
+    }
+    let configs = ctx.configs();
     let tests = catg::tests_lib::all(options.intensity);
+    let views: Vec<String> = options.views.iter().map(ToString::to_string).collect();
     tel.info(
         "regress.start",
         "campaign starting on both views",
@@ -1139,45 +624,23 @@ fn main() {
             ("seeds", Json::from(options.seeds.len())),
             ("intensity", Json::from(options.intensity)),
             ("engine", Json::from(options.engine.to_string())),
-            (
-                "views",
-                Json::from(
-                    options
-                        .views
-                        .iter()
-                        .map(ToString::to_string)
-                        .collect::<Vec<_>>()
-                        .join(","),
-                ),
-            ),
+            ("views", Json::from(views.join(","))),
             ("compare", Json::from(options.compare_waveforms)),
             ("jobs", Json::from(exec::resolve_jobs(options.jobs))),
         ],
     );
     let mut report = run_regression(&configs, &tests, &options);
-    if deterministic {
+    if args.has("--deterministic") {
         report.strip_timings();
     }
     println!("{}", report.table());
-    if let Some(out) = &out_dir {
-        let path = std::path::Path::new(out);
-        match report.write_reports(path) {
-            Ok(()) => tel.info(
-                "regress.reports",
-                "reports written",
-                [("dir", Json::from(path.display().to_string()))],
-            ),
-            Err(e) => tel.error(
-                "regress.reports",
-                "cannot write reports",
-                [("error", Json::from(e.to_string()))],
-            ),
-        }
-        // Cache statistics are volatile by design (a warm run differs
-        // from a cold one), so they live in their own file next to the
-        // deterministic reports rather than inside manifest.json.
-        if let Some(stats) = &report.cache {
-            let doc = Json::obj([
+    ctx.out("reports", |dir| report.write_reports(dir));
+    // Cache statistics are volatile by design (a warm run differs from a
+    // cold one), so they live in their own file next to the deterministic
+    // reports rather than inside manifest.json.
+    if let Some(stats) = &report.cache {
+        ctx.out_file("cache_stats.json", || {
+            Json::obj([
                 ("schema", Json::from("stbus-cache-stats/1")),
                 ("hits", Json::from(stats.hits)),
                 ("misses", Json::from(stats.misses)),
@@ -1185,202 +648,512 @@ fn main() {
                 ("corrupt", Json::from(stats.corrupt)),
                 ("evicted", Json::from(stats.evicted)),
                 ("simulated", Json::from(stats.simulated)),
-            ]);
-            if let Err(e) = std::fs::write(path.join("cache_stats.json"), doc.render_pretty()) {
-                tel.error(
-                    "regress.reports",
-                    "cannot write cache_stats.json",
-                    [("error", Json::from(e.to_string()))],
-                );
-            }
-        }
+            ])
+            .render_pretty()
+        });
     }
-
-    if let Some(handle) = &capture_handle {
+    if let Some(handle) = &ctx.capture {
         let spans = profile::collect_spans(&handle.events());
-        let phases =
-            profile::build_profile(&spans, &profile::ProfileOptions::default()).phase_totals();
-        if !no_history {
-            let mut parts: Vec<String> = vec![format!("engine:{}", env!("CARGO_PKG_VERSION"))];
-            parts.extend(configs.iter().map(|c| format!("config:{c:?}")));
-            parts.extend(tests.iter().map(|t| format!("test:{}", t.name)));
-            parts.push(format!("intensity:{}", options.intensity));
-            parts.push(format!("seeds:{:?}", options.seeds));
-            parts.push(format!("views:{:?}", options.views));
-            parts.push(format!("fidelity:{:?}", options.fidelity));
-            parts.push(format!("engine_backend:{}", options.engine));
-            parts.push(format!("compare:{}", options.compare_waveforms));
-            let record = profile::HistoryRecord {
-                key: profile::content_key(&parts),
-                source: "regress".to_owned(),
-                engine_version: env!("CARGO_PKG_VERSION").to_owned(),
-                recorded_unix: std::time::SystemTime::now()
-                    .duration_since(std::time::UNIX_EPOCH)
-                    .map(|d| d.as_secs())
-                    .unwrap_or(0),
-                host: profile::HostInfo::current(exec::resolve_jobs(options.jobs) as u64),
-                shape: profile::CampaignShape {
-                    configs: configs.len() as u64,
-                    tests: tests.len() as u64,
-                    seeds: options.seeds.len() as u64,
-                    intensity: options.intensity as u64,
-                    cells: (configs.len() * tests.len() * options.seeds.len()) as u64,
-                },
-                wall_us: report.wall_us,
-                phases,
-                passed: report.configs.iter().all(|c| c.all_passed()),
-            };
-            let store = profile::HistoryStore::in_dir(std::path::Path::new(&history_dir));
-            match store.append(&record) {
-                Ok(()) => tel.info(
-                    "regress.history",
-                    "campaign history appended",
-                    [
-                        ("path", Json::from(store.path().display().to_string())),
-                        ("key", Json::from(record.key.clone())),
-                    ],
-                ),
-                Err(e) => tel.warn(
-                    "regress.history",
-                    "cannot append campaign history",
-                    [("error", Json::from(e.to_string()))],
-                ),
-            }
+        if !args.has("--no-history") {
+            append_history(ctx, &options, &configs, &tests, &report, &spans);
         }
-        if profile_flag {
-            let mut prof = profile::build_profile(
-                &spans,
-                &profile::ProfileOptions {
-                    group_by: vec!["config".to_owned()],
-                },
-            );
-            if deterministic {
+        if args.has("--profile") {
+            let group_by = vec!["config".to_owned()];
+            let mut prof = profile::build_profile(&spans, &profile::ProfileOptions { group_by });
+            if args.has("--deterministic") {
                 prof.strip_timings();
             }
             let text = prof.render_text();
             print!("{text}");
-            if let Some(out) = &out_dir {
-                let dir = std::path::Path::new(out);
-                let write = std::fs::write(dir.join("profile.txt"), &text).and_then(|()| {
-                    std::fs::write(dir.join("profile.folded"), prof.render_folded())
-                });
-                if let Err(e) = write {
-                    tel.error(
-                        "regress.profile",
-                        "cannot write profile artifacts",
-                        [("error", Json::from(e.to_string()))],
-                    );
-                }
-            }
+            ctx.out_file("profile.txt", || text);
+            ctx.out_file("profile.folded", || prof.render_folded());
         }
-        if let Some(path) = &trace_out {
-            let doc = profile::trace_json(&spans);
-            match std::fs::write(path, doc.render()) {
-                Ok(()) => tel.info(
-                    "regress.trace",
-                    "Chrome trace written",
-                    [("path", Json::from(path.clone()))],
-                ),
-                Err(e) => {
-                    eprintln!("cannot write trace to {path}: {e}");
-                    tel.flush();
-                    std::process::exit(1);
-                }
-            }
+        if let Some(path) = args.text("--trace-out") {
+            let write = std::fs::write(path, profile::trace_json(&spans).render());
+            ctx.check("Chrome trace", Path::new(path), write);
         }
     }
-
     tel.flush();
     println!(
         "{} of {} configurations signed off (all checks green, full functional coverage, >=99% alignment)",
         report.signed_off_count(),
         report.configs.len()
     );
+    0
 }
 
-///// Loads and parses one `stbus-repro/1` file; a missing or malformed
-/// file is a bad argument (exit 2), like any other unusable flag value.
-fn load_repro(path: &str) -> hunt::Repro {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read {path}: {e}");
-            std::process::exit(2);
-        }
+/// Appends regress's record to the campaign history store.
+fn append_history(
+    ctx: &Ctx,
+    options: &RegressionOptions,
+    configs: &[NodeConfig],
+    tests: &[catg::TestSpec],
+    report: &stbus_regression::RegressionReport,
+    spans: &[profile::SpanRecord],
+) {
+    let phases = profile::build_profile(spans, &profile::ProfileOptions::default()).phase_totals();
+    let mut parts: Vec<String> = vec![format!("engine:{}", env!("CARGO_PKG_VERSION"))];
+    parts.extend(configs.iter().map(|c| format!("config:{c:?}")));
+    parts.extend(tests.iter().map(|t| format!("test:{}", t.name)));
+    parts.push(format!("intensity:{}", options.intensity));
+    parts.push(format!("seeds:{:?}", options.seeds));
+    parts.push(format!("views:{:?}", options.views));
+    parts.push(format!("fidelity:{:?}", options.fidelity));
+    parts.push(format!("engine_backend:{}", options.engine));
+    parts.push(format!("compare:{}", options.compare_waveforms));
+    let record = profile::HistoryRecord {
+        key: profile::content_key(&parts),
+        source: "regress".to_owned(),
+        engine_version: env!("CARGO_PKG_VERSION").to_owned(),
+        recorded_unix: std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .map(|d| d.as_secs())
+            .unwrap_or(0),
+        host: profile::HostInfo::current(exec::resolve_jobs(options.jobs) as u64),
+        shape: profile::CampaignShape {
+            configs: configs.len() as u64,
+            tests: tests.len() as u64,
+            seeds: options.seeds.len() as u64,
+            intensity: options.intensity as u64,
+            cells: (configs.len() * tests.len() * options.seeds.len()) as u64,
+        },
+        wall_us: report.wall_us,
+        phases,
+        passed: report.configs.iter().all(|c| c.all_passed()),
     };
-    let json = match Json::parse(&text) {
-        Ok(j) => j,
+    let dir = ctx.args.text("--history-dir").unwrap_or(".");
+    let store = profile::HistoryStore::in_dir(Path::new(dir));
+    match store.append(&record) {
+        Ok(()) => ctx.tel.info(
+            "regress.history",
+            "campaign history appended",
+            [
+                ("path", Json::from(store.path().display().to_string())),
+                ("key", Json::from(record.key.clone())),
+            ],
+        ),
+        Err(e) => ctx.tel.warn(
+            "regress.history",
+            "cannot append campaign history",
+            [("error", Json::from(e.to_string()))],
+        ),
+    }
+}
+
+/// `--client SOCKET`: submits the campaign to a daemon, prints its report.
+fn client(ctx: &Ctx) -> i32 {
+    let (args, options) = (&ctx.args, &ctx.args.regress);
+    // The client re-renders its resolved configurations into the request,
+    // so the daemon runs exactly what this invocation would have run
+    // locally (not the daemon's idea of the sweep).
+    let configs = ctx.configs();
+    let request = Json::obj([
+        ("op", Json::from("campaign")),
+        (
+            "config_text",
+            Json::Arr(
+                configs
+                    .iter()
+                    .map(|c| Json::from(render_config(c)))
+                    .collect(),
+            ),
+        ),
+        (
+            "seeds",
+            Json::Arr(options.seeds.iter().map(|&s| Json::from(s)).collect()),
+        ),
+        ("intensity", Json::from(options.intensity)),
+        ("engine", Json::from(options.engine.to_string())),
+        (
+            "views",
+            Json::Arr(
+                options
+                    .views
+                    .iter()
+                    .map(|v| Json::from(v.to_string().to_ascii_lowercase()))
+                    .collect(),
+            ),
+        ),
+        ("compare", Json::from(options.compare_waveforms)),
+        ("deterministic", Json::from(args.has("--deterministic"))),
+    ]);
+    let socket = &args.operand;
+    let responses = serve::client_request(Path::new(socket), &request.render())
+        .unwrap_or_else(|e| die(1, format!("cannot reach daemon at {socket}: {e}")));
+    let is_report = |r: &&Json| r.get("event").and_then(Json::as_str) == Some("report");
+    let Some(report) = responses.iter().find(is_report) else {
+        let error = responses
+            .last()
+            .and_then(|r| r.get("error"))
+            .and_then(Json::as_str)
+            .unwrap_or("daemon sent no report");
+        die(1, format!("campaign rejected: {error}"));
+    };
+    if let Some(table) = report.get("table").and_then(Json::as_str) {
+        println!("{table}");
+    }
+    if let Some(manifest) = report.get("manifest") {
+        ctx.out_file("manifest.json", || manifest.render_pretty());
+    }
+    if let Some(cache) = report.get("cache") {
+        ctx.out_file("cache_stats.json", || cache.render_pretty());
+        let n = |k: &str| cache.get(k).and_then(Json::as_u64).unwrap_or(0);
+        println!(
+            "cache: {} hits, {} misses, {} simulated",
+            n("hits"),
+            n("misses"),
+            n("simulated")
+        );
+    }
+    0
+}
+
+/// `--serve SOCKET`: the long-lived daemon.
+fn serve_daemon(ctx: &Ctx) -> i32 {
+    let args = &ctx.args;
+    let options = serve::ServeOptions {
+        socket: PathBuf::from(&args.operand),
+        cache_dir: PathBuf::from(args.text("--cache-dir").unwrap_or(DEFAULT_CACHE_DIR)),
+        jobs: args.regress.jobs,
+        cache_gc: args.regress.cache_gc,
+        telemetry: ctx.tel.clone(),
+    };
+    let server = serve::Server::bind(options)
+        .unwrap_or_else(|e| die(1, format!("cannot serve on {}: {e}", args.operand)));
+    // EOF on stdin is the no-signal shutdown path: the daemon dies with
+    // whoever spawned it once the write end of its stdin closes.
+    let flag = server.shutdown_flag();
+    std::thread::spawn(move || {
+        let _ = std::io::copy(&mut std::io::stdin(), &mut std::io::sink());
+        flag.store(true, std::sync::atomic::Ordering::SeqCst);
+    });
+    match server.run() {
+        Ok(_) => 0,
+        Err(e) => {
+            eprintln!("daemon failed: {e}");
+            1
+        }
+    }
+}
+
+/// `--qualify`: mutation qualification plus the promoted reproducers.
+fn qualify(ctx: &Ctx) -> i32 {
+    let (args, tel) = (&ctx.args, &ctx.tel);
+    let mut qopts = mutation::QualifyOptions {
+        jobs: args.regress.jobs,
+        telemetry: tel.clone(),
+        ..mutation::QualifyOptions::default()
+    };
+    if args.has("--seeds") {
+        qopts.seeds = args.regress.seeds.clone();
+    }
+    if args.has("--intensity") {
+        qopts.tests = catg::tests_lib::all(args.regress.intensity);
+    }
+    tel.info(
+        "mutation.start",
+        "qualification campaign starting",
+        [
+            ("configs", Json::from(qopts.configs.len())),
+            ("tests", Json::from(qopts.tests.len())),
+            ("seeds", Json::from(qopts.seeds.len())),
+            ("jobs", Json::from(exec::resolve_jobs(qopts.jobs))),
+        ],
+    );
+    let mut report = mutation::run_qualification(&qopts);
+    if args.has("--deterministic") {
+        report.strip_timings();
+    }
+    // The promoted-reproducer catalogue rides along: every pinned hunt
+    // find must still fire its recorded detector class, or the
+    // qualification fails like any escaped mutation.
+    let hunts_dir = args.text("--hunts-dir").unwrap_or(DEFAULT_HUNTS_DIR);
+    let entries = mutation::PromotedRepro::load_dir(Path::new(hunts_dir)).unwrap_or_else(|e| {
+        tel.flush();
+        die(1, e)
+    });
+    let promoted = mutation::run_promoted(&entries, tel);
+    println!("{}", report.table());
+    if !promoted.is_empty() {
+        println!("{}", mutation::promoted::promoted_table(&promoted));
+    }
+    ctx.out_file("qualification.json", || {
+        let mut doc = report.qualification_json();
+        if let Json::Obj(pairs) = &mut doc {
+            let section = mutation::promoted::promoted_json(&promoted);
+            pairs.push(("promoted".to_owned(), section));
+        }
+        doc.render_pretty()
+    });
+    let unattributed: Vec<_> = promoted.iter().filter(|o| !o.attributed).collect();
+    if report.passed() && unattributed.is_empty() {
+        return 0;
+    }
+    for o in report.attribution_issues() {
+        let got = o
+            .detector
+            .map_or("no detection".to_owned(), |d| d.to_string());
+        eprintln!(
+            "qualification failure: {} expected {}, got {got}",
+            o.label, o.expected_detector
+        );
+    }
+    for o in unattributed {
+        eprintln!(
+            "promoted reproducer failure: {} expected class `{}`, got {}",
+            o.source,
+            o.expected_column,
+            o.observed.as_deref().unwrap_or("no divergence"),
+        );
+    }
+    1
+}
+
+/// `--hunt`: the differential bug-hunt fleet.
+fn bug_hunt(ctx: &Ctx) -> i32 {
+    let (args, tel) = (&ctx.args, &ctx.tel);
+    let opts = hunt::HuntOptions {
+        jobs: args.regress.jobs,
+        telemetry: tel.clone(),
+        ..args.hunt.clone()
+    };
+    let labels = opts.inject.labels();
+    tel.info(
+        "hunt.start",
+        "differential hunt starting",
+        [
+            ("budget", Json::from(opts.budget)),
+            ("campaign_seed", Json::from(opts.campaign_seed)),
+            (
+                "inject",
+                Json::Arr(labels.iter().map(|s| Json::str(s.as_str())).collect()),
+            ),
+            ("jobs", Json::from(exec::resolve_jobs(opts.jobs))),
+        ],
+    );
+    let mut report = hunt::run_hunt(&opts);
+    if args.has("--deterministic") {
+        report.strip_timings();
+    }
+    println!("{}", report.table());
+    ctx.out_file("hunt.json", || report.hunt_json().render_pretty());
+    for (k, repro) in report.repros.iter().enumerate() {
+        ctx.out_file(&format!("repro_{k}.json"), || {
+            repro.to_json().render_pretty()
+        });
+    }
+    // A clean hunt that diverges has found a real cross-view bug — fail
+    // loudly so CI notices. A seeded hunt that does NOT diverge let a
+    // planted defect escape the fleet — also a failure.
+    let diverged = report.divergences() > 0;
+    if opts.inject.is_empty() && diverged {
+        eprintln!(
+            "hunt found {} cross-view divergence(s); see the repro files",
+            report.divergences()
+        );
+        return 1;
+    }
+    if !opts.inject.is_empty() && !diverged {
+        eprintln!(
+            "seeded defect(s) {} escaped the {}-probe hunt",
+            report.injected.join("+"),
+            report.budget,
+        );
+        return 1;
+    }
+    0
+}
+
+/// `--hunt-replay FILE`: exit 0 only if the reproducer still fires its
+/// recorded detector class.
+fn hunt_replay(ctx: &Ctx) -> i32 {
+    let path = &ctx.args.operand;
+    let repro = load_repro(path);
+    let fields = [
+        ("id", Json::from(repro.id())),
+        ("path", Json::str(path.as_str())),
+    ];
+    ctx.tel.info("hunt.replay", "replaying reproducer", fields);
+    match repro.replay(&ctx.tel) {
+        Ok(Some(finding)) => {
+            println!(
+                "replay {}: {} fired on the {} view (recorded {})",
+                repro.id(),
+                finding.detector,
+                finding.view,
+                repro.detector,
+            );
+            if repro.matches(&finding) {
+                return 0;
+            }
+            eprintln!(
+                "replay misattributed: expected class `{}`, got `{}`",
+                repro.detector_column,
+                finding.detector.column(),
+            );
+            1
+        }
+        Ok(None) => {
+            let id = repro.id();
+            eprintln!("replay {id}: no divergence — the reproducer no longer fires");
+            1
+        }
         Err(e) => {
             eprintln!("{path}: {e}");
-            std::process::exit(2);
+            2
+        }
+    }
+}
+
+/// `--hunt-promote FILE`: validate the reproducer, then pin it into the
+/// `--hunts-dir` catalogue under its content id.
+fn hunt_promote(ctx: &Ctx) -> i32 {
+    let path = &ctx.args.operand;
+    let mut repro = load_repro(path);
+    let fields = [
+        ("id", Json::from(repro.id())),
+        ("path", Json::str(path.as_str())),
+    ];
+    ctx.tel.info(
+        "hunt.promote",
+        "validating reproducer before promotion",
+        fields,
+    );
+    // A reproducer is only pinned if it still fires its recorded detector
+    // class right now — the catalogue must never accumulate entries that
+    // fail on their very first qualification replay.
+    match repro.replay(&ctx.tel) {
+        Ok(Some(finding)) if repro.matches(&finding) => {}
+        Ok(Some(finding)) => {
+            eprintln!(
+                "refusing to promote {path}: detector class drifted to `{}` (recorded `{}`)",
+                finding.detector.column(),
+                repro.detector_column,
+            );
+            return 1;
+        }
+        Ok(None) => {
+            eprintln!("refusing to promote {path}: the reproducer no longer diverges");
+            return 1;
+        }
+        Err(e) => {
+            eprintln!("{path}: {e}");
+            return 2;
+        }
+    }
+    let dir = Path::new(ctx.args.text("--hunts-dir").unwrap_or(DEFAULT_HUNTS_DIR));
+    let dest = dir.join(format!("{}.json", repro.id()));
+    repro.replay = format!("stbus-regress --hunt-replay {}", dest.display());
+    let write = std::fs::create_dir_all(dir)
+        .and_then(|()| std::fs::write(&dest, repro.to_json().render_pretty()));
+    if let Err(e) = write {
+        eprintln!("cannot write {}: {e}", dest.display());
+        return 1;
+    }
+    println!(
+        "promoted {path} -> {} ({}, class {})",
+        dest.display(),
+        repro.detector,
+        repro.detector_column,
+    );
+    0
+}
+
+/// `--close-coverage`: the CDG closure loop on one configuration.
+fn close_coverage(ctx: &Ctx) -> i32 {
+    let config = ctx.target_config();
+    let opts = cdg::ClosureOptions {
+        jobs: ctx.args.regress.jobs,
+        telemetry: ctx.tel.clone(),
+        ..ctx.args.closure.clone()
+    };
+    ctx.tel.info(
+        "cdg.start",
+        "coverage-closure campaign starting",
+        [
+            ("config", Json::from(config.name.clone())),
+            ("batch", Json::from(opts.tests_per_batch)),
+            ("budget", Json::from(opts.max_batches)),
+            ("jobs", Json::from(exec::resolve_jobs(opts.jobs))),
+        ],
+    );
+    let report = cdg::close_coverage(&config, &cdg::Recipe::narrow(&config), &opts);
+    println!("closing functional coverage on `{}`:", config.name);
+    println!("{}", report.table());
+    ctx.out_file("closure.json", || report.closure_json().render_pretty());
+    if report.closed {
+        return 0;
+    }
+    let budget = opts.max_batches;
+    eprintln!("coverage did not close within {budget} iterations");
+    1
+}
+
+/// `--signoff`: distill the minimal regression and judge the three gates.
+fn sign_off(ctx: &Ctx) -> i32 {
+    let (args, tel) = (&ctx.args, &ctx.tel);
+    let config = ctx.target_config();
+    let waivers = match args.text("--waivers") {
+        Some(path) => load(path, signoff::WaiverFile::parse),
+        None => {
+            tel.warn(
+                "signoff.waivers",
+                "no --waivers file; using the generated template (an audited flow should review and commit one)",
+                [("config", Json::from(config.name.clone()))],
+            );
+            signoff::WaiverFile::template(&config)
         }
     };
-    match hunt::Repro::from_json(&json) {
+    let candidates = match args.text("--from-closure") {
+        Some(path) => signoff::closure_candidates(&load(path, cdg::parse_closure_replay)),
+        None => signoff::library_candidates(args.regress.intensity, &args.regress.seeds),
+    };
+    let sopts = signoff::SignoffOptions {
+        jobs: args.regress.jobs,
+        fidelity: args.regress.fidelity,
+        telemetry: tel.clone(),
+        ..signoff::SignoffOptions::default()
+    };
+    tel.info(
+        "signoff.start",
+        "sign-off gate run starting",
+        [
+            ("config", Json::from(config.name.clone())),
+            ("candidates", Json::from(candidates.len())),
+            ("waivers", Json::from(waivers.waivers.len())),
+            ("jobs", Json::from(exec::resolve_jobs(sopts.jobs))),
+        ],
+    );
+    let report = match signoff::run_signoff(&config, &waivers, &candidates, &sopts) {
         Ok(r) => r,
         Err(e) => {
-            eprintln!("{path}: {e}");
-            std::process::exit(2);
+            eprintln!("{e}");
+            return 2;
+        }
+    };
+    print!("{}", report.table());
+    ctx.out_file("signoff.json", || report.signoff_json().render_pretty());
+    if report.passed() {
+        return 0;
+    }
+    for gate in report.gates() {
+        for line in &gate.detail {
+            eprintln!("sign-off failure ({}): {line}", gate.name);
         }
     }
+    1
 }
 
-/// The `history` subcommand: trend table plus a comparison of the latest
-/// record against the Nth prior record sharing its content key.
-fn run_history(args: &[String]) -> ! {
-    let mut baseline_n = 1usize;
-    let mut max_pct = 20.0f64;
-    let mut dir = ".".to_owned();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--baseline" => {
-                i += 1;
-                baseline_n = match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(n) if n > 0 => n,
-                    _ => {
-                        eprintln!("--baseline takes a positive record offset");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--max-regression" => {
-                i += 1;
-                max_pct = match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(p) if p >= 0.0 => p,
-                    _ => {
-                        eprintln!("--max-regression takes a percentage");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--dir" => {
-                i += 1;
-                dir = match args.get(i) {
-                    Some(d) => d.clone(),
-                    None => {
-                        eprintln!("--dir takes a directory");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: stbus-regress history [--baseline N] [--max-regression PCT] [--dir DIR]"
-                );
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("unknown argument `{other}` (try --help)");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
-    let store = profile::HistoryStore::in_dir(std::path::Path::new(&dir));
+/// `history`: the trend table plus a comparison of the latest record
+/// against the `--baseline`-th prior record sharing its content key.
+fn history(ctx: &Ctx) -> i32 {
+    let (baseline, max_pct) = (ctx.args.baseline, ctx.args.max_regression);
+    let dir = ctx.args.text("--dir").unwrap_or(".");
+    let store = profile::HistoryStore::in_dir(Path::new(dir));
     let records = store.load();
     if records.is_empty() {
         println!("no campaign history at {}", store.path().display());
-        std::process::exit(0);
+        return 0;
     }
     let latest = records.len() - 1;
     let key = records[latest].key.clone();
@@ -1389,12 +1162,12 @@ fn run_history(args: &[String]) -> ! {
         .enumerate()
         .rev()
         .filter(|(_, r)| r.key == key)
-        .nth(baseline_n.saturating_sub(1))
+        .nth(baseline - 1)
         .map(|(i, _)| i);
     print!("{}", profile::render_trend(&records, baseline_index));
     let Some(b) = baseline_index else {
         println!("\nno prior record with content key {key}; nothing to compare");
-        std::process::exit(0);
+        return 0;
     };
     let cmp = profile::compare_records(&records[latest], &records[b], max_pct);
     println!(
@@ -1402,11 +1175,25 @@ fn run_history(args: &[String]) -> ! {
     );
     print!("{}", profile::render_comparison(&cmp, max_pct));
     if cmp.regressions.is_empty() {
-        std::process::exit(0);
+        return 0;
     }
-    eprintln!(
-        "{} phase(s) regressed beyond {max_pct:.0}%",
-        cmp.regressions.len()
-    );
-    std::process::exit(1);
+    let n = cmp.regressions.len();
+    eprintln!("{n} phase(s) regressed beyond {max_pct:.0}%");
+    1
+}
+
+/// Reads and parses a file named on the command line; an unreadable or
+/// malformed file is a bad argument (exit 2).
+fn load<T, E: Display>(path: &str, parse: impl FnOnce(&str) -> Result<T, E>) -> T {
+    let text = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| die(2, format!("cannot read {path}: {e}")));
+    parse(&text).unwrap_or_else(|e| die(2, format!("{path}: {e}")))
+}
+
+/// Loads and parses one `stbus-repro/1` file (exit 2 if unusable).
+fn load_repro(path: &str) -> hunt::Repro {
+    load(path, |text| {
+        let json = Json::parse(text).map_err(|e| e.to_string())?;
+        hunt::Repro::from_json(&json)
+    })
 }

@@ -36,6 +36,6 @@ pub use stbus_protocol::config_file::{parse_config, render_config, ParseConfigEr
 pub use manifest::MANIFEST_SCHEMA;
 pub use matrix::standard_configs;
 pub use runner::{
-    cell_key, run_regression, CacheSummary, ConfigOutcome, RegressionOptions, RegressionReport,
-    RunRecord,
+    cell_key, parse_views, run_regression, CacheSummary, ConfigOutcome, RegressionOptions,
+    RegressionReport, RunRecord,
 };

@@ -110,6 +110,28 @@ impl Default for RegressionOptions {
     }
 }
 
+/// Validates a view list for [`RegressionOptions::views`]: every name
+/// must be `rtl`, `bca` or `tlm` (any case), duplicates are dropped, and
+/// both RTL and BCA must be present — they anchor the alignment
+/// comparisons. The CLI's `--views` and the serve daemon's `views` field
+/// share this one rule.
+pub fn parse_views<'a>(names: impl IntoIterator<Item = &'a str>) -> Result<Vec<ViewKind>, String> {
+    let mut views = Vec::new();
+    for name in names {
+        let view = ViewKind::ALL
+            .into_iter()
+            .find(|v| v.to_string().eq_ignore_ascii_case(name))
+            .ok_or_else(|| format!("unknown view `{name}` (expected rtl, bca or tlm)"))?;
+        if !views.contains(&view) {
+            views.push(view);
+        }
+    }
+    if !views.contains(&ViewKind::Rtl) || !views.contains(&ViewKind::Bca) {
+        return Err("the view list must include both rtl and bca".to_owned());
+    }
+    Ok(views)
+}
+
 /// The content key of one `{config, test, seed}` cell under `options`.
 ///
 /// Every input that can change the cell's result is a key part: the

@@ -33,7 +33,7 @@
 //! so a SIGTERM simply terminates the process and the *next* daemon heals
 //! the stale socket file at bind time (connect-probe, then unlink).
 
-use crate::runner::{run_regression, RegressionOptions};
+use crate::runner::{parse_views, run_regression, RegressionOptions};
 use crate::standard_configs;
 use cache::GcPolicy;
 use exec::ThreadPool;
@@ -384,28 +384,14 @@ fn run_campaign(request: &Json, ctx: &ConnCtx) -> Vec<Json> {
         },
     };
     // Optional view list ("rtl"/"bca"/"tlm" names); the default pair is
-    // the paper's two-view flow. RTL and BCA stay mandatory — they anchor
-    // the alignment comparisons.
+    // the paper's two-view flow. A non-string entry is an unknown view.
     let views = match request.get("views") {
         None | Some(Json::Null) => vec![ViewKind::Rtl, ViewKind::Bca],
         Some(Json::Arr(names)) => {
-            let mut views = Vec::new();
-            for name in names {
-                let view = name.as_str().and_then(|s| {
-                    ViewKind::ALL
-                        .into_iter()
-                        .find(|v| v.to_string().eq_ignore_ascii_case(s))
-                });
-                match view {
-                    Some(v) if !views.contains(&v) => views.push(v),
-                    Some(_) => {}
-                    None => return error_line("`views` must name rtl, bca and/or tlm"),
-                }
+            match parse_views(names.iter().map(|n| n.as_str().unwrap_or(""))) {
+                Ok(views) => views,
+                Err(e) => return error_line(format!("`views`: {e}")),
             }
-            if !views.contains(&ViewKind::Rtl) || !views.contains(&ViewKind::Bca) {
-                return error_line("`views` must include both rtl and bca");
-            }
-            views
         }
         Some(_) => return error_line("`views` must be an array of view names"),
     };
