@@ -35,7 +35,7 @@ pub(crate) type DelayedWrite = (u64, SignalId, Box<dyn FnOnce(&mut SignalSlot)>)
 
 pub(crate) struct ProcessSlot {
     pub name: String,
-    pub body: Option<ProcessBody>,
+    pub body: ProcessBody,
     pub runs: u64,
     /// Combinational/Any-sensitive processes run once at initialization;
     /// edge-triggered processes wait for their first edge, like an HDL
@@ -82,13 +82,14 @@ impl<'a> ProcCtx<'a> {
     ///
     /// Panics on a type mismatch between handle and signal.
     pub fn set<T: SignalValue>(&mut self, sig: Signal<T>, value: T) {
-        let slot = &mut self.signals[sig.id.index()];
-        slot.store
+        let store = self.signals[sig.id.index()]
+            .store
             .as_any_mut()
             .downcast_mut::<TypedStore<T>>()
-            .unwrap_or_else(|| panic!("signal write with wrong type"))
-            .pending = Some(value);
-        self.written.push(sig.id);
+            .unwrap_or_else(|| panic!("signal write with wrong type"));
+        if store.stage(value) {
+            self.written.push(sig.id);
+        }
     }
 
     /// Schedules `value` onto `sig` after `delay` ticks of simulated time.

@@ -200,7 +200,7 @@ impl Simulator {
         let id = ProcessId(self.processes.len() as u32);
         self.processes.push(ProcessSlot {
             name: name.to_owned(),
-            body: Some(Box::new(body)),
+            body: Box::new(body),
             runs: 0,
             run_at_init: true,
         });
@@ -272,13 +272,14 @@ impl Simulator {
     ///
     /// Panics on a handle/value type mismatch.
     pub fn drive<T: SignalValue>(&mut self, sig: Signal<T>, value: T) {
-        let slot = &mut self.signals[sig.id().index()];
-        slot.store
+        let store = self.signals[sig.id().index()]
+            .store
             .as_any_mut()
             .downcast_mut::<TypedStore<T>>()
-            .expect("signal driven with wrong type")
-            .pending = Some(value);
-        self.written.push(sig.id());
+            .expect("signal driven with wrong type");
+        if store.stage(value) {
+            self.written.push(sig.id());
+        }
     }
 
     /// Reads the current value of a signal.
@@ -379,7 +380,11 @@ impl Simulator {
             self.initialized = true;
             for i in 0..self.processes.len() {
                 if self.processes[i].run_at_init {
-                    self.enqueue_process(ProcessId(i as u32));
+                    enqueue(
+                        &mut self.trigger_marks,
+                        &mut self.triggered,
+                        &[ProcessId(i as u32)],
+                    );
                 }
             }
         }
@@ -412,40 +417,29 @@ impl Simulator {
         Ok(())
     }
 
-    fn enqueue_process(&mut self, id: ProcessId) {
-        if !self.trigger_marks[id.index()] {
-            self.trigger_marks[id.index()] = true;
-            self.triggered.push(id);
-        }
-    }
-
+    /// Runs every process queued for this delta. The queue is walked in
+    /// place and cleared afterwards: nothing enqueues while bodies run
+    /// (their writes only stage values), so no batch copy is needed.
     fn run_triggered(&mut self) {
-        let batch = std::mem::take(&mut self.triggered);
-        for id in &batch {
+        for id in &self.triggered {
             self.trigger_marks[id.index()] = false;
         }
         let mut delayed: Vec<DelayedWrite> = Vec::new();
-        let mut activations = 0u64;
-        for id in batch {
-            let mut body = match self.processes[id.index()].body.take() {
-                Some(b) => b,
-                None => continue,
+        for &id in &self.triggered {
+            let process = &mut self.processes[id.index()];
+            process.runs += 1;
+            let mut ctx = ProcCtx {
+                signals: &mut self.signals,
+                written: &mut self.written,
+                delayed: &mut delayed,
+                branch_hits: &mut self.branch_hits,
+                time: self.time,
+                proc_id: id,
             };
-            self.processes[id.index()].runs += 1;
-            activations += 1;
-            {
-                let mut ctx = ProcCtx {
-                    signals: &mut self.signals,
-                    written: &mut self.written,
-                    delayed: &mut delayed,
-                    branch_hits: &mut self.branch_hits,
-                    time: self.time,
-                    proc_id: id,
-                };
-                body(&mut ctx);
-            }
-            self.processes[id.index()].body = Some(body);
+            (process.body)(&mut ctx);
         }
+        let activations = self.triggered.len() as u64;
+        self.triggered.clear();
         self.stats.process_activations += activations;
         if let Some(m) = &self.metrics {
             m.process_activations.add(activations);
@@ -456,40 +450,42 @@ impl Simulator {
         }
     }
 
+    /// Commits every staged write and queues the processes its changes
+    /// wake, in commit order. The write list is walked in place and
+    /// cleared afterwards, so a delta allocates nothing here.
     fn commit_written(&mut self) {
-        let written = std::mem::take(&mut self.written);
-        let mut to_trigger: Vec<ProcessId> = Vec::new();
         let mut commits = 0u64;
-        for id in written {
+        for &id in &self.written {
             let slot = &mut self.signals[id.index()];
-            let had_pending_edge = slot.store.bool_edge();
             if !slot.store.commit() {
                 continue;
             }
             commits += 1;
-            to_trigger.extend_from_slice(&slot.sensitive);
+            enqueue(
+                &mut self.trigger_marks,
+                &mut self.triggered,
+                &slot.sensitive,
+            );
             if let Some((_, now_val)) = slot.store.bool_edge() {
                 // commit() updated previous/current; a change on a bool is
                 // always exactly one edge.
-                if now_val {
-                    to_trigger.extend_from_slice(&slot.sensitive_rising);
+                let edge = if now_val {
+                    &slot.sensitive_rising
                 } else {
-                    to_trigger.extend_from_slice(&slot.sensitive_falling);
-                }
+                    &slot.sensitive_falling
+                };
+                enqueue(&mut self.trigger_marks, &mut self.triggered, edge);
             }
-            let _ = had_pending_edge;
             if slot.traced {
                 if let Some(sink) = self.trace.as_mut() {
                     sink.on_change(self.time, id, &slot.name, &slot.store.bits());
                 }
             }
         }
+        self.written.clear();
         self.stats.signal_commits += commits;
         if let Some(m) = &self.metrics {
             m.signal_commits.add(commits);
-        }
-        for p in to_trigger {
-            self.enqueue_process(p);
         }
     }
 
@@ -601,6 +597,16 @@ impl Simulator {
     }
 }
 
+/// Queues each not-yet-queued process of `ids` for the next delta.
+fn enqueue(marks: &mut [bool], queue: &mut Vec<ProcessId>, ids: &[ProcessId]) {
+    for &id in ids {
+        if !marks[id.index()] {
+            marks[id.index()] = true;
+            queue.push(id);
+        }
+    }
+}
+
 impl std::fmt::Debug for Simulator {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Simulator")
@@ -615,7 +621,123 @@ impl std::fmt::Debug for Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::logic::Logic;
     use crate::trace::VecTrace;
+    use std::cell::Cell;
+    use std::rc::Rc;
+
+    /// Adds a process sensitive to `sig` that counts its own wake-ups.
+    fn wake_counter(sim: &mut Simulator, sig: SignalId) -> Rc<Cell<u32>> {
+        let woken = Rc::new(Cell::new(0));
+        let w = Rc::clone(&woken);
+        sim.add_comb_process("observer", &[sig], move |_| w.set(w.get() + 1));
+        woken
+    }
+
+    #[test]
+    fn x_then_current_in_one_delta_commits_nothing() {
+        let mut sim = Simulator::new();
+        let go = sim.add_signal("go", false);
+        let s = sim.add_signal("s", Logic::L0);
+        sim.add_comb_process("writer", &[go.id()], move |ctx| {
+            if ctx.get(go) {
+                ctx.set(s, Logic::X);
+                ctx.set(s, Logic::L0);
+            }
+        });
+        let woken = wake_counter(&mut sim, s.id());
+        sim.settle().unwrap();
+        let commits = sim.kernel_stats().signal_commits;
+        sim.drive(go, true);
+        sim.settle().unwrap();
+        assert_eq!(sim.value(s), Logic::L0, "the last write in the delta wins");
+        assert_eq!(sim.kernel_stats().signal_commits, commits + 1, "only `go`");
+        assert_eq!(woken.get(), 1, "initialization run only");
+    }
+
+    #[test]
+    fn current_then_x_in_one_delta_commits_x() {
+        let mut sim = Simulator::new();
+        let go = sim.add_signal("go", false);
+        let s = sim.add_signal("s", Logic::L0);
+        sim.add_comb_process("writer", &[go.id()], move |ctx| {
+            if ctx.get(go) {
+                ctx.set(s, Logic::L0);
+                ctx.set(s, Logic::X);
+            }
+        });
+        let woken = wake_counter(&mut sim, s.id());
+        sim.settle().unwrap();
+        let commits = sim.kernel_stats().signal_commits;
+        sim.drive(go, true);
+        sim.settle().unwrap();
+        assert_eq!(sim.value(s), Logic::X);
+        assert_eq!(sim.kernel_stats().signal_commits, commits + 2);
+        assert_eq!(woken.get(), 2);
+    }
+
+    #[test]
+    fn redriving_the_current_value_wakes_and_traces_nothing() {
+        let mut sim = Simulator::new();
+        let go = sim.add_signal("go", 0u8);
+        let a = sim.add_signal("a", 5u32);
+        sim.add_comb_process("rewriter", &[go.id()], move |ctx| {
+            let v = ctx.get(a);
+            ctx.set(a, v);
+        });
+        let woken = wake_counter(&mut sim, a.id());
+        sim.set_trace(VecTrace::default());
+        sim.trace_all();
+        sim.settle().unwrap();
+        let commits = sim.kernel_stats().signal_commits;
+
+        sim.drive(a, 5);
+        assert!(sim.written.is_empty(), "a no-op drive stages nothing");
+        sim.settle().unwrap();
+        // A real change on `go` re-runs the rewriter, whose write of
+        // `a`'s own value is suppressed the same way.
+        sim.drive(go, 1);
+        sim.settle().unwrap();
+
+        assert_eq!(sim.value(a), 5);
+        assert_eq!(woken.get(), 1, "initialization run only");
+        assert_eq!(sim.kernel_stats().signal_commits, commits + 1, "only `go`");
+        let t: &VecTrace = sim.trace().unwrap();
+        assert_eq!(t.records.len(), 1);
+        assert_eq!(t.records[0].name, "go");
+    }
+
+    #[test]
+    fn clock_rising_edge_still_fires() {
+        let mut sim = Simulator::new();
+        let clk = sim.add_signal("clk", false);
+        let edges = Rc::new(Cell::new(0));
+        let e = Rc::clone(&edges);
+        sim.add_clocked_process("ff", clk, Edge::Rising, move |_| e.set(e.get() + 1));
+        sim.settle().unwrap();
+        sim.drive(clk, false);
+        sim.settle().unwrap();
+        assert_eq!(edges.get(), 0, "re-driving low is no edge");
+        sim.drive(clk, true);
+        sim.settle().unwrap();
+        assert_eq!(edges.get(), 1);
+        sim.drive(clk, true);
+        sim.settle().unwrap();
+        assert_eq!(edges.get(), 1, "re-driving high is no edge");
+        sim.drive(clk, false);
+        sim.drive(clk, true);
+        sim.settle().unwrap();
+        assert_eq!(
+            edges.get(),
+            1,
+            "low then high again in one delta is no edge"
+        );
+        sim.drive(clk, false);
+        sim.settle().unwrap();
+        sim.drive(clk, true);
+        sim.settle().unwrap();
+        assert_eq!(edges.get(), 2);
+    }
 
     #[test]
     fn drive_and_settle_commits() {

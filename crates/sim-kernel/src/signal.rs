@@ -142,6 +142,23 @@ impl<T: SignalValue> TypedStore<T> {
             pending: None,
         }
     }
+
+    /// Stages a write of `value` for the next commit and reports whether
+    /// the signal must go on the commit list.
+    ///
+    /// Writing the committed value is a no-op: it clears any value staged
+    /// earlier in the same delta (the last write wins) and returns false.
+    /// Commit would have found no change for it anyway, so nothing it
+    /// triggers, traces or counts can differ.
+    pub fn stage(&mut self, value: T) -> bool {
+        if value == self.current {
+            self.pending = None;
+            false
+        } else {
+            self.pending = Some(value);
+            true
+        }
+    }
 }
 
 impl<T: SignalValue> AnyStore for TypedStore<T> {

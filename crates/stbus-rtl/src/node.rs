@@ -73,37 +73,57 @@ pub struct RtlNode {
 }
 
 /// The simulation kernel the node was elaborated onto.
+///
+/// The compiled variant also carries the input end of the *compiled port
+/// marshalling*: levelization makes the dataflow static — the node's
+/// combinational process is the only reader of the input wires and
+/// nothing inside the netlist reads the output wires — so the
+/// interpretive per-signal round trip (`DutInputs` → wires → `DutInputs`
+/// on the way in, `Plan` → wires → `DutOutputs` on the way out) is
+/// compiled away. [`RtlNode::drive_inputs`] still drives every changed
+/// input *wire* (their committed-change detection is what keeps process
+/// activation identical to the event kernel) but also snapshots the port
+/// struct into `ports`, which the comb process reads directly;
+/// symmetrically, `RtlNode::sample_outputs` reads the settled plan's
+/// outputs instead of reassembling them signal by signal. Both shortcuts
+/// are lossless (every wire value round-trips exactly through its
+/// [`WordValue`] word), which the cross-engine equivalence suite pins
+/// down byte for byte against the event node, which marshals every port
+/// through its wires.
 enum Kern {
     Event(Simulator),
-    Compiled(CompiledSim),
+    Compiled {
+        sim: CompiledSim,
+        ports: Rc<RefCell<DutInputs>>,
+    },
 }
 
 impl Kern {
     fn settle(&mut self) -> Result<(), SimError> {
         match self {
             Kern::Event(sim) => sim.settle(),
-            Kern::Compiled(sim) => sim.settle(),
+            Kern::Compiled { sim, .. } => sim.settle(),
         }
     }
 
     fn run_for(&mut self, ticks: u64) -> Result<(), SimError> {
         match self {
             Kern::Event(sim) => sim.run_for(ticks),
-            Kern::Compiled(sim) => sim.run_for(ticks),
+            Kern::Compiled { sim, .. } => sim.run_for(ticks),
         }
     }
 
     fn activity_coverage(&self) -> ActivityCoverage {
         match self {
             Kern::Event(sim) => sim.activity_coverage(),
-            Kern::Compiled(sim) => sim.activity_coverage(),
+            Kern::Compiled { sim, .. } => sim.activity_coverage(),
         }
     }
 
     fn signal_count(&self) -> usize {
         match self {
             Kern::Event(sim) => sim.signal_count(),
-            Kern::Compiled(sim) => sim.signal_count(),
+            Kern::Compiled { sim, .. } => sim.signal_count(),
         }
     }
 }
@@ -112,7 +132,7 @@ impl SigRead for Kern {
     fn read<T: WordValue>(&self, sig: Signal<T>) -> T {
         match self {
             Kern::Event(sim) => sim.value(sig),
-            Kern::Compiled(sim) => sim.value(sig),
+            Kern::Compiled { sim, .. } => sim.value(sig),
         }
     }
 }
@@ -121,47 +141,43 @@ impl SigWrite for Kern {
     fn write<T: WordValue>(&mut self, sig: Signal<T>, value: T) {
         match self {
             Kern::Event(sim) => sim.drive(sig, value),
-            Kern::Compiled(sim) => sim.drive(sig, value),
+            Kern::Compiled { sim, .. } => sim.drive(sig, value),
         }
     }
 }
 
 /// Where the evaluated-but-uncommitted plan lives between the comb and
-/// clocked processes. The event backend keeps the historical
-/// `Option<Plan>` (a fresh plan is allocated per evaluation); the
-/// compiled backend reuses one `Plan` in place and tracks freshness with
-/// a flag, keeping the hot path allocation-free.
-///
-/// The compiled variant also carries the two ends of the *compiled port
-/// marshalling*: levelization makes the dataflow static — the node's
-/// combinational process is the only reader of the input wires and
-/// nothing inside the netlist reads the output wires — so the
-/// interpretive per-signal round trip (`DutInputs` → wires → `DutInputs`
-/// on the way in, `Plan` → wires → `DutOutputs` on the way out) is
-/// compiled away. [`RtlNode::drive_inputs`] still drives every input
-/// *wire* (their committed-change detection is what keeps process
-/// activation identical to the event kernel) but additionally snapshots
-/// the port struct into `inputs`, which the comb process reads directly;
-/// symmetrically, `RtlNode::sample_outputs` reads the settled plan's
-/// outputs instead of reassembling them signal by signal. Both shortcuts
-/// are lossless (every wire value round-trips exactly through its
-/// [`WordValue`] word), which the cross-engine equivalence suite pins
-/// down byte for byte.
-enum PlanBox {
-    Event(Rc<RefCell<Option<Plan>>>),
-    Compiled {
-        plan: Rc<RefCell<Plan>>,
-        valid: Rc<Cell<bool>>,
-        inputs: Rc<RefCell<DutInputs>>,
-    },
+/// clocked processes, on either backend. The comb process overwrites one
+/// reused `Plan` in place and sets `valid`; the clocked process commits
+/// it only when `valid` is set. Together with the comb process's reused
+/// input buffer and [`EvalScratch`], this keeps the per-cycle evaluation
+/// allocation-free on both kernels.
+#[derive(Clone)]
+struct PlanBox {
+    plan: Rc<RefCell<Plan>>,
+    valid: Rc<Cell<bool>>,
 }
 
 impl PlanBox {
-    fn invalidate(&self) {
-        match self {
-            PlanBox::Event(p) => *p.borrow_mut() = None,
-            PlanBox::Compiled { valid, .. } => valid.set(false),
+    fn new() -> Self {
+        PlanBox {
+            plan: Rc::new(RefCell::new(Plan::empty())),
+            valid: Rc::new(Cell::new(false)),
         }
+    }
+
+    fn invalidate(&self) {
+        self.valid.set(false);
+    }
+
+    /// The clocked half: commits the pending plan into the register
+    /// state and consumes it. Returns false when no plan was pending.
+    fn commit(&self, spec: &NodeSpec, state: &RefCell<NodeState>) -> bool {
+        if !self.valid.replace(false) {
+            return false;
+        }
+        spec.commit(&mut state.borrow_mut(), &self.plan.borrow());
+        true
     }
 }
 
@@ -320,49 +336,51 @@ impl RtlNode {
         let eval_ns = Rc::new(Cell::new(0u64));
         let eval_timing = Rc::new(Cell::new(false));
 
-        let (kern, plan, e) = match engine {
+        let plan = PlanBox::new();
+
+        let (kern, e) = match engine {
             SimBackend::Event => {
                 let mut sim = Simulator::new();
                 let e = elaborate(&mut sim, &config);
                 let sensitivity = e.comb_sensitivity();
 
-                let comb_inputs = e.comb_wires();
+                let wires = e.comb_wires();
                 let branches = e.branches.clone();
                 let comb_spec = spec.clone();
                 let comb_state = Rc::clone(&state);
-                let plan: Rc<RefCell<Option<Plan>>> = Rc::new(RefCell::new(None));
-                let comb_plan = Rc::clone(&plan);
+                let comb_plan = plan.clone();
+                let mut inputs = DutInputs::idle(&config);
+                let mut scratch = EvalScratch::default();
                 let timing = Rc::clone(&eval_timing);
                 let ns = Rc::clone(&eval_ns);
                 sim.add_comb_process("node_comb", &sensitivity, move |ctx| {
-                    let inputs = comb_inputs.sample_inputs(ctx, comb_spec.config());
-                    let new_plan = {
+                    wires.sample_inputs_into(ctx, &mut inputs);
+                    let mut p = comb_plan.plan.borrow_mut();
+                    {
                         let st = comb_state.borrow();
                         let t0 = timing.get().then(Instant::now);
-                        let mut probe = |p: ProbePoint| ctx_cov(ctx, &branches, p);
-                        let new_plan = comb_spec.evaluate(&st, &inputs, &mut probe);
+                        let mut probe = |pp: ProbePoint| ctx_cov(ctx, &branches, pp);
+                        comb_spec.evaluate_into(&st, &inputs, &mut probe, &mut scratch, &mut p);
                         if let Some(t0) = t0 {
                             ns.set(ns.get() + t0.elapsed().as_nanos() as u64);
                         }
-                        new_plan
-                    };
-                    comb_inputs.drive_outputs(ctx, &new_plan.outputs);
-                    *comb_plan.borrow_mut() = Some(new_plan);
+                    }
+                    wires.drive_outputs(ctx, &p.outputs);
+                    comb_plan.valid.set(true);
                 });
 
                 let seq_spec = spec.clone();
                 let seq_state = Rc::clone(&state);
-                let seq_plan = Rc::clone(&plan);
+                let seq_plan = plan.clone();
                 let state_version = e.state_version;
                 sim.add_clocked_process("node_seq", e.clk, Edge::Rising, move |ctx| {
-                    if let Some(p) = seq_plan.borrow_mut().take() {
-                        seq_spec.commit(&mut seq_state.borrow_mut(), &p);
+                    if seq_plan.commit(&seq_spec, &seq_state) {
                         let v = ctx.get(state_version);
                         ctx.set(state_version, v + 1);
                     }
                 });
 
-                (Kern::Event(sim), PlanBox::Event(plan), e)
+                (Kern::Event(sim), e)
             }
             SimBackend::Compiled => {
                 let mut sim = CompiledSim::new();
@@ -373,13 +391,9 @@ impl RtlNode {
                 let branches = e.branches.clone();
                 let comb_spec = spec.clone();
                 let comb_state = Rc::clone(&state);
-                let plan: Rc<RefCell<Plan>> = Rc::new(RefCell::new(Plan::empty()));
-                let valid: Rc<Cell<bool>> = Rc::new(Cell::new(false));
-                let inputs: Rc<RefCell<DutInputs>> =
-                    Rc::new(RefCell::new(DutInputs::idle(&config)));
-                let comb_plan = Rc::clone(&plan);
-                let comb_valid = Rc::clone(&valid);
-                let comb_in = Rc::clone(&inputs);
+                let comb_plan = plan.clone();
+                let ports: Rc<RefCell<DutInputs>> = Rc::new(RefCell::new(DutInputs::idle(&config)));
+                let comb_ports = Rc::clone(&ports);
                 let mut scratch = EvalScratch::default();
                 let timing = Rc::clone(&eval_timing);
                 let ns = Rc::clone(&eval_ns);
@@ -387,24 +401,23 @@ impl RtlNode {
                     // The input wires woke this process; their settled
                     // values are exactly the snapshot `drive_inputs`
                     // cached, so the per-signal reassembly is skipped.
-                    let inputs_buf = comb_in.borrow();
+                    let inputs = comb_ports.borrow();
                     let st = comb_state.borrow();
-                    let mut p = comb_plan.borrow_mut();
+                    let mut p = comb_plan.plan.borrow_mut();
                     let t0 = timing.get().then(Instant::now);
                     {
                         let mut probe = |pp: ProbePoint| ctx_cov_compiled(ctx, &branches, pp);
-                        comb_spec.evaluate_into(&st, &inputs_buf, &mut probe, &mut scratch, &mut p);
+                        comb_spec.evaluate_into(&st, &inputs, &mut probe, &mut scratch, &mut p);
                     }
                     if let Some(t0) = t0 {
                         ns.set(ns.get() + t0.elapsed().as_nanos() as u64);
                     }
-                    comb_valid.set(true);
+                    comb_plan.valid.set(true);
                 });
 
                 let seq_spec = spec.clone();
                 let seq_state = Rc::clone(&state);
-                let seq_plan = Rc::clone(&plan);
-                let seq_valid = Rc::clone(&valid);
+                let seq_plan = plan.clone();
                 let state_version = e.state_version;
                 sim.add_clocked_process(
                     "node_seq",
@@ -412,23 +425,14 @@ impl RtlNode {
                     Edge::Rising,
                     &[state_version.id()],
                     move |ctx| {
-                        if seq_valid.replace(false) {
-                            seq_spec.commit(&mut seq_state.borrow_mut(), &seq_plan.borrow());
+                        if seq_plan.commit(&seq_spec, &seq_state) {
                             let v = ctx.get(state_version);
                             ctx.set(state_version, v + 1);
                         }
                     },
                 );
 
-                (
-                    Kern::Compiled(sim),
-                    PlanBox::Compiled {
-                        plan,
-                        valid,
-                        inputs,
-                    },
-                    e,
-                )
+                (Kern::Compiled { sim, ports }, e)
             }
         };
 
@@ -461,7 +465,7 @@ impl RtlNode {
     pub fn engine(&self) -> SimBackend {
         match &self.kern {
             Kern::Event(_) => SimBackend::Event,
-            Kern::Compiled(_) => SimBackend::Compiled,
+            Kern::Compiled { .. } => SimBackend::Compiled,
         }
     }
 
@@ -483,7 +487,7 @@ impl RtlNode {
     pub fn kernel_deltas(&self) -> u64 {
         match &self.kern {
             Kern::Event(sim) => sim.total_deltas(),
-            Kern::Compiled(sim) => sim.stats().process_activations,
+            Kern::Compiled { sim, .. } => sim.stats().process_activations,
         }
     }
 
@@ -492,7 +496,7 @@ impl RtlNode {
     pub fn compiled_stats(&self) -> Option<CompiledStats> {
         match &self.kern {
             Kern::Event(_) => None,
-            Kern::Compiled(sim) => Some(sim.stats()),
+            Kern::Compiled { sim, .. } => Some(sim.stats()),
         }
     }
 
@@ -524,7 +528,7 @@ impl RtlNode {
                 let trace: &sim_kernel::VecTrace = sim.trace()?;
                 Some(crate::trace::render_kernel_trace(sim, trace))
             }
-            Kern::Compiled(_) => None,
+            Kern::Compiled { .. } => None,
         }
     }
 
@@ -553,18 +557,15 @@ impl RtlNode {
                     None => sim.drive(self.prog_valid, false),
                 }
             }
-            Kern::Compiled(sim) => {
-                // Compiled port marshalling (see [`PlanBox`]): the cache
+            Kern::Compiled { sim, ports } => {
+                // Compiled port marshalling (see [`Kern`]): the cache
                 // mirrors the wires exactly, so a port whose struct is
                 // unchanged needs no wire traffic at all — every one of
                 // its drives would be suppressed as a no-op anyway. Ports
                 // that did change drive their wires as usual; the wires'
                 // committed-change detection is what wakes the comb
                 // process, exactly as on the event kernel.
-                let PlanBox::Compiled { inputs: cache, .. } = &self.plan else {
-                    unreachable!("compiled kernel carries a compiled plan")
-                };
-                let mut cache = cache.borrow_mut();
+                let mut cache = ports.borrow_mut();
                 for (i, p) in inputs.initiator.iter().enumerate() {
                     if *p != cache.initiator[i] {
                         cache.initiator[i] = *p;
@@ -607,10 +608,10 @@ impl RtlNode {
     }
 
     fn sample_outputs(&self) -> DutOutputs {
-        if let PlanBox::Compiled { plan, .. } = &self.plan {
-            // Compiled port marshalling (see [`PlanBox`]): the settled
-            // plan holds this cycle's outputs verbatim.
-            return plan.borrow().outputs.clone();
+        if let Kern::Compiled { .. } = self.kern {
+            // Compiled port marshalling (see [`Kern`]): the settled plan
+            // holds this cycle's outputs verbatim.
+            return self.plan.plan.borrow().outputs.clone();
         }
         let cfg = self.spec.config();
         let mut out = DutOutputs::idle(cfg);
@@ -638,7 +639,7 @@ impl DutView for RtlNode {
     fn attach_metrics(&mut self, registry: &telemetry::MetricsRegistry) {
         match &mut self.kern {
             Kern::Event(sim) => sim.attach_metrics(registry),
-            Kern::Compiled(sim) => sim.attach_metrics(registry),
+            Kern::Compiled { sim, .. } => sim.attach_metrics(registry),
         }
     }
 
@@ -710,15 +711,9 @@ struct CombWires {
 }
 
 impl CombWires {
-    fn sample_inputs<R: SigRead>(&self, r: &R, cfg: &NodeConfig) -> DutInputs {
-        let mut inputs = DutInputs::idle(cfg);
-        self.sample_inputs_into(r, &mut inputs);
-        inputs
-    }
-
-    /// Samples into an existing, correctly-sized `DutInputs` buffer so the
-    /// compiled backend's hot path performs no allocation (except the rare
-    /// programming-port cycle).
+    /// Samples the input wires into an existing, correctly-sized
+    /// `DutInputs` buffer, reusing its programming-port vector, so the
+    /// event comb process allocates nothing per activation.
     fn sample_inputs_into<R: SigRead>(&self, r: &R, inputs: &mut DutInputs) {
         for (i, w) in self.init_req.iter().enumerate() {
             let (req, cell) = w.sample(r);
@@ -732,13 +727,16 @@ impl CombWires {
             inputs.target[t].r_req = r_req;
             inputs.target[t].r_cell = cell;
         }
-        inputs.prog = if r.read(self.prog_valid) {
-            Some(ProgCommand {
-                priorities: self.prog_prios.iter().map(|s| r.read(*s)).collect(),
-            })
+        if r.read(self.prog_valid) {
+            let prog = inputs.prog.get_or_insert_with(|| ProgCommand {
+                priorities: Vec::new(),
+            });
+            prog.priorities.clear();
+            prog.priorities
+                .extend(self.prog_prios.iter().map(|s| r.read(*s)));
         } else {
-            None
-        };
+            inputs.prog = None;
+        }
     }
 
     fn drive_outputs<W: SigWrite>(&self, w: &mut W, outputs: &DutOutputs) {

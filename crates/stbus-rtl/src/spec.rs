@@ -1,6 +1,6 @@
 //! The node's cycle-level decision logic ("architecture package").
 //!
-//! [`NodeSpec::evaluate`] is the pure combinational function of the node:
+//! [`NodeSpec::evaluate_into`] is the pure combinational function of the node:
 //! given the registered [`NodeState`] and this cycle's sampled inputs it
 //! produces the outputs and a [`Plan`] — the D-inputs of every state
 //! register. [`NodeSpec::commit`] is the clocked process that applies the
@@ -110,7 +110,7 @@ impl std::fmt::Debug for NodeState {
     }
 }
 
-/// Coverage probe points emitted by [`NodeSpec::evaluate`]; the RTL view
+/// Coverage probe points emitted by [`NodeSpec::evaluate_into`]; the RTL view
 /// maps them to kernel branch-coverage counters.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum ProbePoint {
@@ -449,31 +449,11 @@ impl NodeSpec {
     /// The combinational function: state × inputs → outputs + plan.
     ///
     /// `probe` receives coverage events; pass a no-op closure when not
-    /// collecting coverage.
-    ///
-    /// Allocates a fresh [`Plan`]; hot paths that evaluate every cycle
-    /// should hold an [`EvalScratch`] and a reused `Plan` and call
-    /// [`NodeSpec::evaluate_into`] instead.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs` port counts disagree with the configuration.
-    pub fn evaluate(
-        &self,
-        st: &NodeState,
-        inputs: &DutInputs,
-        probe: &mut dyn FnMut(ProbePoint),
-    ) -> Plan {
-        let mut scratch = EvalScratch::default();
-        let mut plan = Plan::empty();
-        self.evaluate_into(st, inputs, probe, &mut scratch, &mut plan);
-        plan
-    }
-
-    /// [`NodeSpec::evaluate`] without the allocations: every intermediate
-    /// vector lives in `scratch` and the result overwrites `plan` in
-    /// place, so steady-state evaluation allocates nothing. The decision
-    /// logic — and therefore the probe-event order — is identical.
+    /// collecting coverage. Every intermediate vector lives in `scratch`
+    /// and the result overwrites `plan` in place (an unsized
+    /// [`Plan::empty`] is fine), so a caller that keeps both across cycles
+    /// evaluates without allocating. The result does not depend on what
+    /// the buffers held before.
     ///
     /// # Panics
     ///
@@ -897,6 +877,20 @@ mod tests {
 
     fn no_probe() -> impl FnMut(ProbePoint) {
         |_| {}
+    }
+
+    impl NodeSpec {
+        /// One-shot evaluation into fresh buffers.
+        fn evaluate(
+            &self,
+            st: &NodeState,
+            inputs: &DutInputs,
+            probe: &mut dyn FnMut(ProbePoint),
+        ) -> Plan {
+            let mut plan = Plan::empty();
+            self.evaluate_into(st, inputs, probe, &mut EvalScratch::default(), &mut plan);
+            plan
+        }
     }
 
     fn cfg() -> NodeConfig {
@@ -1496,7 +1490,7 @@ mod tests {
     }
 
     /// `evaluate_into` with reused scratch/plan buffers is the same
-    /// function as the allocating `evaluate`: identical plans and an
+    /// function as with fresh ones (`evaluate`): identical plans and an
     /// identical probe-event sequence, cycle after cycle, across mapped,
     /// unmapped and programming traffic with backpressure.
     #[test]

@@ -52,6 +52,7 @@ pub use json::{Json, JsonParseError};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use sink::{EventSink, JsonlSink, MemorySink, MemorySinkHandle, TextSink};
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -74,8 +75,36 @@ pub fn current_track() -> u64 {
     TRACK.with(|t| *t)
 }
 
-struct TelemetryInner {
+/// The clock every handle of one family (a root handle and its buffered
+/// and scoped descendants) reads: microseconds since the root was built.
+///
+/// Readings never decrease, even across threads. `Instant` can step back
+/// a few microseconds when a thread moves between CPUs on some virtual
+/// machines; a span that ends on one CPU and the next span that opens on
+/// another would then seem to overlap, and the profiler would nest one
+/// inside the other.
+struct Clock {
     start: Instant,
+    latest_us: AtomicU64,
+}
+
+impl Clock {
+    fn new() -> Self {
+        Clock {
+            start: Instant::now(),
+            latest_us: AtomicU64::new(0),
+        }
+    }
+
+    fn now_us(&self) -> u64 {
+        let now = self.start.elapsed().as_micros() as u64;
+        // Relaxed: the reading publishes no other data.
+        self.latest_us.fetch_max(now, Ordering::Relaxed).max(now)
+    }
+}
+
+struct TelemetryInner {
+    clock: Arc<Clock>,
     min_level: Level,
     /// Cached at build time — sinks never change afterwards, so the
     /// disabled fast path costs one branch, no lock.
@@ -173,7 +202,7 @@ impl TelemetryBuilder {
     pub fn build(self) -> Telemetry {
         Telemetry {
             inner: Arc::new(TelemetryInner {
-                start: Instant::now(),
+                clock: Arc::new(Clock::new()),
                 min_level: self.min_level,
                 enabled: !self.sinks.is_empty(),
                 sinks: Mutex::new(self.sinks),
@@ -235,7 +264,7 @@ impl Telemetry {
         };
         Telemetry {
             inner: Arc::new(TelemetryInner {
-                start: parent.inner.start,
+                clock: Arc::clone(&parent.inner.clock),
                 min_level: parent.inner.min_level,
                 enabled: true,
                 sinks: Mutex::new(Vec::new()),
@@ -262,7 +291,7 @@ impl Telemetry {
         let base = self.buffered();
         Telemetry {
             inner: Arc::new(TelemetryInner {
-                start: base.inner.start,
+                clock: Arc::clone(&base.inner.clock),
                 min_level: base.inner.min_level,
                 enabled: base.inner.enabled,
                 sinks: Mutex::new(Vec::new()),
@@ -273,9 +302,10 @@ impl Telemetry {
         }
     }
 
-    /// Microseconds since this handle was created (monotonic).
+    /// Microseconds since the root of this handle's family was created.
+    /// Readings never decrease, on any thread.
     pub fn elapsed_us(&self) -> u64 {
-        self.inner.start.elapsed().as_micros() as u64
+        self.inner.clock.now_us()
     }
 
     /// The shared metrics registry.
@@ -431,12 +461,13 @@ impl Span {
             return;
         }
         self.finished = true;
+        // Both ends are readings of the handle's one never-decreasing
+        // clock, so a span that closed before the next one opened on this
+        // track never appears to overlap it.
+        let end_us = self.telemetry.elapsed_us();
         let mut fields = std::mem::take(&mut self.fields);
         fields.push(("start_us".to_owned(), Json::from(self.start_us)));
-        fields.push((
-            "duration_us".to_owned(),
-            Json::from(self.start.elapsed().as_micros() as u64),
-        ));
+        fields.push(("duration_us".to_owned(), Json::from(end_us - self.start_us)));
         fields.push(("track".to_owned(), Json::from(self.track)));
         self.telemetry.emit(
             Level::Info,
@@ -521,6 +552,37 @@ mod tests {
         let events = handle.events();
         let w = events.iter().find(|e| e.scope == "worker.end").unwrap();
         assert_ne!(w.field("track").unwrap().as_u64(), Some(current_track()));
+    }
+
+    /// Both ends of a span come from the handle's one clock, so a span
+    /// that closes before the next one opens on the same track can never
+    /// appear to overlap it after truncation to whole microseconds.
+    #[test]
+    fn back_to_back_spans_never_overlap() {
+        let (sink, handle) = MemorySink::new();
+        let tel = Telemetry::builder().with_sink(Box::new(sink)).build();
+        for _ in 0..10_000 {
+            tel.span("s").end(NO_FIELDS);
+        }
+        let spans: Vec<(u64, u64)> = handle
+            .events()
+            .iter()
+            .map(|e| {
+                let start = e.field("start_us").unwrap().as_u64().unwrap();
+                let duration = e.field("duration_us").unwrap().as_u64().unwrap();
+                (start, start + duration)
+            })
+            .collect();
+        assert_eq!(spans.len(), 10_000);
+        for (k, pair) in spans.windows(2).enumerate() {
+            assert!(
+                pair[0].1 <= pair[1].0,
+                "span {k} ends at {} us, after span {} opens at {} us",
+                pair[0].1,
+                k + 1,
+                pair[1].0
+            );
+        }
     }
 
     #[test]
