@@ -14,13 +14,19 @@
 //! serially against an empty cell store and again against the store the
 //! cold run filled — verifying the warm run simulates nothing (100% hit
 //! rate) and reports byte-identically, and recording the warm-run
-//! speedup. Everything lands in `BENCH_regression.json`
-//! (schema `stbus-bench-regression/4`):
+//! speedup. It then profiles the serial campaign per engine and records
+//! the check phase and its five sub-layers (`check:bfm`, `check:monitor`,
+//! `check:checker`, `check:coverage`, `check:scoreboard`), each the
+//! median of five profiled runs; with `--baseline PATH` (an earlier
+//! `BENCH_regression.json`, for instance from the parent commit) every
+//! layer becomes a before/after pair. Everything lands in
+//! `BENCH_regression.json` (schema `stbus-bench-regression/4`):
 //!
 //! ```text
 //! regression_throughput [--configs N] [--seeds N] [--intensity N]
 //!                       [--jobs N] [--engine event|compiled]
-//!                       [--out PATH] [--history-dir DIR] [--no-history]
+//!                       [--out PATH] [--baseline PATH]
+//!                       [--history-dir DIR] [--no-history]
 //! ```
 //!
 //! `--jobs N` replaces the sweep with the single worker count N. The
@@ -47,7 +53,70 @@ use regression::{run_regression, standard_configs, RegressionOptions, Regression
 use sim_kernel::SimBackend;
 use stbus_protocol::{DutInputs, DutOutputs, DutView, NodeConfig, ViewKind};
 use std::time::Instant;
-use telemetry::Json;
+use telemetry::{Json, Level, MemorySink, Telemetry};
+
+/// The check phase and its sub-layers, as profile phase buckets.
+const CHECK_LAYERS: [&str; 6] = [
+    "check",
+    "check:bfm",
+    "check:monitor",
+    "check:checker",
+    "check:coverage",
+    "check:scoreboard",
+];
+
+/// Profiled campaigns per engine behind each check-layer figure.
+const PROFILE_REPEATS: usize = 5;
+
+/// Per [`CHECK_LAYERS`] entry: the median over [`PROFILE_REPEATS`]
+/// profiled runs of the campaign `opts` describes, in microseconds.
+fn check_layer_us(
+    configs: &[NodeConfig],
+    tests: &[catg::TestSpec],
+    opts: impl Fn() -> RegressionOptions,
+) -> Vec<u64> {
+    let mut samples = vec![Vec::new(); CHECK_LAYERS.len()];
+    for _ in 0..PROFILE_REPEATS {
+        let (sink, handle) = MemorySink::new();
+        let mut options = opts();
+        options.telemetry = Telemetry::builder()
+            .min_level(Level::Info)
+            .with_sink(Box::new(sink))
+            .build();
+        run_regression(configs, tests, &options);
+        let spans = profile::collect_spans(&handle.events());
+        let phases =
+            profile::build_profile(&spans, &profile::ProfileOptions::default()).phase_totals();
+        for (layer, s) in CHECK_LAYERS.iter().zip(&mut samples) {
+            s.push(phases.get(*layer).copied().unwrap_or(0));
+        }
+    }
+    samples
+        .into_iter()
+        .map(|mut s| {
+            s.sort_unstable();
+            s[s.len() / 2]
+        })
+        .collect()
+}
+
+/// A layer's `after_us` figure for `engine` in an earlier bench document.
+fn baseline_us(baseline: Option<&Json>, engine: SimBackend, layer: &str) -> Option<u64> {
+    let Json::Arr(engines) = baseline?.get("check_phase")?.get("engines")? else {
+        return None;
+    };
+    let entry = engines
+        .iter()
+        .find(|e| e.get("engine").and_then(Json::as_str) == Some(engine.name()))?;
+    let Json::Arr(layers) = entry.get("layers")? else {
+        return None;
+    };
+    layers
+        .iter()
+        .find(|l| l.get("layer").and_then(Json::as_str) == Some(layer))?
+        .get("after_us")?
+        .as_u64()
+}
 
 /// A [`DutView`] decorator that accumulates wall-clock time spent inside
 /// the wrapped view's `step` — the RTL-view cost with every
@@ -127,6 +196,7 @@ fn main() {
     let mut engines: Vec<SimBackend> = SimBackend::ALL.to_vec();
     let mut out = "BENCH_regression.json".to_owned();
     let mut history_dir = ".".to_owned();
+    let mut baseline_path: Option<String> = None;
     let mut no_history = false;
     while let Some(arg) = args.next() {
         let mut take = |what: &str| {
@@ -154,11 +224,18 @@ fn main() {
                 }
             },
             "--out" => out = args.next().unwrap_or(out),
+            "--baseline" => match args.next() {
+                Some(path) => baseline_path = Some(path),
+                None => {
+                    eprintln!("--baseline takes a path");
+                    std::process::exit(2);
+                }
+            },
             "--history-dir" => history_dir = args.next().unwrap_or(history_dir),
             "--no-history" => no_history = true,
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: regression_throughput [--configs N] [--seeds N] [--intensity N] [--jobs N] [--engine event|compiled] [--out PATH] [--history-dir DIR] [--no-history]"
+                    "usage: regression_throughput [--configs N] [--seeds N] [--intensity N] [--jobs N] [--engine event|compiled] [--out PATH] [--baseline PATH] [--history-dir DIR] [--no-history]"
                 );
                 return;
             }
@@ -168,6 +245,16 @@ fn main() {
             }
         }
     }
+
+    let baseline = baseline_path.as_ref().map(|path| {
+        std::fs::read_to_string(path)
+            .map_err(|e| e.to_string())
+            .and_then(|text| Json::parse(&text).map_err(|e| e.to_string()))
+            .unwrap_or_else(|e| {
+                eprintln!("cannot read baseline {path}: {e}");
+                std::process::exit(2);
+            })
+    });
 
     let sweep = standard_configs();
     let n_configs = n_configs.clamp(1, sweep.len());
@@ -389,6 +476,32 @@ fn main() {
         let _ = std::fs::remove_dir_all(&cache_root);
     }
 
+    // --- the check phase, per sub-layer --------------------------------
+    // Profiled serial campaigns: the testbench attributes its per-cycle
+    // check time to five sub-layers, which the span-tree profile folds
+    // into `check:*` buckets. Against a baseline document each layer is
+    // a before/after pair.
+    let mut check_sections: Vec<Json> = Vec::new();
+    for &engine in &engines {
+        let after = check_layer_us(configs, &tests, || mk_opts(1, engine));
+        let layers = CHECK_LAYERS.iter().zip(&after).map(|(layer, &after_us)| {
+            let before_us = baseline_us(baseline.as_ref(), engine, layer);
+            eprintln!(
+                "  {engine:>8} {layer:<17} {after_us:>8} us{}",
+                before_us.map_or(String::new(), |b| format!("  (before {b} us)"))
+            );
+            Json::obj([
+                ("layer", Json::from(*layer)),
+                ("before_us", before_us.map(Json::from).unwrap_or(Json::Null)),
+                ("after_us", Json::from(after_us)),
+            ])
+        });
+        check_sections.push(Json::obj([
+            ("engine", Json::from(engine.to_string())),
+            ("layers", Json::Arr(layers.collect())),
+        ]));
+    }
+
     // --- the RTL view in isolation -------------------------------------
     // Replay the campaign's RTL runs with `step` timed directly. The
     // full-campaign wall clock above is dominated by engine-independent
@@ -461,6 +574,13 @@ fn main() {
         ("engines", Json::Arr(engine_sections)),
         ("best_speedup", Json::from(best_speedup)),
         ("cache", Json::Arr(cache_sections)),
+        (
+            "check_phase",
+            Json::obj([
+                ("repeats", Json::from(PROFILE_REPEATS)),
+                ("engines", Json::Arr(check_sections)),
+            ]),
+        ),
         (
             "rtl_view",
             Json::obj([

@@ -6,7 +6,7 @@ use crate::record::{CycleRecord, PortId};
 use stbus_protocol::packet::{request_cells, response_cells};
 use stbus_protocol::rules::RuleId;
 use stbus_protocol::{NodeConfig, Opcode, ReqCell, RspCell};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// What kind of check a [`Violation`] comes from.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -87,7 +87,7 @@ impl CheckerReport {
 
 const VIOLATION_CAP: usize = 200;
 
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 struct ReqProgress {
     opcode: Opcode,
     addr: u64,
@@ -95,9 +95,8 @@ struct ReqProgress {
     count: usize,
 }
 
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 struct RspProgress {
-    responder: Option<usize>,
     expected: usize,
     count: usize,
 }
@@ -111,35 +110,51 @@ struct OutEntry {
 
 /// The protocol checker bank: one logical checker per port plus the
 /// cross-port ordering checks, all fed by [`CycleRecord`]s.
+///
+/// Per-port state lives in vectors indexed by a dense port slot
+/// (initiators first, then targets), and passing checks count into a
+/// fixed array over [`RuleId::ALL`], so a cycle's checks touch no hash
+/// table and allocate nothing; the report's `checks_passed` map is built
+/// once, when the report is taken.
 #[derive(Debug)]
 pub struct ProtocolChecker {
     config: NodeConfig,
-    held_req: HashMap<PortId, ReqCell>,
-    held_rsp: HashMap<PortId, RspCell>,
-    req_prog: HashMap<PortId, ReqProgress>,
-    rsp_prog: HashMap<usize, RspProgress>,
+    /// Per port slot: the request cell held while `req && !gnt`.
+    held_req: Vec<Option<ReqCell>>,
+    /// Per port slot: the response cell held while `r_req && !r_gnt`.
+    held_rsp: Vec<Option<RspCell>>,
+    /// Per port slot: the request packet in transfer.
+    req_prog: Vec<Option<ReqProgress>>,
+    /// Per initiator: the response packet in transfer.
+    rsp_prog: Vec<Option<RspProgress>>,
     outstanding: Vec<VecDeque<OutEntry>>,
     chunk_owner: Vec<Option<u8>>,
     pkt_owner: Vec<Option<u8>>,
     wait: Vec<u64>,
     starvation_limit: u64,
-    report: CheckerReport,
+    /// Passing checks per rule, indexed like [`RuleId::ALL`].
+    passed: [u64; RuleId::ALL.len()],
+    violations: Vec<Violation>,
+    suppressed: u64,
 }
 
 impl ProtocolChecker {
     /// A checker bank for one node configuration.
     pub fn new(config: &NodeConfig) -> Self {
+        let ports = config.n_initiators + config.n_targets;
         ProtocolChecker {
-            held_req: HashMap::new(),
-            held_rsp: HashMap::new(),
-            req_prog: HashMap::new(),
-            rsp_prog: HashMap::new(),
+            held_req: vec![None; ports],
+            held_rsp: vec![None; ports],
+            req_prog: vec![None; ports],
+            rsp_prog: vec![None; config.n_initiators],
             outstanding: vec![VecDeque::new(); config.n_initiators],
             chunk_owner: vec![None; config.n_targets],
             pkt_owner: vec![None; config.n_targets],
             wait: vec![0; config.n_initiators],
             starvation_limit: 500,
-            report: CheckerReport::default(),
+            passed: [0; RuleId::ALL.len()],
+            violations: Vec::new(),
+            suppressed: 0,
             config: config.clone(),
         }
     }
@@ -149,30 +164,57 @@ impl ProtocolChecker {
         self.starvation_limit = cycles;
     }
 
-    /// The accumulated report.
-    pub fn report(&self) -> &CheckerReport {
-        &self.report
+    /// A snapshot of the accumulated report.
+    pub fn report(&self) -> CheckerReport {
+        CheckerReport {
+            violations: self.violations.clone(),
+            suppressed: self.suppressed,
+            checks_passed: self.checks_passed(),
+        }
     }
 
     /// Consumes the checker, yielding the final report.
     pub fn into_report(self) -> CheckerReport {
-        self.report
+        CheckerReport {
+            checks_passed: self.checks_passed(),
+            violations: self.violations,
+            suppressed: self.suppressed,
+        }
+    }
+
+    /// The rule counters as the report's map: rules that never passed
+    /// are left out.
+    fn checks_passed(&self) -> BTreeMap<RuleId, u64> {
+        RuleId::ALL
+            .into_iter()
+            .zip(self.passed)
+            .filter(|(_, n)| *n > 0)
+            .collect()
+    }
+
+    /// The dense slot of a port: initiators first, then targets.
+    fn slot(&self, port: PortId) -> usize {
+        match port {
+            PortId::Initiator(i) => i,
+            PortId::Target(t) => self.config.n_initiators + t,
+        }
     }
 
     fn pass(&mut self, rule: RuleId) {
-        *self.report.checks_passed.entry(rule).or_insert(0) += 1;
+        // `RuleId::ALL` lists the rules in declaration order.
+        self.passed[rule as usize] += 1;
     }
 
     fn fail(&mut self, kind: ViolationKind, port: PortId, cycle: u64, message: String) {
-        if self.report.violations.len() < VIOLATION_CAP {
-            self.report.violations.push(Violation {
+        if self.violations.len() < VIOLATION_CAP {
+            self.violations.push(Violation {
                 kind,
                 port,
                 cycle,
                 message,
             });
         } else {
-            self.report.suppressed += 1;
+            self.suppressed += 1;
         }
     }
 
@@ -192,7 +234,7 @@ impl ProtocolChecker {
     }
 
     /// The expected byte-enable mask of one request cell.
-    fn expected_be(&self, opcode: Opcode, pkt_addr: u64, _cell_index: usize) -> u32 {
+    fn expected_be(&self, opcode: Opcode, pkt_addr: u64) -> u32 {
         if !opcode.has_request_data() {
             return 0;
         }
@@ -227,21 +269,18 @@ impl ProtocolChecker {
         let (req, cell, gnt) = rec.request_at(port);
         let cell = *cell;
         let cycle = rec.cycle;
+        let slot = self.slot(port);
 
         // R-REQ-STABLE: while req is held across cycles without a grant,
         // the presented cell must not change.
         if req {
-            if let Some(prev) = self.held_req.get(&port).copied() {
+            if let Some(prev) = self.held_req[slot] {
                 self.check(prev == cell, RuleId::ReqStable, port, cycle, || {
                     format!("cell changed while waiting for gnt: {prev:?} -> {cell:?}")
                 });
             }
         }
-        if req && !gnt {
-            self.held_req.insert(port, cell);
-        } else {
-            self.held_req.remove(&port);
-        }
+        self.held_req[slot] = (req && !gnt).then_some(cell);
 
         // R-GNT at initiator ports: the node must not grant thin air.
         if let PortId::Initiator(_) = port {
@@ -255,8 +294,7 @@ impl ProtocolChecker {
         }
 
         // A cell transferred: per-cell and per-packet rules.
-        let first = !self.req_prog.contains_key(&port);
-        if first {
+        if self.req_prog[slot].is_none() {
             let protocol = self.config.protocol;
             self.check(
                 cell.opcode.legal_for(protocol),
@@ -273,22 +311,15 @@ impl ProtocolChecker {
                 cycle,
                 || format!("address {:#x} unaligned to {align}", cell.addr),
             );
-            self.req_prog.insert(
-                port,
-                ReqProgress {
-                    opcode: cell.opcode,
-                    addr: cell.addr,
-                    expected: request_cells(
-                        cell.opcode,
-                        self.config.protocol,
-                        self.config.bus_bytes,
-                    ),
-                    count: 0,
-                },
-            );
+            self.req_prog[slot] = Some(ReqProgress {
+                opcode: cell.opcode,
+                addr: cell.addr,
+                expected: request_cells(cell.opcode, self.config.protocol, self.config.bus_bytes),
+                count: 0,
+            });
         }
         let (opcode, addr, expected, count) = {
-            let p = self.req_prog.get_mut(&port).expect("inserted above");
+            let p = self.req_prog[slot].as_mut().expect("inserted above");
             p.count += 1;
             (p.opcode, p.addr, p.expected, p.count)
         };
@@ -300,7 +331,7 @@ impl ProtocolChecker {
             cycle,
             || format!("opcode changed mid-packet: {} -> {}", opcode, cell.opcode),
         );
-        let be_expected = self.expected_be(opcode, addr, count - 1);
+        let be_expected = self.expected_be(opcode, addr);
         self.check(
             cell.be == be_expected,
             RuleId::ByteEnable,
@@ -318,7 +349,7 @@ impl ProtocolChecker {
             self.check(count == expected, RuleId::EopPosition, port, cycle, || {
                 format!("eop after {count} cells, expected {expected} for {opcode}")
             });
-            self.req_prog.remove(&port);
+            self.req_prog[slot] = None;
             // Outstanding bookkeeping happens at the initiator boundary.
             if let PortId::Initiator(i) = port {
                 self.outstanding[i].push_back(OutEntry {
@@ -334,7 +365,7 @@ impl ProtocolChecker {
                 cycle,
                 format!("packet exceeds {expected} cells without eop"),
             );
-            self.req_prog.remove(&port);
+            self.req_prog[slot] = None;
         }
     }
 
@@ -347,41 +378,35 @@ impl ProtocolChecker {
 
         // R-RSP-STABLE.
         if r_req {
-            if let Some(prev) = self.held_rsp.get(&port).copied() {
+            if let Some(prev) = self.held_rsp[i] {
                 self.check(prev == cell, RuleId::RspStable, port, cycle, || {
                     format!("response cell changed while waiting for r_gnt: {prev:?} -> {cell:?}")
                 });
             }
         }
-        if r_req && !r_gnt {
-            self.held_rsp.insert(port, cell);
-        } else {
-            self.held_rsp.remove(&port);
-        }
+        self.held_rsp[i] = (r_req && !r_gnt).then_some(cell);
 
         if !(r_req && r_gnt) {
             return;
         }
 
-        let first = !self.rsp_prog.contains_key(&i);
-        if first {
+        if self.rsp_prog[i].is_none() {
             // Identify the responder: a target port delivering to i this
-            // cycle, or the internal error responder.
+            // cycle, or (`None`) the internal error responder.
             let responder = (0..self.config.n_targets).find(|t| {
                 let (tr, tc, tg) = rec.target_response(*t);
                 tr && tg && tc.src.0 as usize == i
             });
-            let resp_as_target = responder; // None = internal
             let ordered = !self.config.protocol.allows_out_of_order();
 
             // Find the outstanding entry this response answers.
             let pos = if ordered {
                 // Must be the oldest outstanding (R-ORDER).
                 let front_target = self.outstanding[i].front().map(|e| e.target);
-                let front_matches = front_target == Some(resp_as_target);
+                let front_matches = front_target == Some(responder);
                 self.check(front_matches, RuleId::OrderedResponse, port, cycle, || {
                     format!(
-                        "response from {resp_as_target:?} but oldest outstanding is {front_target:?}"
+                        "response from {responder:?} but oldest outstanding is {front_target:?}"
                     )
                 });
                 if front_matches {
@@ -390,28 +415,28 @@ impl ProtocolChecker {
                     // fall back to any matching responder to keep state sane
                     self.outstanding[i]
                         .iter()
-                        .position(|e| e.target == resp_as_target)
+                        .position(|e| e.target == responder)
                 }
             } else {
                 // R-TID: the (responder, tid) pair must be outstanding.
                 let pos = self.outstanding[i]
                     .iter()
-                    .position(|e| e.target == resp_as_target && e.tid == cell.tid.0);
+                    .position(|e| e.target == responder && e.tid == cell.tid.0);
                 self.check(pos.is_some(), RuleId::TidMatch, port, cycle, || {
                     format!(
                         "response tid {} from {:?} matches no outstanding request",
-                        cell.tid, resp_as_target
+                        cell.tid, responder
                     )
                 });
                 pos.or_else(|| {
                     self.outstanding[i]
                         .iter()
-                        .position(|e| e.target == resp_as_target)
+                        .position(|e| e.target == responder)
                 })
             };
 
             self.check(pos.is_some(), RuleId::OrphanResponse, port, cycle, || {
-                format!("response from {resp_as_target:?} with no outstanding request")
+                format!("response from {responder:?} with no outstanding request")
             });
 
             let expected = pos
@@ -421,28 +446,20 @@ impl ProtocolChecker {
             if let Some(p) = pos {
                 self.outstanding[i].remove(p);
             }
-            self.rsp_prog.insert(
-                i,
-                RspProgress {
-                    responder,
-                    expected,
-                    count: 0,
-                },
-            );
+            self.rsp_prog[i] = Some(RspProgress { expected, count: 0 });
         }
 
-        let (expected, count, responder) = {
-            let p = self.rsp_prog.get_mut(&i).expect("inserted above");
+        let (expected, count) = {
+            let p = self.rsp_prog[i].as_mut().expect("inserted above");
             p.count += 1;
-            (p.expected, p.count, p.responder)
+            (p.expected, p.count)
         };
-        let _ = responder;
 
         if cell.eop {
             self.check(count == expected, RuleId::RspLength, port, cycle, || {
                 format!("response of {count} cells, expected {expected}")
             });
-            self.rsp_prog.remove(&i);
+            self.rsp_prog[i] = None;
         } else if count >= expected {
             self.fail(
                 ViolationKind::Rule(RuleId::RspLength),
@@ -450,7 +467,7 @@ impl ProtocolChecker {
                 cycle,
                 format!("response exceeds {expected} cells without eop"),
             );
-            self.rsp_prog.remove(&i);
+            self.rsp_prog[i] = None;
         }
     }
 
@@ -503,18 +520,15 @@ impl ProtocolChecker {
     fn observe_response_stability(&mut self, rec: &CycleRecord, port: PortId) {
         let (r_req, cell, r_gnt) = rec.response_at(port);
         let cell = *cell;
+        let slot = self.slot(port);
         if r_req {
-            if let Some(prev) = self.held_rsp.get(&port).copied() {
+            if let Some(prev) = self.held_rsp[slot] {
                 self.check(prev == cell, RuleId::RspStable, port, rec.cycle, || {
                     format!("target response cell changed while stalled: {prev:?} -> {cell:?}")
                 });
             }
         }
-        if r_req && !r_gnt {
-            self.held_rsp.insert(port, cell);
-        } else {
-            self.held_rsp.remove(&port);
-        }
+        self.held_rsp[slot] = (r_req && !r_gnt).then_some(cell);
     }
 
     /// The starvation watchdog.
@@ -958,6 +972,36 @@ mod tests {
         assert_eq!(report.total_violations(), 0);
         assert!(report.total_checks() >= 4);
         assert!(report.failing_kinds().is_empty());
+    }
+
+    #[test]
+    fn rule_counters_follow_the_catalogue_order() {
+        for (k, rule) in RuleId::ALL.into_iter().enumerate() {
+            assert_eq!(rule as usize, k, "{rule}");
+        }
+    }
+
+    #[test]
+    fn checks_passed_omits_rules_that_never_passed() {
+        let c = cfg();
+        let mut chk = ProtocolChecker::new(&c);
+        // One idle cycle: only the per-cycle grant check runs.
+        chk.observe(&rec(&c, 0));
+        let snapshot = chk.report();
+        let report = chk.into_report();
+        assert_eq!(
+            report.checks_passed.keys().copied().collect::<Vec<_>>(),
+            [RuleId::GrantWithoutReq]
+        );
+        assert_eq!(
+            report.checks_passed[&RuleId::GrantWithoutReq],
+            c.n_initiators as u64
+        );
+        assert_eq!(snapshot.checks_passed, report.checks_passed);
+        assert!(ProtocolChecker::new(&c)
+            .into_report()
+            .checks_passed
+            .is_empty());
     }
 
     #[test]

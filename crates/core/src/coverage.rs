@@ -81,7 +81,8 @@ impl CoverageGroup {
 /// A snapshot of all groups, mergeable across runs.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CoverageReport {
-    /// All groups, in declaration order.
+    /// All groups, in group-name order (the order
+    /// [`FunctionalCoverage::report`] renders them in).
     pub groups: Vec<CoverageGroup>,
 }
 
@@ -140,7 +141,7 @@ impl CoverageReport {
             })
     }
 
-    /// All unhit bins as typed [`HoleId`]s, in group declaration order.
+    /// All unhit bins as typed [`HoleId`]s, in group order.
     pub fn holes(&self) -> Vec<HoleId> {
         let mut out = Vec::new();
         for g in &self.groups {
@@ -182,14 +183,134 @@ impl std::fmt::Display for CoverageReport {
 }
 
 /// The live functional-coverage collector.
+///
+/// [`FunctionalCoverage::new`] declares every bin and numbers them in
+/// report order; each hit site looks its bin's number up in a small
+/// table fixed at construction, so a hit is one indexed increment into a
+/// dense counter vector. The [`CoverageGroup`]s are rendered once, by
+/// [`FunctionalCoverage::report`].
 #[derive(Debug)]
 pub struct FunctionalCoverage {
     config: NodeConfig,
-    groups: BTreeMap<&'static str, CoverageGroup>,
+    /// The declared groups in report order, every bin at zero.
+    declared: Vec<CoverageGroup>,
+    /// Hit count per bin, numbered in report order (group, then bin).
+    hits: Vec<u64>,
+    sites: BinSites,
     /// Per-initiator wait-cycle counter feeding the stall bins.
     wait: Vec<u64>,
     /// Per-target: was a grant seen last cycle (back-to-back detection)?
     last_grant: Vec<bool>,
+    /// Per-target scratch: this cycle's requesting initiators.
+    requesters: Vec<u32>,
+}
+
+/// A hit site whose bin is not declared for the configuration (a locked
+/// packet on a protocol without locked chunks, say): its hits are
+/// dropped, as they always were.
+const UNDECLARED: usize = usize::MAX;
+
+/// The bin number behind every hit site, or [`UNDECLARED`].
+#[derive(Debug)]
+struct BinSites {
+    /// `initiator * OpKind::ALL.len() + kind`.
+    op_kind: Vec<usize>,
+    /// By [`TransferSize`] in [`TransferSize::ALL`] order.
+    size: [usize; TransferSize::ALL.len()],
+    /// By packet length in cells.
+    packet_len: Vec<usize>,
+    /// `initiator * n_targets + target`.
+    routing: Vec<usize>,
+    /// `[ok, error]`.
+    response: [usize; 2],
+    /// Per target.
+    contention: Vec<usize>,
+    /// Per target.
+    back_to_back: Vec<usize>,
+    /// By [`STALL_BINS`] index.
+    stall: [usize; STALL_BINS.len()],
+    /// By [`Feature`].
+    features: [usize; 5],
+}
+
+/// Where a declared bin's hits come from.
+#[derive(Clone, Copy, Debug)]
+enum Site {
+    OpKind(usize, OpKind),
+    Size(TransferSize),
+    PacketLen(usize),
+    Routing(usize, usize),
+    Response(bool),
+    Contention(usize),
+    BackToBack(usize),
+    Stall(usize),
+    Feature(Feature),
+}
+
+/// The stall bins, by wait cycles before the grant.
+const STALL_BINS: [&str; 4] = ["zero", "short", "medium", "long"];
+
+/// The [`STALL_BINS`] index of a grant after `cycles` of waiting.
+fn stall_bin(cycles: u64) -> usize {
+    match cycles {
+        0 => 0,
+        1..=3 => 1,
+        4..=15 => 2,
+        _ => 3,
+    }
+}
+
+/// The bins of the `features` group.
+#[derive(Clone, Copy, Debug)]
+enum Feature {
+    MultiCellPacket,
+    LockedChunk,
+    OutstandingGt1,
+    OutOfOrderResponse,
+    Reprogrammed,
+}
+
+impl Feature {
+    fn name(self) -> &'static str {
+        match self {
+            Feature::MultiCellPacket => "multi_cell_packet",
+            Feature::LockedChunk => "locked_chunk",
+            Feature::OutstandingGt1 => "outstanding_gt1",
+            Feature::OutOfOrderResponse => "out_of_order_response",
+            Feature::Reprogrammed => "reprogrammed",
+        }
+    }
+}
+
+impl BinSites {
+    fn undeclared(config: &NodeConfig, max_packet_len: usize) -> Self {
+        let (ni, nt) = (config.n_initiators, config.n_targets);
+        BinSites {
+            op_kind: vec![UNDECLARED; ni * OpKind::ALL.len()],
+            size: [UNDECLARED; TransferSize::ALL.len()],
+            packet_len: vec![UNDECLARED; max_packet_len + 1],
+            routing: vec![UNDECLARED; ni * nt],
+            response: [UNDECLARED; 2],
+            contention: vec![UNDECLARED; nt],
+            back_to_back: vec![UNDECLARED; nt],
+            stall: [UNDECLARED; STALL_BINS.len()],
+            features: [UNDECLARED; 5],
+        }
+    }
+
+    fn slot(&mut self, site: Site, n_targets: usize) -> &mut usize {
+        match site {
+            Site::OpKind(i, k) => &mut self.op_kind[i * OpKind::ALL.len() + k as usize],
+            Site::Size(s) => &mut self.size[s as usize],
+            Site::PacketLen(l) => &mut self.packet_len[l],
+            Site::Routing(i, t) => &mut self.routing[i * n_targets + t],
+            Site::Response(error) => &mut self.response[usize::from(error)],
+            Site::Contention(t) => &mut self.contention[t],
+            Site::BackToBack(t) => &mut self.back_to_back[t],
+            Site::Stall(k) => &mut self.stall[k],
+            Site::Feature(f) => &mut self.features[f as usize],
+        }
+    }
 }
 
 const G_OPKIND: &str = "op_kind";
@@ -212,101 +333,147 @@ impl FunctionalCoverage {
             .iter()
             .map(|o| request_cells(*o, config.protocol, config.bus_bytes))
             .collect();
+        let (ni, nt) = (config.n_initiators, config.n_targets);
 
-        let mut groups = BTreeMap::new();
-        groups.insert(
-            G_OPKIND,
-            CoverageGroup::new(
+        // Every group as (bin name, hit site) declarations.
+        let mut groups: Vec<(&'static str, Vec<(String, Site)>)> = vec![
+            (
                 G_OPKIND,
-                (0..config.n_initiators)
-                    .flat_map(|i| kinds.iter().map(move |k| format!("i{i}/{k}"))),
+                (0..ni)
+                    .flat_map(|i| {
+                        kinds
+                            .iter()
+                            .map(move |&k| (format!("i{i}/{k}"), Site::OpKind(i, k)))
+                    })
+                    .collect(),
             ),
-        );
-        groups.insert(
-            G_SIZE,
-            CoverageGroup::new(G_SIZE, sizes.iter().map(|s| format!("{s}B"))),
-        );
-        groups.insert(
-            G_ROUTING,
-            CoverageGroup::new(
+            (
+                G_SIZE,
+                sizes
+                    .iter()
+                    .map(|&s| (format!("{s}B"), Site::Size(s)))
+                    .collect(),
+            ),
+            (
                 G_ROUTING,
-                (0..config.n_initiators)
-                    .flat_map(|i| (0..config.n_targets).map(move |t| format!("i{i}->t{t}"))),
+                (0..ni)
+                    .flat_map(|i| {
+                        (0..nt).map(move |t| (format!("i{i}->t{t}"), Site::Routing(i, t)))
+                    })
+                    .collect(),
             ),
-        );
-        groups.insert(
-            G_PKT_LEN,
-            CoverageGroup::new(G_PKT_LEN, lens.iter().map(|l| format!("{l}cells"))),
-        );
-        groups.insert(
-            G_RSP,
-            CoverageGroup::new(G_RSP, ["ok".to_owned(), "error".to_owned()]),
-        );
-        groups.insert(
-            G_ARB,
-            CoverageGroup::new(
+            (
+                G_PKT_LEN,
+                lens.iter()
+                    .map(|&l| (format!("{l}cells"), Site::PacketLen(l)))
+                    .collect(),
+            ),
+            (
+                G_RSP,
+                vec![
+                    ("ok".to_owned(), Site::Response(false)),
+                    ("error".to_owned(), Site::Response(true)),
+                ],
+            ),
+            (
                 G_ARB,
-                (0..config.n_targets)
-                    .flat_map(|t| [format!("t{t}/contention"), format!("t{t}/back_to_back")]),
+                (0..nt)
+                    .flat_map(|t| {
+                        [
+                            (format!("t{t}/contention"), Site::Contention(t)),
+                            (format!("t{t}/back_to_back"), Site::BackToBack(t)),
+                        ]
+                    })
+                    .collect(),
             ),
-        );
-        groups.insert(
-            G_STALL,
-            CoverageGroup::new(
+            (
                 G_STALL,
-                ["zero", "short", "medium", "long"].map(str::to_owned),
+                STALL_BINS
+                    .iter()
+                    .enumerate()
+                    .map(|(k, b)| (b.to_string(), Site::Stall(k)))
+                    .collect(),
             ),
-        );
-        let mut features = vec!["multi_cell_packet".to_owned()];
+        ];
+        let mut features = vec![Feature::MultiCellPacket];
         if config.protocol.split_transactions() {
-            features.push("locked_chunk".to_owned());
-            features.push("outstanding_gt1".to_owned());
+            features.push(Feature::LockedChunk);
+            features.push(Feature::OutstandingGt1);
         }
         if config.protocol.allows_out_of_order() {
-            features.push("out_of_order_response".to_owned());
+            features.push(Feature::OutOfOrderResponse);
         }
         if config.prog_port {
-            features.push("reprogrammed".to_owned());
+            features.push(Feature::Reprogrammed);
         }
-        groups.insert(G_FEATURES, CoverageGroup::new(G_FEATURES, features));
+        groups.push((
+            G_FEATURES,
+            features
+                .into_iter()
+                .map(|f| (f.name().to_owned(), Site::Feature(f)))
+                .collect(),
+        ));
+
+        // Number the bins in report order: groups by name, bins by name.
+        groups.sort_by_key(|(name, _)| *name);
+        let mut sites = BinSites::undeclared(config, lens.last().copied().unwrap_or(0));
+        let mut declared = Vec::with_capacity(groups.len());
+        let mut n_bins = 0;
+        for (name, mut bins) in groups {
+            bins.sort_by(|a, b| a.0.cmp(&b.0));
+            for (_, site) in &bins {
+                *sites.slot(*site, nt) = n_bins;
+                n_bins += 1;
+            }
+            declared.push(CoverageGroup::new(
+                name,
+                bins.into_iter().map(|(bin, _)| bin),
+            ));
+        }
 
         FunctionalCoverage {
-            groups,
-            wait: vec![0; config.n_initiators],
-            last_grant: vec![false; config.n_targets],
+            declared,
+            hits: vec![0; n_bins],
+            sites,
+            wait: vec![0; ni],
+            last_grant: vec![false; nt],
+            requesters: vec![0; nt],
             config: config.clone(),
         }
     }
 
-    fn hit(&mut self, group: &'static str, bin: &str) {
-        if let Some(g) = self.groups.get_mut(group) {
-            if let Some(h) = g.bins.get_mut(bin) {
-                *h += 1;
-            }
+    fn hit(&mut self, bin: usize) {
+        if let Some(h) = self.hits.get_mut(bin) {
+            *h += 1;
         }
+    }
+
+    fn hit_feature(&mut self, feature: Feature) {
+        self.hit(self.sites.features[feature as usize]);
     }
 
     /// Digests one cycle record (arbitration, stall and prog events).
     pub fn observe_cycle(&mut self, rec: &CycleRecord) {
-        // Contention & back-to-back per target.
+        // Contention & back-to-back per target; each requesting
+        // initiator's address is decoded once.
+        self.requesters.fill(0);
+        for i in 0..self.config.n_initiators {
+            let (req, cell, _) = rec.init_request(i);
+            if req {
+                if let Some(t) = self.config.address_map.decode(cell.addr) {
+                    if let Some(n) = self.requesters.get_mut(t.0 as usize) {
+                        *n += 1;
+                    }
+                }
+            }
+        }
         for t in 0..self.config.n_targets {
-            let requesters = (0..self.config.n_initiators)
-                .filter(|i| {
-                    let (req, cell, _) = rec.init_request(*i);
-                    req && self
-                        .config
-                        .address_map
-                        .decode(cell.addr)
-                        .map(|x| x.0 as usize)
-                        == Some(t)
-                })
-                .count();
-            if requesters >= 2 {
-                self.hit(G_ARB, &format!("t{t}/contention"));
+            if self.requesters[t] >= 2 {
+                self.hit(self.sites.contention[t]);
             }
             let fired = rec.request_fires(PortId::Target(t));
             if fired && self.last_grant[t] {
-                self.hit(G_ARB, &format!("t{t}/back_to_back"));
+                self.hit(self.sites.back_to_back[t]);
             }
             self.last_grant[t] = fired;
         }
@@ -314,13 +481,7 @@ impl FunctionalCoverage {
         for i in 0..self.config.n_initiators {
             let (req, _, gnt) = rec.init_request(i);
             if req && gnt {
-                let bin = match self.wait[i] {
-                    0 => "zero",
-                    1..=3 => "short",
-                    4..=15 => "medium",
-                    _ => "long",
-                };
-                self.hit(G_STALL, bin);
+                self.hit(self.sites.stall[stall_bin(self.wait[i])]);
                 self.wait[i] = 0;
             } else if req {
                 self.wait[i] += 1;
@@ -330,7 +491,7 @@ impl FunctionalCoverage {
         }
         // Programming-port usage.
         if rec.inputs.prog.is_some() {
-            self.hit(G_FEATURES, "reprogrammed");
+            self.hit_feature(Feature::Reprogrammed);
         }
         // Out-of-order delivery: a response fires at an initiator from a
         // target that is not the oldest outstanding — approximated here as
@@ -347,17 +508,27 @@ impl FunctionalCoverage {
                 ..
             } => {
                 let op = packet.opcode();
-                self.hit(G_OPKIND, &format!("i{i}/{}", op.kind()));
-                self.hit(G_SIZE, &format!("{}B", op.size()));
-                self.hit(G_PKT_LEN, &format!("{}cells", packet.len()));
+                let len = packet.len();
+                self.hit(self.sites.op_kind[i * OpKind::ALL.len() + op.kind() as usize]);
+                self.hit(self.sites.size[op.size() as usize]);
+                self.hit(
+                    self.sites
+                        .packet_len
+                        .get(len)
+                        .copied()
+                        .unwrap_or(UNDECLARED),
+                );
                 if let Some(t) = self.config.address_map.decode(packet.addr()) {
-                    self.hit(G_ROUTING, &format!("i{i}->t{}", t.0));
+                    let t = t.0 as usize;
+                    if t < self.config.n_targets {
+                        self.hit(self.sites.routing[i * self.config.n_targets + t]);
+                    }
                 }
-                if packet.len() > 1 {
-                    self.hit(G_FEATURES, "multi_cell_packet");
+                if len > 1 {
+                    self.hit_feature(Feature::MultiCellPacket);
                 }
                 if packet.cells()[0].lock {
-                    self.hit(G_FEATURES, "locked_chunk");
+                    self.hit_feature(Feature::LockedChunk);
                 }
             }
             MonitorEvent::ResponsePacket {
@@ -365,12 +536,8 @@ impl FunctionalCoverage {
                 packet,
                 ..
             } => {
-                let bin = if packet.cells().iter().any(|c| c.kind == RspKind::Error) {
-                    "error"
-                } else {
-                    "ok"
-                };
-                self.hit(G_RSP, bin);
+                let error = packet.cells().iter().any(|c| c.kind == RspKind::Error);
+                self.hit(self.sites.response[usize::from(error)]);
             }
             _ => {}
         }
@@ -379,19 +546,29 @@ impl FunctionalCoverage {
     /// Marks the out-of-order bin (driven by the testbench, which tracks
     /// per-initiator request order globally).
     pub fn note_out_of_order(&mut self) {
-        self.hit(G_FEATURES, "out_of_order_response");
+        self.hit_feature(Feature::OutOfOrderResponse);
     }
 
     /// Marks the >1-outstanding bin.
     pub fn note_outstanding_gt1(&mut self) {
-        self.hit(G_FEATURES, "outstanding_gt1");
+        self.hit_feature(Feature::OutstandingGt1);
     }
 
-    /// Snapshots the report.
+    /// Renders the report.
     pub fn report(&self) -> CoverageReport {
-        CoverageReport {
-            groups: self.groups.values().cloned().collect(),
-        }
+        let mut hits = self.hits.iter();
+        let groups = self
+            .declared
+            .iter()
+            .map(|g| {
+                let mut g = g.clone();
+                for (bin, h) in g.bins.values_mut().zip(&mut hits) {
+                    *bin = *h;
+                }
+                g
+            })
+            .collect();
+        CoverageReport { groups }
     }
 }
 
@@ -441,6 +618,67 @@ mod tests {
             .holes()
             .iter()
             .any(|h| h.bin.contains("out_of_order")));
+    }
+
+    #[test]
+    fn groups_come_out_in_name_order() {
+        let report = FunctionalCoverage::new(&cfg()).report();
+        let names: Vec<&str> = report.groups.iter().map(|g| g.name.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "arbitration",
+                "features",
+                "op_kind",
+                "packet_len",
+                "response_kind",
+                "routing",
+                "stall",
+                "transfer_size",
+            ]
+        );
+    }
+
+    #[test]
+    fn hits_on_undeclared_bins_are_dropped() {
+        // Type 1 has no split transactions, so `features/locked_chunk` is
+        // not declared; a locked packet still hits the bins that are.
+        let c = NodeConfig::builder("t1")
+            .protocol(stbus_protocol::ProtocolType::Type1)
+            .build()
+            .unwrap();
+        let mut cov = FunctionalCoverage::new(&c);
+        let empty = cov.report();
+        let pkt = RequestPacket::build(
+            stbus_protocol::Opcode::load(TransferSize::B1),
+            0x40,
+            &[],
+            PacketParams {
+                bus_bytes: c.bus_bytes,
+                protocol: c.protocol,
+                endianness: c.endianness,
+            },
+            InitiatorId(0),
+            TransactionId(0),
+            0,
+            true,
+        )
+        .unwrap();
+        assert!(pkt.cells()[0].lock);
+        cov.observe_event(&MonitorEvent::RequestPacket {
+            port: PortId::Initiator(0),
+            cycle: 1,
+            start: 1,
+            packet: pkt,
+        });
+        let report = cov.report();
+        let features = report.groups.iter().find(|g| g.name == "features").unwrap();
+        assert!(!features.bins.contains_key("locked_chunk"));
+        assert!(features.bins.values().all(|h| *h == 0));
+        assert_eq!(report.total_bins(), empty.total_bins());
+        let routing = report.groups.iter().find(|g| g.name == "routing").unwrap();
+        assert_eq!(routing.bins["i0->t0"], 1);
+        assert_eq!(report.hit_bins(), 4, "op kind, size, length and route");
     }
 
     #[test]

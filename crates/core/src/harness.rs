@@ -51,7 +51,8 @@ pub struct InitiatorBfm {
     /// function of issue order (not of response timing) and a one-cycle
     /// completion shift cannot cascade into a different stimulus.
     next_tid: usize,
-    issue_cycles: std::collections::HashMap<u8, u64>,
+    /// Per tid: the issue cycle of the transaction last issued with it.
+    issue_cycles: Vec<Option<u64>>,
     rsp_cells: usize,
     seed: u64,
     throttle_percent: u32,
@@ -86,7 +87,7 @@ impl InitiatorBfm {
             tid_slots: vec![None; tid_space],
             pending_fifo: VecDeque::new(),
             next_tid: 0,
-            issue_cycles: std::collections::HashMap::new(),
+            issue_cycles: vec![None; tid_space],
             rsp_cells: 0,
             seed,
             throttle_percent,
@@ -190,8 +191,8 @@ impl InitiatorBfm {
                     addr: packet.addr(),
                     expect_error: *expect_error,
                 };
-                self.issue_cycles.insert(pending.tid.0, *start);
                 let slot = pending.tid.0 as usize;
+                self.issue_cycles[slot] = Some(*start);
                 match self.protocol {
                     ProtocolType::Type3 => {
                         self.tid_slots[slot] = Some(pending);
@@ -236,7 +237,7 @@ impl InitiatorBfm {
                             rec.cycle, p.opcode, p.addr, p.expect_error, is_err
                         ));
                     }
-                    if let Some(start) = self.issue_cycles.remove(&p.tid.0) {
+                    if let Some(start) = self.issue_cycles[p.tid.0 as usize].take() {
                         self.stats.total_latency += rec.cycle.saturating_sub(start);
                     }
                 } else if self.protocol != ProtocolType::Type3 {

@@ -120,7 +120,6 @@ impl Scoreboard {
             MonitorEvent::RequestPacket {
                 port: PortId::Initiator(i),
                 packet,
-                cycle,
                 ..
             } => {
                 let target = self
@@ -137,7 +136,6 @@ impl Scoreboard {
                         target,
                     });
                 }
-                let _ = cycle;
             }
             MonitorEvent::RequestPacket {
                 port: PortId::Target(t),
@@ -211,13 +209,21 @@ impl Scoreboard {
         } else {
             self.checks += 1;
         }
-        let be_intent: Vec<u32> = intent.cells().iter().map(|c| c.be).collect();
-        let be_observed: Vec<u32> = observed.cells().iter().map(|c| c.be).collect();
-        if be_intent != be_observed {
+        let enables = |p: &RequestPacket| p.cells().iter().map(|c| c.be).collect::<Vec<u32>>();
+        if intent
+            .cells()
+            .iter()
+            .map(|c| c.be)
+            .ne(observed.cells().iter().map(|c| c.be))
+        {
             self.err(
                 cycle,
                 port,
-                format!("byte enables altered: {be_intent:?} -> {be_observed:?}"),
+                format!(
+                    "byte enables altered: {:?} -> {:?}",
+                    enables(intent),
+                    enables(observed)
+                ),
             );
         } else {
             self.checks += 1;
@@ -225,21 +231,23 @@ impl Scoreboard {
 
         // Commit to the reference model in target order, using the
         // *intended* packet (so a node that corrupts data/enables diverges
-        // from the reference and is caught on readback).
+        // from the reference and is caught on readback). Data-bearing
+        // responses carry the content from before the write.
         let opcode = intent.opcode();
-        let old = self.reference.read(intent.addr(), opcode.size().bytes());
+        let data = opcode
+            .has_response_data()
+            .then(|| self.reference.read(intent.addr(), opcode.size().bytes()));
         if opcode.writes_memory() {
-            let bus = self.params.bus_bytes as u64;
+            let bus = self.params.bus_bytes;
             for cell in intent.cells() {
                 if cell.be == 0 {
                     continue;
                 }
-                let base = cell.addr & !(bus - 1);
-                let lanes = cell.data.lanes(self.params.bus_bytes).to_vec();
-                self.reference.write_masked(base, &lanes, cell.be);
+                let base = cell.addr & !(bus as u64 - 1);
+                self.reference
+                    .write_masked(base, cell.data.lanes(bus), cell.be);
             }
         }
-        let data = opcode.has_response_data().then_some(old);
         self.expected[src][t].push_back(ExpectedResponse {
             tid: intent.tid().0,
             data,
@@ -303,8 +311,14 @@ impl Scoreboard {
                     );
                 }
                 if let Some(expected_data) = exp.data {
-                    let got = packet.payload(self.params.bus_bytes, expected_data.len());
-                    if got != expected_data {
+                    let bus = self.params.bus_bytes;
+                    let got = packet
+                        .cells()
+                        .iter()
+                        .flat_map(|c| c.data.lanes(bus))
+                        .take(expected_data.len());
+                    if got.ne(expected_data.iter()) {
+                        let got = packet.payload(bus, expected_data.len());
                         self.err(
                             cycle,
                             port,

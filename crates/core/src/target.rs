@@ -189,7 +189,9 @@ impl TargetBfm {
 
         // Loads/atomics return the pre-write content at the transfer
         // address.
-        let old = self.memory.read(packet.addr(), size);
+        let old = opcode
+            .has_response_data()
+            .then(|| self.memory.read(packet.addr(), size));
         if opcode.writes_memory() {
             // Apply each cell's lanes under its byte enables; lane k of a
             // cell maps to (bus-aligned cell base) + k.
@@ -198,20 +200,19 @@ impl TargetBfm {
                     continue;
                 }
                 let base = cell.addr & !(bus - 1);
-                let lanes = cell.data.lanes(self.params.bus_bytes).to_vec();
-                self.memory.write_masked(base, &lanes, cell.be);
+                self.memory
+                    .write_masked(base, cell.data.lanes(self.params.bus_bytes), cell.be);
             }
         }
-        if opcode.has_response_data() {
-            ResponsePacket::ok_with_data(
+        match old {
+            Some(old) => ResponsePacket::ok_with_data(
                 packet.src(),
                 packet.tid(),
                 &old,
                 self.params.bus_bytes,
                 n_cells,
-            )
-        } else {
-            ResponsePacket::ok_ack(packet.src(), packet.tid(), n_cells)
+            ),
+            None => ResponsePacket::ok_ack(packet.src(), packet.tid(), n_cells),
         }
     }
 }

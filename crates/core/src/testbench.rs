@@ -12,7 +12,7 @@ use crate::target::{TargetBfm, TargetProfile};
 use crate::vcd_dump::VcdDump;
 use stbus_protocol::{DutInputs, DutView, NodeConfig, ProgCommand, ViewKind};
 use std::collections::VecDeque;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use telemetry::{Json, Telemetry};
 
 /// Knobs of a testbench run.
@@ -191,14 +191,12 @@ impl Testbench {
         let cfg = &self.config;
         let tel = &self.options.telemetry;
         let started = Instant::now();
-        // Phase attribution (drive / settle / check / vcd) costs four
-        // clock reads per cycle, so it is gated on telemetry being live:
-        // a disabled handle keeps the hot loop clock-free.
+        // Phase attribution (drive / settle / check / vcd, with check split
+        // into its five sub-layers) costs a clock read per slice per cycle,
+        // so it is gated on telemetry being live: a disabled handle keeps
+        // the hot loop clock-free.
         let profiling = tel.is_enabled();
-        let mut phase_drive = std::time::Duration::ZERO;
-        let mut phase_settle = std::time::Duration::ZERO;
-        let mut phase_check = std::time::Duration::ZERO;
-        let mut phase_vcd = std::time::Duration::ZERO;
+        let mut phases = Phases::default();
         // The eval sub-phase (model evaluation inside `settle`) is timed
         // by the view itself, where the kernel hands control to the model.
         dut.set_phase_timing(profiling);
@@ -248,15 +246,18 @@ impl Testbench {
 
         let mut cycle = 0u64;
         let mut completed = false;
+        // One input buffer for the whole run: every port entry is driven
+        // afresh each cycle, and the record hands the buffer back.
+        let mut inputs = DutInputs::idle(cfg);
         while cycle < self.options.max_cycles {
-            let mark = profiling.then(Instant::now);
-            let mut inputs = DutInputs::idle(cfg);
+            let mut mark = profiling.then(Instant::now);
             for (i, h) in harnesses.iter_mut().enumerate() {
                 inputs.initiator[i] = h.drive(cycle);
             }
             for (t, tg) in targets.iter_mut().enumerate() {
                 inputs.target[t] = tg.drive(cycle);
             }
+            inputs.prog = None;
             if cfg.prog_port {
                 if let Some((at, prios)) = prog_iter.peek() {
                     if *at <= cycle {
@@ -267,18 +268,10 @@ impl Testbench {
                     }
                 }
             }
+            lap(&mut mark, &mut phases.drive);
 
-            let mark = mark.map(|t| {
-                let now = Instant::now();
-                phase_drive += now - t;
-                now
-            });
             let outputs = dut.step(&inputs);
-            let mark = mark.map(|t| {
-                let now = Instant::now();
-                phase_settle += now - t;
-                now
-            });
+            lap(&mut mark, &mut phases.settle);
             let rec = CycleRecord {
                 cycle,
                 inputs,
@@ -291,23 +284,27 @@ impl Testbench {
             for tg in &mut targets {
                 tg.observe(&rec);
             }
+            lap(&mut mark, &mut phases.bfm);
             events.clear();
             for m in &mut monitors {
                 m.observe(&rec, &mut events);
             }
+            lap(&mut mark, &mut phases.monitor);
             if self.options.checks {
                 checker.observe(&rec);
+                lap(&mut mark, &mut phases.checker);
+                for e in &events {
+                    scoreboard.observe(e);
+                }
+                lap(&mut mark, &mut phases.scoreboard);
             }
             if self.options.collect_coverage {
                 coverage.observe_cycle(&rec);
-            }
-            for e in &events {
-                if self.options.checks {
-                    scoreboard.observe(e);
-                }
-                if self.options.collect_coverage {
+                for e in &events {
                     coverage.observe_event(e);
                 }
+            }
+            for e in &events {
                 match e {
                     MonitorEvent::RequestPacket {
                         port: PortId::Initiator(i),
@@ -337,17 +334,12 @@ impl Testbench {
                     _ => {}
                 }
             }
-            let mark = mark.map(|t| {
-                let now = Instant::now();
-                phase_check += now - t;
-                now
-            });
+            lap(&mut mark, &mut phases.coverage);
             if let Some(v) = &mut vcd {
                 v.record(&rec);
             }
-            if let Some(t) = mark {
-                phase_vcd += t.elapsed();
-            }
+            lap(&mut mark, &mut phases.vcd);
+            inputs = rec.inputs;
 
             cycle += 1;
             let drained = harnesses.iter().all(InitiatorBfm::done)
@@ -360,16 +352,14 @@ impl Testbench {
         }
 
         let transactions = harnesses.iter().map(|h| h.stats().completed).sum();
-        let t = profiling.then(Instant::now);
+        let mut mark = profiling.then(Instant::now);
         let trace = vcd.map(VcdDump::finish_trace);
         let vcd_text = trace
             .as_ref()
             .filter(|_| self.options.capture_vcd)
             .map(|trace| trace.to_vcd(crate::vcd_dump::CYCLE_TIME));
         let trace = trace.filter(|_| self.options.capture_trace);
-        if let Some(t) = t {
-            phase_vcd += t.elapsed();
-        }
+        lap(&mut mark, &mut phases.vcd);
         let result = RunResult {
             test: spec.name.clone(),
             seed,
@@ -432,19 +422,22 @@ impl Testbench {
             ("passed", Json::from(result.passed())),
             // Phase attribution for the span-tree profiler: these become
             // synthetic `phase:*` children of the tb.run node.
-            ("phase_drive_us", Json::from(phase_drive.as_micros() as u64)),
-            (
-                "phase_settle_us",
-                Json::from(phase_settle.as_micros() as u64),
-            ),
-            ("phase_check_us", Json::from(phase_check.as_micros() as u64)),
-            ("phase_vcd_us", Json::from(phase_vcd.as_micros() as u64)),
+            ("phase_drive_us", micros(phases.drive)),
+            ("phase_settle_us", micros(phases.settle)),
+            ("phase_check_us", micros(phases.check())),
+            ("phase_vcd_us", micros(phases.vcd)),
             // Model evaluation proper, a sub-slice of `settle` reported by
             // the view (zero for uninstrumented views like the BCA).
             (
                 "phase_eval_us",
                 Json::from(dut.phase_eval_us().saturating_sub(eval_us_base)),
             ),
+            // The check phase's sub-layers, sub-slices of `check`.
+            ("phase_check:bfm_us", micros(phases.bfm)),
+            ("phase_check:monitor_us", micros(phases.monitor)),
+            ("phase_check:checker_us", micros(phases.checker)),
+            ("phase_check:coverage_us", micros(phases.coverage)),
+            ("phase_check:scoreboard_us", micros(phases.scoreboard)),
             (
                 "checker_rules",
                 Json::obj(
@@ -458,6 +451,40 @@ impl Testbench {
         ]);
         result
     }
+}
+
+/// Per-phase wall time of one run; only accumulated while profiling.
+#[derive(Default)]
+struct Phases {
+    drive: Duration,
+    settle: Duration,
+    bfm: Duration,
+    monitor: Duration,
+    checker: Duration,
+    coverage: Duration,
+    scoreboard: Duration,
+    vcd: Duration,
+}
+
+impl Phases {
+    /// The check phase: its five sub-layers, which tile it.
+    fn check(&self) -> Duration {
+        self.bfm + self.monitor + self.checker + self.coverage + self.scoreboard
+    }
+}
+
+/// Adds the time since `mark` to `phase` and restarts the mark; does
+/// nothing (and reads no clock) when the mark is off.
+fn lap(mark: &mut Option<Instant>, phase: &mut Duration) {
+    if let Some(t) = mark {
+        let now = Instant::now();
+        *phase += now - *t;
+        *t = now;
+    }
+}
+
+fn micros(d: Duration) -> Json {
+    Json::from(d.as_micros() as u64)
 }
 
 #[cfg(test)]
@@ -542,6 +569,19 @@ mod tests {
                 "phase_{phase}_us missing"
             );
         }
+        // The check phase's sub-layers tile it (each is floored to whole
+        // microseconds on its own).
+        let us = |key: &str| {
+            end.field(key)
+                .and_then(telemetry::Json::as_u64)
+                .unwrap_or_else(|| panic!("{key} missing"))
+        };
+        let sub: u64 = ["bfm", "monitor", "checker", "coverage", "scoreboard"]
+            .iter()
+            .map(|layer| us(&format!("phase_check:{layer}_us")))
+            .sum();
+        let check = us("phase_check_us");
+        assert!(sub <= check && check < sub + 5, "{sub} vs {check}");
         assert_eq!(
             end.field("passed").and_then(telemetry::Json::as_bool),
             Some(true)

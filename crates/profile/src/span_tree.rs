@@ -14,7 +14,10 @@
 //! `phase_<name>_us` becomes a synthetic `phase:<name>` child of the
 //! node — the mechanism the testbench uses to attribute scattered
 //! per-cycle time (kernel settle, stimulus drive, VCD write, checking)
-//! that no contiguous span could represent.
+//! that no contiguous span could represent. A `<name>` of the form
+//! `<phase>:<part>` is a sub-slice: its node nests under `phase:<phase>`
+//! (so `phase_check:checker_us` becomes `phase:check` →
+//! `phase:check:checker`).
 
 use std::collections::BTreeMap;
 use telemetry::{Event, Json};
@@ -328,8 +331,18 @@ fn add_node(map: &mut BTreeMap<String, ProfileNode>, node: &SpanNode, opts: &Pro
         add_node(&mut entry.children, child, opts);
     }
     for (phase, us) in node.span.phases() {
-        entry
-            .children
+        // A `<phase>:<part>` annotation is a sub-slice of `<phase>`.
+        let siblings = match phase.split_once(':') {
+            Some((outer, _)) => {
+                &mut entry
+                    .children
+                    .entry(format!("phase:{outer}"))
+                    .or_default()
+                    .children
+            }
+            None => &mut entry.children,
+        };
+        siblings
             .entry(format!("phase:{phase}"))
             .or_default()
             .fold(us);
@@ -576,6 +589,28 @@ mod tests {
         let phases = p.phase_totals();
         assert_eq!(phases["settle"], 60);
         assert_eq!(phases["drive"], 25);
+    }
+
+    #[test]
+    fn sub_slice_annotations_nest_under_their_phase() {
+        let mut s = span("tb.run", 0, 0, 100);
+        s.fields.push(("phase_check_us".into(), Json::from(40u64)));
+        s.fields
+            .push(("phase_check:checker_us".into(), Json::from(30u64)));
+        s.fields
+            .push(("phase_check:coverage_us".into(), Json::from(8u64)));
+        let p = build_profile(&[s], &ProfileOptions::default());
+        let run = &p.roots["tb.run"];
+        assert_eq!(run.children.keys().collect::<Vec<_>>(), ["phase:check"]);
+        assert_eq!(run.self_us, 60, "sub-slices are not counted twice");
+        let check = &run.children["phase:check"];
+        assert_eq!(check.count, 1);
+        assert_eq!(check.children["phase:check:checker"].total_us, 30);
+        assert_eq!(check.self_us, 2);
+        let phases = p.phase_totals();
+        assert_eq!(phases["check"], 40);
+        assert_eq!(phases["check:checker"], 30);
+        assert_eq!(phases["check:coverage"], 8);
     }
 
     #[test]

@@ -9,6 +9,8 @@
 //! blocks from span phase annotations are laid out back-to-back inside
 //! their parent — attribution, not measured intervals, so they only
 //! appear on leaf spans where they cannot collide with real children.
+//! Sub-slice blocks (`phase:<phase>:<part>`) nest inside their phase's
+//! block the same way.
 //!
 //! [`validate_trace`] re-checks an exported (or re-parsed) document:
 //! per-thread B/E stack discipline, name matching, and monotonic
@@ -56,23 +58,44 @@ fn end(name: &str, tid: u64, ts: u64) -> Json {
     ])
 }
 
+/// Attribution blocks: the phases directly under `outer` (top-level
+/// phases for `None`, `<outer>:<part>` sub-slices otherwise), laid out
+/// back to back from `start` and clamped to `end`; each top-level block
+/// holds its own sub-slices.
+fn emit_phases(
+    phases: &[(&str, u64)],
+    outer: Option<&str>,
+    start: u64,
+    end_us: u64,
+    tid: u64,
+    out: &mut Vec<Json>,
+) {
+    let mut cursor = start;
+    for &(phase, us) in phases {
+        let inside = match (outer, phase.split_once(':')) {
+            (None, None) => true,
+            (Some(outer), Some((of, _))) => of == outer,
+            _ => false,
+        };
+        let len = us.min(end_us - cursor);
+        if !inside || len == 0 {
+            continue;
+        }
+        let name = format!("phase:{phase}");
+        out.push(begin(&name, tid, cursor, &[]));
+        if outer.is_none() {
+            emit_phases(phases, Some(phase), cursor, cursor + len, tid, out);
+        }
+        cursor += len;
+        out.push(end(&name, tid, cursor));
+    }
+}
+
 fn emit_node(node: &SpanNode, tid: u64, out: &mut Vec<Json>) {
     let span = &node.span;
     out.push(begin(&span.name, tid, span.start_us, &span.fields));
     if node.children.is_empty() {
-        // Attribution blocks: sequential from the span's start, clamped
-        // to its extent.
-        let mut cursor = span.start_us;
-        for (phase, us) in span.phases() {
-            let len = us.min(span.end_us - cursor);
-            if len == 0 {
-                continue;
-            }
-            let name = format!("phase:{phase}");
-            out.push(begin(&name, tid, cursor, &[]));
-            cursor += len;
-            out.push(end(&name, tid, cursor));
-        }
+        emit_phases(&span.phases(), None, span.start_us, span.end_us, tid, out);
     } else {
         for child in &node.children {
             emit_node(child, tid, out);
@@ -242,6 +265,52 @@ mod tests {
         assert_eq!(
             parsed.get("displayTimeUnit").and_then(Json::as_str),
             Some("ms")
+        );
+    }
+
+    #[test]
+    fn sub_slices_nest_inside_their_phase_block() {
+        let mut leaf = span("tb.run", 0, 0, 100);
+        for (key, us) in [
+            ("phase_settle_us", 30u64),
+            ("phase_check_us", 50),
+            ("phase_check:checker_us", 20),
+            ("phase_check:coverage_us", 40), // overruns its phase: clamped
+            ("phase_vcd_us", 10),
+        ] {
+            leaf.fields.push((key.into(), Json::from(us)));
+        }
+        let doc = trace_json(&[leaf]);
+        let stats = validate_trace(&doc).expect("structurally sound");
+        assert_eq!(stats.duration_events, 12, "1 span + 5 blocks");
+        assert_eq!(stats.max_depth, 3);
+        let Some(Json::Arr(events)) = doc.get("traceEvents") else {
+            panic!("no events");
+        };
+        let blocks: Vec<(&str, &str, u64)> = events
+            .iter()
+            .filter_map(|e| {
+                let name = e.get("name")?.as_str()?;
+                if !name.starts_with("phase:") {
+                    return None;
+                }
+                Some((e.get("ph")?.as_str()?, name, e.get("ts")?.as_u64()?))
+            })
+            .collect();
+        assert_eq!(
+            blocks,
+            [
+                ("B", "phase:settle", 0),
+                ("E", "phase:settle", 30),
+                ("B", "phase:check", 30),
+                ("B", "phase:check:checker", 30),
+                ("E", "phase:check:checker", 50),
+                ("B", "phase:check:coverage", 50),
+                ("E", "phase:check:coverage", 80),
+                ("E", "phase:check", 80),
+                ("B", "phase:vcd", 80),
+                ("E", "phase:vcd", 90),
+            ]
         );
     }
 

@@ -20,6 +20,7 @@
 #![warn(missing_docs)]
 
 pub mod cell_codec;
+pub mod fingerprint;
 mod manifest;
 mod matrix;
 mod report_files;
@@ -37,5 +38,5 @@ pub use manifest::MANIFEST_SCHEMA;
 pub use matrix::standard_configs;
 pub use runner::{
     cell_key, parse_views, run_regression, CacheSummary, ConfigOutcome, RegressionOptions,
-    RegressionReport, RunRecord,
+    RegressionReport, RunRecord, SOURCE_FINGERPRINT,
 };

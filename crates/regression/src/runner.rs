@@ -132,11 +132,16 @@ pub fn parse_views<'a>(names: impl IntoIterator<Item = &'a str>) -> Result<Vec<V
     Ok(views)
 }
 
+/// The hash of the sources that decide a cell's outcome, computed by the
+/// build script ([`crate::fingerprint`]).
+pub const SOURCE_FINGERPRINT: &str = env!("STBUS_SOURCE_FINGERPRINT");
+
 /// The content key of one `{config, test, seed}` cell under `options`.
 ///
 /// Every input that can change the cell's result is a key part: the
-/// payload schema (so format changes invalidate), the crate version (the
-/// engine-version proxy — all workspace crates share it), the full
+/// payload schema (so format changes invalidate), the
+/// [`SOURCE_FINGERPRINT`] (so a store never answers for code other than
+/// the code that filled it), the full
 /// configuration and test spec (via their derived `Debug` forms, which
 /// are pure functions of the struct contents — no map iteration order,
 /// no addresses), the seed, the BCA fidelity and injected bugs, the
@@ -150,7 +155,7 @@ pub fn cell_key(
 ) -> Key {
     Key::from_parts([
         format!("schema:{}", cell_codec::CELL_SCHEMA),
-        format!("version:{}", env!("CARGO_PKG_VERSION")),
+        format!("source:{SOURCE_FINGERPRINT}"),
         format!("config:{config:?}"),
         format!("test:{spec:?}"),
         format!("seed:{seed}"),

@@ -11,9 +11,9 @@
 //! `STBUS_BLESS_CHECK_PINS=1`) only for an intended semantic change.
 
 use catg::RunResult;
+use stbus_regression::{run_regression, standard_configs, RegressionOptions};
 use std::fmt::Write as _;
 use std::path::PathBuf;
-use stbus_regression::{run_regression, standard_configs, RegressionOptions};
 
 const SEED: u64 = 1;
 const INTENSITY: usize = 10;
