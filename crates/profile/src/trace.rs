@@ -60,7 +60,7 @@ fn end(name: &str, tid: u64, ts: u64) -> Json {
 
 /// Attribution blocks: the phases directly under `outer` (top-level
 /// phases for `None`, `<outer>:<part>` sub-slices otherwise), laid out
-/// back to back from `start` and clamped to `end`; each top-level block
+/// back to back from `start` and clamped to `end_us`; each top-level block
 /// holds its own sub-slices.
 fn emit_phases(
     phases: &[(&str, u64)],
