@@ -6,12 +6,22 @@
 //! recorded stripped manifest. Hot-path changes to the scheduler or the
 //! RTL node must leave all of these untouched; a change here is a change
 //! of kernel semantics, not of speed.
+//!
+//! The last test widens the per-cell pins to the whole 40-configuration
+//! standard matrix (one seed, intensity 10): every RTL run's `kernel.*`
+//! counters, its deltas-per-settle histogram, a digest of its activity
+//! coverage and the digest of its typed port trace, compared with
+//! `fixtures/event_kernel_pins.txt`. Re-record that fixture (run with
+//! `STBUS_BLESS_KERNEL_PINS=1`) only for an intended change of kernel
+//! semantics, and only from the commit before that change.
 
 use catg::{TestSpec, Testbench, TestbenchOptions};
 use sim_kernel::ActivityCoverage;
-use stbus_protocol::NodeConfig;
+use stbus_protocol::{DutView, NodeConfig};
 use stbus_regression::{run_regression, standard_configs, RegressionOptions, RegressionReport};
 use stbus_rtl::RtlNode;
+use std::fmt::Write as _;
+use std::path::PathBuf;
 
 /// Indices into the standard matrix: a 2×2 fixed-priority shared bus, a
 /// 4×3 variable-priority full crossbar with the programming port, and
@@ -144,5 +154,90 @@ fn every_cell_reaches_the_pinned_activity_coverage() {
         .iter()
         .map(|(c, t, comb, seq, d)| (*c, t.as_str(), *comb, *seq, *d))
         .collect();
+    assert_eq!(got, pins);
+}
+
+/// One fixture line per RTL run of the standard matrix: the run's kernel
+/// work counters, its deltas-per-settle histogram, and digests of its
+/// activity coverage and typed port trace.
+fn full_matrix_observed() -> String {
+    const INTENSITY: usize = 10;
+    let mut out = String::new();
+    for config in standard_configs() {
+        let bench = Testbench::new(
+            config.clone(),
+            TestbenchOptions {
+                capture_trace: true,
+                ..TestbenchOptions::default()
+            },
+        );
+        for spec in catg::tests_lib::all(INTENSITY) {
+            let registry = telemetry::MetricsRegistry::new();
+            let mut rtl = RtlNode::new(config.clone());
+            rtl.attach_metrics(&registry);
+            let result = bench.run(&mut rtl, &spec, SEED);
+            let snap = registry.snapshot();
+            let _ = write!(out, "{} {} {SEED}", config.name, spec.name);
+            for (name, v) in snap
+                .counters
+                .iter()
+                .filter(|(n, _)| n.starts_with("kernel."))
+            {
+                let _ = write!(out, " {}={v}", &name["kernel.".len()..]);
+            }
+            let hist = &snap.histograms["kernel.deltas_per_settle"];
+            let _ = write!(
+                out,
+                " dps={}/{}/{}/{:?}",
+                hist.count, hist.sum, hist.max, hist.buckets
+            );
+            let trace = result.trace.as_ref().expect("trace captured");
+            let _ = writeln!(
+                out,
+                " cov={:016x} trace={:016x}",
+                digest(&render_coverage(&rtl.activity_coverage())),
+                trace.digest()
+            );
+        }
+    }
+    out
+}
+
+#[test]
+fn every_cell_of_the_standard_matrix_matches_the_kernel_fixture() {
+    let got = full_matrix_observed();
+    let path =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/event_kernel_pins.txt");
+    if std::env::var_os("STBUS_BLESS_KERNEL_PINS").is_some() {
+        std::fs::write(&path, &got).expect("write fixture");
+        return;
+    }
+    let want = std::fs::read_to_string(&path).expect("read fixture");
+    assert_eq!(got.lines().count(), 480, "40 configs x 12 tests");
+    for (g, w) in got.lines().zip(want.lines()) {
+        assert_eq!(g, w, "kernel work, coverage or trace changed");
+    }
+    assert_eq!(got, want);
+}
+
+#[test]
+fn internal_kernel_traces_match_the_pins() {
+    // Every committed change of every kernel signal, wires and registers,
+    // as the node's internal-trace VCD of the `random_mixed` run.
+    // (config index, digest of the VCD of every internal kernel signal)
+    let pins = [
+        (0, 11346672801604630808),
+        (11, 17102222778963575520),
+        (39, 8104581121602690979),
+    ];
+    let mut got = Vec::new();
+    for (c, config) in CONFIGS.iter().zip(configs()) {
+        let bench = Testbench::new(config.clone(), TestbenchOptions::default());
+        let mut rtl = RtlNode::new(config);
+        rtl.enable_internal_trace();
+        bench.run(&mut rtl, &tests()[1], SEED);
+        let vcd = rtl.internal_trace_vcd().expect("tracing enabled");
+        got.push((*c, digest(&vcd)));
+    }
     assert_eq!(got, pins);
 }
