@@ -697,10 +697,16 @@ fn run_cell(job: &CellJob) -> CellResult {
         _ => (None, None),
     };
 
+    // Only a cache entry stores the trace digests; without a store
+    // nobody reads them, so they are not computed.
     let digest = |r: &RunResult| r.trace.as_ref().map(stba::Trace::digest);
-    let rtl_vcd_digest = digest(&rtl_result);
-    let bca_vcd_digest = digest(&bca_result);
-    let tlm_vcd_digest = tlm_result.as_ref().and_then(digest);
+    let digests = job.cache.as_ref().map(|_| {
+        (
+            digest(&rtl_result),
+            digest(&bca_result),
+            tlm_result.as_ref().and_then(digest),
+        )
+    });
     let result = CellResult {
         config_idx: job.config_idx,
         record: RunRecord {
@@ -721,7 +727,9 @@ fn run_cell(job: &CellJob) -> CellResult {
         rtl_activity: rtl.activity_coverage(),
     };
 
-    if let Some(cc) = &job.cache {
+    if let (Some(cc), Some((rtl_vcd_digest, bca_vcd_digest, tlm_vcd_digest))) =
+        (&job.cache, digests)
+    {
         cc.tallies.simulated.fetch_add(1, Ordering::Relaxed);
         // One snapshot serves both the cache entry and the campaign
         // absorb below — byte-for-byte the same contribution a later

@@ -290,3 +290,43 @@ fn recorded_cells_round_trip_losslessly() {
     assert_eq!(checked, 4);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// With waveform comparison on, a filled store's entries carry the trace
+/// digests of both compared views — the runner computes them for the
+/// store even though an uncached campaign skips them — and each equals
+/// the digest of the trace the same run captures outside the campaign.
+#[test]
+fn recorded_cells_carry_the_compared_trace_digests() {
+    let dir = temp_store("digests");
+    let config = NodeConfig::reference();
+    let spec = catg::tests_lib::basic_read_write(5);
+    let options = RegressionOptions {
+        seeds: vec![1],
+        cache_dir: Some(dir.clone()),
+        ..RegressionOptions::default()
+    };
+    assert!(options.compare_waveforms);
+    run_regression(&[config.clone()], &[spec.clone()], &options);
+
+    let key = cell_key(&config, &spec, 1, &options);
+    let payload = Store::open(dir.clone()).get(&key).1.expect("cell recorded");
+    let cell = cell_codec::decode(&payload).expect("recorded payload decodes");
+
+    let bench = catg::Testbench::new(
+        config.clone(),
+        catg::TestbenchOptions {
+            capture_trace: true,
+            ..catg::TestbenchOptions::default()
+        },
+    );
+    let trace_digest = |dut: &mut dyn stbus_protocol::DutView| {
+        let run = bench.run(dut, &spec, 1);
+        run.trace.expect("trace captured").digest()
+    };
+    let rtl = trace_digest(&mut stbus_rtl::RtlNode::new(config.clone()));
+    let bca = trace_digest(&mut stbus_bca::BcaNode::new(config, options.fidelity));
+    assert_eq!(cell.rtl_vcd_digest, Some(rtl));
+    assert_eq!(cell.bca_vcd_digest, Some(bca));
+    assert_eq!(cell.tlm_vcd_digest, None, "no TLM view was run");
+    let _ = std::fs::remove_dir_all(&dir);
+}

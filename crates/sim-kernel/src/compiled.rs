@@ -38,7 +38,7 @@
 use crate::coverage::{ActivityCoverage, BranchActivity, BranchId, ProcessActivity};
 use crate::error::SimError;
 use crate::process::{Edge, ProcessId};
-use crate::signal::{Signal, SignalId, SignalValue};
+use crate::signal::{Signal, SignalId, WordValue};
 use crate::time::SimTime;
 use std::fmt;
 use telemetry::{Counter, MetricsRegistry};
@@ -84,37 +84,6 @@ impl std::str::FromStr for SimBackend {
         }
     }
 }
-
-/// Signal values the compiled backend can flatten into one 64-bit word
-/// of its struct-of-arrays state buffer.
-///
-/// `from_word(v.to_word())` must round-trip every representable value.
-pub trait WordValue: SignalValue {
-    /// Packs the value into a `u64` word.
-    fn to_word(&self) -> u64;
-    /// Unpacks a value previously produced by [`WordValue::to_word`].
-    fn from_word(word: u64) -> Self;
-}
-
-impl WordValue for bool {
-    fn to_word(&self) -> u64 {
-        *self as u64
-    }
-    fn from_word(word: u64) -> Self {
-        word != 0
-    }
-}
-
-macro_rules! impl_word_value_uint {
-    ($($t:ty),* $(,)?) => {
-        $(impl WordValue for $t {
-            fn to_word(&self) -> u64 { *self as u64 }
-            fn from_word(word: u64) -> Self { word as $t }
-        })*
-    };
-}
-
-impl_word_value_uint!(u8, u16, u32, u64);
 
 /// Cumulative work counters of one [`CompiledSim`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -357,7 +326,7 @@ impl CompiledSim {
     pub fn add_signal<T: WordValue>(&mut self, name: &str, init: T) -> Signal<T> {
         let id = SignalId(self.names.len() as u32);
         self.names.push(name.to_owned());
-        self.widths.push(init.width());
+        self.widths.push(T::WIDTH);
         self.cur.push(init.to_word());
         self.pend.push(0);
         self.has_pend.push(false);

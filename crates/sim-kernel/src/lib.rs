@@ -52,13 +52,13 @@ mod time;
 mod trace;
 
 pub use clock::ClockId;
-pub use compiled::{CompiledCtx, CompiledSim, CompiledStats, SimBackend, WordValue};
+pub use compiled::{CompiledCtx, CompiledSim, CompiledStats, SimBackend};
 pub use coverage::{ActivityCoverage, BranchActivity, BranchId, ProcessActivity};
 pub use error::SimError;
 pub use logic::{Bits, Logic, LogicVec};
 pub use process::{Edge, ProcCtx, ProcessId};
 pub use scheduler::Simulator;
-pub use signal::{Signal, SignalId, SignalValue};
+pub use signal::{Signal, SignalId, WordValue};
 pub use stats::KernelStats;
 pub use time::SimTime;
 pub use trace::{ChangeRecord, TraceSink, VecTrace};

@@ -1,7 +1,7 @@
 //! Simulation processes and the context handed to their bodies.
 
 use crate::coverage::BranchId;
-use crate::signal::{Signal, SignalId, SignalSlot, SignalValue, TypedStore};
+use crate::signal::{Signal, SignalId, SignalSlot, WordValue};
 use crate::time::SimTime;
 
 /// Identifies a registered process within one [`Simulator`].
@@ -30,8 +30,9 @@ pub enum Edge {
 
 /// A boxed process body.
 pub(crate) type ProcessBody = Box<dyn FnMut(&mut ProcCtx<'_>)>;
-/// A delayed signal write scheduled by [`ProcCtx::set_after`].
-pub(crate) type DelayedWrite = (u64, SignalId, Box<dyn FnOnce(&mut SignalSlot)>);
+/// A delayed signal write scheduled by [`ProcCtx::set_after`]: the
+/// delay, the signal and the word it will stage.
+pub(crate) type DelayedWrite = (u64, SignalId, u64);
 
 pub(crate) struct ProcessSlot {
     pub name: String,
@@ -48,7 +49,7 @@ pub(crate) struct ProcessSlot {
 /// Provides read access to current signal values and two-phase writes that
 /// take effect when the current delta cycle commits.
 pub struct ProcCtx<'a> {
-    pub(crate) signals: &'a mut Vec<SignalSlot>,
+    pub(crate) signals: &'a mut [SignalSlot],
     pub(crate) written: &'a mut Vec<SignalId>,
     pub(crate) delayed: &'a mut Vec<DelayedWrite>,
     pub(crate) branch_hits: &'a mut Vec<u64>,
@@ -61,16 +62,11 @@ impl<'a> ProcCtx<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if the handle does not belong to this simulator or the type
-    /// does not match — both are programming errors, not runtime conditions.
-    pub fn get<T: SignalValue>(&self, sig: Signal<T>) -> T {
-        let slot = &self.signals[sig.id.index()];
-        slot.store
-            .as_any()
-            .downcast_ref::<TypedStore<T>>()
-            .unwrap_or_else(|| panic!("signal {} read with wrong type", slot.name))
-            .current
-            .clone()
+    /// Panics if the handle does not belong to this simulator, and in
+    /// debug builds if the type does not match — both are programming
+    /// errors, not runtime conditions.
+    pub fn get<T: WordValue>(&self, sig: Signal<T>) -> T {
+        self.signals[sig.id.index()].get()
     }
 
     /// Schedules `value` onto `sig` for the commit phase of this delta.
@@ -80,35 +76,27 @@ impl<'a> ProcCtx<'a> {
     ///
     /// # Panics
     ///
-    /// Panics on a type mismatch between handle and signal.
-    pub fn set<T: SignalValue>(&mut self, sig: Signal<T>, value: T) {
-        let store = self.signals[sig.id.index()]
-            .store
-            .as_any_mut()
-            .downcast_mut::<TypedStore<T>>()
-            .unwrap_or_else(|| panic!("signal write with wrong type"));
-        if store.stage(value) {
+    /// In debug builds, on a type mismatch between handle and signal.
+    pub fn set<T: WordValue>(&mut self, sig: Signal<T>, value: T) {
+        let slot = &mut self.signals[sig.id.index()];
+        slot.check_type::<T>();
+        if slot.stage(value.to_word()) {
             self.written.push(sig.id);
         }
     }
 
     /// Schedules `value` onto `sig` after `delay` ticks of simulated time.
     ///
-    /// A zero delay behaves like [`ProcCtx::set`].
-    pub fn set_after<T: SignalValue>(&mut self, sig: Signal<T>, value: T, delay: u64) {
+    /// A zero delay behaves like [`ProcCtx::set`]. A timed write stages
+    /// its value even if it equals the one committed then; the commit
+    /// decides whether anything changed.
+    pub fn set_after<T: WordValue>(&mut self, sig: Signal<T>, value: T, delay: u64) {
         if delay == 0 {
             self.set(sig, value);
             return;
         }
-        self.delayed.push((
-            delay,
-            sig.id,
-            Box::new(move |slot: &mut SignalSlot| {
-                if let Some(store) = slot.store.as_any_mut().downcast_mut::<TypedStore<T>>() {
-                    store.pending = Some(value);
-                }
-            }),
-        ));
+        self.signals[sig.id.index()].check_type::<T>();
+        self.delayed.push((delay, sig.id, value.to_word()));
     }
 
     /// Records a hit on a coverage branch point.

@@ -5,7 +5,8 @@ use crate::clock::{ClockId, ClockSpec};
 use crate::coverage::{ActivityCoverage, BranchActivity, BranchId, ProcessActivity};
 use crate::error::SimError;
 use crate::process::{DelayedWrite, Edge, ProcCtx, ProcessId, ProcessSlot};
-use crate::signal::{Signal, SignalId, SignalSlot, SignalValue, TypedStore};
+use crate::logic::Bits;
+use crate::signal::{Signal, SignalId, SignalSlot, WordValue};
 use crate::stats::{KernelMetrics, KernelStats};
 use crate::time::SimTime;
 use crate::trace::TraceSink;
@@ -31,7 +32,7 @@ impl<T: TraceSink + Any> AnyTraceSink for T {
 
 enum EventAction {
     ClockToggle(ClockId),
-    Write(SignalId, Box<dyn FnOnce(&mut SignalSlot)>),
+    Write(SignalId, u64),
 }
 
 struct EventEntry {
@@ -118,18 +119,9 @@ impl Simulator {
     }
 
     /// Registers a signal with an initial value; the name appears in traces.
-    pub fn add_signal<T: SignalValue>(&mut self, name: &str, init: T) -> Signal<T> {
+    pub fn add_signal<T: WordValue>(&mut self, name: &str, init: T) -> Signal<T> {
         let id = SignalId(self.signals.len() as u32);
-        let width = init.width();
-        self.signals.push(SignalSlot {
-            name: name.to_owned(),
-            width,
-            store: Box::new(TypedStore::new(init)),
-            sensitive: Vec::new(),
-            sensitive_rising: Vec::new(),
-            sensitive_falling: Vec::new(),
-            traced: false,
-        });
+        self.signals.push(SignalSlot::new(name, init));
         Signal::new(id)
     }
 
@@ -183,7 +175,7 @@ impl Simulator {
     where
         F: FnMut(&mut ProcCtx<'_>) + 'static,
     {
-        if !matches!(edge, Edge::Any) && self.signals[signal.index()].store.bool_edge().is_none() {
+        if !matches!(edge, Edge::Any) && !self.signals[signal.index()].is_bool {
             return Err(SimError::EdgeOnNonBool {
                 signal: self.signals[signal.index()].name.clone(),
             });
@@ -270,14 +262,11 @@ impl Simulator {
     ///
     /// # Panics
     ///
-    /// Panics on a handle/value type mismatch.
-    pub fn drive<T: SignalValue>(&mut self, sig: Signal<T>, value: T) {
-        let store = self.signals[sig.id().index()]
-            .store
-            .as_any_mut()
-            .downcast_mut::<TypedStore<T>>()
-            .expect("signal driven with wrong type");
-        if store.stage(value) {
+    /// In debug builds, on a handle/value type mismatch.
+    pub fn drive<T: WordValue>(&mut self, sig: Signal<T>, value: T) {
+        let slot = &mut self.signals[sig.id().index()];
+        slot.check_type::<T>();
+        if slot.stage(value.to_word()) {
             self.written.push(sig.id());
         }
     }
@@ -286,15 +275,9 @@ impl Simulator {
     ///
     /// # Panics
     ///
-    /// Panics on a handle/value type mismatch.
-    pub fn value<T: SignalValue>(&self, sig: Signal<T>) -> T {
-        self.signals[sig.id().index()]
-            .store
-            .as_any()
-            .downcast_ref::<TypedStore<T>>()
-            .expect("signal read with wrong type")
-            .current
-            .clone()
+    /// In debug builds, on a handle/value type mismatch.
+    pub fn value<T: WordValue>(&self, sig: Signal<T>) -> T {
+        self.signals[sig.id().index()].get()
     }
 
     /// The registered name of a signal.
@@ -444,9 +427,9 @@ impl Simulator {
         if let Some(m) = &self.metrics {
             m.process_activations.add(activations);
         }
-        for (delay, id, apply) in delayed {
+        for (delay, id, word) in delayed {
             let at = self.time + delay;
-            self.push_event(at, EventAction::Write(id, apply));
+            self.push_event(at, EventAction::Write(id, word));
         }
     }
 
@@ -457,7 +440,7 @@ impl Simulator {
         let mut commits = 0u64;
         for &id in &self.written {
             let slot = &mut self.signals[id.index()];
-            if !slot.store.commit() {
+            if !slot.commit() {
                 continue;
             }
             commits += 1;
@@ -466,10 +449,9 @@ impl Simulator {
                 &mut self.triggered,
                 &slot.sensitive,
             );
-            if let Some((_, now_val)) = slot.store.bool_edge() {
-                // commit() updated previous/current; a change on a bool is
-                // always exactly one edge.
-                let edge = if now_val {
+            if slot.is_bool {
+                // A change on a bool is always exactly one edge.
+                let edge = if slot.cur != 0 {
                     &slot.sensitive_rising
                 } else {
                     &slot.sensitive_falling
@@ -478,7 +460,7 @@ impl Simulator {
             }
             if slot.traced {
                 if let Some(sink) = self.trace.as_mut() {
-                    sink.on_change(self.time, id, &slot.name, &slot.store.bits());
+                    sink.on_change(self.time, id, &slot.name, &Bits::from_u64(slot.cur, slot.width));
                 }
             }
         }
@@ -544,16 +526,16 @@ impl Simulator {
                     return;
                 }
                 let slot = &mut self.signals[sig.index()];
-                if let Some(store) = slot.store.as_any_mut().downcast_mut::<TypedStore<bool>>() {
-                    store.pending = Some(!store.current);
+                if slot.force(slot.cur ^ 1) {
                     self.written.push(sig);
                 }
                 let at = self.time + half;
                 self.push_event(at, EventAction::ClockToggle(id));
             }
-            EventAction::Write(id, apply) => {
-                apply(&mut self.signals[id.index()]);
-                self.written.push(id);
+            EventAction::Write(id, word) => {
+                if self.signals[id.index()].force(word) {
+                    self.written.push(id);
+                }
             }
         }
     }
@@ -705,6 +687,69 @@ mod tests {
         let t: &VecTrace = sim.trace().unwrap();
         assert_eq!(t.records.len(), 1);
         assert_eq!(t.records[0].name, "go");
+    }
+
+    #[test]
+    fn traced_x_and_z_reach_the_sink_as_zero() {
+        let mut sim = Simulator::new();
+        let s = sim.add_signal("s", Logic::L1);
+        sim.set_trace(VecTrace::default());
+        sim.trace_all();
+        for v in [Logic::X, Logic::L1, Logic::Z] {
+            sim.drive(s, v);
+            sim.settle().unwrap();
+            assert_eq!(sim.value(s), v);
+        }
+        let t: &VecTrace = sim.trace().unwrap();
+        let bits: Vec<bool> = t.records.iter().map(|r| r.value.bit(0)).collect();
+        assert_eq!(bits, [false, true, false]);
+        assert!(t.records.iter().all(|r| r.value.width() == 1));
+    }
+
+    #[test]
+    fn set_after_of_the_current_value_commits_and_wakes_nothing() {
+        let mut sim = Simulator::new();
+        let go = sim.add_signal("go", false);
+        let s = sim.add_signal("s", 9u16);
+        sim.add_comb_process("delayer", &[go.id()], move |ctx| {
+            if ctx.get(go) {
+                let v = ctx.get(s);
+                ctx.set_after(s, v, 5);
+            }
+        });
+        let woken = wake_counter(&mut sim, s.id());
+        sim.settle().unwrap();
+        sim.drive(go, true);
+        sim.settle().unwrap();
+        let before = sim.kernel_stats();
+        sim.run_for(10).unwrap();
+        let after = sim.kernel_stats();
+        assert_eq!(after.timed_events, before.timed_events + 1, "the write fired");
+        assert_eq!(after.signal_commits, before.signal_commits, "but changed nothing");
+        assert_eq!(woken.get(), 1, "initialization run only");
+        assert_eq!(sim.value(s), 9);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "accessed with the wrong type")]
+    fn wrong_type_read_panics_in_debug() {
+        let mut other = Simulator::new();
+        let foreign = other.add_signal("wide", 0u32);
+        let mut sim = Simulator::new();
+        sim.add_signal("flag", false);
+        let _ = sim.value(foreign);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "accessed with the wrong type")]
+    fn wrong_type_write_panics_in_debug() {
+        let mut other = Simulator::new();
+        let foreign = other.add_signal("wide", 0u32);
+        let mut sim = Simulator::new();
+        sim.add_signal("flag", false);
+        sim.drive(foreign, 1);
     }
 
     #[test]

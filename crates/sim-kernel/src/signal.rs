@@ -1,63 +1,70 @@
-//! Typed signals and their storage.
+//! Typed signals and their word storage.
 
-use crate::logic::{Bits, Logic, LogicVec};
-use std::any::Any;
+use crate::logic::Logic;
 use std::fmt;
 use std::marker::PhantomData;
 
-/// Values that can live on a [`Signal`].
+/// Values that can live on a signal of either kernel.
 ///
-/// A signal value must be cloneable, comparable (so the kernel can detect
-/// real changes and suppress delta-cycle churn) and convertible to a
-/// [`Bits`] snapshot for tracing.
-pub trait SignalValue: Clone + PartialEq + fmt::Debug + 'static {
+/// Both the event-driven [`Simulator`](crate::Simulator) and the
+/// [`CompiledSim`](crate::CompiledSim) store every signal as one `u64`
+/// word; a value type says how it packs into that word and how wide it
+/// traces. `from_word(v.to_word())` must round-trip every representable
+/// value, and two values are equal exactly when their words are, so the
+/// kernels can detect real changes by comparing words.
+///
+/// A trace sink sees `Bits::from_u64(word, WIDTH)`: the word masked to
+/// the trace width.
+pub trait WordValue: Copy + PartialEq + fmt::Debug + 'static {
     /// The trace width in bits.
-    fn width(&self) -> usize;
-    /// A two-state snapshot for trace sinks. `X`/`Z` map to `0`.
-    fn to_bits(&self) -> Bits;
+    const WIDTH: usize;
+    /// Packs the value into a `u64` word.
+    fn to_word(self) -> u64;
+    /// Unpacks a value previously produced by [`WordValue::to_word`].
+    fn from_word(word: u64) -> Self;
 }
 
-impl SignalValue for bool {
-    fn width(&self) -> usize {
-        1
+impl WordValue for bool {
+    const WIDTH: usize = 1;
+    fn to_word(self) -> u64 {
+        self as u64
     }
-    fn to_bits(&self) -> Bits {
-        Bits::from_bool(*self)
+    fn from_word(word: u64) -> Self {
+        word != 0
     }
 }
 
-macro_rules! impl_signal_value_uint {
+macro_rules! impl_word_value_uint {
     ($($t:ty => $w:expr),* $(,)?) => {
-        $(impl SignalValue for $t {
-            fn width(&self) -> usize { $w }
-            fn to_bits(&self) -> Bits { Bits::from_u64(*self as u64, $w) }
+        $(impl WordValue for $t {
+            const WIDTH: usize = $w;
+            fn to_word(self) -> u64 { self as u64 }
+            fn from_word(word: u64) -> Self { word as $t }
         })*
     };
 }
 
-impl_signal_value_uint!(u8 => 8, u16 => 16, u32 => 32, u64 => 64);
+impl_word_value_uint!(u8 => 8, u16 => 16, u32 => 32, u64 => 64);
 
-impl SignalValue for Logic {
-    fn width(&self) -> usize {
-        1
-    }
-    fn to_bits(&self) -> Bits {
-        Bits::from_bool(self.to_bool().unwrap_or(false))
-    }
-}
-
-impl SignalValue for LogicVec {
-    fn width(&self) -> usize {
-        LogicVec::width(self)
-    }
-    fn to_bits(&self) -> Bits {
-        let mut words = vec![0u64; LogicVec::width(self).div_ceil(64).max(1)];
-        for (i, b) in self.iter().enumerate() {
-            if b.to_bool().unwrap_or(false) {
-                words[i / 64] |= 1 << (i % 64);
-            }
+/// `L0` and `L1` are the words 0 and 1; `X` and `Z` take the even words
+/// 2 and 4, so a one-bit trace of either reads as 0.
+impl WordValue for Logic {
+    const WIDTH: usize = 1;
+    fn to_word(self) -> u64 {
+        match self {
+            Logic::L0 => 0,
+            Logic::L1 => 1,
+            Logic::X => 2,
+            Logic::Z => 4,
         }
-        Bits::new(LogicVec::width(self), words)
+    }
+    fn from_word(word: u64) -> Self {
+        match word {
+            0 => Logic::L0,
+            1 => Logic::L1,
+            2 => Logic::X,
+            _ => Logic::Z,
+        }
     }
 }
 
@@ -116,86 +123,19 @@ impl<T> PartialEq for Signal<T> {
 }
 impl<T> Eq for Signal<T> {}
 
-/// Type-erased per-signal storage used inside the scheduler.
-pub(crate) trait AnyStore: Any {
-    /// Applies the pending value; returns true if the value changed.
-    fn commit(&mut self) -> bool;
-    /// Snapshot of the current value for tracing.
-    fn bits(&self) -> Bits;
-    /// For edge detection on `bool` signals: (previous, current).
-    fn bool_edge(&self) -> Option<(bool, bool)>;
-    fn as_any(&self) -> &dyn Any;
-    fn as_any_mut(&mut self) -> &mut dyn Any;
-}
-
-pub(crate) struct TypedStore<T: SignalValue> {
-    pub current: T,
-    pub previous: T,
-    pub pending: Option<T>,
-}
-
-impl<T: SignalValue> TypedStore<T> {
-    pub fn new(init: T) -> Self {
-        TypedStore {
-            previous: init.clone(),
-            current: init,
-            pending: None,
-        }
-    }
-
-    /// Stages a write of `value` for the next commit and reports whether
-    /// the signal must go on the commit list.
-    ///
-    /// Writing the committed value is a no-op: it clears any value staged
-    /// earlier in the same delta (the last write wins) and returns false.
-    /// Commit would have found no change for it anyway, so nothing it
-    /// triggers, traces or counts can differ.
-    pub fn stage(&mut self, value: T) -> bool {
-        if value == self.current {
-            self.pending = None;
-            false
-        } else {
-            self.pending = Some(value);
-            true
-        }
-    }
-}
-
-impl<T: SignalValue> AnyStore for TypedStore<T> {
-    fn commit(&mut self) -> bool {
-        match self.pending.take() {
-            Some(v) if v != self.current => {
-                self.previous = std::mem::replace(&mut self.current, v);
-                true
-            }
-            Some(_) => false,
-            None => false,
-        }
-    }
-
-    fn bits(&self) -> Bits {
-        self.current.to_bits()
-    }
-
-    fn bool_edge(&self) -> Option<(bool, bool)> {
-        let prev = (&self.previous as &dyn Any).downcast_ref::<bool>()?;
-        let cur = (&self.current as &dyn Any).downcast_ref::<bool>()?;
-        Some((*prev, *cur))
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
+/// One event-kernel signal: its committed word, the word staged for the
+/// next commit, and what a commit of it wakes and traces.
 pub(crate) struct SignalSlot {
     pub name: String,
     pub width: usize,
-    pub store: Box<dyn AnyStore>,
+    /// Whether the value type is `bool`, the only type with edges.
+    pub is_bool: bool,
+    /// The committed value.
+    pub cur: u64,
+    /// The staged value; meaningful only while `has_pend` is set.
+    pub pend: u64,
+    /// Whether the signal is on the simulator's write list.
+    pub has_pend: bool,
     /// Processes sensitive to any change of this signal.
     pub sensitive: Vec<crate::process::ProcessId>,
     /// Processes sensitive to a rising edge (bool signals only).
@@ -203,6 +143,87 @@ pub(crate) struct SignalSlot {
     /// Processes sensitive to a falling edge (bool signals only).
     pub sensitive_falling: Vec<crate::process::ProcessId>,
     pub traced: bool,
+    /// The value type, checked on every access in debug builds.
+    #[cfg(debug_assertions)]
+    ty: std::any::TypeId,
+}
+
+impl SignalSlot {
+    pub fn new<T: WordValue>(name: &str, init: T) -> Self {
+        SignalSlot {
+            name: name.to_owned(),
+            width: T::WIDTH,
+            is_bool: std::any::TypeId::of::<T>() == std::any::TypeId::of::<bool>(),
+            cur: init.to_word(),
+            pend: 0,
+            has_pend: false,
+            sensitive: Vec::new(),
+            sensitive_rising: Vec::new(),
+            sensitive_falling: Vec::new(),
+            traced: false,
+            #[cfg(debug_assertions)]
+            ty: std::any::TypeId::of::<T>(),
+        }
+    }
+
+    /// Reads the committed value as `T`.
+    ///
+    /// # Panics
+    ///
+    /// In debug builds, if the signal was registered with another type.
+    #[inline]
+    pub fn get<T: WordValue>(&self) -> T {
+        self.check_type::<T>();
+        T::from_word(self.cur)
+    }
+
+    /// Stages `word` for the next commit and reports whether the signal
+    /// must go on the write list.
+    ///
+    /// Writing the committed value onto an unstaged signal is a no-op:
+    /// commit would find no change, so nothing it triggers, traces or
+    /// counts can differ. Once staged, the last write of the delta wins
+    /// and commit decides whether it changed anything.
+    #[inline]
+    pub fn stage(&mut self, word: u64) -> bool {
+        if self.has_pend {
+            self.pend = word;
+            false
+        } else if word == self.cur {
+            false
+        } else {
+            self.force(word)
+        }
+    }
+
+    /// Stages `word` unconditionally, as a timed write does, and reports
+    /// whether the signal must go on the write list.
+    #[inline]
+    pub fn force(&mut self, word: u64) -> bool {
+        self.pend = word;
+        !std::mem::replace(&mut self.has_pend, true)
+    }
+
+    /// Applies the staged word; returns true if the value changed.
+    #[inline]
+    pub fn commit(&mut self) -> bool {
+        self.has_pend = false;
+        if self.pend == self.cur {
+            return false;
+        }
+        self.cur = self.pend;
+        true
+    }
+
+    #[inline]
+    pub fn check_type<T: 'static>(&self) {
+        #[cfg(debug_assertions)]
+        assert!(
+            self.ty == std::any::TypeId::of::<T>(),
+            "signal `{}` accessed with the wrong type",
+            self.name
+        );
+    }
 }
 
 #[cfg(test)]
@@ -210,45 +231,39 @@ mod tests {
     use super::*;
 
     #[test]
-    fn typed_store_commit_detects_change() {
-        let mut s = TypedStore::new(false);
-        s.pending = Some(true);
+    fn word_value_widths() {
+        assert_eq!(bool::WIDTH, 1);
+        assert_eq!(u8::WIDTH, 8);
+        assert_eq!(u16::WIDTH, 16);
+        assert_eq!(u32::WIDTH, 32);
+        assert_eq!(u64::WIDTH, 64);
+        assert_eq!(Logic::WIDTH, 1);
+    }
+
+    #[test]
+    fn logic_round_trips_through_its_word() {
+        for v in [Logic::L0, Logic::L1, Logic::X, Logic::Z] {
+            assert_eq!(Logic::from_word(v.to_word()), v);
+        }
+        // X and Z trace as 0, as a two-state snapshot of them always has.
+        for v in [Logic::X, Logic::Z] {
+            assert!(!crate::Bits::from_u64(v.to_word(), Logic::WIDTH).bit(0));
+        }
+    }
+
+    #[test]
+    fn stage_suppresses_no_ops_and_keeps_the_last_write() {
+        let mut s = SignalSlot::new("s", 5u32);
+        assert!(!s.stage(5), "re-staging the committed value is a no-op");
+        assert!(!s.has_pend);
+        assert!(s.stage(6), "a change goes on the write list once");
+        assert!(!s.stage(5), "... and not again");
+        assert!(!s.commit(), "the last write restored the committed value");
+        assert!(s.stage(7));
         assert!(s.commit());
-        assert!(s.current);
-        assert!(!s.previous);
-        // Committing the same value is not a change.
-        s.pending = Some(true);
+        assert_eq!(s.get::<u32>(), 7);
+        assert!(s.force(7), "a forced write stages even the committed value");
         assert!(!s.commit());
-    }
-
-    #[test]
-    fn typed_store_bool_edge() {
-        let mut s = TypedStore::new(false);
-        s.pending = Some(true);
-        s.commit();
-        assert_eq!(s.bool_edge(), Some((false, true)));
-        let t = TypedStore::new(7u32);
-        assert_eq!(t.bool_edge(), None);
-    }
-
-    #[test]
-    fn signal_value_widths() {
-        assert_eq!(true.width(), 1);
-        assert_eq!(0u8.width(), 8);
-        assert_eq!(0u16.width(), 16);
-        assert_eq!(0u32.width(), 32);
-        assert_eq!(0u64.width(), 64);
-        assert_eq!(Logic::X.width(), 1);
-    }
-
-    #[test]
-    fn logicvec_to_bits_maps_x_to_zero() {
-        let mut v = LogicVec::from_u64(0b111, 3);
-        v.set_bit(1, Logic::X);
-        let b = SignalValue::to_bits(&v);
-        assert!(b.bit(0));
-        assert!(!b.bit(1));
-        assert!(b.bit(2));
     }
 
     #[test]
