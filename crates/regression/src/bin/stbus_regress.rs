@@ -61,7 +61,8 @@
 //! **--client SOCKET** submits the campaign described by its flags to a
 //! `--serve SOCKET` daemon, which shares one cell store and one worker
 //! pool across all clients and stops on a `shutdown` request or EOF on
-//! its stdin.
+//! its stdin. A daemon built from other sources than the client (another
+//! source fingerprint) rejects the campaign, and the client exits 1.
 //!
 //! **--qualify** injects every catalogue defect in turn and fails unless
 //! each is killed by its declared detector, then replays every promoted
@@ -90,7 +91,7 @@ use stbus_bca::Fidelity;
 use stbus_protocol::NodeConfig;
 use stbus_regression::{
     parse_config, parse_views, render_config, run_regression, serve, standard_configs,
-    RegressionOptions,
+    RegressionOptions, SOURCE_FINGERPRINT,
 };
 use std::cell::Cell;
 use std::fmt::Display;
@@ -749,6 +750,7 @@ fn client(ctx: &Ctx) -> i32 {
     let configs = ctx.configs();
     let request = Json::obj([
         ("op", Json::from("campaign")),
+        ("source", Json::from(SOURCE_FINGERPRINT)),
         (
             "config_text",
             Json::Arr(

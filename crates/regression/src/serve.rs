@@ -16,10 +16,16 @@
 //! {"op":"ping"}
 //! {"op":"stats"}
 //! {"op":"shutdown"}
-//! {"op":"campaign","configs":["reference"],"seeds":[1,2],"intensity":10,
-//!  "engine":"event","views":["rtl","bca","tlm"],"compare":true,
-//!  "deterministic":true}
+//! {"op":"campaign","source":"<fingerprint>","configs":["reference"],
+//!  "seeds":[1,2],"intensity":10,"engine":"event",
+//!  "views":["rtl","bca","tlm"],"compare":true,"deterministic":true}
 //! ```
+//!
+//! `ping` and `stats` report the daemon's `source`, the
+//! [`SOURCE_FINGERPRINT`] of the code it was built from. A campaign
+//! request must carry the client's own fingerprint as `source`: the
+//! daemon only answers for its own code, so a request with a different
+//! or missing fingerprint is rejected with an error naming both.
 //!
 //! A campaign request answers with an `"accepted"` line (echoing the
 //! resolved shape) and then a `"report"` line carrying the §5 table, the
@@ -33,7 +39,7 @@
 //! so a SIGTERM simply terminates the process and the *next* daemon heals
 //! the stale socket file at bind time (connect-probe, then unlink).
 
-use crate::runner::{parse_views, run_regression, RegressionOptions};
+use crate::runner::{parse_views, run_regression, RegressionOptions, SOURCE_FINGERPRINT};
 use crate::standard_configs;
 use cache::GcPolicy;
 use exec::ThreadPool;
@@ -47,8 +53,8 @@ use std::time::Duration;
 use telemetry::{Json, Telemetry};
 
 /// Protocol identifier echoed by `ping`, bumped with any incompatible
-/// protocol change.
-pub const SERVE_PROTOCOL: &str = "stbus-serve/1";
+/// protocol change (`/2`: campaigns carry the client's `source`).
+pub const SERVE_PROTOCOL: &str = "stbus-serve/2";
 
 /// How the daemon is configured at bind time.
 #[derive(Clone, Debug)]
@@ -267,6 +273,7 @@ fn handle_request(line: &str, ctx: &ConnCtx) -> Vec<Json> {
             ("ok", Json::from(true)),
             ("event", Json::from("pong")),
             ("protocol", Json::from(SERVE_PROTOCOL)),
+            ("source", Json::from(SOURCE_FINGERPRINT)),
         ])],
         "stats" => vec![Json::obj([
             ("ok", Json::from(true)),
@@ -297,6 +304,7 @@ fn handle_request(line: &str, ctx: &ConnCtx) -> Vec<Json> {
                 Json::from(ctx.stats.errors.load(Ordering::Relaxed)),
             ),
             ("pool_threads", Json::from(ctx.pool.threads())),
+            ("source", Json::from(SOURCE_FINGERPRINT)),
         ])],
         "shutdown" => {
             ctx.shutdown.store(true, Ordering::SeqCst);
@@ -322,6 +330,17 @@ fn handle_request(line: &str, ctx: &ConnCtx) -> Vec<Json> {
 
 fn run_campaign(request: &Json, ctx: &ConnCtx) -> Vec<Json> {
     let tel = &ctx.options.telemetry;
+
+    // The daemon's store and verdicts are only valid for the code it was
+    // built from; a client built from other sources must not get them.
+    let source = request.get("source").and_then(Json::as_str);
+    if source != Some(SOURCE_FINGERPRINT) {
+        ctx.stats.errors.fetch_add(1, Ordering::Relaxed);
+        return error_line(format!(
+            "source fingerprint mismatch: client {}, daemon {SOURCE_FINGERPRINT}",
+            source.unwrap_or("(none)")
+        ));
+    }
 
     // Resolve the configuration list: named standard configurations
     // and/or inline config-file texts; a request naming neither runs the

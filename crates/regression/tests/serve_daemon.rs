@@ -1,11 +1,13 @@
 //! The serve daemon: concurrent clients over one Unix socket, one shared
 //! cell store (a cold campaign warms every later client), clean
 //! cooperative shutdown (request op and the embedder's flag, which is
-//! what the CLI's stdin-EOF watcher flips), and stale-socket recovery.
+//! what the CLI's stdin-EOF watcher flips), stale-socket recovery, and
+//! campaigns refused to clients built from other sources.
 
 #![cfg(unix)]
 
 use stbus_regression::serve::{client_request, ServeOptions, Server, SERVE_PROTOCOL};
+use stbus_regression::SOURCE_FINGERPRINT;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 use telemetry::Json;
@@ -29,7 +31,7 @@ fn wait_for_socket(path: &Path) {
 /// test library at low intensity.
 fn campaign_request(seeds: &str) -> String {
     format!(
-        r#"{{"op":"campaign","configs":["cfg01"],"seeds":{seeds},"intensity":4,"deterministic":true}}"#
+        r#"{{"op":"campaign","source":"{SOURCE_FINGERPRINT}","configs":["cfg01"],"seeds":{seeds},"intensity":4,"deterministic":true}}"#
     )
 }
 
@@ -67,6 +69,10 @@ fn daemon_shares_one_cache_across_concurrent_clients() {
     assert_eq!(
         pong[0].get("protocol").and_then(Json::as_str),
         Some(SERVE_PROTOCOL)
+    );
+    assert_eq!(
+        pong[0].get("source").and_then(Json::as_str),
+        Some(SOURCE_FINGERPRINT)
     );
 
     // Two concurrent clients with overlapping campaigns (seed 1 is in
@@ -117,6 +123,10 @@ fn daemon_shares_one_cache_across_concurrent_clients() {
     let stats = client_request(&socket, r#"{"op":"stats"}"#).expect("stats");
     assert!(stats[0].get("campaigns").and_then(Json::as_u64) >= Some(3));
     assert!(stats[0].get("cache_hits").and_then(Json::as_u64) >= Some(24));
+    assert_eq!(
+        stats[0].get("source").and_then(Json::as_str),
+        Some(SOURCE_FINGERPRINT)
+    );
 
     // A shutdown request is acknowledged, then the daemon exits and
     // removes its socket.
@@ -145,7 +155,9 @@ fn three_view_campaigns_warm_their_own_cells() {
     let daemon = std::thread::spawn(move || server.run().expect("daemon run"));
     wait_for_socket(&socket);
 
-    let request = r#"{"op":"campaign","configs":["cfg01"],"seeds":[1],"intensity":4,"views":["rtl","bca","tlm"],"deterministic":true}"#;
+    let request = &format!(
+        r#"{{"op":"campaign","source":"{SOURCE_FINGERPRINT}","configs":["cfg01"],"seeds":[1],"intensity":4,"views":["rtl","bca","tlm"],"deterministic":true}}"#
+    );
     let cold = client_request(&socket, request).expect("cold three-view campaign");
     let cold_report = report_of(&cold);
     assert_eq!(cache_stat(cold_report, "misses"), 12);
@@ -166,11 +178,7 @@ fn three_view_campaigns_warm_their_own_cells() {
     );
 
     // A two-view campaign must not be answered from three-view cells.
-    let two = client_request(
-        &socket,
-        r#"{"op":"campaign","configs":["cfg01"],"seeds":[1],"intensity":4,"deterministic":true}"#,
-    )
-    .expect("two-view campaign");
+    let two = client_request(&socket, &campaign_request("[1]")).expect("two-view campaign");
     let two_report = report_of(&two);
     assert_eq!(
         cache_stat(two_report, "hits"),
@@ -206,8 +214,13 @@ fn malformed_and_unknown_requests_do_not_kill_the_connection() {
     assert_eq!(bad[0].get("ok").and_then(Json::as_bool), Some(false));
     let unknown = client_request(&socket, r#"{"op":"frobnicate"}"#).expect("error answer");
     assert_eq!(unknown[0].get("ok").and_then(Json::as_bool), Some(false));
-    let rejected =
-        client_request(&socket, r#"{"op":"campaign","configs":["no-such-config"]}"#).unwrap();
+    let rejected = client_request(
+        &socket,
+        &format!(
+            r#"{{"op":"campaign","source":"{SOURCE_FINGERPRINT}","configs":["no-such-config"]}}"#
+        ),
+    )
+    .unwrap();
     assert_eq!(rejected[0].get("ok").and_then(Json::as_bool), Some(false));
     // The daemon is still alive and answering.
     let pong = client_request(&socket, r#"{"op":"ping"}"#).expect("ping after errors");
@@ -257,4 +270,53 @@ fn stale_socket_files_are_recovered_live_daemons_are_not_displaced() {
     daemon.join().expect("daemon thread");
 
     let _ = std::fs::remove_dir_all(&base);
+}
+
+/// Sends `request` to a fresh daemon and returns its answer; the daemon
+/// must reject it without simulating and stay up.
+fn rejected_by_fresh_daemon(tag: &str, request: &str) -> Json {
+    let base = temp_base(tag);
+    let socket = base.join("daemon.sock");
+    let server = Server::bind(ServeOptions {
+        socket: socket.clone(),
+        cache_dir: base.join("cache"),
+        jobs: 1,
+        ..ServeOptions::default()
+    })
+    .expect("bind");
+    let flag = server.shutdown_flag();
+    let daemon = std::thread::spawn(move || server.run().expect("daemon run"));
+    wait_for_socket(&socket);
+
+    let answer = client_request(&socket, request).expect("error answer");
+    assert_eq!(answer.len(), 1, "rejected before any `accepted` line");
+    let stats = client_request(&socket, r#"{"op":"stats"}"#).expect("stats after rejection");
+    assert_eq!(stats[0].get("cells").and_then(Json::as_u64), Some(0));
+
+    flag.store(true, std::sync::atomic::Ordering::SeqCst);
+    daemon.join().expect("daemon thread");
+    let _ = std::fs::remove_dir_all(&base);
+    answer.into_iter().next().unwrap()
+}
+
+#[test]
+fn campaign_from_other_sources_is_rejected_naming_both_fingerprints() {
+    let request = campaign_request("[1]").replace(SOURCE_FINGERPRINT, "0123456789abcdef");
+    let answer = rejected_by_fresh_daemon("mismatch", &request);
+    assert_eq!(answer.get("ok").and_then(Json::as_bool), Some(false));
+    let error = answer.get("error").and_then(Json::as_str).unwrap();
+    assert!(error.contains("0123456789abcdef"), "{error}");
+    assert!(error.contains(SOURCE_FINGERPRINT), "{error}");
+}
+
+#[test]
+fn campaign_without_a_source_is_rejected() {
+    let request =
+        campaign_request("[1]").replace(&format!(r#""source":"{SOURCE_FINGERPRINT}","#), "");
+    assert!(!request.contains("source"));
+    let answer = rejected_by_fresh_daemon("nosource", &request);
+    assert_eq!(answer.get("ok").and_then(Json::as_bool), Some(false));
+    let error = answer.get("error").and_then(Json::as_str).unwrap();
+    assert!(error.contains("(none)"), "{error}");
+    assert!(error.contains(SOURCE_FINGERPRINT), "{error}");
 }
