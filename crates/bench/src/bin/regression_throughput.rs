@@ -15,12 +15,14 @@
 //! cold run filled — verifying the warm run simulates nothing (100% hit
 //! rate) and reports byte-identically, and recording the warm-run
 //! speedup. It then profiles the serial campaign per engine and records
-//! the check phase and its five sub-layers (`check:bfm`, `check:monitor`,
-//! `check:checker`, `check:coverage`, `check:scoreboard`), each the
-//! median of five profiled runs; with `--baseline PATH` (an earlier
-//! `BENCH_regression.json`, for instance from the parent commit) every
-//! layer becomes a before/after pair. Everything lands in
-//! `BENCH_regression.json` (schema `stbus-bench-regression/4`):
+//! the kernel's `settle` and `eval` buckets and the check phase with its
+//! five sub-layers (`check:bfm`, `check:monitor`, `check:checker`,
+//! `check:coverage`, `check:scoreboard`), each the median of five
+//! profiled runs, and the RTL view's step time, the median of five
+//! replays. With `--baseline PATH` (an earlier `BENCH_regression.json`,
+//! for instance from the parent commit) every such layer becomes a
+//! before/after pair. Everything lands in `BENCH_regression.json`
+//! (schema `stbus-bench-regression/5`):
 //!
 //! ```text
 //! regression_throughput [--configs N] [--seeds N] [--intensity N]
@@ -55,6 +57,9 @@ use stbus_protocol::{DutInputs, DutOutputs, DutView, NodeConfig, ViewKind};
 use std::time::Instant;
 use telemetry::{Json, Level, MemorySink, Telemetry};
 
+/// The kernel's profile phase buckets on the RTL view.
+const KERNEL_LAYERS: [&str; 2] = ["settle", "eval"];
+
 /// The check phase and its sub-layers, as profile phase buckets.
 const CHECK_LAYERS: [&str; 6] = [
     "check",
@@ -65,17 +70,25 @@ const CHECK_LAYERS: [&str; 6] = [
     "check:scoreboard",
 ];
 
-/// Profiled campaigns per engine behind each check-layer figure.
+/// Profiled campaigns (or RTL replays) per engine behind each layer
+/// figure.
 const PROFILE_REPEATS: usize = 5;
 
-/// Per [`CHECK_LAYERS`] entry: the median over [`PROFILE_REPEATS`]
-/// profiled runs of the campaign `opts` describes, in microseconds.
-fn check_layer_us(
+/// The median of `samples`.
+fn median(mut samples: Vec<u64>) -> u64 {
+    samples.sort_unstable();
+    samples[samples.len() / 2]
+}
+
+/// Per `layers` entry: the median over [`PROFILE_REPEATS`] profiled runs
+/// of the campaign `opts` describes, in microseconds.
+fn profiled_layer_us(
     configs: &[NodeConfig],
     tests: &[catg::TestSpec],
+    layers: &[&str],
     opts: impl Fn() -> RegressionOptions,
 ) -> Vec<u64> {
-    let mut samples = vec![Vec::new(); CHECK_LAYERS.len()];
+    let mut samples = vec![Vec::new(); layers.len()];
     for _ in 0..PROFILE_REPEATS {
         let (sink, handle) = MemorySink::new();
         let mut options = opts();
@@ -87,27 +100,38 @@ fn check_layer_us(
         let spans = profile::collect_spans(&handle.events());
         let phases =
             profile::build_profile(&spans, &profile::ProfileOptions::default()).phase_totals();
-        for (layer, s) in CHECK_LAYERS.iter().zip(&mut samples) {
+        for (layer, s) in layers.iter().zip(&mut samples) {
             s.push(phases.get(*layer).copied().unwrap_or(0));
         }
     }
-    samples
-        .into_iter()
-        .map(|mut s| {
-            s.sort_unstable();
-            s[s.len() / 2]
-        })
-        .collect()
+    samples.into_iter().map(median).collect()
 }
 
-/// A layer's `after_us` figure for `engine` in an earlier bench document.
-fn baseline_us(baseline: Option<&Json>, engine: SimBackend, layer: &str) -> Option<u64> {
-    let Json::Arr(engines) = baseline?.get("check_phase")?.get("engines")? else {
+/// The entry named `value` under `key` in the array `doc[section][list]`.
+fn find_entry<'a>(
+    doc: Option<&'a Json>,
+    section: &str,
+    list: &str,
+    key: &str,
+    value: &str,
+) -> Option<&'a Json> {
+    let Json::Arr(entries) = doc?.get(section)?.get(list)? else {
         return None;
     };
-    let entry = engines
+    entries
         .iter()
-        .find(|e| e.get("engine").and_then(Json::as_str) == Some(engine.name()))?;
+        .find(|e| e.get(key).and_then(Json::as_str) == Some(value))
+}
+
+/// A layer's `after_us` figure for `engine` in `section` of an earlier
+/// bench document.
+fn baseline_us(
+    baseline: Option<&Json>,
+    section: &str,
+    engine: SimBackend,
+    layer: &str,
+) -> Option<u64> {
+    let entry = find_entry(baseline, section, "engines", "engine", engine.name())?;
     let Json::Arr(layers) = entry.get("layers")? else {
         return None;
     };
@@ -116,6 +140,33 @@ fn baseline_us(baseline: Option<&Json>, engine: SimBackend, layer: &str) -> Opti
         .find(|l| l.get("layer").and_then(Json::as_str) == Some(layer))?
         .get("after_us")?
         .as_u64()
+}
+
+/// One engine's entry of a per-layer section: `after_us` per layer,
+/// paired with the baseline's figure where it has one.
+fn layer_section(
+    section: &str,
+    engine: SimBackend,
+    layers: &[&str],
+    after: &[u64],
+    baseline: Option<&Json>,
+) -> Json {
+    let layers = layers.iter().zip(after).map(|(layer, &after_us)| {
+        let before_us = baseline_us(baseline, section, engine, layer);
+        eprintln!(
+            "  {engine:>8} {layer:<17} {after_us:>8} us{}",
+            before_us.map_or(String::new(), |b| format!("  (before {b} us)"))
+        );
+        Json::obj([
+            ("layer", Json::from(*layer)),
+            ("before_us", before_us.map(Json::from).unwrap_or(Json::Null)),
+            ("after_us", Json::from(after_us)),
+        ])
+    });
+    Json::obj([
+        ("engine", Json::from(engine.to_string())),
+        ("layers", Json::Arr(layers.collect())),
+    ])
 }
 
 /// A [`DutView`] decorator that accumulates wall-clock time spent inside
@@ -476,30 +527,32 @@ fn main() {
         let _ = std::fs::remove_dir_all(&cache_root);
     }
 
-    // --- the check phase, per sub-layer --------------------------------
+    // --- the kernel and the check phase, per layer ---------------------
     // Profiled serial campaigns: the testbench attributes its per-cycle
-    // check time to five sub-layers, which the span-tree profile folds
-    // into `check:*` buckets. Against a baseline document each layer is
-    // a before/after pair.
+    // time to the kernel's `settle`/`eval` and to five check sub-layers,
+    // which the span-tree profile folds into phase buckets. Against a
+    // baseline document each layer is a before/after pair.
+    let profiled: Vec<&str> = KERNEL_LAYERS.iter().chain(&CHECK_LAYERS).copied().collect();
+    let mut kernel_sections: Vec<Json> = Vec::new();
     let mut check_sections: Vec<Json> = Vec::new();
     for &engine in &engines {
-        let after = check_layer_us(configs, &tests, || mk_opts(1, engine));
-        let layers = CHECK_LAYERS.iter().zip(&after).map(|(layer, &after_us)| {
-            let before_us = baseline_us(baseline.as_ref(), engine, layer);
-            eprintln!(
-                "  {engine:>8} {layer:<17} {after_us:>8} us{}",
-                before_us.map_or(String::new(), |b| format!("  (before {b} us)"))
-            );
-            Json::obj([
-                ("layer", Json::from(*layer)),
-                ("before_us", before_us.map(Json::from).unwrap_or(Json::Null)),
-                ("after_us", Json::from(after_us)),
-            ])
-        });
-        check_sections.push(Json::obj([
-            ("engine", Json::from(engine.to_string())),
-            ("layers", Json::Arr(layers.collect())),
-        ]));
+        let after = profiled_layer_us(configs, &tests, &profiled, || mk_opts(1, engine));
+        let (kernel, check) = after.split_at(KERNEL_LAYERS.len());
+        let base = baseline.as_ref();
+        kernel_sections.push(layer_section(
+            "kernel_phase",
+            engine,
+            &KERNEL_LAYERS,
+            kernel,
+            base,
+        ));
+        check_sections.push(layer_section(
+            "check_phase",
+            engine,
+            &CHECK_LAYERS,
+            check,
+            base,
+        ));
     }
 
     // --- the RTL view in isolation -------------------------------------
@@ -507,38 +560,59 @@ fn main() {
     // full-campaign wall clock above is dominated by engine-independent
     // environment work (BFMs, monitors, scoreboard, dual-view compare),
     // so it bounds any backend's visible gain; this is the number the
-    // compiled backend actually moves.
+    // compiled backend actually moves. Each figure is the median of
+    // [`PROFILE_REPEATS`] replays.
     let mut rtl_view: Vec<Json> = Vec::new();
     let mut step_us: Vec<(SimBackend, u64)> = Vec::new();
     for &engine in &engines {
-        let mut total_ns = 0u64;
+        let mut replays_ns = Vec::new();
         let mut total_cycles = 0u64;
-        for cfg in configs {
-            let tb = catg::Testbench::new(cfg.clone(), catg::TestbenchOptions::default());
-            for test in &tests {
-                for seed in 1..=n_seeds {
-                    let mut dut =
-                        TimedDut::new(stbus_rtl::RtlNode::with_engine(cfg.clone(), engine));
-                    let result = tb.run(&mut dut, test, seed);
-                    assert!(result.completed, "{} {} seed {seed}", cfg.name, test.name);
-                    total_ns += dut.step_ns;
-                    total_cycles += dut.cycles;
+        for _ in 0..PROFILE_REPEATS {
+            let mut replay_ns = 0u64;
+            total_cycles = 0;
+            for cfg in configs {
+                let tb = catg::Testbench::new(cfg.clone(), catg::TestbenchOptions::default());
+                for test in &tests {
+                    for seed in 1..=n_seeds {
+                        let mut dut =
+                            TimedDut::new(stbus_rtl::RtlNode::with_engine(cfg.clone(), engine));
+                        let result = tb.run(&mut dut, test, seed);
+                        assert!(result.completed, "{} {} seed {seed}", cfg.name, test.name);
+                        replay_ns += dut.step_ns;
+                        total_cycles += dut.cycles;
+                    }
                 }
             }
+            replays_ns.push(replay_ns);
         }
+        let total_ns = median(replays_ns);
         let wall_us = total_ns / 1_000;
+        let before_us = find_entry(
+            baseline.as_ref(),
+            "rtl_view",
+            "runs",
+            "engine",
+            engine.name(),
+        )
+        .and_then(|run| run.get("step_wall_us"))
+        .and_then(Json::as_u64);
         let rate = if total_ns == 0 {
             0.0
         } else {
             total_cycles as f64 / (total_ns as f64 / 1e9)
         };
         eprintln!(
-            "  rtl-view {engine:>8}: {total_cycles} cycles, {wall_us} us in step ({rate:.0} cyc/s)"
+            "  rtl-view {engine:>8}: {total_cycles} cycles, {wall_us} us in step ({rate:.0} cyc/s){}",
+            before_us.map_or(String::new(), |b| format!("  (before {b} us)"))
         );
         step_us.push((engine, wall_us));
         rtl_view.push(Json::obj([
             ("engine", Json::from(engine.to_string())),
             ("cycles", Json::from(total_cycles)),
+            (
+                "before_step_wall_us",
+                before_us.map(Json::from).unwrap_or(Json::Null),
+            ),
             ("step_wall_us", Json::from(wall_us)),
             ("cycles_per_sec", Json::from(rate)),
         ]));
@@ -555,7 +629,7 @@ fn main() {
     }
 
     let json = Json::obj([
-        ("schema", Json::from("stbus-bench-regression/4")),
+        ("schema", Json::from("stbus-bench-regression/5")),
         ("benchmark", Json::from("regression_throughput")),
         ("configs", Json::from(configs.len())),
         ("tests", Json::from(tests.len())),
@@ -574,6 +648,13 @@ fn main() {
         ("engines", Json::Arr(engine_sections)),
         ("best_speedup", Json::from(best_speedup)),
         ("cache", Json::Arr(cache_sections)),
+        (
+            "kernel_phase",
+            Json::obj([
+                ("repeats", Json::from(PROFILE_REPEATS)),
+                ("engines", Json::Arr(kernel_sections)),
+            ]),
+        ),
         (
             "check_phase",
             Json::obj([

@@ -4,8 +4,8 @@
 use crate::clock::{ClockId, ClockSpec};
 use crate::coverage::{ActivityCoverage, BranchActivity, BranchId, ProcessActivity};
 use crate::error::SimError;
-use crate::process::{DelayedWrite, Edge, ProcCtx, ProcessId, ProcessSlot};
 use crate::logic::Bits;
+use crate::process::{DelayedWrite, Edge, ProcCtx, ProcessId, ProcessSlot};
 use crate::signal::{Signal, SignalId, SignalSlot, WordValue};
 use crate::stats::{KernelMetrics, KernelStats};
 use crate::time::SimTime;
@@ -460,7 +460,12 @@ impl Simulator {
             }
             if slot.traced {
                 if let Some(sink) = self.trace.as_mut() {
-                    sink.on_change(self.time, id, &slot.name, &Bits::from_u64(slot.cur, slot.width));
+                    sink.on_change(
+                        self.time,
+                        id,
+                        &slot.name,
+                        &Bits::from_u64(slot.cur, slot.width),
+                    );
                 }
             }
         }
@@ -724,8 +729,15 @@ mod tests {
         let before = sim.kernel_stats();
         sim.run_for(10).unwrap();
         let after = sim.kernel_stats();
-        assert_eq!(after.timed_events, before.timed_events + 1, "the write fired");
-        assert_eq!(after.signal_commits, before.signal_commits, "but changed nothing");
+        assert_eq!(
+            after.timed_events,
+            before.timed_events + 1,
+            "the write fired"
+        );
+        assert_eq!(
+            after.signal_commits, before.signal_commits,
+            "but changed nothing"
+        );
         assert_eq!(woken.get(), 1, "initialization run only");
         assert_eq!(sim.value(s), 9);
     }
