@@ -306,7 +306,11 @@ fn recorded_cells_carry_the_compared_trace_digests() {
         ..RegressionOptions::default()
     };
     assert!(options.compare_waveforms);
-    run_regression(&[config.clone()], &[spec.clone()], &options);
+    run_regression(
+        std::slice::from_ref(&config),
+        std::slice::from_ref(&spec),
+        &options,
+    );
 
     let key = cell_key(&config, &spec, 1, &options);
     let payload = Store::open(dir.clone()).get(&key).1.expect("cell recorded");

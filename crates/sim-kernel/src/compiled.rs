@@ -16,11 +16,10 @@
 //! reports a [`SimError::CombLoop`] naming its processes instead of
 //! hanging.
 //!
-//! Signal state is flattened into struct-of-arrays `u64` buffers
+//! Signal state is the same [`WordValue`] word per signal the event
+//! kernel keeps, laid out here as struct-of-arrays `u64` buffers
 //! (current / pending / pending-mask), so reads and writes are plain
-//! indexed loads and stores with no `dyn Any` dispatch and no
-//! allocation. Any value implementing [`WordValue`] — the scalar types
-//! `bool`, `u8`, `u16`, `u32`, `u64` — can live on a compiled signal.
+//! indexed loads and stores with no allocation.
 //!
 //! # Semantics relative to the event kernel
 //!

@@ -7,6 +7,15 @@
 //! changes, clocked processes sensitive to edges, waveform tracing and
 //! process-activity ("code") coverage.
 //!
+//! Signals are typed at the handle and stored as words: every value type
+//! implements [`WordValue`] (`bool`, `u8`, `u16`, `u32`, `u64` and the
+//! four-state [`Logic`]), and the kernel keeps one committed `u64` word,
+//! one staged word and a staged flag per signal. Reads, writes, commits,
+//! edge detection and tracing work on those words, with no per-access
+//! type dispatch; debug builds still check each access against the type
+//! the signal was registered with. The levelized [`CompiledSim`] stores
+//! the same words.
+//!
 //! The RTL view of the STBus node (`stbus-rtl`) is written as processes on
 //! this kernel; the BCA view deliberately bypasses it, which reproduces the
 //! BCA-vs-RTL simulation-speed gap the paper's introduction motivates.

@@ -13,9 +13,8 @@ use stbus_protocol::{CellData, InitiatorId, Opcode, ReqCell, RspCell, RspKind, T
 /// elaboration routine produces the identical netlist (same names, same
 /// registration order, same `SignalId`s) on either backend.
 ///
-/// Every STBus wire is a scalar, so the [`WordValue`] bound — required
-/// by the compiled backend's flat word buffers — costs the event kernel
-/// nothing.
+/// Both kernels store a signal as one [`WordValue`] word; every STBus
+/// wire is a scalar, so every wire fits one.
 pub(crate) trait SigAlloc {
     fn signal<T: WordValue>(&mut self, name: &str, init: T) -> Signal<T>;
     fn branch(&mut self, name: &str) -> BranchId;
