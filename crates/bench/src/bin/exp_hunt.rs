@@ -26,7 +26,11 @@ fn main() {
     let tel = telemetry::Telemetry::to_stderr(telemetry::Level::Info);
 
     // --- Campaign 1: clean hunt. Silence is the result. -------------
-    tel.info("exp.hunt", "clean campaign", [("budget", telemetry::Json::from(16u64))]);
+    tel.info(
+        "exp.hunt",
+        "clean campaign",
+        [("budget", telemetry::Json::from(16u64))],
+    );
     let mut clean = run_hunt(&HuntOptions {
         budget: 16,
         campaign_seed: 1,
@@ -54,7 +58,11 @@ fn main() {
         jobs,
         ..HuntOptions::default()
     };
-    tel.info("exp.hunt", "seeded campaign", [("inject", telemetry::Json::from("R2"))]);
+    tel.info(
+        "exp.hunt",
+        "seeded campaign",
+        [("inject", telemetry::Json::from("R2"))],
+    );
     let mut seeded = run_hunt(&seeded_options(1));
     seeded.strip_timings();
     println!("--- seeded hunt (8 probes, campaign seed 1, inject R2) ---");
@@ -66,18 +74,30 @@ fn main() {
 
     let repro = seeded.repros.first().expect("one divergence is shrunk");
     println!("minimal reproducer {}:", repro.id());
-    println!("  detector      : {} (column `{}`)", repro.detector, repro.detector_column);
+    println!(
+        "  detector      : {} (column `{}`)",
+        repro.detector, repro.detector_column
+    );
     println!(
         "  shrunk config : {} initiator(s) x {} target(s), {}-byte bus, {:?}",
-        repro.config.n_initiators, repro.config.n_targets, repro.config.bus_bytes, repro.config.protocol
+        repro.config.n_initiators,
+        repro.config.n_targets,
+        repro.config.bus_bytes,
+        repro.config.protocol
     );
     println!(
         "  shrink steps  : {} ({} candidate re-validations spent)",
         repro.shrink_steps.len(),
         seeded.shrink_evaluations
     );
-    assert_eq!(repro.detector_column, "checker", "R2 is a functional (checker) find");
-    assert!(!repro.shrink_steps.is_empty(), "the oversized probe must shrink");
+    assert_eq!(
+        repro.detector_column, "checker",
+        "R2 is a functional (checker) find"
+    );
+    assert!(
+        !repro.shrink_steps.is_empty(),
+        "the oversized probe must shrink"
+    );
     assert!(
         repro.config.n_initiators <= 2 && repro.config.n_targets <= 3,
         "the reproducer is not minimal: {}",
@@ -90,7 +110,10 @@ fn main() {
         .expect("replay runs")
         .expect("the reproducer fires on replay");
     assert!(repro.matches(&finding), "replay misattributed: {finding:?}");
-    println!("  replay        : fires `{}` — class preserved", finding.detector);
+    println!(
+        "  replay        : fires `{}` — class preserved",
+        finding.detector
+    );
 
     // Worker-count invariance: jobs=4 reproduces jobs=1 byte-for-byte.
     let mut wide = run_hunt(&seeded_options(4));

@@ -138,7 +138,10 @@ mod tests {
                 assert!(m.n_transactions >= 1);
                 assert!(m.kinds.iter().any(|&(_, w)| w > 0));
                 assert!(m.sizes.iter().any(|&(_, w)| w > 0));
-                assert!(m.targets.iter().all(|&(t, _)| (t.0 as usize) < config.n_targets));
+                assert!(m
+                    .targets
+                    .iter()
+                    .all(|&(t, _)| (t.0 as usize) < config.n_targets));
             }
             for (_, prios) in &recipe.prog_schedule {
                 assert_eq!(prios.len(), config.n_initiators);

@@ -160,7 +160,11 @@ pub fn recipe_reductions(recipe: &Recipe, config: &NodeConfig) -> Vec<Reduction>
         }
         propose("no-throttle", c);
     }
-    if recipe.models.iter().any(|m| m.gap_min != 2 || m.gap_max != 6) {
+    if recipe
+        .models
+        .iter()
+        .any(|m| m.gap_min != 2 || m.gap_max != 6)
+    {
         let mut c = recipe.clone();
         for m in &mut c.models {
             m.gap_min = 2;

@@ -128,7 +128,12 @@ impl HuntReport {
             ("budget", Json::from(self.budget)),
             (
                 "injected",
-                Json::Arr(self.injected.iter().map(|s| Json::str(s.as_str())).collect()),
+                Json::Arr(
+                    self.injected
+                        .iter()
+                        .map(|s| Json::str(s.as_str()))
+                        .collect(),
+                ),
             ),
             ("divergences", Json::from(self.divergences())),
             (
@@ -322,16 +327,26 @@ mod tests {
         );
         assert_eq!(report.repros.len(), 1);
         let repro = &report.repros[0];
-        assert!(!repro.shrink_steps.is_empty(), "oversized draws must shrink");
+        assert!(
+            !repro.shrink_steps.is_empty(),
+            "oversized draws must shrink"
+        );
         // The minimal reproducer replays to the same detector class.
         let replayed = repro
             .replay(&Telemetry::disabled())
             .unwrap()
             .expect("minimal repro still diverges");
-        assert!(repro.matches(&replayed), "{replayed:?} vs {}", repro.detector);
+        assert!(
+            repro.matches(&replayed),
+            "{replayed:?} vs {}",
+            repro.detector
+        );
         // And survives its own JSON round trip.
         let parsed = Repro::from_json(&repro.to_json()).unwrap();
-        assert_eq!(parsed.to_json().render_pretty(), repro.to_json().render_pretty());
+        assert_eq!(
+            parsed.to_json().render_pretty(),
+            repro.to_json().render_pretty()
+        );
     }
 
     #[test]

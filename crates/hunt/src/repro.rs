@@ -89,7 +89,12 @@ impl Repro {
             ),
             (
                 "injected",
-                Json::Arr(self.injected.iter().map(|s| Json::str(s.as_str())).collect()),
+                Json::Arr(
+                    self.injected
+                        .iter()
+                        .map(|s| Json::str(s.as_str()))
+                        .collect(),
+                ),
             ),
             ("campaign_seed", Json::from(self.campaign_seed)),
             ("probe_index", Json::from(self.probe_index)),
@@ -224,7 +229,10 @@ mod tests {
     fn repro_round_trips_through_json() {
         let repro = sample();
         let json = repro.to_json();
-        assert_eq!(json.get("schema").and_then(Json::as_str), Some(REPRO_SCHEMA));
+        assert_eq!(
+            json.get("schema").and_then(Json::as_str),
+            Some(REPRO_SCHEMA)
+        );
         let parsed = Repro::from_json(&json).unwrap();
         assert_eq!(parsed.config, repro.config);
         assert_eq!(parsed.recipe, repro.recipe);

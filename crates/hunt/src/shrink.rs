@@ -79,7 +79,10 @@ pub fn config_reductions(config: &NodeConfig) -> Vec<(&'static str, NodeConfig)>
         propose("one-initiator", rebuild(config, |k| k.initiators = 1));
     }
     if ni > 3 {
-        propose("halve-initiators", rebuild(config, |k| k.initiators = ni / 2));
+        propose(
+            "halve-initiators",
+            rebuild(config, |k| k.initiators = ni / 2),
+        );
     }
     if ni > 2 {
         propose("drop-initiator", rebuild(config, |k| k.initiators = ni - 1));

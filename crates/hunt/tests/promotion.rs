@@ -26,7 +26,10 @@ fn promoted_reproducer_is_caught_and_attributed() {
         jobs: 1,
         ..HuntOptions::default()
     });
-    let repro = report.repros.first().expect("the seeded hunt must shrink a repro");
+    let repro = report
+        .repros
+        .first()
+        .expect("the seeded hunt must shrink a repro");
 
     // Pin it the way `--hunt-promote` does: one JSON file in a
     // catalogue directory, named by content id.
@@ -48,7 +51,10 @@ fn promoted_reproducer_is_caught_and_attributed() {
     let outcomes = mutation::run_promoted(&entries, &Telemetry::disabled());
     assert_eq!(outcomes.len(), 1);
     let outcome = &outcomes[0];
-    assert!(outcome.caught, "the pinned reproducer did not fire: {outcome:?}");
+    assert!(
+        outcome.caught,
+        "the pinned reproducer did not fire: {outcome:?}"
+    );
     assert!(
         outcome.attributed,
         "the pinned reproducer fired the wrong class: {outcome:?}"
@@ -57,5 +63,7 @@ fn promoted_reproducer_is_caught_and_attributed() {
     // An empty (or absent) catalogue stays empty — the qualify path
     // must not invent entries.
     let missing = std::env::temp_dir().join("stbus_hunts_definitely_missing");
-    assert!(mutation::PromotedRepro::load_dir(&missing).unwrap().is_empty());
+    assert!(mutation::PromotedRepro::load_dir(&missing)
+        .unwrap()
+        .is_empty());
 }

@@ -9,7 +9,7 @@
 use catg::{ConstraintModel, TargetProfile};
 use cdg::Recipe;
 use stbus_hunt::{run_probe, shrink, Injections};
-use stbus_protocol::{Architecture, ArbitrationKind, NodeConfig, ProtocolType};
+use stbus_protocol::{ArbitrationKind, Architecture, NodeConfig, ProtocolType};
 use stbus_rtl::RtlBug;
 use telemetry::Telemetry;
 

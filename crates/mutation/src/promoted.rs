@@ -86,7 +86,10 @@ impl PromotedRepro {
             source: source.to_owned(),
             config,
             recipe,
-            seed: json.get("seed").and_then(Json::as_u64).ok_or_else(|| ctx("seed"))?,
+            seed: json
+                .get("seed")
+                .and_then(Json::as_u64)
+                .ok_or_else(|| ctx("seed"))?,
             injected,
             detector: json
                 .get("detector")
@@ -126,8 +129,7 @@ impl PromotedRepro {
                     .to_owned();
                 let text = std::fs::read_to_string(path)
                     .map_err(|e| format!("{}: {e}", path.display()))?;
-                let json =
-                    Json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
+                let json = Json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
                 PromotedRepro::from_json(&source, &json)
             })
             .collect()
@@ -162,14 +164,11 @@ pub fn run_promoted(entries: &[PromotedRepro], telemetry: &Telemetry) -> Vec<Pro
     entries
         .iter()
         .map(|entry| {
-            let inject = Injections::from_labels(&entry.injected)
-                .expect("labels were validated at load");
+            let inject =
+                Injections::from_labels(&entry.injected).expect("labels were validated at load");
             let spec = entry.recipe.to_spec(&format!("hunt_{}", entry.source));
-            let finding =
-                run_differential(&entry.config, &spec, entry.seed, &inject, telemetry);
-            let observed_column = finding
-                .as_ref()
-                .map(|f| f.detector.column().to_owned());
+            let finding = run_differential(&entry.config, &spec, entry.seed, &inject, telemetry);
+            let observed_column = finding.as_ref().map(|f| f.detector.column().to_owned());
             PromotedOutcome {
                 id: entry.id.clone(),
                 source: entry.source.clone(),

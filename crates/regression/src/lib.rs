@@ -33,10 +33,10 @@ pub mod serve;
 // `repro.json`, the promoted-reproducer catalogue — can embed and parse
 // configurations without depending on this crate. Re-exported here so
 // existing `stbus_regression::parse_config` callers keep compiling.
-pub use stbus_protocol::config_file::{parse_config, render_config, ParseConfigError};
 pub use manifest::MANIFEST_SCHEMA;
 pub use matrix::standard_configs;
 pub use runner::{
     cell_key, parse_views, run_regression, CacheSummary, ConfigOutcome, RegressionOptions,
     RegressionReport, RunRecord, SOURCE_FINGERPRINT,
 };
+pub use stbus_protocol::config_file::{parse_config, render_config, ParseConfigError};

@@ -5,10 +5,8 @@
 //! reproduce their original evidence byte-for-byte.
 
 use stbus_protocol::NodeConfig;
-use stbus_regression::{
-    run_regression, standard_configs, RegressionOptions, RegressionReport,
-};
-use std::path::PathBuf;
+use stbus_regression::{run_regression, standard_configs, RegressionOptions, RegressionReport};
+use std::path::{Path, PathBuf};
 
 fn temp_store(tag: &str) -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("stbus-cache-gc-{tag}"));
@@ -39,11 +37,11 @@ fn shape_b() -> (Vec<NodeConfig>, Vec<catg::TestSpec>, Vec<u64>) {
     )
 }
 
-fn options(dir: &PathBuf, seeds: Vec<u64>, jobs: usize) -> RegressionOptions {
+fn options(dir: &Path, seeds: Vec<u64>, jobs: usize) -> RegressionOptions {
     let mut o = RegressionOptions {
         seeds,
         jobs,
-        cache_dir: Some(dir.clone()),
+        cache_dir: Some(dir.to_path_buf()),
         ..RegressionOptions::default()
     };
     // Room for the larger campaign alone, not for both: 2 + 3 cells

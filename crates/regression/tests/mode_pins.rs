@@ -122,7 +122,12 @@ fn hunt(out: &mut String) {
     let mut report = hunt::run_hunt(&options);
     report.strip_timings();
     pin(out, "hunt", "table", &report.table());
-    pin(out, "hunt", "hunt.json", &report.hunt_json().render_pretty());
+    pin(
+        out,
+        "hunt",
+        "hunt.json",
+        &report.hunt_json().render_pretty(),
+    );
     for (k, repro) in report.repros.iter().enumerate() {
         let name = format!("repro_{k}.json");
         pin(out, "hunt", &name, &repro.to_json().render_pretty());
