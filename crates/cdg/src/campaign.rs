@@ -14,7 +14,8 @@
 //! the driving thread, and the report carries no wall-clock fields — so
 //! `closure.json` is byte-identical for any `--jobs`.
 
-use catg::{CoverageReport, TestSpec, Testbench, TestbenchOptions};
+use catg::cell::{run_cell, CellSpec, Compare};
+use catg::{CoverageReport, TestSpec, ViewSpec};
 use stbus_protocol::{NodeConfig, ViewKind};
 use telemetry::{Json, Telemetry};
 
@@ -99,36 +100,6 @@ pub struct ClosureReport {
     pub final_recipe: Recipe,
 }
 
-struct PairOutcome {
-    passed: bool,
-    coverage: CoverageReport,
-}
-
-/// Runs `spec` for `seed` on both views and merges their coverage: the
-/// paper's "same test cases on both with same seeds".
-fn run_pair(config: &NodeConfig, spec: &TestSpec, seed: u64, telemetry: Telemetry) -> PairOutcome {
-    let options = TestbenchOptions {
-        telemetry,
-        ..TestbenchOptions::default()
-    };
-    let bench = Testbench::new(config.clone(), options);
-    let mut merged: Option<CoverageReport> = None;
-    let mut passed = true;
-    for kind in [ViewKind::Rtl, ViewKind::Bca] {
-        let mut dut = catg::build_view(config, kind);
-        let result = bench.run(dut.as_mut(), spec, seed);
-        passed &= result.passed();
-        match &mut merged {
-            None => merged = Some(result.coverage),
-            Some(m) => m.merge(&result.coverage),
-        }
-    }
-    PairOutcome {
-        passed,
-        coverage: merged.expect("two views ran"),
-    }
-}
-
 /// Runs the coverage-closure loop from `start` and returns the full
 /// trajectory.
 pub fn close_coverage(
@@ -156,21 +127,27 @@ pub fn close_coverage(
             .map(|j| options.base_seed + ((index - 1) * options.tests_per_batch + j) as u64)
             .collect();
 
-        let worker_config = config.clone();
-        let worker_spec = spec.clone();
+        // The paper's "same test cases on both with same seeds": every
+        // seed runs on both views, and both runs' coverage merges in.
+        let cells = seeds
+            .iter()
+            .map(|&seed| {
+                let views = [ViewKind::Rtl, ViewKind::Bca]
+                    .map(|kind| (ViewSpec::of(kind), Compare::None))
+                    .to_vec();
+                CellSpec::new(config.clone(), spec.clone(), seed, views)
+            })
+            .collect();
         let worker_tel = tel.clone();
-        let outcomes = exec::map_ordered(options.jobs, seeds.clone(), move |seed| {
-            run_pair(&worker_config, &worker_spec, seed, worker_tel.buffered())
+        let outcomes = exec::map_ordered(options.jobs, cells, move |cell| {
+            run_cell(&cell, &worker_tel.buffered())
         });
 
         let before_hit = cumulative.as_ref().map_or(0, CoverageReport::hit_bins);
         let mut all_passed = true;
-        for outcome in &outcomes {
-            all_passed &= outcome.passed;
-            match &mut cumulative {
-                None => cumulative = Some(outcome.coverage.clone()),
-                Some(m) => m.merge(&outcome.coverage),
-            }
+        for run in outcomes.iter().flat_map(|o| &o.runs) {
+            all_passed &= run.result.passed();
+            CoverageReport::accumulate(&mut cumulative, &run.result.coverage);
         }
         let merged = cumulative.as_ref().expect("batch ran");
         let holes = merged.holes();

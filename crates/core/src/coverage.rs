@@ -107,6 +107,15 @@ impl CoverageReport {
         self.groups.iter().all(|g| g.coverage() == 1.0)
     }
 
+    /// Merges `other` into a running total, which the first report
+    /// starts.
+    pub fn accumulate(total: &mut Option<CoverageReport>, other: &CoverageReport) {
+        match total {
+            Some(t) => t.merge(other),
+            None => *total = Some(other.clone()),
+        }
+    }
+
     /// Merges hit counts of another report of the same shape.
     ///
     /// # Panics

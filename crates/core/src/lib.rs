@@ -28,11 +28,15 @@
 //!   write-then-read SystemC harness with visual checks, kept for the
 //!   bug-detection comparison (E2);
 //! * [`VcdDump`] — the per-run waveform dump consumed by the `stba`
-//!   analyzer for the bus-accurate comparison.
+//!   analyzer for the bus-accurate comparison;
+//! * [`cell`] — the one cell primitive every campaign mode runs its
+//!   `{config, test, seed}` work through, over views described by
+//!   [`ViewSpec`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cell;
 mod checker;
 mod constraint;
 mod coverage;
@@ -70,4 +74,7 @@ pub use vcd_dump::{port_var_names, VcdDump, CYCLE_TIME};
 pub fn vcd_cycle_time() -> u64 {
     vcd_dump::CYCLE_TIME
 }
-pub use views::{build_view, build_view_with_engine};
+pub use views::{build_view, build_view_with_engine, ViewSpec};
+
+/// The simulation backend an RTL [`ViewSpec`] is elaborated onto.
+pub use sim_kernel::SimBackend;

@@ -370,8 +370,11 @@ pub mod qualification {
     //! never drift apart: a mutation that survives here survives there.
 
     use super::{all, lru_fairness};
-    use crate::testbench::{RunResult, TestSpec, Testbench, TestbenchOptions};
-    use stbus_protocol::{ArbitrationKind, Architecture, DutView, NodeConfig, ProtocolType};
+    use crate::cell::{run_cell, CellSpec, Compare};
+    use crate::testbench::{RunResult, TestSpec, TestbenchOptions};
+    use crate::views::ViewSpec;
+    use stbus_protocol::{ArbitrationKind, Architecture, NodeConfig, ProtocolType};
+    use telemetry::Telemetry;
 
     /// Per-initiator transaction count for the functional hunt.
     pub const INTENSITY: usize = 20;
@@ -477,80 +480,47 @@ pub mod qualification {
         }
     }
 
-    /// Testbench options for the alignment stage with the waveforms
-    /// captured as typed port traces — what the qualification campaign
-    /// compares.
-    pub fn alignment_trace_options() -> TestbenchOptions {
-        TestbenchOptions {
-            capture_trace: true,
-            ..TestbenchOptions::default()
-        }
-    }
-
-    /// Runs one functional cell and reports whether it failed.
+    /// Runs one functional cell of `view` and reports whether it failed.
     pub fn functional_cell_fails(
         config: &NodeConfig,
-        dut: &mut dyn DutView,
+        view: &ViewSpec,
         spec: &TestSpec,
         seed: u64,
     ) -> bool {
-        let bench = Testbench::new(config.clone(), functional_options());
-        !bench.run(dut, spec, seed).passed()
+        let views = vec![(view.clone(), Compare::None)];
+        let cell = CellSpec {
+            options: functional_options(),
+            ..CellSpec::new(config.clone(), spec.clone(), seed, views)
+        };
+        !run_cell(&cell, &Telemetry::disabled()).runs[0]
+            .result
+            .passed()
     }
 
-    /// Runs the functional hunt — every {config, test, seed} cell over
-    /// the given configurations against a freshly built view — and
-    /// returns true as soon as any cell fails.
-    pub fn functional_detects(
-        configs: &[NodeConfig],
-        mut build: impl FnMut(&NodeConfig) -> Box<dyn DutView>,
-    ) -> bool {
-        for config in configs {
-            let mut dut = build(config);
-            for spec in suite() {
-                for seed in SEEDS {
-                    if functional_cell_fails(config, dut.as_mut(), &spec, seed) {
-                        return true;
-                    }
-                }
-            }
-        }
-        false
+    /// Runs the functional hunt — every {config, test, seed} cell of
+    /// `view` over the given configurations — and returns true as soon as
+    /// any cell fails.
+    pub fn functional_detects(configs: &[NodeConfig], view: &ViewSpec) -> bool {
+        configs.iter().any(|config| {
+            let fails = |spec: &TestSpec| {
+                SEEDS
+                    .iter()
+                    .any(|&seed| functional_cell_fails(config, view, spec, seed))
+            };
+            suite().iter().any(fails)
+        })
     }
 
-    /// Replays the alignment spec on both views and returns the STBA
-    /// alignment rate, if both runs produced waveforms.
-    pub fn alignment_rate(
-        config: &NodeConfig,
-        a: &mut dyn DutView,
-        b: &mut dyn DutView,
-    ) -> Option<f64> {
-        let bench = Testbench::new(config.clone(), alignment_trace_options());
-        let spec = alignment_spec();
-        let ra = bench.run(a, &spec, ALIGNMENT_SEED);
-        let rb = bench.run(b, &spec, ALIGNMENT_SEED);
-        match (&ra.trace, &rb.trace) {
-            (Some(ta), Some(tb)) => stba::compare_traces(ta, tb)
-                .ok()
-                .map(|report| report.min_rate()),
-            _ => None,
-        }
-    }
-
-    /// Runs the alignment stage and reports whether the pair of views
-    /// falls below the sign-off threshold.
-    pub fn alignment_detects(
-        config: &NodeConfig,
-        clean: &mut dyn DutView,
-        mutated: &mut dyn DutView,
-    ) -> bool {
-        matches!(alignment_rate(config, clean, mutated), Some(rate) if rate < SIGNOFF)
-    }
-
-    /// The number of functional cells a campaign runs per mutation, for
-    /// sizing reports: `configs × tests × seeds`.
-    pub fn functional_cell_count(configs: &[NodeConfig]) -> usize {
-        configs.len() * suite().len() * SEEDS.len()
+    /// Replays the alignment spec on the clean and the mutated view and
+    /// reports whether the pair falls below the sign-off threshold.
+    pub fn alignment_detects(config: &NodeConfig, clean: ViewSpec, mutated: ViewSpec) -> bool {
+        let views = vec![(clean, Compare::None), (mutated, Compare::Cycle)];
+        let cell = CellSpec {
+            gated: false,
+            ..CellSpec::new(config.clone(), alignment_spec(), ALIGNMENT_SEED, views)
+        };
+        let rate = run_cell(&cell, &Telemetry::disabled()).runs[1].min_rate();
+        matches!(rate, Some(rate) if rate < SIGNOFF)
     }
 
     /// Classifies one functional run for qualification attribution.

@@ -13,9 +13,9 @@
 
 use crate::report::{AlignmentCell, Detection, MutationOutcome, QualificationReport};
 use crate::{catalogue, CatalogueEntry, Detector, Mutation};
+use catg::cell::{run_cell, CellOutcome, CellSpec, Compare};
 use catg::tests_lib::qualification as qual;
-use catg::{CoverageReport, TestSpec, Testbench, TestbenchOptions};
-use stba::{compare_trace_transactions_with, compare_traces_with};
+use catg::{CoverageReport, TestSpec};
 use stbus_protocol::{NodeConfig, ViewKind};
 use std::collections::BTreeSet;
 use std::time::Instant;
@@ -57,105 +57,54 @@ impl Default for QualifyOptions {
     }
 }
 
-/// One cell's work item: either a functional run of the mutated view or
-/// an alignment pair. Plain owned data — the simulators are built on the
-/// worker.
-#[derive(Clone)]
-enum CellKind {
-    Functional { spec: TestSpec, seed: u64 },
-    Alignment { spec: TestSpec },
-}
-
+/// One cell of the matrix: a *functional* cell runs the mutated view
+/// alone; an *alignment* cell runs the clean opposite view, then the
+/// mutated one, and compares them. Plain owned data — the simulators are
+/// built on the worker.
 struct CellJob {
     entry: CatalogueEntry,
-    config: NodeConfig,
-    kind: CellKind,
+    cell: CellSpec,
     telemetry: Telemetry,
 }
 
-enum CellOut {
-    Functional {
-        detection: Option<qual::FunctionalDetection>,
-        coverage: CoverageReport,
-    },
-    Alignment {
-        rate: Option<f64>,
-    },
-}
-
-fn run_cell(job: &CellJob) -> CellOut {
+fn run_job(job: &CellJob) -> CellOutcome {
     let tel = job.telemetry.buffered();
     tel.metrics().counter("mutation.cells").inc();
-    match &job.kind {
-        CellKind::Functional { spec, seed } => {
-            let bench = Testbench::new(
-                job.config.clone(),
-                TestbenchOptions {
-                    telemetry: tel.clone(),
-                    ..qual::functional_options()
-                },
-            );
-            let mut dut = job.entry.build_mutated(&job.config);
-            let span = tel
-                .span("mutation.cell")
-                .field("entry", Json::from(job.entry.label()))
-                .field("kind", Json::from("functional"))
-                .field("config", Json::from(job.config.name.as_str()))
-                .field("test", Json::from(spec.name.as_str()))
-                .field("seed", Json::from(*seed));
-            let result = bench.run(dut.as_mut(), spec, *seed);
-            let detection = qual::classify_functional_failure(&result);
-            if detection.is_some() {
-                tel.metrics().counter("mutation.detections").inc();
-            }
-            span.end([
-                ("cycles", Json::from(result.cycles)),
-                (
-                    "detected",
-                    Json::from(detection.map(|d| Detector::from_functional(d).to_string())),
-                ),
-            ]);
-            CellOut::Functional {
-                detection,
-                coverage: result.coverage,
-            }
-        }
-        CellKind::Alignment { spec } => {
-            let bench = Testbench::new(
-                job.config.clone(),
-                TestbenchOptions {
-                    telemetry: tel.clone(),
-                    ..qual::alignment_trace_options()
-                },
-            );
-            let mut clean = job.entry.build_clean_opposite(&job.config);
-            let mut mutated = job.entry.build_mutated(&job.config);
-            let span = tel
-                .span("mutation.cell")
-                .field("entry", Json::from(job.entry.label()))
-                .field("kind", Json::from("alignment"))
-                .field("config", Json::from(job.config.name.as_str()))
-                .field("test", Json::from(spec.name.as_str()));
-            let ra = bench.run(clean.as_mut(), spec, qual::ALIGNMENT_SEED);
-            let rb = bench.run(mutated.as_mut(), spec, qual::ALIGNMENT_SEED);
-            // The untimed view holds no cycle discipline, so TLM-view
-            // entries are compared by committed transaction order; every
-            // cycle-accurate view keeps the paper's per-cycle comparison.
-            let rate = match (&ra.trace, &rb.trace) {
-                (Some(a), Some(b)) => {
-                    let outcome = if job.entry.mutated_view() == ViewKind::Tlm {
-                        compare_trace_transactions_with(a, b, &tel)
-                    } else {
-                        compare_traces_with(a, b, &tel)
-                    };
-                    outcome.ok().map(|r| r.min_rate())
-                }
-                _ => None,
-            };
-            span.end([("min_rate_pct", Json::from(rate.map(|r| r * 100.0)))]);
-            CellOut::Alignment { rate }
-        }
+    let cell = &job.cell;
+    let alignment = cell.views.len() == 2;
+    let kind = if alignment { "alignment" } else { "functional" };
+    let mut span = tel
+        .span("mutation.cell")
+        .field("entry", Json::from(job.entry.label()))
+        .field("kind", Json::from(kind))
+        .field("config", Json::from(cell.config.name.as_str()))
+        .field("test", Json::from(cell.test.name.as_str()));
+    if !alignment {
+        span = span.field("seed", Json::from(cell.seed));
     }
+    let mut outcome = run_cell(cell, &tel);
+    if alignment {
+        let rate = outcome.runs[1].min_rate();
+        span.end([("min_rate_pct", Json::from(rate.map(|r| r * 100.0)))]);
+    } else {
+        let result = &outcome.runs[0].result;
+        let detection = qual::classify_functional_failure(result);
+        if detection.is_some() {
+            tel.metrics().counter("mutation.detections").inc();
+        }
+        span.end([
+            ("cycles", Json::from(result.cycles)),
+            (
+                "detected",
+                Json::from(detection.map(|d| Detector::from_functional(d).to_string())),
+            ),
+        ]);
+    }
+    // The comparison is done; only verdicts travel back.
+    for run in &mut outcome.runs {
+        run.result.trace = None;
+    }
+    outcome
 }
 
 /// Runs the full qualification campaign over the unified catalogue.
@@ -184,30 +133,41 @@ pub fn run_qualification(options: &QualifyOptions) -> QualificationReport {
     let mut cells = Vec::with_capacity(entries.len() * options.configs.len() * per_config);
     for &entry in &entries {
         for config in &options.configs {
+            let job = |cell| CellJob {
+                entry,
+                cell,
+                telemetry: tel.clone(),
+            };
             for spec in &options.tests {
                 for &seed in &options.seeds {
-                    cells.push(CellJob {
-                        entry,
-                        config: config.clone(),
-                        kind: CellKind::Functional {
-                            spec: spec.clone(),
-                            seed,
-                        },
-                        telemetry: tel.clone(),
-                    });
+                    let views = vec![(entry.mutated_spec(), Compare::None)];
+                    cells.push(job(CellSpec {
+                        options: qual::functional_options(),
+                        ..CellSpec::new(config.clone(), spec.clone(), seed, views)
+                    }));
                 }
             }
+            // The untimed view holds no cycle discipline, so TLM-view
+            // entries are compared by committed transaction order; every
+            // cycle-accurate view keeps the paper's per-cycle comparison.
+            let compare = if entry.mutated_view() == ViewKind::Tlm {
+                Compare::Transactions
+            } else {
+                Compare::Cycle
+            };
             for spec in &options.alignment_specs {
-                cells.push(CellJob {
-                    entry,
-                    config: config.clone(),
-                    kind: CellKind::Alignment { spec: spec.clone() },
-                    telemetry: tel.clone(),
-                });
+                let views = vec![
+                    (entry.clean_opposite_spec(), Compare::None),
+                    (entry.mutated_spec(), compare),
+                ];
+                cells.push(job(CellSpec {
+                    gated: false,
+                    ..CellSpec::new(config.clone(), spec.clone(), qual::ALIGNMENT_SEED, views)
+                }));
             }
         }
     }
-    let results = exec::map_ordered(options.jobs, cells, |job| run_cell(&job));
+    let results = exec::map_ordered(options.jobs, cells, |job| run_job(&job));
 
     // Reassemble in the same matrix order.
     struct EntryData {
@@ -228,36 +188,25 @@ pub fn run_qualification(options: &QualifyOptions) -> QualificationReport {
             let mut merged: Option<CoverageReport> = None;
             for spec in &options.tests {
                 for &seed in &options.seeds {
-                    match results.next().expect("one result per cell") {
-                        CellOut::Functional {
-                            detection,
-                            coverage: cov,
-                        } => {
-                            match &mut merged {
-                                Some(acc) => acc.merge(&cov),
-                                None => merged = Some(cov),
-                            }
-                            if let Some(d) = detection {
-                                detections.push(Detection {
-                                    config: config.name.clone(),
-                                    test: spec.name.clone(),
-                                    seed,
-                                    detector: Detector::from_functional(d),
-                                });
-                            }
-                        }
-                        CellOut::Alignment { .. } => unreachable!("matrix order"),
+                    let outcome = results.next().expect("one result per cell");
+                    let result = &outcome.runs[0].result;
+                    CoverageReport::accumulate(&mut merged, &result.coverage);
+                    if let Some(d) = qual::classify_functional_failure(result) {
+                        detections.push(Detection {
+                            config: config.name.clone(),
+                            test: spec.name.clone(),
+                            seed,
+                            detector: Detector::from_functional(d),
+                        });
                     }
                 }
             }
             coverage.push(merged.expect("at least one functional cell per config"));
-            let mut config_rates = Vec::with_capacity(options.alignment_specs.len());
-            for _ in &options.alignment_specs {
-                match results.next().expect("one result per cell") {
-                    CellOut::Alignment { rate } => config_rates.push(rate),
-                    CellOut::Functional { .. } => unreachable!("matrix order"),
-                }
-            }
+            let config_rates = options
+                .alignment_specs
+                .iter()
+                .map(|_| results.next().expect("one result per cell").runs[1].min_rate())
+                .collect();
             rates.push(config_rates);
         }
         data.push(EntryData {

@@ -14,11 +14,12 @@
 //! as a divergence.
 
 use crate::Detector;
+use catg::cell::{run_cell, CellSpec, Compare};
 use catg::tests_lib::qualification as qual;
-use catg::{TestSpec, Testbench, TestbenchOptions};
-use stbus_bca::{BcaBug, BcaNode, Fidelity};
-use stbus_protocol::{DutView, NodeConfig};
-use stbus_rtl::{RtlBug, RtlNode};
+use catg::TestSpec;
+use stbus_bca::BcaBug;
+use stbus_protocol::NodeConfig;
+use stbus_rtl::RtlBug;
 use telemetry::{Json, Telemetry};
 
 /// Defects seeded into the probed views — empty for a real hunt, a
@@ -91,29 +92,29 @@ pub fn run_differential(
 ) -> Option<DiffFinding> {
     let tel = telemetry.buffered();
     tel.metrics().counter("hunt.probes").inc();
-    let bench = Testbench::new(
+    // The BCA view runs at exact fidelity, so any sign-off shortfall
+    // between two functionally clean runs is a real cross-view
+    // divergence, not a modeling allowance.
+    let cell = CellSpec::new(
         config.clone(),
-        TestbenchOptions {
-            telemetry: tel.clone(),
-            ..qual::alignment_trace_options()
-        },
+        spec.clone(),
+        seed,
+        vec![
+            (crate::rtl(inject.rtl.clone()), Compare::None),
+            (crate::bca(inject.bca.clone()), Compare::Cycle),
+        ],
     );
-    let mut rtl: Box<dyn DutView> = Box::new(RtlNode::with_bugs(config.clone(), &inject.rtl));
-    let mut bca = BcaNode::new(config.clone(), Fidelity::Exact);
-    for bug in &inject.bca {
-        bca.inject_bug(*bug);
-    }
     let span = tel
         .span("hunt.probe")
         .field("config", Json::from(config.name.as_str()))
         .field("test", Json::from(spec.name.as_str()))
         .field("seed", Json::from(seed));
-    let ra = bench.run(rtl.as_mut(), spec, seed);
-    let rb = bench.run(&mut bca, spec, seed);
+    let outcome = run_cell(&cell, &tel);
+    let (ra, rb) = (&outcome.runs[0], &outcome.runs[1]);
 
-    let da = qual::classify_functional_failure(&ra).map(Detector::from_functional);
-    let db = qual::classify_functional_failure(&rb).map(Detector::from_functional);
-    let mut finding: Option<DiffFinding> = match (da, db) {
+    let da = qual::classify_functional_failure(&ra.result).map(Detector::from_functional);
+    let db = qual::classify_functional_failure(&rb.result).map(Detector::from_functional);
+    let finding: Option<DiffFinding> = match (da, db) {
         (Some(a), Some(b)) if a == b => None,
         (Some(a), Some(b)) => {
             let (detector, view) = if a.precedence() <= b.precedence() {
@@ -137,25 +138,17 @@ pub fn run_differential(
             view: "bca",
             alignment_rate: None,
         }),
-        (None, None) => None,
+        // Both runs clean, so the cell compared them: the pair must also
+        // agree cycle for cycle.
+        (None, None) => rb
+            .min_rate()
+            .filter(|rate| *rate < qual::SIGNOFF)
+            .map(|rate| DiffFinding {
+                detector: Detector::Alignment,
+                view: "pair",
+                alignment_rate: Some(rate),
+            }),
     };
-    // Both runs clean: the pair must also agree cycle-for-cycle. The BCA
-    // view runs at exact fidelity, so any sign-off shortfall is a real
-    // cross-view divergence, not a modeling allowance.
-    if finding.is_none() && da.is_none() && db.is_none() {
-        if let (Some(ta), Some(tb)) = (&ra.trace, &rb.trace) {
-            if let Ok(report) = stba::compare_traces(ta, tb) {
-                let rate = report.min_rate();
-                if rate < qual::SIGNOFF {
-                    finding = Some(DiffFinding {
-                        detector: Detector::Alignment,
-                        view: "pair",
-                        alignment_rate: Some(rate),
-                    });
-                }
-            }
-        }
-    }
     if finding.is_some() {
         tel.metrics().counter("hunt.divergences").inc();
     }

@@ -34,19 +34,18 @@ mod report;
 
 pub use campaign::{run_qualification, QualifyOptions};
 pub use differential::{run_differential, DiffFinding, Injections};
-pub use promoted::{
-    run_promoted, PromotedOutcome, PromotedRepro, PROMOTED_SCHEMA,
-};
+pub use promoted::{run_promoted, PromotedOutcome, PromotedRepro, PROMOTED_SCHEMA};
 pub use report::{
     AlignmentCell, Detection, MutationOutcome, QualificationReport, QUALIFICATION_SCHEMA,
 };
 
 use catg::tests_lib::qualification::FunctionalDetection;
-use stbus_bca::{BcaBug, BcaNode, Fidelity};
+use catg::{SimBackend, ViewSpec};
+use stbus_bca::{BcaBug, Fidelity};
 use stbus_protocol::rules::RuleId;
 use stbus_protocol::{DutView, NodeConfig, ViewKind};
-use stbus_rtl::{RtlBug, RtlNode};
-use stbus_tlm::{TlmBug, TlmNode};
+use stbus_rtl::RtlBug;
+use stbus_tlm::TlmBug;
 use std::fmt;
 
 /// Which component of the common environment caught a mutation.
@@ -146,15 +145,26 @@ pub trait Mutation {
     fn label(&self) -> String;
     /// One-line description for reports.
     fn description(&self) -> String;
-    /// Which view the defect is injected into.
-    fn mutated_view(&self) -> ViewKind;
     /// The detector the catalogue declares must catch this defect
     /// (display form of a [`Detector`], e.g. `"checker R-TID"`).
     fn expected_detector(&self) -> String;
+    /// Describes the mutated view.
+    fn mutated_spec(&self) -> ViewSpec;
+    /// Describes the *clean opposite* view — the alignment reference.
+    fn clean_opposite_spec(&self) -> ViewSpec;
+
+    /// Which view the defect is injected into.
+    fn mutated_view(&self) -> ViewKind {
+        self.mutated_spec().kind()
+    }
     /// Builds the mutated view for a configuration.
-    fn build_mutated(&self, config: &NodeConfig) -> Box<dyn DutView>;
+    fn build_mutated(&self, config: &NodeConfig) -> Box<dyn DutView> {
+        self.mutated_spec().build(config)
+    }
     /// Builds the *clean opposite* view — the alignment reference.
-    fn build_clean_opposite(&self, config: &NodeConfig) -> Box<dyn DutView>;
+    fn build_clean_opposite(&self, config: &NodeConfig) -> Box<dyn DutView> {
+        self.clean_opposite_spec().build(config)
+    }
 }
 
 /// One row of the unified qualification catalogue.
@@ -192,19 +202,17 @@ impl CatalogueEntry {
     }
 }
 
-fn clean_rtl(config: &NodeConfig) -> Box<dyn DutView> {
-    Box::new(RtlNode::new(config.clone()))
+/// The RTL side of every qualification and hunt pair runs on the event
+/// kernel, the reference oracle.
+pub(crate) fn rtl(bugs: Vec<RtlBug>) -> ViewSpec {
+    ViewSpec::Rtl(SimBackend::Event, bugs)
 }
 
-/// The BCA side of every qualification pair runs at exact fidelity: the
-/// relaxed-fidelity divergence is a *modeling* choice, not a defect, and
-/// must not pollute the alignment baseline.
-fn clean_bca(config: &NodeConfig) -> Box<dyn DutView> {
-    Box::new(BcaNode::new(config.clone(), Fidelity::Exact))
-}
-
-fn clean_tlm(config: &NodeConfig) -> Box<dyn DutView> {
-    Box::new(TlmNode::new(config.clone()))
+/// The BCA side of every qualification and hunt pair runs at exact
+/// fidelity: the relaxed-fidelity divergence is a *modeling* choice, not
+/// a defect, and must not pollute the alignment baseline.
+pub(crate) fn bca(bugs: Vec<BcaBug>) -> ViewSpec {
+    ViewSpec::Bca(Fidelity::Exact, bugs)
 }
 
 impl Mutation for CatalogueEntry {
@@ -230,14 +238,6 @@ impl Mutation for CatalogueEntry {
         }
     }
 
-    fn mutated_view(&self) -> ViewKind {
-        match self {
-            CatalogueEntry::CleanRtl | CatalogueEntry::Rtl(_) => ViewKind::Rtl,
-            CatalogueEntry::CleanBca | CatalogueEntry::Bca(_) => ViewKind::Bca,
-            CatalogueEntry::CleanTlm | CatalogueEntry::Tlm(_) => ViewKind::Tlm,
-        }
-    }
-
     fn expected_detector(&self) -> String {
         match self {
             CatalogueEntry::CleanRtl | CatalogueEntry::CleanBca | CatalogueEntry::CleanTlm => {
@@ -249,32 +249,23 @@ impl Mutation for CatalogueEntry {
         }
     }
 
-    fn build_mutated(&self, config: &NodeConfig) -> Box<dyn DutView> {
-        match self {
-            CatalogueEntry::CleanRtl => clean_rtl(config),
-            CatalogueEntry::CleanBca => clean_bca(config),
-            CatalogueEntry::CleanTlm => clean_tlm(config),
-            CatalogueEntry::Bca(bug) => {
-                let mut node = BcaNode::new(config.clone(), Fidelity::Exact);
-                node.inject_bug(*bug);
-                Box::new(node)
-            }
-            CatalogueEntry::Rtl(bug) => Box::new(RtlNode::with_bugs(config.clone(), &[*bug])),
-            CatalogueEntry::Tlm(bug) => {
-                let mut node = TlmNode::new(config.clone());
-                node.inject_bug(*bug);
-                Box::new(node)
-            }
+    fn mutated_spec(&self) -> ViewSpec {
+        match *self {
+            CatalogueEntry::CleanRtl => rtl(Vec::new()),
+            CatalogueEntry::CleanBca => bca(Vec::new()),
+            CatalogueEntry::CleanTlm => ViewSpec::of(ViewKind::Tlm),
+            CatalogueEntry::Bca(bug) => bca(vec![bug]),
+            CatalogueEntry::Rtl(bug) => rtl(vec![bug]),
+            CatalogueEntry::Tlm(bug) => ViewSpec::Tlm(vec![bug]),
         }
     }
 
-    fn build_clean_opposite(&self, config: &NodeConfig) -> Box<dyn DutView> {
+    fn clean_opposite_spec(&self) -> ViewSpec {
         match self.mutated_view() {
-            ViewKind::Rtl => clean_bca(config),
-            ViewKind::Bca => clean_rtl(config),
+            ViewKind::Rtl => bca(Vec::new()),
             // The untimed view aligns (by transaction order) against the
             // golden RTL model.
-            ViewKind::Tlm => clean_rtl(config),
+            ViewKind::Bca | ViewKind::Tlm => rtl(Vec::new()),
         }
     }
 }

@@ -8,6 +8,7 @@
 //! top-level `"schema"` string so downstream tooling can detect changes.
 
 use crate::runner::{ConfigOutcome, RegressionReport, RunRecord};
+use catg::cell::{port_rate, PortFigures};
 use catg::RunResult;
 use telemetry::Json;
 
@@ -51,24 +52,18 @@ fn run_result_json(result: &RunResult) -> Json {
 
 /// Per-port alignment figures as JSON. `matching`/`total` count cycles
 /// for the cycle comparisons and committed transfers for the
-/// transaction-order one; the empty-total rate mirrors
-/// [`stba::PortAlignment::rate`].
-fn alignment_json(ports: &Option<Vec<(String, u64, u64)>>) -> Json {
+/// transaction-order one.
+fn alignment_json(ports: &Option<PortFigures>) -> Json {
     match ports {
         Some(ports) => Json::Arr(
             ports
                 .iter()
                 .map(|(port, matching, total)| {
-                    let rate = if *total == 0 {
-                        1.0
-                    } else {
-                        *matching as f64 / *total as f64
-                    };
                     Json::obj([
                         ("port", Json::from(port.as_str())),
                         ("matching_cycles", Json::from(*matching)),
                         ("total_cycles", Json::from(*total)),
-                        ("rate_pct", Json::from(rate * 100.0)),
+                        ("rate_pct", Json::from(port_rate(*matching, *total) * 100.0)),
                     ])
                 })
                 .collect(),

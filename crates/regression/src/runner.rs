@@ -20,13 +20,11 @@
 
 use crate::cell_codec;
 use cache::{GcPolicy, Key, Lookup, Store};
-use catg::{CoverageReport, RunResult, TestSpec, Testbench, TestbenchOptions};
+use catg::cell::{min_rate, sum_ports, CellSpec, Compare, PortFigures};
+use catg::{CoverageReport, RunResult, TestSpec, ViewSpec};
 use sim_kernel::SimBackend;
-use stba::{compare_trace_transactions_with, compare_traces_with};
-use stbus_bca::{BcaBug, BcaNode, Fidelity};
-use stbus_protocol::{DutView, NodeConfig, ViewKind};
-use stbus_rtl::RtlNode;
-use stbus_tlm::TlmNode;
+use stbus_bca::{BcaBug, Fidelity};
+use stbus_protocol::{NodeConfig, ViewKind};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -212,19 +210,19 @@ pub struct RunRecord {
     pub bca: RunResult,
     /// Per-port `(port, matching cycles, total cycles)` of this pair,
     /// when compared.
-    pub alignment: Option<Vec<(String, u64, u64)>>,
+    pub alignment: Option<PortFigures>,
     /// TLM run result, when [`RegressionOptions::views`] includes the
     /// untimed view.
     pub tlm: Option<RunResult>,
     /// Per-port cycle alignment of TLM against RTL — the figure the
     /// untimed view is *expected* to fail (`rate < 0.99`), demonstrating
     /// why the cycle discipline cannot accept it.
-    pub tlm_alignment: Option<Vec<(String, u64, u64)>>,
+    pub tlm_alignment: Option<PortFigures>,
     /// Per-port `(port, matching transfers, total transfers)` of TLM
     /// against RTL under transaction-order comparison
     /// ([`stba::compare_transactions`]) — the discipline an untimed view
     /// signs off under.
-    pub tlm_tx_alignment: Option<Vec<(String, u64, u64)>>,
+    pub tlm_tx_alignment: Option<PortFigures>,
     /// Wall-clock microseconds of the RTL run.
     pub rtl_wall_us: u64,
     /// Wall-clock microseconds of the BCA run.
@@ -238,43 +236,21 @@ pub struct RunRecord {
     pub tlm_compare_wall_us: Option<u64>,
 }
 
-/// Minimum over `(matching, total)` port figures of `matching / total`
-/// (an empty `total` reads as fully aligned, mirroring
-/// [`stba::PortAlignment::rate`]); `None` when there are no ports.
-fn min_port_rate(pairs: impl IntoIterator<Item = (u64, u64)>) -> Option<f64> {
-    pairs
-        .into_iter()
-        .map(|(m, t)| if t == 0 { 1.0 } else { m as f64 / t as f64 })
-        .fold(None, |acc: Option<f64>, x| {
-            Some(acc.map_or(x, |a| a.min(x)))
-        })
-}
-
 impl RunRecord {
     /// Minimum per-port alignment rate of this single pair.
     pub fn min_alignment(&self) -> Option<f64> {
-        min_port_rate(self.alignment.as_ref()?.iter().map(|(_, m, t)| (*m, *t)))
+        self.alignment.as_deref().and_then(min_rate)
     }
 
     /// Minimum per-port *cycle* alignment rate of TLM against RTL.
     pub fn min_tlm_alignment(&self) -> Option<f64> {
-        min_port_rate(
-            self.tlm_alignment
-                .as_ref()?
-                .iter()
-                .map(|(_, m, t)| (*m, *t)),
-        )
+        self.tlm_alignment.as_deref().and_then(min_rate)
     }
 
     /// Minimum per-port *transaction-order* alignment rate of TLM against
     /// RTL.
     pub fn min_tlm_tx_alignment(&self) -> Option<f64> {
-        min_port_rate(
-            self.tlm_tx_alignment
-                .as_ref()?
-                .iter()
-                .map(|(_, m, t)| (*m, *t)),
-        )
+        self.tlm_tx_alignment.as_deref().and_then(min_rate)
     }
 }
 
@@ -308,6 +284,15 @@ impl ConfigOutcome {
         self.runs.iter().all(|r| r.rtl.passed() && r.bca.passed())
     }
 
+    /// View runs made: RTL and BCA for every record, plus TLM where it
+    /// ran.
+    pub fn view_runs(&self) -> usize {
+        self.runs
+            .iter()
+            .map(|r| 2 + usize::from(r.tlm.is_some()))
+            .sum()
+    }
+
     /// Functional coverage (RTL side), 0..=1.
     pub fn functional_coverage(&self) -> f64 {
         self.coverage_rtl
@@ -331,15 +316,7 @@ impl ConfigOutcome {
     /// of cycles RTL and BCA signals port are aligned over total number
     /// of clock cycles" — then the minimum over ports.
     pub fn min_alignment(&self) -> Option<f64> {
-        let mut per_port: std::collections::BTreeMap<&str, (u64, u64)> = Default::default();
-        for run in &self.runs {
-            for (port, m, t) in run.alignment.iter().flatten() {
-                let e = per_port.entry(port).or_insert((0, 0));
-                e.0 += m;
-                e.1 += t;
-            }
-        }
-        min_port_rate(per_port.into_values())
+        self.aggregate_min_rate(|r| r.alignment.as_ref())
     }
 
     /// The paper's sign-off: everything passed, full functional coverage,
@@ -377,17 +354,9 @@ impl ConfigOutcome {
 
     fn aggregate_min_rate(
         &self,
-        figures: impl Fn(&RunRecord) -> Option<&Vec<(String, u64, u64)>>,
+        figures: impl Fn(&RunRecord) -> Option<&PortFigures>,
     ) -> Option<f64> {
-        let mut per_port: std::collections::BTreeMap<&str, (u64, u64)> = Default::default();
-        for run in &self.runs {
-            for (port, m, t) in figures(run).into_iter().flatten() {
-                let e = per_port.entry(port).or_insert((0, 0));
-                e.0 += m;
-                e.1 += t;
-            }
-        }
-        min_port_rate(per_port.into_values())
+        min_rate(&sum_ports(self.runs.iter().filter_map(figures)))
     }
 
     /// The untimed view's sign-off: every functional gate green, full
@@ -526,14 +495,7 @@ impl RegressionReport {
 /// right here — the non-`Send` simulator is built on the worker).
 struct CellJob {
     config_idx: usize,
-    config: NodeConfig,
-    spec: TestSpec,
-    seed: u64,
-    fidelity: Fidelity,
-    bca_bugs: Vec<BcaBug>,
-    run_tlm: bool,
-    engine: SimBackend,
-    compare_waveforms: bool,
+    cell: CellSpec,
     telemetry: Telemetry,
     /// Memoization context, when the campaign runs with a cache.
     cache: Option<CellCache>,
@@ -569,7 +531,7 @@ fn cached_cell(job: &CellJob, cc: &CellCache) -> Option<CellResult> {
     let cell = payload
         .as_deref()
         .and_then(cell_codec::decode)
-        .filter(|c| c.record.test == job.spec.name && c.record.seed == job.seed);
+        .filter(|c| c.record.test == job.cell.test.name && c.record.seed == job.cell.seed);
     let Some(cell) = cell else {
         cc.tallies.corrupt.fetch_add(1, Ordering::Relaxed);
         campaign_metrics.counter("cache.corrupt").inc();
@@ -593,11 +555,10 @@ fn cached_cell(job: &CellJob, cc: &CellCache) -> Option<CellResult> {
     })
 }
 
-/// Runs one cell: build both views, run the test on each with the same
-/// seed, compare the waveforms if both passed. Executes entirely on one
-/// worker thread. With a cache attached, the store is consulted first
-/// and a simulated result is recorded back.
-fn run_cell(job: &CellJob) -> CellResult {
+/// Runs one job: the cell through [`catg::cell::run_cell`] on this worker
+/// thread, folded into a [`RunRecord`]. With a cache attached, the store
+/// is consulted first and a simulated result is recorded back.
+fn run_job(job: &CellJob) -> CellResult {
     if let Some(cc) = &job.cache {
         if let Some(hit) = cached_cell(job, cc) {
             return hit;
@@ -613,88 +574,10 @@ fn run_cell(job: &CellJob) -> CellResult {
         Some(_) => job.telemetry.scoped_metrics(),
         None => job.telemetry.buffered(),
     };
-    let bench = Testbench::new(
-        job.config.clone(),
-        TestbenchOptions {
-            capture_trace: job.compare_waveforms,
-            telemetry: tel.clone(),
-            ..TestbenchOptions::default()
-        },
-    );
-    let mut rtl = RtlNode::with_engine(job.config.clone(), job.engine);
-    rtl.attach_metrics(tel.metrics());
-    let mut bca = BcaNode::new(job.config.clone(), job.fidelity);
-    for bug in &job.bca_bugs {
-        bca.inject_bug(*bug);
-    }
-
-    let timed_run = |dut: &mut dyn DutView, view: ViewKind| {
-        let span = tel
-            .span("regress.cell")
-            .field("config", Json::from(job.config.name.as_str()))
-            .field("test", Json::from(job.spec.name.as_str()))
-            .field("seed", Json::from(job.seed))
-            .field("view", Json::from(view.to_string()));
-        let started = Instant::now();
-        let result = bench.run(dut, &job.spec, job.seed);
-        let wall_us = started.elapsed().as_micros() as u64;
-        span.end([
-            ("cycles", Json::from(result.cycles)),
-            ("passed", Json::from(result.passed())),
-        ]);
-        (result, wall_us)
-    };
-    let (rtl_result, rtl_wall_us) = timed_run(&mut rtl, ViewKind::Rtl);
-    let (bca_result, bca_wall_us) = timed_run(&mut bca, ViewKind::Bca);
-    let (tlm_result, tlm_wall_us) = if job.run_tlm {
-        let mut tlm = TlmNode::new(job.config.clone());
-        tlm.attach_metrics(tel.metrics());
-        let (result, wall) = timed_run(&mut tlm, ViewKind::Tlm);
-        (Some(result), wall)
-    } else {
-        (None, 0)
-    };
-
-    let ports_of = |r: stba::AlignmentReport| {
-        r.ports
-            .into_iter()
-            .map(|p| (p.port, p.matching_cycles, p.total_cycles))
-            .collect::<Vec<_>>()
-    };
-    // Figure 4: the alignment comparison only happens once both
-    // verification runs passed.
-    let mut compare_wall_us = None;
-    let alignment = if job.compare_waveforms && rtl_result.passed() && bca_result.passed() {
-        match (&rtl_result.trace, &bca_result.trace) {
-            (Some(a), Some(b)) => {
-                let started = Instant::now();
-                let outcome = compare_traces_with(a, b, &tel);
-                compare_wall_us = Some(started.elapsed().as_micros() as u64);
-                outcome.ok().map(ports_of)
-            }
-            _ => None,
-        }
-    } else {
-        None
-    };
-    // The untimed view is compared against RTL twice: cycle-accurately
-    // (the discipline it is expected to fail) and by committed
-    // transaction order (the discipline it signs off under).
-    let mut tlm_compare_wall_us = None;
-    let (tlm_alignment, tlm_tx_alignment) = match &tlm_result {
-        Some(tlm_result) if job.compare_waveforms && rtl_result.passed() && tlm_result.passed() => {
-            match (&rtl_result.trace, &tlm_result.trace) {
-                (Some(a), Some(b)) => {
-                    let started = Instant::now();
-                    let cycles = compare_traces_with(a, b, &tel);
-                    let transfers = compare_trace_transactions_with(a, b, &tel);
-                    tlm_compare_wall_us = Some(started.elapsed().as_micros() as u64);
-                    (cycles.ok().map(&ports_of), transfers.ok().map(&ports_of))
-                }
-                _ => (None, None),
-            }
-        }
-        _ => (None, None),
+    let outcome = catg::cell::run_cell(&job.cell, &tel);
+    let mut runs = outcome.runs.into_iter();
+    let (Some(rtl), Some(bca), mut tlm) = (runs.next(), runs.next(), runs.next()) else {
+        unreachable!("every regression cell runs RTL and BCA");
     };
 
     // Only a cache entry stores the trace digests; without a store
@@ -702,29 +585,31 @@ fn run_cell(job: &CellJob) -> CellResult {
     let digest = |r: &RunResult| r.trace.as_ref().map(stba::Trace::digest);
     let digests = job.cache.as_ref().map(|_| {
         (
-            digest(&rtl_result),
-            digest(&bca_result),
-            tlm_result.as_ref().and_then(digest),
+            digest(&rtl.result),
+            digest(&bca.result),
+            tlm.as_ref().and_then(|t| digest(&t.result)),
         )
     });
     let result = CellResult {
         config_idx: job.config_idx,
         record: RunRecord {
-            test: job.spec.name.clone(),
-            seed: job.seed,
-            rtl: rtl_result.without_waveforms(),
-            bca: bca_result.without_waveforms(),
-            alignment,
-            tlm: tlm_result.map(RunResult::without_waveforms),
-            tlm_alignment,
-            tlm_tx_alignment,
-            rtl_wall_us,
-            bca_wall_us,
-            tlm_wall_us,
-            compare_wall_us,
-            tlm_compare_wall_us,
+            test: job.cell.test.name.clone(),
+            seed: job.cell.seed,
+            rtl: rtl.result.without_waveforms(),
+            bca: bca.result.without_waveforms(),
+            alignment: bca.cycle,
+            tlm_alignment: tlm.as_mut().and_then(|t| t.cycle.take()),
+            tlm_tx_alignment: tlm.as_mut().and_then(|t| t.transactions.take()),
+            rtl_wall_us: rtl.wall_us,
+            bca_wall_us: bca.wall_us,
+            tlm_wall_us: tlm.as_ref().map_or(0, |t| t.wall_us),
+            compare_wall_us: bca.compare_wall_us,
+            tlm_compare_wall_us: tlm.as_ref().and_then(|t| t.compare_wall_us),
+            tlm: tlm.map(|t| t.result.without_waveforms()),
         },
-        rtl_activity: rtl.activity_coverage(),
+        rtl_activity: outcome
+            .rtl_activity
+            .expect("every regression cell runs RTL"),
     };
 
     if let (Some(cc), Some((rtl_vcd_digest, bca_vcd_digest, tlm_vcd_digest))) =
@@ -796,6 +681,25 @@ pub fn run_regression(
         .map(|root| Store::open(root.clone()));
     let tallies = Arc::new(CacheTallies::default());
 
+    // The views every cell runs: RTL is the reference; BCA is compared
+    // cycle by cycle, and the untimed view both ways (the discipline it
+    // is expected to fail, and the one it signs off under).
+    let compare = |mode| {
+        if options.compare_waveforms {
+            mode
+        } else {
+            Compare::None
+        }
+    };
+    let bca = ViewSpec::Bca(options.fidelity, options.bca_bugs.clone());
+    let mut views = vec![
+        (ViewSpec::Rtl(options.engine, Vec::new()), Compare::None),
+        (bca, compare(Compare::Cycle)),
+    ];
+    if options.views.contains(&ViewKind::Tlm) {
+        views.push((ViewSpec::of(ViewKind::Tlm), compare(Compare::Both)));
+    }
+
     // The work list, in matrix order: config-major, then test, then seed.
     let mut cells = Vec::with_capacity(configs.len() * tests.len() * options.seeds.len());
     for (config_idx, config) in configs.iter().enumerate() {
@@ -803,14 +707,11 @@ pub fn run_regression(
             for &seed in &options.seeds {
                 cells.push(CellJob {
                     config_idx,
-                    config: config.clone(),
-                    spec: spec.clone(),
-                    seed,
-                    fidelity: options.fidelity,
-                    bca_bugs: options.bca_bugs.clone(),
-                    run_tlm: options.views.contains(&ViewKind::Tlm),
-                    engine: options.engine,
-                    compare_waveforms: options.compare_waveforms,
+                    cell: CellSpec {
+                        attach_metrics: true,
+                        run_span: Some("regress.cell"),
+                        ..CellSpec::new(config.clone(), spec.clone(), seed, views.clone())
+                    },
                     telemetry: tel.clone(),
                     cache: store.as_ref().map(|store| CellCache {
                         store: store.clone(),
@@ -822,8 +723,8 @@ pub fn run_regression(
         }
     }
     let results = match &options.pool {
-        Some(pool) => pool.map_ordered(cells, |job| run_cell(&job)),
-        None => exec::map_ordered(options.jobs, cells, |job| run_cell(&job)),
+        Some(pool) => pool.map_ordered(cells, |job| run_job(&job)),
+        None => exec::map_ordered(options.jobs, cells, |job| run_job(&job)),
     };
 
     // Reassemble per configuration, in matrix order: merging functional
@@ -845,10 +746,10 @@ pub fn run_regression(
         for _ in 0..per_config {
             let cell = results.next().expect("one result per cell");
             debug_assert_eq!(cell.config_idx, config_idx);
-            merge_cov(&mut coverage_rtl, &cell.record.rtl.coverage);
-            merge_cov(&mut coverage_bca, &cell.record.bca.coverage);
+            CoverageReport::accumulate(&mut coverage_rtl, &cell.record.rtl.coverage);
+            CoverageReport::accumulate(&mut coverage_bca, &cell.record.bca.coverage);
             if let Some(tlm) = &cell.record.tlm {
-                merge_cov(&mut coverage_tlm, &tlm.coverage);
+                CoverageReport::accumulate(&mut coverage_tlm, &tlm.coverage);
             }
             match &mut code_coverage_rtl {
                 Some(acc) => acc.merge(&cell.rtl_activity),
@@ -869,7 +770,7 @@ pub fn run_regression(
             "configuration assembled",
             [
                 ("config", Json::from(config.name.as_str())),
-                ("runs", Json::from(outcome.runs.len() * 2)),
+                ("runs", Json::from(outcome.view_runs())),
                 ("all_passed", Json::from(outcome.all_passed())),
                 (
                     "functional_coverage_pct",
@@ -927,13 +828,6 @@ pub fn run_regression(
     report
 }
 
-fn merge_cov(acc: &mut Option<CoverageReport>, new: &CoverageReport) {
-    match acc {
-        Some(a) => a.merge(new),
-        None => *acc = Some(new.clone()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -984,11 +878,7 @@ mod tests {
     }
 
     #[test]
-    fn min_port_rate_folds_like_the_paper() {
-        assert_eq!(min_port_rate([]), None);
-        assert_eq!(min_port_rate([(0, 0)]), Some(1.0));
-        assert_eq!(min_port_rate([(3, 4), (1, 1)]), Some(0.75));
-        // RunRecord and ConfigOutcome share the fold.
+    fn run_record_rates_fold_per_port() {
         let record = RunRecord {
             test: "t".into(),
             seed: 1,
@@ -1045,6 +935,27 @@ mod tests {
         assert_eq!(tx, 1.0, "clean TLM must match RTL transaction order");
         let table = report.table();
         assert!(table.contains("tlm view"), "{table}");
+    }
+
+    #[test]
+    fn config_event_counts_every_view_run() {
+        let (sink, handle) = telemetry::MemorySink::new();
+        let options = RegressionOptions {
+            seeds: vec![1, 2],
+            views: vec![ViewKind::Rtl, ViewKind::Bca, ViewKind::Tlm],
+            compare_waveforms: false,
+            telemetry: Telemetry::builder().with_sink(Box::new(sink)).build(),
+            ..RegressionOptions::default()
+        };
+        let tests = vec![tests_lib::basic_read_write(4)];
+        run_regression(&[NodeConfig::reference()], &tests, &options);
+        let events = handle.events();
+        let config = events
+            .iter()
+            .find(|e| e.scope == "regress.config")
+            .expect("config event");
+        // One test, two seeds, three views.
+        assert_eq!(config.field("runs").and_then(Json::as_u64), Some(6));
     }
 
     #[test]

@@ -23,15 +23,15 @@
 //! [`SignoffReport::signoff_json`] carries no wall-clock fields — the
 //! document is byte-identical for any worker count.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 
-use catg::{CoverageReport, TestSpec, Testbench, TestbenchOptions};
-use sim_kernel::ActivityCoverage;
-use stba::compare_traces_with;
-use stbus_bca::{BcaBug, BcaNode, Fidelity};
-use stbus_protocol::{DutView, NodeConfig};
-use stbus_rtl::{ProbePoint, RtlBug, RtlNode};
+use catg::cell::{min_rate, port_rate, run_cell, sum_ports, CellOutcome, CellSpec, Compare};
+use catg::{CoverageReport, TestSpec, ViewSpec};
+use sim_kernel::{ActivityCoverage, SimBackend};
+use stbus_bca::{BcaBug, Fidelity};
+use stbus_protocol::NodeConfig;
+use stbus_rtl::{ProbePoint, RtlBug};
 use telemetry::{Json, MetricsSnapshot, Telemetry};
 
 use crate::justified::JustifiedCoverage;
@@ -202,16 +202,6 @@ struct Measured {
     branch_names: Vec<String>,
 }
 
-/// What one unit hands back from the gate phase.
-struct GateRun {
-    cov_rtl: CoverageReport,
-    cov_bca: CoverageReport,
-    activity: ActivityCoverage,
-    rtl_passed: bool,
-    bca_passed: bool,
-    alignment: Option<Vec<(String, u64, u64)>>,
-}
-
 #[derive(Clone)]
 struct Unit {
     test: String,
@@ -219,25 +209,18 @@ struct Unit {
     seed: u64,
 }
 
-#[derive(Clone)]
-struct Views {
-    config: NodeConfig,
-    fidelity: Fidelity,
-    rtl_bugs: Vec<RtlBug>,
-    bca_bugs: Vec<BcaBug>,
-}
-
-impl Views {
-    fn rtl(&self) -> RtlNode {
-        RtlNode::with_bugs(self.config.clone(), &self.rtl_bugs)
-    }
-
-    fn bca(&self) -> BcaNode {
-        let mut bca = BcaNode::new(self.config.clone(), self.fidelity);
-        for bug in &self.bca_bugs {
-            bca.inject_bug(*bug);
+impl Unit {
+    /// The unit as a cell on the sign-off pair: RTL, then BCA compared
+    /// under `compare`, both carrying the run's defects, with the RTL
+    /// kernel metrics published.
+    fn cell(&self, config: &NodeConfig, options: &SignoffOptions, compare: Compare) -> CellSpec {
+        let rtl = ViewSpec::Rtl(SimBackend::Event, options.rtl_bugs.clone());
+        let bca = ViewSpec::Bca(options.fidelity, options.bca_bugs.clone());
+        let views = vec![(rtl, Compare::None), (bca, compare)];
+        CellSpec {
+            attach_metrics: true,
+            ..CellSpec::new(config.clone(), self.spec.clone(), self.seed, views)
         }
-        bca
     }
 }
 
@@ -263,26 +246,16 @@ fn hit_bin_labels(report: &CoverageReport) -> BTreeSet<String> {
 }
 
 /// Measure one unit: both views, no waveforms, footprint only.
-fn measure_unit(unit: &Unit, views: &Views, tel: Telemetry) -> Measured {
-    let bench = Testbench::new(
-        views.config.clone(),
-        TestbenchOptions {
-            telemetry: tel.clone(),
-            ..TestbenchOptions::default()
-        },
-    );
-    let mut rtl = views.rtl();
-    rtl.attach_metrics(tel.metrics());
-    let rtl_result = bench.run(&mut rtl, &unit.spec, unit.seed);
-    let mut bca = views.bca();
-    let bca_result = bench.run(&mut bca, &unit.spec, unit.seed);
+fn measure_unit(cell: &CellSpec, tel: Telemetry) -> Measured {
+    let outcome = run_cell(cell, &tel);
+    let (rtl, bca) = (&outcome.runs[0].result, &outcome.runs[1].result);
 
     // Intersection across views: a bin only counts toward the footprint
     // when the unit hits it on BOTH views, so covering the universe
     // closes functional coverage on each view independently.
-    let rtl_hits = hit_bin_labels(&rtl_result.coverage);
-    let bca_hits = hit_bin_labels(&bca_result.coverage);
-    let activity = rtl.activity_coverage();
+    let rtl_hits = hit_bin_labels(&rtl.coverage);
+    let bca_hits = hit_bin_labels(&bca.coverage);
+    let activity = outcome.rtl_activity.expect("the sign-off pair runs RTL");
     let mut bins: BTreeSet<String> = rtl_hits
         .intersection(&bca_hits)
         .map(|b| format!("f:{b}"))
@@ -290,60 +263,24 @@ fn measure_unit(unit: &Unit, views: &Views, tel: Telemetry) -> Measured {
     bins.extend(activity.hit_branches().map(|b| format!("l:{}", b.name)));
     Measured {
         bins,
-        declared: functional_bin_labels(&rtl_result.coverage),
+        declared: functional_bin_labels(&rtl.coverage),
         branch_names: activity.branches.iter().map(|b| b.name.clone()).collect(),
     }
 }
 
-/// Gate-run one unit: both views, waveform capture, STBA comparison.
-fn gate_unit(unit: &Unit, views: &Views, tel: Telemetry) -> GateRun {
+/// Gate-run one unit: both views, waveform capture, and — as in the
+/// Figure 4 flow, once both runs passed — the STBA comparison.
+fn gate_unit(unit: &Unit, cell: &CellSpec, tel: Telemetry) -> CellOutcome {
     let span = tel
         .span("signoff.gate_run")
         .field("test", Json::from(unit.test.clone()))
         .field("seed", Json::from(unit.seed));
-    let bench = Testbench::new(
-        views.config.clone(),
-        TestbenchOptions {
-            capture_trace: true,
-            telemetry: tel.clone(),
-            ..TestbenchOptions::default()
-        },
-    );
-    let mut rtl = views.rtl();
-    rtl.attach_metrics(tel.metrics());
-    let rtl_result = bench.run(&mut rtl, &unit.spec, unit.seed);
-    let mut bca = views.bca();
-    let bca_result = bench.run(&mut bca, &unit.spec, unit.seed);
-    let rtl_passed = rtl_result.passed();
-    let bca_passed = bca_result.passed();
-
-    // As in the Figure 4 flow, the bus-accurate comparison runs once both
-    // verification runs passed.
-    let alignment = if rtl_passed && bca_passed {
-        match (&rtl_result.trace, &bca_result.trace) {
-            (Some(a), Some(b)) => compare_traces_with(a, b, &tel).ok().map(|r| {
-                r.ports
-                    .into_iter()
-                    .map(|p| (p.port, p.matching_cycles, p.total_cycles))
-                    .collect()
-            }),
-            _ => None,
-        }
-    } else {
-        None
-    };
+    let outcome = run_cell(cell, &tel);
     span.end([
-        ("rtl_passed", Json::from(rtl_passed)),
-        ("bca_passed", Json::from(bca_passed)),
+        ("rtl_passed", Json::from(outcome.runs[0].result.passed())),
+        ("bca_passed", Json::from(outcome.runs[1].result.passed())),
     ]);
-    GateRun {
-        cov_rtl: rtl_result.coverage,
-        cov_bca: bca_result.coverage,
-        activity: rtl.activity_coverage(),
-        rtl_passed,
-        bca_passed,
-        alignment,
-    }
+    outcome
 }
 
 /// Runs the sign-off engine: validate waivers, measure the candidate
@@ -383,17 +320,17 @@ pub fn run_signoff(
         .add(units.len() as u64);
 
     // Phase 1: measure footprints.
-    let views = Views {
-        config: config.clone(),
-        fidelity: options.fidelity,
-        rtl_bugs: options.rtl_bugs.clone(),
-        bca_bugs: options.bca_bugs.clone(),
-    };
-    let measure_views = views.clone();
+    let cells = units
+        .iter()
+        .map(|u| u.cell(config, options, Compare::None))
+        .collect();
     let measure_tel = tel.clone();
-    let measured = exec::map_ordered(options.jobs, units.clone(), move |unit| {
-        let m = measure_unit(&unit, &measure_views, measure_tel.buffered());
-        tel_runs(&measure_tel);
+    let measured = exec::map_ordered(options.jobs, cells, move |cell| {
+        let m = measure_unit(&cell, measure_tel.buffered());
+        measure_tel
+            .metrics()
+            .counter("signoff.measured_units")
+            .inc();
         m
     });
 
@@ -460,39 +397,39 @@ pub fn run_signoff(
         .iter()
         .map(|&i| units[i].clone())
         .collect();
-    let gate_views = views.clone();
+    let gate_cells: Vec<(Unit, CellSpec)> = chosen
+        .iter()
+        .map(|u| (u.clone(), u.cell(config, options, Compare::Cycle)))
+        .collect();
     let gate_tel = tel.clone();
-    let gate_runs = exec::map_ordered(options.jobs, chosen.clone(), move |unit| {
-        gate_unit(&unit, &gate_views, gate_tel.buffered())
+    let gate_runs = exec::map_ordered(options.jobs, gate_cells, move |(unit, cell)| {
+        gate_unit(&unit, &cell, gate_tel.buffered())
     });
 
     // Serial aggregation, in pick order.
     let mut functional_rtl: Option<CoverageReport> = None;
     let mut functional_bca: Option<CoverageReport> = None;
     let mut activity: Option<ActivityCoverage> = None;
-    let mut per_port: BTreeMap<String, (u64, u64)> = BTreeMap::new();
     let mut all_runs_passed = true;
     let mut selected = Vec::with_capacity(chosen.len());
-    for ((unit, run), gain) in chosen.iter().zip(gate_runs).zip(gains) {
-        merge_cov(&mut functional_rtl, &run.cov_rtl);
-        merge_cov(&mut functional_bca, &run.cov_bca);
+    for ((unit, outcome), gain) in chosen.iter().zip(gate_runs).zip(gains) {
+        let [rtl, bca]: [_; 2] = outcome.runs.try_into().expect("the sign-off pair");
+        CoverageReport::accumulate(&mut functional_rtl, &rtl.result.coverage);
+        CoverageReport::accumulate(&mut functional_bca, &bca.result.coverage);
+        let run_activity = outcome.rtl_activity.expect("the sign-off pair runs RTL");
         match &mut activity {
-            Some(a) => a.merge(&run.activity),
-            None => activity = Some(run.activity),
+            Some(a) => a.merge(&run_activity),
+            None => activity = Some(run_activity),
         }
-        for (port, m, t) in run.alignment.iter().flatten() {
-            let e = per_port.entry(port.clone()).or_insert((0, 0));
-            e.0 += m;
-            e.1 += t;
-        }
-        all_runs_passed &= run.rtl_passed && run.bca_passed;
+        let (rtl_passed, bca_passed) = (rtl.result.passed(), bca.result.passed());
+        all_runs_passed &= rtl_passed && bca_passed;
         selected.push(SelectedUnit {
             test: unit.test.clone(),
             seed: unit.seed,
             gain,
-            rtl_passed: run.rtl_passed,
-            bca_passed: run.bca_passed,
-            alignment: run.alignment,
+            rtl_passed,
+            bca_passed,
+            alignment: bca.cycle,
         });
     }
     let justified = JustifiedCoverage::new(
@@ -508,6 +445,7 @@ pub fn run_signoff(
         .add(justified.dead_waivers.len() as u64);
 
     let report = SignoffReport {
+        alignment_ports: sum_ports(selected.iter().filter_map(|s| s.alignment.as_ref())),
         config: config.clone(),
         waivers_total: waivers.waivers.len(),
         candidate_units: units.len(),
@@ -516,10 +454,6 @@ pub fn run_signoff(
         functional_rtl,
         functional_bca,
         justified,
-        alignment_ports: per_port
-            .into_iter()
-            .map(|(port, (m, t))| (port, m, t))
-            .collect(),
         all_runs_passed,
         metrics: tel.metrics().snapshot(),
     };
@@ -528,25 +462,6 @@ pub fn run_signoff(
         ("selected", Json::from(report.selected.len())),
     ]);
     Ok(report)
-}
-
-fn tel_runs(tel: &Telemetry) {
-    tel.metrics().counter("signoff.measured_units").inc();
-}
-
-fn merge_cov(acc: &mut Option<CoverageReport>, new: &CoverageReport) {
-    match acc {
-        Some(a) => a.merge(new),
-        None => *acc = Some(new.clone()),
-    }
-}
-
-fn rate(matching: u64, total: u64) -> f64 {
-    if total == 0 {
-        1.0
-    } else {
-        matching as f64 / total as f64
-    }
 }
 
 impl SignoffReport {
@@ -596,7 +511,7 @@ impl SignoffReport {
             detail.push("no compared runs (a view failed before comparison)".to_owned());
         }
         for (port, m, t) in &self.alignment_ports {
-            let r = rate(*m, *t);
+            let r = port_rate(*m, *t);
             if r < ALIGNMENT_FLOOR {
                 detail.push(format!("port {port} aligned {:.3}% < 99%", r * 100.0));
             }
@@ -619,12 +534,7 @@ impl SignoffReport {
 
     /// The minimum per-port alignment rate, when any run compared.
     pub fn min_alignment(&self) -> Option<f64> {
-        self.alignment_ports
-            .iter()
-            .map(|(_, m, t)| rate(*m, *t))
-            .fold(None, |acc: Option<f64>, x| {
-                Some(acc.map_or(x, |a| a.min(x)))
-            })
+        min_rate(&self.alignment_ports)
     }
 
     /// The sign-off verdict: every run green and all three gates passed.
@@ -831,7 +741,10 @@ impl SignoffReport {
                                                     ("port", Json::from(port.clone())),
                                                     ("matching_cycles", Json::from(*m)),
                                                     ("total_cycles", Json::from(*t)),
-                                                    ("rate_pct", Json::from(rate(*m, *t) * 100.0)),
+                                                    (
+                                                        "rate_pct",
+                                                        Json::from(port_rate(*m, *t) * 100.0),
+                                                    ),
                                                 ])
                                             })
                                             .collect(),

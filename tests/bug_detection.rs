@@ -8,10 +8,9 @@
 //! this test and the qualification campaign can never drift apart.
 
 use catg::tests_lib::qualification as qual;
-use catg::LegacyTestbench;
+use catg::{LegacyTestbench, ViewSpec};
 use stbus_bca::{BcaBug, BcaNode, Fidelity};
-use stbus_protocol::{DutView, NodeConfig};
-use stbus_rtl::RtlNode;
+use stbus_protocol::{NodeConfig, ViewKind};
 
 fn buggy_bca(config: &NodeConfig, bug: BcaBug) -> BcaNode {
     let mut node = BcaNode::new(config.clone(), Fidelity::Exact);
@@ -22,17 +21,18 @@ fn buggy_bca(config: &NodeConfig, bug: BcaBug) -> BcaNode {
 /// Runs the functional stage of the common environment on a buggy node
 /// over both hunt configurations; returns true when any run fails.
 fn functional_stage_detects(bug: BcaBug) -> bool {
-    qual::functional_detects(&qual::hunt_configs(), |config| {
-        Box::new(buggy_bca(config, bug)) as Box<dyn DutView>
-    })
+    let view = ViewSpec::Bca(Fidelity::Exact, vec![bug]);
+    qual::functional_detects(&qual::hunt_configs(), &view)
 }
 
 /// Runs the alignment stage (the flow's second quality metric).
 fn alignment_stage_detects(bug: BcaBug) -> bool {
-    let config = NodeConfig::reference();
-    let mut rtl = RtlNode::new(config.clone());
-    let mut node = buggy_bca(&config, bug);
-    qual::alignment_detects(&config, &mut rtl, &mut node)
+    let mutated = ViewSpec::Bca(Fidelity::Exact, vec![bug]);
+    qual::alignment_detects(
+        &NodeConfig::reference(),
+        ViewSpec::of(ViewKind::Rtl),
+        mutated,
+    )
 }
 
 #[test]
@@ -64,7 +64,6 @@ fn legacy_flow_finds_only_the_byte_enable_bug() {
 fn clean_model_passes_everything() {
     // Sanity for the experiment: with no bug injected, both stages pass.
     let reference = [NodeConfig::reference()];
-    assert!(!qual::functional_detects(&reference, |config| {
-        Box::new(BcaNode::new(config.clone(), Fidelity::Exact)) as Box<dyn DutView>
-    }));
+    let clean = ViewSpec::Bca(Fidelity::Exact, Vec::new());
+    assert!(!qual::functional_detects(&reference, &clean));
 }

@@ -9,6 +9,7 @@
 
 use catg::tests_lib::strategy::config_strategy;
 use catg::tests_lib::{self, qualification as qual};
+use catg::{SimBackend, ViewSpec};
 use proptest::prelude::*;
 use stbus_bca::{BcaNode, Fidelity};
 use stbus_protocol::{ArbitrationKind, Architecture, NodeConfig, ProtocolType};
@@ -133,8 +134,8 @@ fn detected(bug: RtlBug, config: &NodeConfig) -> bool {
     // all this property asks for.
     for spec in hunting_tests(bug, 20) {
         for seed in 1u64..=5 {
-            let mut mutated = RtlNode::with_bugs(config.clone(), &[bug]);
-            if qual::functional_cell_fails(config, &mut mutated, &spec, seed) {
+            let mutated = ViewSpec::Rtl(SimBackend::Event, vec![bug]);
+            if qual::functional_cell_fails(config, &mutated, &spec, seed) {
                 return true;
             }
         }
