@@ -1,14 +1,12 @@
-//! Shared helpers for the experiment binaries and criterion benches.
+//! Shared helpers for the experiment binaries.
 //!
 //! Every table and figure-shaped claim of the paper has a binary here (see
-//! `src/bin/exp_*.rs` and `EXPERIMENTS.md` at the workspace root); the
-//! criterion benches measure the performance-shaped claims.
+//! `src/bin/exp_*.rs` and `EXPERIMENTS.md` at the workspace root).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use catg::{TestSpec, Testbench, TestbenchOptions};
-use stbus_protocol::{DutInputs, DutView, NodeConfig};
+use stbus_protocol::{DutInputs, DutView};
 use std::time::Instant;
 
 /// Walltime and simulated cycles of one measured run.
@@ -67,35 +65,6 @@ pub fn measure_view_speed(dut: &mut dyn DutView, cycles: u64) -> SpeedSample {
     }
 }
 
-/// Runs one test through the full environment and measures the wall time
-/// (used by the env-overhead ablation).
-pub fn measure_env_run(
-    config: &NodeConfig,
-    dut: &mut dyn DutView,
-    spec: &TestSpec,
-    seed: u64,
-) -> SpeedSample {
-    measure_env_run_with(config, dut, spec, seed, TestbenchOptions::default())
-}
-
-/// [`measure_env_run`] with explicit options (e.g. checkers disabled for
-/// the ablation).
-pub fn measure_env_run_with(
-    config: &NodeConfig,
-    dut: &mut dyn DutView,
-    spec: &TestSpec,
-    seed: u64,
-    options: TestbenchOptions,
-) -> SpeedSample {
-    let bench = Testbench::new(config.clone(), options);
-    let start = Instant::now();
-    let result = bench.run(dut, spec, seed);
-    SpeedSample {
-        cycles: result.cycles,
-        seconds: start.elapsed().as_secs_f64(),
-    }
-}
-
 /// Renders a ratio as `12.3x`.
 pub fn ratio_label(fast: f64, slow: f64) -> String {
     if slow <= 0.0 {
@@ -108,7 +77,7 @@ pub fn ratio_label(fast: f64, slow: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stbus_protocol::ViewKind;
+    use stbus_protocol::{NodeConfig, ViewKind};
 
     #[test]
     fn speed_measurement_runs_both_views() {
