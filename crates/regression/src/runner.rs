@@ -8,9 +8,10 @@
 //!
 //! The `{config × test × seed}` matrix is embarrassingly parallel: each
 //! cell owns its testbench, its RTL and BCA nodes, both runs and the
-//! waveform comparison, and nothing else. The runner therefore describes
-//! every cell as plain `Send` data, fans the descriptors out across an
-//! [`exec`] worker pool ([`RegressionOptions::jobs`]), and reassembles
+//! waveform comparison, and nothing else. The runner describes every
+//! cell as a [`catg::cell::CellSpec`], plain `Send` data run by
+//! [`catg::cell::run_cell`], fans the specs out across an [`exec`] worker
+//! pool ([`RegressionOptions::jobs`]), and reassembles
 //! the results in matrix order — the table, the manifest and the
 //! [`RegressionReport`] are byte-identical for any worker count (modulo
 //! the wall-clock fields, which [`RegressionReport::strip_timings`]
