@@ -39,9 +39,6 @@ pub struct CellSpec {
     pub test: TestSpec,
     /// The seed shared by every view.
     pub seed: u64,
-    /// Testbench knobs. [`run_cell`] replaces `telemetry` with its own
-    /// handle and captures a trace whenever a view is compared.
-    pub options: TestbenchOptions,
     /// The views in run order, each with its comparison against the
     /// first view (whose own is [`Compare::None`]).
     pub views: Vec<(ViewSpec, Compare)>,
@@ -49,6 +46,9 @@ pub struct CellSpec {
     /// qualification unsets it: its alignment evidence must exist for
     /// failing runs too.
     pub gated: bool,
+    /// Emit the comparisons' `stba.*` span, counters and divergence
+    /// warnings. The hunt's probes unset it: they compare silently.
+    pub compare_events: bool,
     /// Publish each view's engine counters (`kernel.*`, `tlm.*`).
     pub attach_metrics: bool,
     /// Wrap each view run in a span of this name, with the config, test,
@@ -57,7 +57,7 @@ pub struct CellSpec {
 }
 
 impl CellSpec {
-    /// A gated cell with default options, no engine counters and no
+    /// A gated cell with comparison events, no engine counters and no
     /// per-run span.
     pub fn new(
         config: NodeConfig,
@@ -69,9 +69,9 @@ impl CellSpec {
             config,
             test,
             seed,
-            options: TestbenchOptions::default(),
             views,
             gated: true,
+            compare_events: true,
             attach_metrics: false,
             run_span: None,
         }
@@ -148,15 +148,16 @@ pub fn sum_ports<'a>(figures: impl IntoIterator<Item = &'a PortFigures>) -> Port
 }
 
 /// Runs one cell on the calling thread: every view in order, then each
-/// requested comparison against the first view.
+/// requested comparison against the first view. The testbench captures a
+/// trace only when a view is compared.
 pub fn run_cell(spec: &CellSpec, tel: &Telemetry) -> CellOutcome {
     let compares = spec.views.iter().any(|(_, c)| *c != Compare::None);
     let bench = Testbench::new(
         spec.config.clone(),
         TestbenchOptions {
-            capture_trace: spec.options.capture_trace || compares,
+            capture_trace: compares,
             telemetry: tel.clone(),
-            ..spec.options.clone()
+            ..TestbenchOptions::default()
         },
     );
     let mut rtl_activity = None;
@@ -202,6 +203,8 @@ pub fn run_cell(spec: &CellSpec, tel: &Telemetry) -> CellOutcome {
             .map(|p| (p.port, p.matching_cycles, p.total_cycles))
             .collect()
     };
+    let silent = Telemetry::disabled();
+    let tel = if spec.compare_events { tel } else { &silent };
     if let Some((first, rest)) = runs.split_first_mut() {
         for (run, &(_, compare)) in rest.iter_mut().zip(&spec.views[1..]) {
             let both_passed = first.result.passed() && run.result.passed();

@@ -488,10 +488,7 @@ pub mod qualification {
         seed: u64,
     ) -> bool {
         let views = vec![(view.clone(), Compare::None)];
-        let cell = CellSpec {
-            options: functional_options(),
-            ..CellSpec::new(config.clone(), spec.clone(), seed, views)
-        };
+        let cell = CellSpec::new(config.clone(), spec.clone(), seed, views);
         !run_cell(&cell, &Telemetry::disabled()).runs[0]
             .result
             .passed()

@@ -13,7 +13,7 @@
 
 use crate::report::{AlignmentCell, Detection, MutationOutcome, QualificationReport};
 use crate::{catalogue, CatalogueEntry, Detector, Mutation};
-use catg::cell::{run_cell, CellOutcome, CellSpec, Compare};
+use catg::cell::{run_cell, CellSpec, Compare, ViewRun};
 use catg::tests_lib::qualification as qual;
 use catg::{CoverageReport, TestSpec};
 use stbus_protocol::{NodeConfig, ViewKind};
@@ -63,31 +63,37 @@ impl Default for QualifyOptions {
 /// built on the worker.
 struct CellJob {
     entry: CatalogueEntry,
+    alignment: bool,
     cell: CellSpec,
     telemetry: Telemetry,
 }
 
-fn run_job(job: &CellJob) -> CellOutcome {
+/// Runs one cell and returns the mutated view's run, the last in either
+/// kind of cell and the one that holds the verdict.
+fn run_job(job: &CellJob) -> ViewRun {
     let tel = job.telemetry.buffered();
     tel.metrics().counter("mutation.cells").inc();
     let cell = &job.cell;
-    let alignment = cell.views.len() == 2;
-    let kind = if alignment { "alignment" } else { "functional" };
+    let kind = if job.alignment {
+        "alignment"
+    } else {
+        "functional"
+    };
     let mut span = tel
         .span("mutation.cell")
         .field("entry", Json::from(job.entry.label()))
         .field("kind", Json::from(kind))
         .field("config", Json::from(cell.config.name.as_str()))
         .field("test", Json::from(cell.test.name.as_str()));
-    if !alignment {
+    if !job.alignment {
         span = span.field("seed", Json::from(cell.seed));
     }
-    let mut outcome = run_cell(cell, &tel);
-    if alignment {
-        let rate = outcome.runs[1].min_rate();
+    let mut run = run_cell(cell, &tel).runs.pop().expect("a mutated view");
+    if job.alignment {
+        let rate = run.min_rate();
         span.end([("min_rate_pct", Json::from(rate.map(|r| r * 100.0)))]);
     } else {
-        let result = &outcome.runs[0].result;
+        let result = &run.result;
         let detection = qual::classify_functional_failure(result);
         if detection.is_some() {
             tel.metrics().counter("mutation.detections").inc();
@@ -100,11 +106,9 @@ fn run_job(job: &CellJob) -> CellOutcome {
             ),
         ]);
     }
-    // The comparison is done; only verdicts travel back.
-    for run in &mut outcome.runs {
-        run.result.trace = None;
-    }
-    outcome
+    // The comparison is done; only the verdict travels back.
+    run.result.trace = None;
+    run
 }
 
 /// Runs the full qualification campaign over the unified catalogue.
@@ -133,18 +137,17 @@ pub fn run_qualification(options: &QualifyOptions) -> QualificationReport {
     let mut cells = Vec::with_capacity(entries.len() * options.configs.len() * per_config);
     for &entry in &entries {
         for config in &options.configs {
-            let job = |cell| CellJob {
+            let job = |alignment, cell| CellJob {
                 entry,
+                alignment,
                 cell,
                 telemetry: tel.clone(),
             };
             for spec in &options.tests {
                 for &seed in &options.seeds {
                     let views = vec![(entry.mutated_spec(), Compare::None)];
-                    cells.push(job(CellSpec {
-                        options: qual::functional_options(),
-                        ..CellSpec::new(config.clone(), spec.clone(), seed, views)
-                    }));
+                    let cell = CellSpec::new(config.clone(), spec.clone(), seed, views);
+                    cells.push(job(false, cell));
                 }
             }
             // The untimed view holds no cycle discipline, so TLM-view
@@ -160,10 +163,11 @@ pub fn run_qualification(options: &QualifyOptions) -> QualificationReport {
                     (entry.clean_opposite_spec(), Compare::None),
                     (entry.mutated_spec(), compare),
                 ];
-                cells.push(job(CellSpec {
+                let cell = CellSpec {
                     gated: false,
                     ..CellSpec::new(config.clone(), spec.clone(), qual::ALIGNMENT_SEED, views)
-                }));
+                };
+                cells.push(job(true, cell));
             }
         }
     }
@@ -188,8 +192,7 @@ pub fn run_qualification(options: &QualifyOptions) -> QualificationReport {
             let mut merged: Option<CoverageReport> = None;
             for spec in &options.tests {
                 for &seed in &options.seeds {
-                    let outcome = results.next().expect("one result per cell");
-                    let result = &outcome.runs[0].result;
+                    let result = &results.next().expect("one result per cell").result;
                     CoverageReport::accumulate(&mut merged, &result.coverage);
                     if let Some(d) = qual::classify_functional_failure(result) {
                         detections.push(Detection {
@@ -205,7 +208,7 @@ pub fn run_qualification(options: &QualifyOptions) -> QualificationReport {
             let config_rates = options
                 .alignment_specs
                 .iter()
-                .map(|_| results.next().expect("one result per cell").runs[1].min_rate())
+                .map(|_| results.next().expect("one result per cell").min_rate())
                 .collect();
             rates.push(config_rates);
         }

@@ -95,15 +95,14 @@ pub fn run_differential(
     // The BCA view runs at exact fidelity, so any sign-off shortfall
     // between two functionally clean runs is a real cross-view
     // divergence, not a modeling allowance.
-    let cell = CellSpec::new(
-        config.clone(),
-        spec.clone(),
-        seed,
-        vec![
-            (crate::rtl(inject.rtl.clone()), Compare::None),
-            (crate::bca(inject.bca.clone()), Compare::Cycle),
-        ],
-    );
+    let views = vec![
+        (crate::rtl(inject.rtl.clone()), Compare::None),
+        (crate::bca(inject.bca.clone()), Compare::Cycle),
+    ];
+    let cell = CellSpec {
+        compare_events: false,
+        ..CellSpec::new(config.clone(), spec.clone(), seed, views)
+    };
     let span = tel
         .span("hunt.probe")
         .field("config", Json::from(config.name.as_str()))
@@ -195,5 +194,27 @@ mod tests {
             .expect("a misroute on the reference config must diverge");
         assert_eq!(finding.detector.column(), "checker");
         assert_eq!(finding.view, "rtl");
+    }
+
+    #[test]
+    fn a_clean_probe_compares_without_stba_events() {
+        let (sink, handle) = telemetry::MemorySink::new();
+        let tel = Telemetry::builder()
+            .min_level(telemetry::Level::Debug)
+            .with_sink(Box::new(sink))
+            .build();
+        let config = NodeConfig::reference();
+        let spec = catg::tests_lib::basic_read_write(10);
+        let inject = Injections::default();
+        assert_eq!(run_differential(&config, &spec, 1, &inject, &tel), None);
+        tel.flush();
+        // The probe spans the two runs; the comparison itself is silent,
+        // as the hunt's report and stderr have always been.
+        let mut scopes: Vec<String> = handle.events().into_iter().map(|e| e.scope).collect();
+        scopes.dedup();
+        assert_eq!(scopes, ["tb.run.end", "hunt.probe.end"]);
+        let counters = tel.metrics().snapshot().counters;
+        assert!(counters.keys().all(|name| !name.starts_with("stba.")));
+        assert_eq!(counters.get("hunt.probes"), Some(&1));
     }
 }
