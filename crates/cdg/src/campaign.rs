@@ -138,7 +138,7 @@ pub fn close_coverage(
                 CellSpec::new(config.clone(), spec.clone(), seed, views)
             })
             .collect();
-        let worker_tel = tel.clone();
+        let worker_tel = tel.handoff();
         let outcomes = exec::map_ordered(options.jobs, cells, move |cell| {
             run_cell(&cell, &worker_tel.buffered())
         });

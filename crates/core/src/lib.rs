@@ -74,7 +74,7 @@ pub use vcd_dump::{port_var_names, VcdDump, CYCLE_TIME};
 pub fn vcd_cycle_time() -> u64 {
     vcd_dump::CYCLE_TIME
 }
-pub use views::{build_view, build_view_with_engine, ViewSpec};
+pub use views::{build_view, ViewSpec};
 
 /// The simulation backend an RTL [`ViewSpec`] is elaborated onto.
 pub use sim_kernel::SimBackend;

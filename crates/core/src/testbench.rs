@@ -15,6 +15,9 @@ use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 use telemetry::{Json, Telemetry};
 
+/// Hard cycle limit of a run, including the drain phase.
+const MAX_CYCLES: u64 = 50_000;
+
 /// Knobs of a testbench run.
 #[derive(Clone, Debug)]
 pub struct TestbenchOptions {
@@ -25,8 +28,6 @@ pub struct TestbenchOptions {
     /// Capture the run's typed port trace in [`RunResult::trace`] — what
     /// the STBA comparators take.
     pub capture_trace: bool,
-    /// Hard cycle limit including the drain phase.
-    pub max_cycles: u64,
     /// Starvation-watchdog threshold override.
     pub starvation_limit: Option<u64>,
     /// Run the protocol checkers and scoreboard (default). Disabling
@@ -45,7 +46,6 @@ impl Default for TestbenchOptions {
         TestbenchOptions {
             capture_vcd: false,
             capture_trace: false,
-            max_cycles: 50_000,
             starvation_limit: None,
             checks: true,
             collect_coverage: true,
@@ -249,7 +249,7 @@ impl Testbench {
         // One input buffer for the whole run: every port entry is driven
         // afresh each cycle, and the record hands the buffer back.
         let mut inputs = DutInputs::idle(cfg);
-        while cycle < self.options.max_cycles {
+        while cycle < MAX_CYCLES {
             let mut mark = profiling.then(Instant::now);
             for (i, h) in harnesses.iter_mut().enumerate() {
                 inputs.initiator[i] = h.drive(cycle);

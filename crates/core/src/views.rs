@@ -85,24 +85,6 @@ pub fn build_view(config: &NodeConfig, kind: ViewKind) -> Box<dyn DutView> {
     ViewSpec::of(kind).build(config)
 }
 
-/// Elaborates one design view on a specific simulation backend.
-///
-/// Only the RTL view runs on a kernel, so `engine` selects between the
-/// event-driven reference scheduler and the levelized compiled backend
-/// there; the BCA and TLM views bypass the kernel entirely and ignore
-/// it.
-pub fn build_view_with_engine(
-    config: &NodeConfig,
-    kind: ViewKind,
-    engine: SimBackend,
-) -> Box<dyn DutView> {
-    match kind {
-        ViewKind::Rtl => ViewSpec::Rtl(engine, Vec::new()),
-        _ => ViewSpec::of(kind),
-    }
-    .build(config)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,15 +94,6 @@ mod tests {
         let cfg = NodeConfig::reference();
         for kind in ViewKind::ALL {
             assert_eq!(build_view(&cfg, kind).view_kind(), kind);
-        }
-    }
-
-    #[test]
-    fn factory_builds_rtl_on_both_engines() {
-        let cfg = NodeConfig::reference();
-        for engine in SimBackend::ALL {
-            let v = build_view_with_engine(&cfg, ViewKind::Rtl, engine);
-            assert_eq!(v.view_kind(), ViewKind::Rtl);
         }
     }
 }

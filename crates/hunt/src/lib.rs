@@ -26,11 +26,10 @@
 #![warn(missing_docs)]
 
 mod probe;
-mod repro;
 mod shrink;
 
+pub use mutation::promoted::{Repro, REPRO_SCHEMA};
 pub use probe::{draw_probe, run_probe, Finding, Injections, Probe};
-pub use repro::{Repro, REPRO_SCHEMA};
 pub use shrink::{config_reductions, shrink, ShrinkResult};
 
 use std::time::Instant;
@@ -213,7 +212,7 @@ pub fn run_hunt(options: &HuntOptions) -> HuntReport {
 
     let campaign_seed = options.campaign_seed;
     let inject = options.inject.clone();
-    let worker_tel = tel.clone();
+    let worker_tel = tel.handoff();
     let outcomes = exec::map_ordered(
         options.jobs,
         (0..options.budget as u64).collect::<Vec<u64>>(),

@@ -70,7 +70,7 @@ pub fn run_probe(
     inject: &Injections,
     telemetry: &Telemetry,
 ) -> Option<Finding> {
-    let spec = recipe.to_spec("hunt_probe");
+    let spec = recipe.to_spec(mutation::promoted::PROBE_TEST);
     mutation::run_differential(config, &spec, seed, inject, telemetry)
 }
 

@@ -4,8 +4,8 @@
 //! This is the schema contract test between the producer
 //! (`hunt::Repro::to_json`, schema `stbus-repro/1`) and the consumer
 //! (`mutation::PromotedRepro`): a reproducer written by the fleet must
-//! load, replay, and attribute through the qualification side without
-//! any shared code.
+//! load from a catalogue directory, replay, and attribute through the
+//! qualification side.
 
 use stbus_hunt::{run_hunt, HuntOptions, Injections};
 use stbus_rtl::RtlBug;

@@ -141,7 +141,7 @@ pub fn run_qualification(options: &QualifyOptions) -> QualificationReport {
                 entry,
                 alignment,
                 cell,
-                telemetry: tel.clone(),
+                telemetry: tel.handoff(),
             };
             for spec in &options.tests {
                 for &seed in &options.seeds {

@@ -34,7 +34,7 @@ mod report;
 
 pub use campaign::{run_qualification, QualifyOptions};
 pub use differential::{run_differential, DiffFinding, Injections};
-pub use promoted::{run_promoted, PromotedOutcome, PromotedRepro, PROMOTED_SCHEMA};
+pub use promoted::{run_promoted, PromotedOutcome, PromotedRepro, Repro, REPRO_SCHEMA};
 pub use report::{
     AlignmentCell, Detection, MutationOutcome, QualificationReport, QUALIFICATION_SCHEMA,
 };

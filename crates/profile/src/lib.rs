@@ -6,8 +6,8 @@
 //!
 //! - [`span_tree`] folds span end-events into a hierarchical profile
 //!   (per-node self/total time, call counts, min/max/mean) rendered as a
-//!   sorted text tree or folded stacks for flamegraph tooling. Worker
-//!   spans are re-parented under the campaign tree, so the aggregated
+//!   sorted text tree or folded stacks for flamegraph tooling. Spans
+//!   record their parent, worker spans included, so the aggregated
 //!   shape is independent of `--jobs`.
 //! - [`trace`] exports the same spans as Chrome `trace_event` JSON,
 //!   loadable in Perfetto or `chrome://tracing`, one thread row per
@@ -29,7 +29,7 @@ pub use history::{
     Comparison, HistoryRecord, HistoryStore, HostInfo, PhaseDelta, HISTORY_SCHEMA, MIN_PHASE_US,
 };
 pub use span_tree::{
-    adopt_across_tracks, build_forest, build_profile, collect_spans, Profile, ProfileNode,
-    ProfileOptions, SpanNode, SpanRecord,
+    build_profile, build_tree, collect_spans, Profile, ProfileNode, ProfileOptions, SpanNode,
+    SpanRecord,
 };
 pub use trace::{trace_json, validate_trace, TraceStats};

@@ -1,14 +1,16 @@
 //! From a flat telemetry event stream to a hierarchical profile.
 //!
 //! The telemetry layer emits one `<scope>.end` event per span, carrying
-//! `start_us`, `duration_us` and `track` (the opening thread's ordinal).
-//! [`collect_spans`] extracts those into [`SpanRecord`]s;
-//! [`build_forest`] reassembles each track's records into proper call
-//! trees by interval containment (a span is a child of the innermost
-//! same-track span whose interval contains it); [`build_profile`] then
-//! folds every tree into one aggregated [`Profile`] keyed by span-name
-//! path, with per-node call counts, total/self wall-clock and min/max/
-//! mean durations.
+//! `start_us`, `duration_us`, `track` (the opening thread's ordinal), the
+//! span's own `id` and its `parent` (the id of the span it ran under, on
+//! its own thread or, for a fan-out worker, on the thread that handed
+//! the work out). [`collect_spans`] extracts those into
+//! [`SpanRecord`]s; [`build_tree`] links them into one call tree by
+//! parent id; [`build_profile`] then folds the tree into one aggregated
+//! [`Profile`] keyed by span-name path, with per-node call counts,
+//! total/self wall-clock and min/max/mean durations. The recorded links,
+//! not the timings, decide the shape, so it is the same for any worker
+//! count.
 //!
 //! Spans may also carry *phase annotations*: any end-event field named
 //! `phase_<name>_us` becomes a synthetic `phase:<name>` child of the
@@ -19,7 +21,7 @@
 //! (so `phase_check:checker_us` becomes `phase:check` →
 //! `phase:check:checker`).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use telemetry::{Event, Json};
 
 /// One completed span, reconstructed from its `<scope>.end` event.
@@ -29,6 +31,10 @@ pub struct SpanRecord {
     pub name: String,
     /// Track (thread ordinal) the span ran on.
     pub track: u64,
+    /// Process-unique span id.
+    pub id: u64,
+    /// Id of the span this one ran under; `None` for a top-level span.
+    pub parent: Option<u64>,
     /// Open offset, microseconds on the emitting handle's clock.
     pub start_us: u64,
     /// Close offset (`start_us + duration_us`).
@@ -61,8 +67,11 @@ impl SpanRecord {
     }
 }
 
-/// Extracts every pairable span from an event stream. Events that are
-/// not span ends (or predate the pairing fields) are ignored.
+/// The end-event fields [`collect_spans`] lifts into [`SpanRecord`].
+const SPAN_FIELDS: [&str; 5] = ["start_us", "duration_us", "track", "id", "parent"];
+
+/// Extracts every span from an event stream. Events that are not span
+/// ends (or predate the span fields) are ignored.
 pub fn collect_spans(events: &[Event]) -> Vec<SpanRecord> {
     events
         .iter()
@@ -70,16 +79,17 @@ pub fn collect_spans(events: &[Event]) -> Vec<SpanRecord> {
             let name = e.scope.strip_suffix(".end")?;
             let start_us = e.field("start_us")?.as_u64()?;
             let duration_us = e.field("duration_us")?.as_u64()?;
-            let track = e.field("track")?.as_u64()?;
             Some(SpanRecord {
                 name: name.to_owned(),
-                track,
+                track: e.field("track")?.as_u64()?,
+                id: e.field("id")?.as_u64()?,
+                parent: e.field("parent")?.as_u64(),
                 start_us,
                 end_us: start_us + duration_us,
                 fields: e
                     .fields
                     .iter()
-                    .filter(|(k, _)| k != "start_us" && k != "duration_us" && k != "track")
+                    .filter(|(k, _)| !SPAN_FIELDS.contains(&k.as_str()))
                     .cloned()
                     .collect(),
             })
@@ -87,153 +97,49 @@ pub fn collect_spans(events: &[Event]) -> Vec<SpanRecord> {
         .collect()
 }
 
-/// One node of a reconstructed per-track call tree.
+/// One node of the recorded call tree.
 #[derive(Clone, Debug)]
-pub struct SpanNode {
-    /// The span, with its interval clamped inside its parent's.
-    pub span: SpanRecord,
-    /// Children, ordered by start time.
-    pub children: Vec<SpanNode>,
+pub struct SpanNode<'a> {
+    /// The span.
+    pub span: &'a SpanRecord,
+    /// Children, ordered by `(start_us, id)`.
+    pub children: Vec<SpanNode<'a>>,
 }
 
-/// Rebuilds each track's call forest by interval containment.
-///
-/// Within one track the spans come from a real call stack, so sorting by
-/// `(start asc, end desc)` and sweeping with a stack recovers the
-/// nesting exactly; a child whose recorded end overruns its parent by a
-/// rounding microsecond is clamped to the parent's end. Zero-width spans
-/// that exactly coincide with a parent's edge degrade to siblings.
-pub fn build_forest(spans: Vec<SpanRecord>) -> BTreeMap<u64, Vec<SpanNode>> {
-    let mut by_track: BTreeMap<u64, Vec<SpanRecord>> = BTreeMap::new();
-    for span in spans {
-        by_track.entry(span.track).or_default().push(span);
+/// Links spans into one call tree by their recorded parent ids. A span
+/// whose parent is absent from the set (never recorded, or still open
+/// when the events were collected) is a root. Roots and children are
+/// ordered by `(start_us, id)`.
+pub fn build_tree(spans: &[SpanRecord]) -> Vec<SpanNode<'_>> {
+    let ids: HashSet<u64> = spans.iter().map(|s| s.id).collect();
+    let mut ordered: Vec<&SpanRecord> = spans.iter().collect();
+    ordered.sort_by_key(|s| (s.start_us, s.id));
+    let mut roots = Vec::new();
+    let mut children: HashMap<u64, Vec<&SpanRecord>> = HashMap::new();
+    for span in ordered {
+        match span.parent.filter(|p| ids.contains(p)) {
+            Some(parent) => children.entry(parent).or_default().push(span),
+            None => roots.push(span),
+        }
     }
-    by_track
+    fn grow<'a>(
+        span: &'a SpanRecord,
+        children: &HashMap<u64, Vec<&'a SpanRecord>>,
+    ) -> SpanNode<'a> {
+        SpanNode {
+            span,
+            children: children
+                .get(&span.id)
+                .map_or(&[][..], Vec::as_slice)
+                .iter()
+                .map(|child| grow(child, children))
+                .collect(),
+        }
+    }
+    roots
         .into_iter()
-        .map(|(track, mut spans)| {
-            // End events are emitted child-first, so on fully identical
-            // intervals the later record (higher index) is the parent;
-            // sort_by is stable, so reversing start/end ties keeps it
-            // ahead of its children.
-            let mut indexed: Vec<(usize, SpanRecord)> = spans.drain(..).enumerate().collect();
-            indexed.sort_by(|(ia, a), (ib, b)| {
-                a.start_us
-                    .cmp(&b.start_us)
-                    .then(b.end_us.cmp(&a.end_us))
-                    .then(ib.cmp(ia))
-            });
-            let mut roots: Vec<SpanNode> = Vec::new();
-            let mut stack: Vec<SpanNode> = Vec::new();
-            fn attach(stack: &mut [SpanNode], roots: &mut Vec<SpanNode>, node: SpanNode) {
-                match stack.last_mut() {
-                    Some(top) => top.children.push(node),
-                    None => roots.push(node),
-                }
-            }
-            for (_, mut span) in indexed {
-                while stack
-                    .last()
-                    .is_some_and(|top| span.start_us >= top.span.end_us)
-                {
-                    let node = stack.pop().expect("non-empty by condition");
-                    attach(&mut stack, &mut roots, node);
-                }
-                if let Some(top) = stack.last() {
-                    span.end_us = span.end_us.min(top.span.end_us);
-                }
-                stack.push(SpanNode {
-                    span,
-                    children: Vec::new(),
-                });
-            }
-            while let Some(node) = stack.pop() {
-                attach(&mut stack, &mut roots, node);
-            }
-            (track, roots)
-        })
+        .map(|root| grow(root, &children))
         .collect()
-}
-
-/// Re-parents worker-track roots into the anchor track's tree, producing
-/// one jobs-independent forest.
-///
-/// The anchor track is the one owning the earliest-starting (ties:
-/// longest, then lowest-track) root span — in a campaign that is the
-/// main thread, whose `regress.campaign` span encloses the fan-out.
-/// Every other track's roots are adopted under the innermost *native*
-/// anchor node whose interval contains them (concurrent siblings from
-/// different workers never nest inside each other, because only
-/// anchor-track nodes are considered as parents); roots contained by no
-/// anchor node stay top-level. With `jobs = 1` the pool runs inline on
-/// the main thread and the spans nest natively, so serial and parallel
-/// campaigns yield the same adopted shape — the property the stripped
-/// text profile's byte-identity rests on.
-pub fn adopt_across_tracks(forest: BTreeMap<u64, Vec<SpanNode>>) -> Vec<SpanNode> {
-    let mut anchor: Option<(u64, (u64, u64))> = None;
-    for (&track, roots) in &forest {
-        for root in roots {
-            let key = (root.span.start_us, u64::MAX - root.span.end_us);
-            if anchor.is_none_or(|(_, best)| key < best) {
-                anchor = Some((track, key));
-            }
-        }
-    }
-    let Some((anchor_track, _)) = anchor else {
-        return Vec::new();
-    };
-
-    let mut anchor_roots: Vec<SpanNode> = Vec::new();
-    let mut orphans: Vec<(u64, SpanNode)> = Vec::new();
-    for (track, roots) in forest {
-        if track == anchor_track {
-            anchor_roots = roots;
-        } else {
-            orphans.extend(roots.into_iter().map(|r| (track, r)));
-        }
-    }
-    // Deterministic adoption order: by interval, then source track.
-    orphans.sort_by_key(|(track, r)| (r.span.start_us, u64::MAX - r.span.end_us, *track));
-
-    // Descend only through native anchor nodes: `native` counts how many
-    // leading children of each node belong to the anchor track, so
-    // previously adopted concurrent spans are never considered parents.
-    fn place(nodes: &mut [SpanNode], native: usize, mut orphan: SpanNode) -> Option<SpanNode> {
-        for node in nodes.iter_mut().take(native) {
-            if node.span.start_us <= orphan.span.start_us && orphan.span.start_us < node.span.end_us
-            {
-                orphan.span.end_us = orphan.span.end_us.min(node.span.end_us);
-                let native_children = node
-                    .children
-                    .iter()
-                    .position(|c| c.span.track != node.span.track)
-                    .unwrap_or(node.children.len());
-                if let Some(back) = place(&mut node.children, native_children, orphan) {
-                    node.children.push(back);
-                }
-                return None;
-            }
-        }
-        Some(orphan)
-    }
-    let native = anchor_roots.len();
-    let mut top = anchor_roots;
-    for (_, orphan) in orphans {
-        if let Some(unplaced) = place(&mut top, native, orphan) {
-            top.push(unplaced);
-        }
-    }
-    fn sort_children(node: &mut SpanNode) {
-        node.children
-            .sort_by_key(|c| (c.span.start_us, u64::MAX - c.span.end_us));
-        for child in &mut node.children {
-            sort_children(child);
-        }
-    }
-    top.sort_by_key(|n| (n.span.start_us, u64::MAX - n.span.end_us));
-    for node in &mut top {
-        sort_children(node);
-    }
-    top
 }
 
 /// Profile construction knobs.
@@ -325,7 +231,7 @@ fn node_name(span: &SpanRecord, opts: &ProfileOptions) -> String {
 }
 
 fn add_node(map: &mut BTreeMap<String, ProfileNode>, node: &SpanNode, opts: &ProfileOptions) {
-    let entry = map.entry(node_name(&node.span, opts)).or_default();
+    let entry = map.entry(node_name(node.span, opts)).or_default();
     entry.fold(node.span.duration_us());
     for child in &node.children {
         add_node(&mut entry.children, child, opts);
@@ -349,17 +255,16 @@ fn add_node(map: &mut BTreeMap<String, ProfileNode>, node: &SpanNode, opts: &Pro
     }
 }
 
-/// Folds a span set into an aggregated profile: per-track trees are
-/// rebuilt ([`build_forest`]), worker roots re-parented into the anchor
-/// tree ([`adopt_across_tracks`]), and same-path nodes folded together.
+/// Folds a span set into an aggregated profile: the call tree is linked
+/// ([`build_tree`]) and same-path nodes folded together.
 pub fn build_profile(spans: &[SpanRecord], opts: &ProfileOptions) -> Profile {
-    let forest = build_forest(spans.to_vec());
+    let tracks: HashSet<u64> = spans.iter().map(|s| s.track).collect();
     let mut profile = Profile {
         spans: spans.len() as u64,
-        tracks: forest.len() as u64,
+        tracks: tracks.len() as u64,
         ..Profile::default()
     };
-    for node in &adopt_across_tracks(forest) {
+    for node in &build_tree(spans) {
         add_node(&mut profile.roots, node, opts);
     }
     for root in profile.roots.values_mut() {
@@ -371,9 +276,9 @@ pub fn build_profile(spans: &[SpanRecord], opts: &ProfileOptions) -> Profile {
 impl Profile {
     /// Zeroes every timing figure, leaving names, counts and tree shape.
     /// A stripped profile renders byte-identically for any worker count:
-    /// the span *set* of a campaign is a pure function of its inputs,
-    /// only the timings (and the track layout, which the render never
-    /// shows) vary.
+    /// the span *set* of a campaign and its parent links are a pure
+    /// function of its inputs; only the timings, ids and track layout,
+    /// which the render never shows, vary.
     pub fn strip_timings(&mut self) {
         for root in self.roots.values_mut() {
             root.strip();
@@ -476,47 +381,81 @@ impl Profile {
 mod tests {
     use super::*;
 
-    fn span(name: &str, track: u64, start: u64, end: u64) -> SpanRecord {
+    fn span(
+        id: u64,
+        parent: Option<u64>,
+        name: &str,
+        track: u64,
+        start: u64,
+        end: u64,
+    ) -> SpanRecord {
         SpanRecord {
             name: name.to_owned(),
             track,
+            id,
+            parent,
             start_us: start,
             end_us: end,
             fields: Vec::new(),
         }
     }
 
+    fn names<'a>(nodes: &[SpanNode<'a>]) -> Vec<&'a str> {
+        nodes.iter().map(|n| n.span.name.as_str()).collect()
+    }
+
     #[test]
-    fn forest_nests_by_containment_per_track() {
+    fn tree_links_spans_by_parent_id_across_tracks() {
+        // jobs=4 shape: campaign on the main track, overlapping cells on
+        // worker tracks, each with a nested child of its own.
         let spans = vec![
-            span("outer", 0, 0, 100),
-            span("a", 0, 10, 30),
-            span("b", 0, 40, 90),
-            span("b.inner", 0, 50, 60),
-            span("other", 1, 0, 50),
+            span(5, Some(1), "assemble", 0, 900, 950),
+            span(3, Some(2), "tb.run", 3, 20, 390),
+            span(2, Some(1), "cell", 3, 10, 400),
+            span(4, Some(1), "cell", 7, 15, 500), // overlaps the track-3 cell
+            span(6, Some(4), "tb.run", 7, 30, 490),
+            span(1, None, "campaign", 0, 0, 1000),
         ];
-        let forest = build_forest(spans);
-        assert_eq!(forest.len(), 2);
-        let t0 = &forest[&0];
-        assert_eq!(t0.len(), 1);
-        assert_eq!(t0[0].span.name, "outer");
-        assert_eq!(t0[0].children.len(), 2);
-        assert_eq!(t0[0].children[0].span.name, "a");
-        assert_eq!(t0[0].children[1].span.name, "b");
-        assert_eq!(t0[0].children[1].children[0].span.name, "b.inner");
-        assert_eq!(forest[&1][0].span.name, "other");
+        let tree = build_tree(&spans);
+        assert_eq!(names(&tree), ["campaign"]);
+        let campaign = &tree[0];
+        // Ordered by start; concurrent cells never nest in each other.
+        assert_eq!(names(&campaign.children), ["cell", "cell", "assemble"]);
+        assert_eq!(names(&campaign.children[0].children), ["tb.run"]);
+        assert_eq!(campaign.children[0].children[0].span.id, 3);
+        assert_eq!(campaign.children[1].children[0].span.id, 6);
     }
 
     #[test]
-    fn forest_clamps_microsecond_overrun_into_parent() {
-        let spans = vec![span("parent", 0, 0, 100), span("child", 0, 90, 101)];
-        let forest = build_forest(spans);
-        let parent = &forest[&0][0];
-        assert_eq!(parent.children[0].span.end_us, 100);
+    fn tree_shape_ignores_timing() {
+        let spans = vec![
+            span(1, None, "parent", 0, 0, 100),
+            // Overruns its parent's interval: still its child, unclamped.
+            span(2, Some(1), "child", 0, 90, 101),
+            // Inside the parent's interval but recorded as top-level.
+            span(3, None, "sibling", 0, 10, 20),
+        ];
+        let tree = build_tree(&spans);
+        assert_eq!(names(&tree), ["parent", "sibling"]);
+        assert_eq!(names(&tree[0].children), ["child"]);
+        assert_eq!(tree[0].children[0].span.end_us, 101);
     }
 
     #[test]
-    fn collect_spans_reads_pairing_fields_and_strips_them() {
+    fn span_with_unrecorded_parent_is_a_root_and_ties_order_by_id() {
+        let spans = vec![
+            span(9, Some(4), "b", 0, 5, 5),
+            span(7, Some(4), "a", 0, 5, 5),
+            span(8, Some(42), "orphan", 1, 0, 3),
+            span(4, None, "top", 0, 5, 6),
+        ];
+        let tree = build_tree(&spans);
+        assert_eq!(names(&tree), ["orphan", "top"]);
+        assert_eq!(names(&tree[1].children), ["a", "b"]);
+    }
+
+    #[test]
+    fn collect_spans_reads_span_fields_and_strips_them() {
         let (sink, handle) = telemetry::MemorySink::new();
         let tel = telemetry::Telemetry::builder()
             .with_sink(Box::new(sink))
@@ -530,22 +469,25 @@ mod tests {
         let spans = collect_spans(&handle.events());
         assert_eq!(spans.len(), 2);
         let outer = spans.iter().find(|s| s.name == "outer").unwrap();
+        let inner = spans.iter().find(|s| s.name == "inner").unwrap();
         assert_eq!(outer.field("config").unwrap().as_str(), Some("ref"));
-        assert!(outer.field("start_us").is_none());
-        assert!(outer.field("track").is_none());
+        for key in SPAN_FIELDS {
+            assert!(outer.field(key).is_none(), "{key} not stripped");
+        }
         assert_eq!(outer.phases(), vec![("settle", 7)]);
         assert!(outer.end_us >= outer.start_us);
+        assert_eq!(inner.parent, Some(outer.id));
+        assert_eq!(outer.parent, None);
     }
 
     #[test]
     fn profile_aggregates_counts_totals_and_self_time() {
         let spans = vec![
-            span("run", 0, 0, 100),
-            span("step", 0, 10, 30),
-            span("step", 0, 40, 70),
-            // Disjoint in time, so adoption keeps it a top-level root.
-            span("run", 1, 200, 280),
-            span("step", 1, 205, 225),
+            span(1, None, "run", 0, 0, 100),
+            span(2, Some(1), "step", 0, 10, 30),
+            span(3, Some(1), "step", 0, 40, 70),
+            span(4, None, "run", 1, 200, 280),
+            span(5, Some(4), "step", 1, 205, 225),
         ];
         let p = build_profile(&spans, &ProfileOptions::default());
         assert_eq!(p.spans, 5);
@@ -562,9 +504,9 @@ mod tests {
 
     #[test]
     fn group_by_splits_nodes_per_field_value() {
-        let mut a = span("cell", 0, 0, 10);
+        let mut a = span(1, None, "cell", 0, 0, 10);
         a.fields.push(("config".into(), Json::str("ref")));
-        let mut b = span("cell", 0, 20, 40);
+        let mut b = span(2, None, "cell", 0, 20, 40);
         b.fields.push(("config".into(), Json::str("wide")));
         let p = build_profile(
             &[a, b],
@@ -578,7 +520,7 @@ mod tests {
 
     #[test]
     fn phase_annotations_become_synthetic_children() {
-        let mut s = span("tb.run", 0, 0, 100);
+        let mut s = span(1, None, "tb.run", 0, 0, 100);
         s.fields.push(("phase_settle_us".into(), Json::from(60u64)));
         s.fields.push(("phase_drive_us".into(), Json::from(25u64)));
         let p = build_profile(&[s], &ProfileOptions::default());
@@ -593,7 +535,7 @@ mod tests {
 
     #[test]
     fn sub_slice_annotations_nest_under_their_phase() {
-        let mut s = span("tb.run", 0, 0, 100);
+        let mut s = span(1, None, "tb.run", 0, 0, 100);
         s.fields.push(("phase_check_us".into(), Json::from(40u64)));
         s.fields
             .push(("phase_check:checker_us".into(), Json::from(30u64)));
@@ -614,47 +556,20 @@ mod tests {
     }
 
     #[test]
-    fn adoption_reparents_worker_roots_under_the_anchor_tree() {
-        // jobs=4 shape: campaign on the main track, overlapping cells on
-        // worker tracks, each with a nested child of its own.
-        let spans = vec![
-            span("campaign", 0, 0, 1000),
-            span("assemble", 0, 900, 950),
-            span("cell", 3, 10, 400),
-            span("tb.run", 3, 20, 390),
-            span("cell", 7, 15, 500), // overlaps the track-3 cell
-            span("tb.run", 7, 30, 490),
-        ];
-        let top = adopt_across_tracks(build_forest(spans));
-        assert_eq!(top.len(), 1);
-        let campaign = &top[0];
-        assert_eq!(campaign.span.name, "campaign");
-        // Both cells adopted under campaign — never inside each other,
-        // despite the temporal overlap — and assemble stays native.
-        let names: Vec<&str> = campaign
-            .children
-            .iter()
-            .map(|c| c.span.name.as_str())
-            .collect();
-        assert_eq!(names, vec!["cell", "cell", "assemble"]);
-        assert_eq!(campaign.children[0].children[0].span.name, "tb.run");
-    }
-
-    #[test]
     fn stripped_profiles_render_identically_regardless_of_timing_and_tracks() {
-        // The same span *set* spread differently over time and tracks —
-        // exactly what different --jobs values produce: serial runs nest
-        // cells natively on the main track, parallel runs scatter them
-        // over worker tracks; adoption folds both into one shape.
+        // The same linked span set spread differently over time, ids and
+        // tracks — exactly what different --jobs values produce: serial
+        // runs keep cells on the main track, parallel runs scatter them
+        // over worker tracks.
         let serial = vec![
-            span("campaign", 0, 0, 100),
-            span("cell", 0, 5, 20),
-            span("cell", 0, 25, 60),
+            span(1, None, "campaign", 0, 0, 100),
+            span(2, Some(1), "cell", 0, 5, 20),
+            span(3, Some(1), "cell", 0, 25, 60),
         ];
         let parallel = vec![
-            span("campaign", 0, 0, 900),
-            span("cell", 3, 1, 300),
-            span("cell", 7, 100, 450),
+            span(10, None, "campaign", 0, 0, 900),
+            span(12, Some(10), "cell", 3, 1, 300),
+            span(11, Some(10), "cell", 7, 100, 450),
         ];
         let mut a = build_profile(&serial, &ProfileOptions::default());
         let mut b = build_profile(&parallel, &ProfileOptions::default());
@@ -667,7 +582,10 @@ mod tests {
 
     #[test]
     fn folded_output_lists_self_weighted_paths() {
-        let spans = vec![span("a", 0, 0, 100), span("b", 0, 10, 40)];
+        let spans = vec![
+            span(1, None, "a", 0, 0, 100),
+            span(2, Some(1), "b", 0, 10, 40),
+        ];
         let p = build_profile(&spans, &ProfileOptions::default());
         let folded = p.render_folded();
         assert!(folded.contains("a 70"));

@@ -1,14 +1,16 @@
 //! Chrome `trace_event` export — profiles loadable in Perfetto or
 //! `chrome://tracing`.
 //!
-//! Each telemetry track becomes one trace thread row; every span emits a
-//! `B`/`E` duration-event pair on its track, generated from the
-//! reconstructed call trees so pairing and nesting are correct by
-//! construction (child `B` after parent `B`, child `E` before parent
-//! `E`, timestamps non-decreasing per thread). Synthetic `phase:*`
-//! blocks from span phase annotations are laid out back-to-back inside
-//! their parent — attribution, not measured intervals, so they only
-//! appear on leaf spans where they cannot collide with real children.
+//! Each telemetry track becomes one trace thread row. Every span emits a
+//! `B`/`E` pair, generated from the linked call tree ([`build_tree`]): a
+//! child on its parent's track nests inside it, and a child on another
+//! track (a fan-out worker's span) opens a top-level block on its own
+//! row. Pairing, nesting and per-thread time order hold by construction:
+//! the telemetry clock never decreases, and a child that outlived its
+//! parent is clipped to it. Synthetic `phase:*` blocks from span phase
+//! annotations are laid out back-to-back inside their parent —
+//! attribution, not measured intervals, so they only appear on spans with
+//! no same-track children, where they cannot collide with real ones.
 //! Sub-slice blocks (`phase:<phase>:<part>`) nest inside their phase's
 //! block the same way.
 //!
@@ -16,7 +18,8 @@
 //! per-thread B/E stack discipline, name matching, and monotonic
 //! timestamps — the structural contract downstream viewers rely on.
 
-use crate::span_tree::{build_forest, SpanNode, SpanRecord};
+use crate::span_tree::{build_tree, SpanNode, SpanRecord};
+use std::collections::BTreeMap;
 use telemetry::Json;
 
 /// Pretty process id used for every event (one process: the campaign).
@@ -91,17 +94,40 @@ fn emit_phases(
     }
 }
 
-fn emit_node(node: &SpanNode, tid: u64, out: &mut Vec<Json>) {
-    let span = &node.span;
-    out.push(begin(&span.name, tid, span.start_us, &span.fields));
-    if node.children.is_empty() {
-        emit_phases(&span.phases(), None, span.start_us, span.end_us, tid, out);
-    } else {
-        for child in &node.children {
-            emit_node(child, tid, out);
-        }
+/// Emits `node` and its same-track descendants, clipped to `limit`.
+fn emit_node(node: &SpanNode, tid: u64, limit: u64, out: &mut Vec<Json>) {
+    let span = node.span;
+    let end_us = span.end_us.min(limit);
+    let start_us = span.start_us.min(end_us);
+    out.push(begin(&span.name, tid, start_us, &span.fields));
+    let mut nested = node
+        .children
+        .iter()
+        .filter(|c| c.span.track == span.track)
+        .peekable();
+    if nested.peek().is_none() {
+        emit_phases(&span.phases(), None, start_us, end_us, tid, out);
     }
-    out.push(end(&span.name, tid, span.end_us));
+    for child in nested {
+        emit_node(child, tid, end_us, out);
+    }
+    out.push(end(&span.name, tid, end_us));
+}
+
+/// Files `node` under its track's row when it starts one (no parent on
+/// the same track), then recurses into its children.
+fn collect_rows<'t, 'a>(
+    node: &'t SpanNode<'a>,
+    parent_track: Option<u64>,
+    rows: &mut BTreeMap<u64, Vec<&'t SpanNode<'a>>>,
+) {
+    let track = node.span.track;
+    if parent_track != Some(track) {
+        rows.entry(track).or_default().push(node);
+    }
+    for child in &node.children {
+        collect_rows(child, Some(track), rows);
+    }
 }
 
 /// Exports a span set as one Chrome `trace_event` JSON document
@@ -111,14 +137,15 @@ fn emit_node(node: &SpanNode, tid: u64, out: &mut Vec<Json>) {
 /// track) order; tid 0 — the earliest-created thread, normally the main
 /// one — is labeled `main`, the rest `worker-<n>`.
 pub fn trace_json(spans: &[SpanRecord]) -> Json {
-    let forest = build_forest(spans.to_vec());
-    let mut events: Vec<Json> = vec![Json::obj([
-        ("ph", Json::str("M")),
-        ("pid", Json::from(PID)),
-        ("name", Json::str("process_name")),
-        ("args", Json::obj([("name", Json::str("stbus-campaign"))])),
-    ])];
-    for (tid, (track, roots)) in forest.iter().enumerate() {
+    let tree = build_tree(spans);
+    let mut rows = BTreeMap::new();
+    for root in &tree {
+        collect_rows(root, None, &mut rows);
+    }
+    // Every metadata event names a tid, process_name included: viewers
+    // ignore it there, and schema checkers can read it unconditionally.
+    let mut events: Vec<Json> = vec![meta("process_name", 0, "stbus-campaign")];
+    for (tid, (track, mut blocks)) in rows.into_iter().enumerate() {
         let tid = tid as u64;
         let label = if tid == 0 {
             "main".to_owned()
@@ -130,8 +157,9 @@ pub fn trace_json(spans: &[SpanRecord]) -> Json {
             tid,
             &format!("{label} (track {track})"),
         ));
-        for node in roots {
-            emit_node(node, tid, &mut events);
+        blocks.sort_by_key(|n| (n.span.start_us, n.span.id));
+        for node in blocks {
+            emit_node(node, tid, u64::MAX, &mut events);
         }
     }
     Json::obj([
@@ -231,10 +259,19 @@ pub fn validate_trace(doc: &Json) -> Result<TraceStats, String> {
 mod tests {
     use super::*;
 
-    fn span(name: &str, track: u64, start: u64, end: u64) -> SpanRecord {
+    fn span(
+        id: u64,
+        parent: Option<u64>,
+        name: &str,
+        track: u64,
+        start: u64,
+        end: u64,
+    ) -> SpanRecord {
         SpanRecord {
             name: name.to_owned(),
             track,
+            id,
+            parent,
             start_us: start,
             end_us: end,
             fields: Vec::new(),
@@ -243,16 +280,16 @@ mod tests {
 
     #[test]
     fn trace_round_trips_and_validates() {
-        let mut leaf = span("tb.run", 3, 30, 90);
+        let mut leaf = span(3, Some(2), "tb.run", 3, 30, 90);
         leaf.fields
             .push(("phase_settle_us".into(), Json::from(40u64)));
         leaf.fields
             .push(("phase_drive_us".into(), Json::from(100u64))); // over-long: clamped
         let spans = vec![
-            span("campaign", 0, 0, 200),
-            span("cell", 3, 10, 100),
+            span(1, None, "campaign", 0, 0, 200),
+            span(2, Some(1), "cell", 3, 10, 100),
             leaf,
-            span("cell", 5, 20, 150),
+            span(4, Some(1), "cell", 5, 20, 150),
         ];
         let doc = trace_json(&spans);
         // The document must survive its own wire format.
@@ -270,7 +307,7 @@ mod tests {
 
     #[test]
     fn sub_slices_nest_inside_their_phase_block() {
-        let mut leaf = span("tb.run", 0, 0, 100);
+        let mut leaf = span(1, None, "tb.run", 0, 0, 100);
         for (key, us) in [
             ("phase_settle_us", 30u64),
             ("phase_check_us", 50),

@@ -640,18 +640,7 @@ fn regress(ctx: &Ctx) -> i32 {
     // cold one), so they live in their own file next to the deterministic
     // reports rather than inside manifest.json.
     if let Some(stats) = &report.cache {
-        ctx.out_file("cache_stats.json", || {
-            Json::obj([
-                ("schema", Json::from("stbus-cache-stats/1")),
-                ("hits", Json::from(stats.hits)),
-                ("misses", Json::from(stats.misses)),
-                ("puts", Json::from(stats.puts)),
-                ("corrupt", Json::from(stats.corrupt)),
-                ("evicted", Json::from(stats.evicted)),
-                ("simulated", Json::from(stats.simulated)),
-            ])
-            .render_pretty()
-        });
+        ctx.out_file("cache_stats.json", || stats.to_json().render_pretty());
     }
     if let Some(handle) = &ctx.capture {
         let spans = profile::collect_spans(&handle.events());

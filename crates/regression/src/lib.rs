@@ -37,6 +37,6 @@ pub use manifest::MANIFEST_SCHEMA;
 pub use matrix::standard_configs;
 pub use runner::{
     cell_key, parse_views, run_regression, CacheSummary, ConfigOutcome, RegressionOptions,
-    RegressionReport, RunRecord, SOURCE_FINGERPRINT,
+    RegressionReport, RunRecord, CACHE_STATS_SCHEMA, SOURCE_FINGERPRINT,
 };
 pub use stbus_protocol::config_file::{parse_config, render_config, ParseConfigError};

@@ -198,6 +198,25 @@ pub struct CacheSummary {
     pub simulated: u64,
 }
 
+/// Schema tag of `cache_stats.json`.
+pub const CACHE_STATS_SCHEMA: &str = "stbus-cache-stats/1";
+
+impl CacheSummary {
+    /// The `cache_stats.json` document. The serve daemon reports the same
+    /// object, so a `--client` run writes the same file a local one does.
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("schema", Json::from(CACHE_STATS_SCHEMA)),
+            ("hits", Json::from(self.hits)),
+            ("misses", Json::from(self.misses)),
+            ("puts", Json::from(self.puts)),
+            ("corrupt", Json::from(self.corrupt)),
+            ("evicted", Json::from(self.evicted)),
+            ("simulated", Json::from(self.simulated)),
+        ])
+    }
+}
+
 /// One `{test, seed}` entry of a configuration's outcome.
 #[derive(Clone, Debug)]
 pub struct RunRecord {
@@ -713,7 +732,7 @@ pub fn run_regression(
                         run_span: Some("regress.cell"),
                         ..CellSpec::new(config.clone(), spec.clone(), seed, views.clone())
                     },
-                    telemetry: tel.clone(),
+                    telemetry: tel.handoff(),
                     cache: store.as_ref().map(|store| CellCache {
                         store: store.clone(),
                         key: cell_key(config, spec, seed, options),

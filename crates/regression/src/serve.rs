@@ -481,17 +481,7 @@ fn run_campaign(request: &Json, ctx: &ConnCtx) -> Vec<Json> {
             ("event", Json::from("report")),
             ("table", Json::from(report.table())),
             ("signed_off", Json::from(report.signed_off_count())),
-            (
-                "cache",
-                Json::obj([
-                    ("hits", Json::from(summary.hits)),
-                    ("misses", Json::from(summary.misses)),
-                    ("puts", Json::from(summary.puts)),
-                    ("corrupt", Json::from(summary.corrupt)),
-                    ("evicted", Json::from(summary.evicted)),
-                    ("simulated", Json::from(summary.simulated)),
-                ]),
-            ),
+            ("cache", summary.to_json()),
             ("manifest", report.manifest_json()),
         ]),
     ]

@@ -7,7 +7,7 @@
 #![cfg(unix)]
 
 use stbus_regression::serve::{client_request, ServeOptions, Server, SERVE_PROTOCOL};
-use stbus_regression::SOURCE_FINGERPRINT;
+use stbus_regression::{CacheSummary, CACHE_STATS_SCHEMA, SOURCE_FINGERPRINT};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 use telemetry::Json;
@@ -138,6 +138,40 @@ fn daemon_shares_one_cache_across_concurrent_clients() {
     daemon.join().expect("daemon thread");
     assert!(!socket.exists(), "socket file must be removed on shutdown");
 
+    let _ = std::fs::remove_dir_all(&base);
+}
+
+/// `--client` writes the daemon's `cache` object as `cache_stats.json`,
+/// so it must be the document a local run writes: same schema tag, same
+/// fields.
+#[test]
+fn daemon_cache_report_is_the_cache_stats_document() {
+    let base = temp_base("cachestats");
+    let socket = base.join("daemon.sock");
+    let server = Server::bind(ServeOptions {
+        socket: socket.clone(),
+        cache_dir: base.join("cache"),
+        jobs: 1,
+        ..ServeOptions::default()
+    })
+    .expect("bind");
+    let daemon = std::thread::spawn(move || server.run().expect("daemon run"));
+    wait_for_socket(&socket);
+
+    let responses = client_request(&socket, &campaign_request("[1]")).expect("campaign");
+    let cache = report_of(&responses).get("cache").expect("cache object");
+    assert_eq!(
+        cache.get("schema").and_then(Json::as_str),
+        Some(CACHE_STATS_SCHEMA)
+    );
+    let keys = |doc: &Json| match doc {
+        Json::Obj(pairs) => pairs.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>(),
+        other => panic!("not an object: {other:?}"),
+    };
+    assert_eq!(keys(cache), keys(&CacheSummary::default().to_json()));
+
+    client_request(&socket, r#"{"op":"shutdown"}"#).expect("shutdown");
+    daemon.join().expect("daemon thread");
     let _ = std::fs::remove_dir_all(&base);
 }
 

@@ -324,7 +324,7 @@ pub fn run_signoff(
         .iter()
         .map(|u| u.cell(config, options, Compare::None))
         .collect();
-    let measure_tel = tel.clone();
+    let measure_tel = tel.handoff();
     let measured = exec::map_ordered(options.jobs, cells, move |cell| {
         let m = measure_unit(&cell, measure_tel.buffered());
         measure_tel
@@ -401,7 +401,7 @@ pub fn run_signoff(
         .iter()
         .map(|u| (u.clone(), u.cell(config, options, Compare::Cycle)))
         .collect();
-    let gate_tel = tel.clone();
+    let gate_tel = tel.handoff();
     let gate_runs = exec::map_ordered(options.jobs, gate_cells, move |(unit, cell)| {
         gate_unit(&unit, &cell, gate_tel.buffered())
     });

@@ -13,8 +13,8 @@
 //! * [`MetricsRegistry`] — monotonic [`Counter`]s, [`Gauge`]s and
 //!   fixed-bucket [`Histogram`]s, cloneable via `Arc`, updated with one
 //!   atomic op on hot paths and snapshotable to JSON;
-//! * [`Span`] — wall-clock scopes that emit a `<scope>.end` event with a
-//!   `duration_us` field;
+//! * [`Span`] — wall-clock scopes that emit a `<scope>.end` event with
+//!   their timing, their own id and the id of the span they ran under;
 //! * [`Json`] — a dependency-free JSON value with renderer and parser,
 //!   shared by every machine-readable artifact in the workspace (JSONL
 //!   event streams, `manifest.json`, metric snapshots).
@@ -26,7 +26,9 @@
 //! regression engine), [`Telemetry::buffered`] derives a worker-local
 //! handle whose events accumulate in a private buffer and flow into the
 //! shared sinks in batches — spans and counters from many workers fan in
-//! without serializing on the sink lock per event.
+//! without serializing on the sink lock per event. A worker's spans name
+//! their parent across the thread boundary through the handle the
+//! fan-out gave it ([`Telemetry::handoff`]).
 //!
 //! ```
 //! use stbus_telemetry::{Json, Level, MemorySink, Telemetry};
@@ -52,6 +54,8 @@ pub use json::{Json, JsonParseError};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use sink::{EventSink, JsonlSink, MemorySink, MemorySinkHandle, TextSink};
 
+use std::cell::RefCell;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -60,10 +64,15 @@ use std::time::Instant;
 /// lock once to flush them all (see [`Telemetry::buffered`]).
 const WORKER_BUFFER_BATCH: usize = 64;
 
-static NEXT_TRACK: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+static NEXT_TRACK: AtomicU64 = AtomicU64::new(0);
+
+/// Span ids are process-unique and start at 1.
+static NEXT_SPAN: AtomicU64 = AtomicU64::new(1);
 
 thread_local! {
-    static TRACK: u64 = NEXT_TRACK.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    static TRACK: u64 = NEXT_TRACK.fetch_add(1, Ordering::Relaxed);
+    /// Ids of the spans open on this thread, innermost last.
+    static OPEN_SPANS: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
 }
 
 /// The calling thread's track ordinal: a process-wide id assigned the
@@ -147,6 +156,10 @@ impl Drop for TelemetryInner {
 #[derive(Clone)]
 pub struct Telemetry {
     inner: Arc<TelemetryInner>,
+    /// The parent of spans opened through this handle on a thread with no
+    /// span of its own open: the span that was open where
+    /// [`handoff`](Telemetry::handoff) gave the handle out.
+    handoff_parent: Option<u64>,
 }
 
 impl std::fmt::Debug for Telemetry {
@@ -210,6 +223,7 @@ impl TelemetryBuilder {
                 parent: None,
                 buffer: Mutex::new(Vec::new()),
             }),
+            handoff_parent: None,
         }
     }
 }
@@ -275,6 +289,7 @@ impl Telemetry {
                 parent: Some(parent),
                 buffer: Mutex::new(Vec::with_capacity(WORKER_BUFFER_BATCH)),
             }),
+            handoff_parent: self.handoff_parent,
         }
     }
 
@@ -299,7 +314,20 @@ impl Telemetry {
                 parent: base.inner.parent.clone(),
                 buffer: Mutex::new(Vec::with_capacity(WORKER_BUFFER_BATCH)),
             }),
+            handoff_parent: self.handoff_parent,
         }
+    }
+
+    /// A clone to hand to fan-out workers: a span a worker opens through
+    /// it (or a handle derived from it) with no span of its own open on
+    /// its thread names the span open here, now, as its parent.
+    pub fn handoff(&self) -> Telemetry {
+        let mut handle = self.clone();
+        if self.inner.enabled {
+            let open = OPEN_SPANS.with_borrow(|open| open.last().copied());
+            handle.handoff_parent = open.or(self.handoff_parent);
+        }
+        handle
     }
 
     /// Microseconds since the root of this handle's family was created.
@@ -391,19 +419,37 @@ impl Telemetry {
     }
 
     /// Opens a wall-clock span. On [`Span::end`] (or drop) a
-    /// `<scope>.end` event carries `start_us` (offset of the open on this
-    /// handle's clock), `duration_us`, and `track` (the opening thread's
-    /// [`current_track`] ordinal) plus any attached fields — enough for a
-    /// consumer to pair and nest spans back into per-thread trees.
+    /// `<scope>.end` event carries any attached fields, then `start_us`
+    /// (offset of the open on this handle's clock), `duration_us`,
+    /// `track` (the opening thread's [`current_track`] ordinal), `id` (a
+    /// process-unique span id) and `parent` (the innermost span open on
+    /// this thread, else the [`handoff`](Telemetry::handoff) parent, else
+    /// null) — enough for a consumer to rebuild the call tree. The span
+    /// must end on the thread that opened it. A disabled handle's spans
+    /// get no id and leave the open-span stack alone.
     pub fn span(&self, scope: &str) -> Span {
+        let id = self
+            .inner
+            .enabled
+            .then(|| NEXT_SPAN.fetch_add(1, Ordering::Relaxed));
+        let parent = id.and_then(|id| {
+            OPEN_SPANS.with_borrow_mut(|open| {
+                let parent = open.last().copied().or(self.handoff_parent);
+                open.push(id);
+                parent
+            })
+        });
         Span {
             telemetry: self.clone(),
             scope: scope.to_owned(),
             start: Instant::now(),
             start_us: self.elapsed_us(),
             track: current_track(),
+            id,
+            parent,
             fields: Vec::new(),
             finished: false,
+            _thread_bound: PhantomData,
         }
     }
 
@@ -428,8 +474,12 @@ pub struct Span {
     start: Instant,
     start_us: u64,
     track: u64,
+    id: Option<u64>,
+    parent: Option<u64>,
     fields: Vec<(String, Json)>,
     finished: bool,
+    /// Not `Send`: the span's id sits on its opening thread's stack.
+    _thread_bound: PhantomData<*const ()>,
 }
 
 impl Span {
@@ -461,6 +511,11 @@ impl Span {
             return;
         }
         self.finished = true;
+        // Only a disabled handle's spans have no id: nothing to emit.
+        let Some(id) = self.id else { return };
+        // By id, not the top: a span dropped out of order must not take a
+        // still-open one off the stack.
+        OPEN_SPANS.with_borrow_mut(|open| open.retain(|&open| open != id));
         // Both ends are readings of the handle's one never-decreasing
         // clock, so a span that closed before the next one opened on this
         // track never appears to overlap it.
@@ -469,6 +524,8 @@ impl Span {
         fields.push(("start_us".to_owned(), Json::from(self.start_us)));
         fields.push(("duration_us".to_owned(), Json::from(end_us - self.start_us)));
         fields.push(("track".to_owned(), Json::from(self.track)));
+        fields.push(("id".to_owned(), Json::from(id)));
+        fields.push(("parent".to_owned(), Json::from(self.parent)));
         self.telemetry.emit(
             Level::Info,
             &format!("{}.end", self.scope),
@@ -552,6 +609,71 @@ mod tests {
         let events = handle.events();
         let w = events.iter().find(|e| e.scope == "worker.end").unwrap();
         assert_ne!(w.field("track").unwrap().as_u64(), Some(current_track()));
+    }
+
+    fn span_link(e: &Event) -> (u64, Option<u64>) {
+        let id = e.field("id").unwrap().as_u64().unwrap();
+        (id, e.field("parent").unwrap().as_u64())
+    }
+
+    #[test]
+    fn spans_record_their_parent_on_the_same_thread() {
+        let (sink, handle) = MemorySink::new();
+        let tel = Telemetry::builder().with_sink(Box::new(sink)).build();
+        let outer = tel.span("outer");
+        let first = tel.span("first");
+        let second = tel.span("second");
+        // Out of order: `first` ends while `second` is still open.
+        drop(first);
+        let third = tel.span("third");
+        drop(third);
+        drop(second);
+        outer.end(NO_FIELDS);
+        tel.span("after").end(NO_FIELDS);
+        let links: std::collections::BTreeMap<String, (u64, Option<u64>)> = handle
+            .events()
+            .iter()
+            .map(|e| (e.scope.clone(), span_link(e)))
+            .collect();
+        let id = |scope: &str| links[scope].0;
+        assert_eq!(links["outer.end"].1, None);
+        assert_eq!(links["first.end"].1, Some(id("outer.end")));
+        assert_eq!(links["second.end"].1, Some(id("first.end")));
+        assert_eq!(links["third.end"].1, Some(id("second.end")));
+        assert_eq!(links["after.end"].1, None);
+        let mut ids: Vec<u64> = links.values().map(|l| l.0).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), 5, "ids are unique");
+    }
+
+    #[test]
+    fn handoff_carries_the_open_span_to_worker_threads() {
+        let (sink, handle) = MemorySink::new();
+        let tel = Telemetry::builder().with_sink(Box::new(sink)).build();
+        let campaign = tel.span("campaign");
+        let worker = tel.handoff();
+        let plain = tel.clone();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let cell = worker.buffered().span("cell");
+                worker.scoped_metrics().span("run").end(NO_FIELDS);
+                drop(cell);
+                plain.span("unlinked").end(NO_FIELDS);
+            });
+        });
+        campaign.end(NO_FIELDS);
+        let events = handle.events();
+        let link = |scope: &str| span_link(events.iter().find(|e| e.scope == scope).unwrap());
+        let campaign_id = link("campaign.end").0;
+        assert_eq!(link("cell.end").1, Some(campaign_id));
+        assert_eq!(link("run.end").1, Some(link("cell.end").0));
+        assert_eq!(link("unlinked.end").1, None);
+        // A disabled handle hands off nothing and tracks no parentage.
+        let off = Telemetry::disabled();
+        let _open = off.span("untracked");
+        assert_eq!(off.handoff().handoff_parent, None);
+        OPEN_SPANS.with_borrow(|open| assert!(open.is_empty()));
     }
 
     /// Both ends of a span come from the handle's one clock, so a span
