@@ -284,12 +284,6 @@ pub fn catalogue() -> Vec<CatalogueEntry> {
     entries
 }
 
-/// Looks up a catalogue entry by label (`"R2"`, `"B4"`, `"T1"`,
-/// `"C-RTL"`, …) — the form promoted reproducers and CLI flags use.
-pub fn entry_by_label(label: &str) -> Option<CatalogueEntry> {
-    catalogue().into_iter().find(|e| e.label() == label)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

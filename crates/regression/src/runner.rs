@@ -27,7 +27,6 @@ use sim_kernel::SimBackend;
 use stbus_bca::{BcaBug, Fidelity};
 use stbus_protocol::{NodeConfig, ViewKind};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use telemetry::{Json, Telemetry};
@@ -166,20 +165,11 @@ pub fn cell_key(
     ])
 }
 
-/// Shared hit/miss tallies of one campaign, updated lock-free by the
-/// workers.
-#[derive(Debug, Default)]
-struct CacheTallies {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    puts: AtomicU64,
-    corrupt: AtomicU64,
-    simulated: AtomicU64,
-}
-
 /// What the cell cache did during one campaign (on the in-memory report
 /// only — deliberately not part of the manifest, whose metrics must be
-/// byte-identical between cold and warm runs).
+/// byte-identical between cold and warm runs): the campaign's increase
+/// of the `cache.hit`, `cache.miss`, `cache.put` and `cache.corrupt`
+/// counters, plus what the post-campaign GC pass evicted.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheSummary {
     /// Cells answered from the store without simulating.
@@ -192,10 +182,19 @@ pub struct CacheSummary {
     pub corrupt: u64,
     /// Entries evicted by the post-campaign GC pass.
     pub evicted: u64,
-    /// Cells that actually ran a simulation. A fully warm campaign
-    /// reports `simulated == 0` and `hits == cell count` — the proof the
-    /// acceptance gate checks.
+    /// Cells that actually ran a simulation: every miss, by
+    /// construction. A fully warm campaign reports `simulated == 0` and
+    /// `hits == cell count` — the proof the acceptance gate checks.
     pub simulated: u64,
+}
+
+/// The registry counters behind [`CacheSummary`]'s `hits`, `misses`,
+/// `puts` and `corrupt`, in that order.
+const CACHE_COUNTERS: [&str; 4] = ["cache.hit", "cache.miss", "cache.put", "cache.corrupt"];
+
+fn cache_counts(tel: &Telemetry) -> [u64; 4] {
+    let counters = tel.metrics().snapshot().counters;
+    CACHE_COUNTERS.map(|name| counters.get(name).copied().unwrap_or(0))
 }
 
 /// Schema tag of `cache_stats.json`.
@@ -521,12 +520,10 @@ struct CellJob {
     cache: Option<CellCache>,
 }
 
-/// The store handle, this cell's precomputed content key, and the
-/// campaign-wide tallies.
+/// The store handle and this cell's precomputed content key.
 struct CellCache {
     store: Store,
     key: Key,
-    tallies: Arc<CacheTallies>,
 }
 
 /// What one cell hands back for matrix-order reassembly.
@@ -553,7 +550,6 @@ fn cached_cell(job: &CellJob, cc: &CellCache) -> Option<CellResult> {
         .and_then(cell_codec::decode)
         .filter(|c| c.record.test == job.cell.test.name && c.record.seed == job.cell.seed);
     let Some(cell) = cell else {
-        cc.tallies.corrupt.fetch_add(1, Ordering::Relaxed);
         campaign_metrics.counter("cache.corrupt").inc();
         job.telemetry.warn(
             "cache",
@@ -563,7 +559,6 @@ fn cached_cell(job: &CellJob, cc: &CellCache) -> Option<CellResult> {
         cc.store.remove(&cc.key);
         return None;
     };
-    cc.tallies.hits.fetch_add(1, Ordering::Relaxed);
     campaign_metrics.counter("cache.hit").inc();
     // Replay the cell's metric contribution so the campaign totals are
     // the ones a cold run would report.
@@ -583,7 +578,6 @@ fn run_job(job: &CellJob) -> CellResult {
         if let Some(hit) = cached_cell(job, cc) {
             return hit;
         }
-        cc.tallies.misses.fetch_add(1, Ordering::Relaxed);
         job.telemetry.metrics().counter("cache.miss").inc();
     }
     // With a cache, the cell runs under a scoped handle: a private
@@ -635,7 +629,6 @@ fn run_job(job: &CellJob) -> CellResult {
     if let (Some(cc), Some((rtl_vcd_digest, bca_vcd_digest, tlm_vcd_digest))) =
         (&job.cache, digests)
     {
-        cc.tallies.simulated.fetch_add(1, Ordering::Relaxed);
         // One snapshot serves both the cache entry and the campaign
         // absorb below — byte-for-byte the same contribution a later
         // warm run will replay.
@@ -652,7 +645,6 @@ fn run_job(job: &CellJob) -> CellResult {
         // run a re-simulation, never correctness.
         match cc.store.put(&cc.key, &payload) {
             Ok(()) => {
-                cc.tallies.puts.fetch_add(1, Ordering::Relaxed);
                 job.telemetry.metrics().counter("cache.put").inc();
             }
             Err(err) => job.telemetry.warn(
@@ -699,7 +691,7 @@ pub fn run_regression(
         .cache_dir
         .as_ref()
         .map(|root| Store::open(root.clone()));
-    let tallies = Arc::new(CacheTallies::default());
+    let counts_before = store.as_ref().map(|_| cache_counts(tel));
 
     // The views every cell runs: RTL is the reference; BCA is compared
     // cycle by cycle, and the untimed view both ways (the discipline it
@@ -736,7 +728,6 @@ pub fn run_regression(
                     cache: store.as_ref().map(|store| CellCache {
                         store: store.clone(),
                         key: cell_key(config, spec, seed, options),
-                        tallies: Arc::clone(&tallies),
                     }),
                 });
             }
@@ -807,7 +798,7 @@ pub fn run_regression(
     }
     assemble_span.end([("configs", Json::from(configs.len()))]);
 
-    if let Some(store) = &store {
+    if let (Some(store), Some(before)) = (&store, counts_before) {
         let evicted =
             if options.cache_gc.max_entries.is_some() || options.cache_gc.max_bytes.is_some() {
                 let gc = store.gc(&options.cache_gc);
@@ -816,13 +807,15 @@ pub fn run_regression(
             } else {
                 0
             };
+        let after = cache_counts(tel);
+        let delta = |i: usize| after[i] - before[i];
         let summary = CacheSummary {
-            hits: tallies.hits.load(Ordering::Relaxed),
-            misses: tallies.misses.load(Ordering::Relaxed),
-            puts: tallies.puts.load(Ordering::Relaxed),
-            corrupt: tallies.corrupt.load(Ordering::Relaxed),
+            hits: delta(0),
+            misses: delta(1),
+            puts: delta(2),
+            corrupt: delta(3),
             evicted,
-            simulated: tallies.simulated.load(Ordering::Relaxed),
+            simulated: delta(1),
         };
         tel.info(
             "cache",

@@ -30,7 +30,14 @@
 //! A campaign request answers with an `"accepted"` line (echoing the
 //! resolved shape) and then a `"report"` line carrying the §5 table, the
 //! full manifest JSON and the cache summary. Unknown ops and malformed
-//! lines answer `{"ok":false,...}` without killing the connection.
+//! lines — including lines that are not UTF-8 — answer
+//! `{"ok":false,...}` without killing the connection. A last request
+//! line cut off by EOF without its newline is still answered.
+//!
+//! `stats` reads the daemon's metrics registry: the `serve.*` counters
+//! (`connections`, `requests`, `campaigns`, `cells`, `cache_hits`,
+//! `cache_misses`, `errors`), where `errors` counts every
+//! `{"ok":false}` reply.
 //!
 //! Shutdown is cooperative: a `shutdown` request, EOF on the daemon's
 //! stdin (the CLI watches for it), or [`Server::shutdown_flag`] flipped
@@ -47,7 +54,7 @@ use stbus_protocol::ViewKind;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use telemetry::{Json, Telemetry};
@@ -83,24 +90,11 @@ impl Default for ServeOptions {
     }
 }
 
-/// Daemon-lifetime tallies, shared across connection threads.
-#[derive(Debug, Default)]
-struct DaemonStats {
-    connections: AtomicU64,
-    requests: AtomicU64,
-    campaigns: AtomicU64,
-    cells: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    errors: AtomicU64,
-}
-
 /// A bound, not-yet-running daemon.
 pub struct Server {
     listener: UnixListener,
     options: ServeOptions,
     pool: Arc<ThreadPool>,
-    stats: Arc<DaemonStats>,
     shutdown: Arc<AtomicBool>,
 }
 
@@ -140,7 +134,6 @@ impl Server {
             listener,
             options,
             pool,
-            stats: Arc::new(DaemonStats::default()),
             shutdown: Arc::new(AtomicBool::new(false)),
         })
     }
@@ -175,12 +168,10 @@ impl Server {
         while !self.shutdown.load(Ordering::SeqCst) {
             match self.listener.accept() {
                 Ok((stream, _)) => {
-                    self.stats.connections.fetch_add(1, Ordering::Relaxed);
                     tel.metrics().counter("serve.connections").inc();
                     let ctx = ConnCtx {
                         options: self.options.clone(),
                         pool: Arc::clone(&self.pool),
-                        stats: Arc::clone(&self.stats),
                         shutdown: Arc::clone(&self.shutdown),
                     };
                     handlers.push(std::thread::spawn(move || serve_connection(stream, &ctx)));
@@ -196,7 +187,7 @@ impl Server {
             let _ = h.join();
         }
         let _ = std::fs::remove_file(&self.options.socket);
-        let served = self.stats.connections.load(Ordering::Relaxed);
+        let served = tel.metrics().counter("serve.connections").get();
         tel.info(
             "serve",
             "daemon stopped",
@@ -204,7 +195,7 @@ impl Server {
                 ("connections", Json::from(served)),
                 (
                     "campaigns",
-                    Json::from(self.stats.campaigns.load(Ordering::Relaxed)),
+                    Json::from(tel.metrics().counter("serve.campaigns").get()),
                 ),
             ],
         );
@@ -216,7 +207,6 @@ impl Server {
 struct ConnCtx {
     options: ServeOptions,
     pool: Arc<ThreadPool>,
-    stats: Arc<DaemonStats>,
     shutdown: Arc<AtomicBool>,
 }
 
@@ -226,15 +216,23 @@ fn serve_connection(stream: UnixStream, ctx: &ConnCtx) {
         return;
     };
     let mut writer = std::io::BufWriter::new(write_half);
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
+    let mut reader = BufReader::new(stream);
+    let mut line = Vec::new();
+    loop {
+        // Raw bytes rather than `lines()`, which fails on a line that is
+        // not UTF-8: such a line is a bad request to answer, not a
+        // reason to drop the connection.
+        line.clear();
+        match reader.read_until(b'\n', &mut line) {
+            Ok(0) | Err(_) => return,
+            Ok(_) => {}
+        }
+        let request = line.trim_ascii();
+        if request.is_empty() {
             continue;
         }
-        ctx.stats.requests.fetch_add(1, Ordering::Relaxed);
         tel.metrics().counter("serve.requests").inc();
-        let responses = handle_request(&line, ctx);
+        let responses = handle_request(request, ctx);
         for response in &responses {
             if writeln!(writer, "{}", response.render()).is_err() {
                 return;
@@ -257,55 +255,68 @@ fn error_line(message: impl Into<String>) -> Vec<Json> {
     ])]
 }
 
-fn handle_request(line: &str, ctx: &ConnCtx) -> Vec<Json> {
+/// The `serve.*` counters the `stats` op reports, as `(field, counter)`.
+const STATS_COUNTERS: [(&str, &str); 7] = [
+    ("connections", "serve.connections"),
+    ("requests", "serve.requests"),
+    ("campaigns", "serve.campaigns"),
+    ("cells", "serve.cells"),
+    ("cache_hits", "serve.cache_hits"),
+    ("cache_misses", "serve.cache_misses"),
+    ("errors", "serve.errors"),
+];
+
+/// Answers one request line; every `{"ok":false}` reply is counted
+/// here, once, as `serve.errors`.
+fn handle_request(line: &[u8], ctx: &ConnCtx) -> Vec<Json> {
     let tel = &ctx.options.telemetry;
-    let request = match Json::parse(line) {
-        Ok(json) => json,
-        Err(e) => {
-            ctx.stats.errors.fetch_add(1, Ordering::Relaxed);
-            return error_line(format!("malformed request: {e:?}"));
+    let request = std::str::from_utf8(line)
+        .map_err(|_| "malformed request: not UTF-8".to_owned())
+        .and_then(|text| Json::parse(text).map_err(|e| format!("malformed request: {e:?}")));
+    let (span, responses) = match request {
+        Ok(request) => {
+            let op = request.get("op").and_then(Json::as_str).unwrap_or("");
+            let span = tel.span("serve.request").field("op", Json::from(op));
+            (Some(span), answer(op, &request, ctx))
         }
+        Err(e) => (None, error_line(e)),
     };
-    let op = request.get("op").and_then(Json::as_str).unwrap_or("");
-    let span = tel.span("serve.request").field("op", Json::from(op));
-    let responses = match op {
+    let ok = responses
+        .last()
+        .and_then(|r| r.get("ok"))
+        .and_then(Json::as_bool)
+        .unwrap_or(false);
+    if !ok {
+        tel.metrics().counter("serve.errors").inc();
+    }
+    if let Some(span) = span {
+        span.end([("ok", Json::from(ok))]);
+    }
+    responses
+}
+
+fn answer(op: &str, request: &Json, ctx: &ConnCtx) -> Vec<Json> {
+    match op {
         "ping" => vec![Json::obj([
             ("ok", Json::from(true)),
             ("event", Json::from("pong")),
             ("protocol", Json::from(SERVE_PROTOCOL)),
             ("source", Json::from(SOURCE_FINGERPRINT)),
         ])],
-        "stats" => vec![Json::obj([
-            ("ok", Json::from(true)),
-            ("event", Json::from("stats")),
-            (
-                "connections",
-                Json::from(ctx.stats.connections.load(Ordering::Relaxed)),
-            ),
-            (
-                "requests",
-                Json::from(ctx.stats.requests.load(Ordering::Relaxed)),
-            ),
-            (
-                "campaigns",
-                Json::from(ctx.stats.campaigns.load(Ordering::Relaxed)),
-            ),
-            ("cells", Json::from(ctx.stats.cells.load(Ordering::Relaxed))),
-            (
-                "cache_hits",
-                Json::from(ctx.stats.cache_hits.load(Ordering::Relaxed)),
-            ),
-            (
-                "cache_misses",
-                Json::from(ctx.stats.cache_misses.load(Ordering::Relaxed)),
-            ),
-            (
-                "errors",
-                Json::from(ctx.stats.errors.load(Ordering::Relaxed)),
-            ),
-            ("pool_threads", Json::from(ctx.pool.threads())),
-            ("source", Json::from(SOURCE_FINGERPRINT)),
-        ])],
+        "stats" => {
+            let metrics = ctx.options.telemetry.metrics();
+            let counters = STATS_COUNTERS
+                .map(|(field, counter)| (field, Json::from(metrics.counter(counter).get())));
+            vec![Json::obj(
+                [("ok", Json::from(true)), ("event", Json::from("stats"))]
+                    .into_iter()
+                    .chain(counters)
+                    .chain([
+                        ("pool_threads", Json::from(ctx.pool.threads())),
+                        ("source", Json::from(SOURCE_FINGERPRINT)),
+                    ]),
+            )]
+        }
         "shutdown" => {
             ctx.shutdown.store(true, Ordering::SeqCst);
             vec![Json::obj([
@@ -313,19 +324,9 @@ fn handle_request(line: &str, ctx: &ConnCtx) -> Vec<Json> {
                 ("event", Json::from("shutting-down")),
             ])]
         }
-        "campaign" => run_campaign(&request, ctx),
-        other => {
-            ctx.stats.errors.fetch_add(1, Ordering::Relaxed);
-            error_line(format!("unknown op `{other}`"))
-        }
-    };
-    let ok = responses
-        .last()
-        .and_then(|r| r.get("ok"))
-        .and_then(Json::as_bool)
-        .unwrap_or(false);
-    span.end([("ok", Json::from(ok))]);
-    responses
+        "campaign" => run_campaign(request, ctx),
+        other => error_line(format!("unknown op `{other}`")),
+    }
 }
 
 fn run_campaign(request: &Json, ctx: &ConnCtx) -> Vec<Json> {
@@ -335,7 +336,6 @@ fn run_campaign(request: &Json, ctx: &ConnCtx) -> Vec<Json> {
     // built from; a client built from other sources must not get them.
     let source = request.get("source").and_then(Json::as_str);
     if source != Some(SOURCE_FINGERPRINT) {
-        ctx.stats.errors.fetch_add(1, Ordering::Relaxed);
         return error_line(format!(
             "source fingerprint mismatch: client {}, daemon {SOURCE_FINGERPRINT}",
             source.unwrap_or("(none)")
@@ -434,9 +434,8 @@ fn run_campaign(request: &Json, ctx: &ConnCtx) -> Vec<Json> {
         ("cells", Json::from(cells)),
     ]);
 
-    ctx.stats.campaigns.fetch_add(1, Ordering::Relaxed);
-    ctx.stats.cells.fetch_add(cells as u64, Ordering::Relaxed);
     tel.metrics().counter("serve.campaigns").inc();
+    tel.metrics().counter("serve.cells").add(cells as u64);
     let span = tel.span("serve.campaign").field("cells", Json::from(cells));
 
     // Each campaign gets a fresh telemetry handle (private metrics, the
@@ -459,12 +458,6 @@ fn run_campaign(request: &Json, ctx: &ConnCtx) -> Vec<Json> {
         report.strip_timings();
     }
     let summary = report.cache.unwrap_or_default();
-    ctx.stats
-        .cache_hits
-        .fetch_add(summary.hits, Ordering::Relaxed);
-    ctx.stats
-        .cache_misses
-        .fetch_add(summary.misses, Ordering::Relaxed);
     tel.metrics().counter("serve.cache_hits").add(summary.hits);
     tel.metrics()
         .counter("serve.cache_misses")

@@ -3,8 +3,10 @@
 //! runs, malformed values exit 2 naming the flag, and an unwritable
 //! `--out` exits 1 once the mode's table is printed.
 
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::process::Command;
+use telemetry::Json;
 
 const BIN: &str = env!("CARGO_BIN_EXE_stbus-regress");
 
@@ -215,6 +217,61 @@ fn unwritable_out(dir: &Path) -> String {
     let file = dir.join("file");
     std::fs::write(&file, "not a directory").expect("blocker file");
     file.join("out").display().to_string()
+}
+
+/// `--log-file` replaces its file: after two runs into one path it
+/// holds the second run alone, so span ids are unique and no parent link
+/// crosses from one run into the other.
+#[test]
+fn log_file_holds_exactly_one_run() {
+    let dir = scratch("cli-log-file");
+    let configs = tiny_configs(&dir);
+    let log = dir.join("events.jsonl").display().to_string();
+    let args = [
+        "--configs",
+        &configs,
+        "--seeds",
+        "1",
+        "--intensity",
+        "2",
+        "--no-history",
+        "--quiet",
+        "--log-format",
+        "json",
+        "--log-file",
+        &log,
+    ];
+    for _ in 0..2 {
+        let (code, stdout, stderr) = run(&args);
+        assert_eq!(code, 0, "stdout:\n{stdout}\nstderr:\n{stderr}");
+    }
+    let text = std::fs::read_to_string(&log).expect("log file");
+    let ends: Vec<Json> = text
+        .lines()
+        .map(|line| Json::parse(line).expect("one JSON event per line"))
+        .filter(|e| {
+            e.get("scope")
+                .and_then(Json::as_str)
+                .is_some_and(|s| s.ends_with(".end"))
+        })
+        .collect();
+    let field = |e: &Json, name: &str| e.get("fields").and_then(|f| f.get(name)).cloned();
+    let ids: BTreeSet<u64> = ends
+        .iter()
+        .map(|e| field(e, "id").and_then(|id| id.as_u64()).expect("span id"))
+        .collect();
+    assert!(!ends.is_empty(), "no span ends in {log}");
+    assert_eq!(ids.len(), ends.len(), "span ids repeat in {log}");
+    for e in &ends {
+        if let Some(parent) = field(e, "parent").and_then(|p| p.as_u64()) {
+            assert!(ids.contains(&parent), "dangling parent in {e:?}");
+        }
+    }
+    let campaigns = ends
+        .iter()
+        .filter(|e| e.get("scope").and_then(Json::as_str) == Some("regress.campaign.end"))
+        .count();
+    assert_eq!(campaigns, 1, "the file must hold exactly one run");
 }
 
 #[test]

@@ -1,13 +1,18 @@
 //! The serve daemon: concurrent clients over one Unix socket, one shared
 //! cell store (a cold campaign warms every later client), clean
 //! cooperative shutdown (request op and the embedder's flag, which is
-//! what the CLI's stdin-EOF watcher flips), stale-socket recovery, and
-//! campaigns refused to clients built from other sources.
+//! what the CLI's stdin-EOF watcher flips), stale-socket recovery,
+//! error replies to malformed and non-UTF-8 lines on a connection that
+//! stays usable, and campaigns refused to clients built from other
+//! sources.
 
 #![cfg(unix)]
 
 use stbus_regression::serve::{client_request, ServeOptions, Server, SERVE_PROTOCOL};
 use stbus_regression::{CacheSummary, CACHE_STATS_SCHEMA, SOURCE_FINGERPRINT};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::Shutdown;
+use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 use telemetry::Json;
@@ -266,6 +271,72 @@ fn malformed_and_unknown_requests_do_not_kill_the_connection() {
     daemon.join().expect("daemon thread");
     assert!(!socket.exists());
 
+    let _ = std::fs::remove_dir_all(&base);
+}
+
+/// Reads one reply line from a raw connection.
+fn read_reply(reader: &mut BufReader<UnixStream>) -> Json {
+    let mut line = String::new();
+    let read = reader.read_line(&mut line).expect("read reply");
+    assert!(
+        read > 0,
+        "daemon closed the connection instead of answering"
+    );
+    Json::parse(&line).expect("reply is JSON")
+}
+
+#[test]
+fn non_utf8_lines_are_answered_and_a_last_line_without_newline_counts() {
+    let base = temp_base("bytes");
+    let socket = base.join("daemon.sock");
+    let server = Server::bind(ServeOptions {
+        socket: socket.clone(),
+        cache_dir: base.join("cache"),
+        jobs: 1,
+        ..ServeOptions::default()
+    })
+    .expect("bind");
+    let flag = server.shutdown_flag();
+    let daemon = std::thread::spawn(move || server.run().expect("daemon run"));
+    wait_for_socket(&socket);
+
+    let mut stream = UnixStream::connect(&socket).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+
+    // A line that is not UTF-8 is a bad request, not a dropped connection.
+    stream.write_all(b"{\"op\":\"ping\xff\"}\n").unwrap();
+    let bad = read_reply(&mut reader);
+    assert_eq!(bad.get("ok").and_then(Json::as_bool), Some(false));
+    let error = bad.get("error").and_then(Json::as_str).unwrap();
+    assert!(error.contains("UTF-8"), "{error}");
+
+    // A campaign with a bad field is an error reply like any other.
+    let bad_seeds = campaign_request("[]");
+    stream
+        .write_all(format!("{bad_seeds}\n").as_bytes())
+        .unwrap();
+    let rejected = read_reply(&mut reader);
+    assert_eq!(rejected.get("ok").and_then(Json::as_bool), Some(false));
+
+    // The same connection still answers.
+    stream.write_all(b"{\"op\":\"ping\"}\n").unwrap();
+    let pong = read_reply(&mut reader);
+    assert_eq!(pong.get("event").and_then(Json::as_str), Some("pong"));
+
+    // A last request cut off by EOF without its newline is answered, and
+    // `stats` counts both error replies and all four requests.
+    stream.write_all(br#"{"op":"stats"}"#).unwrap();
+    stream.shutdown(Shutdown::Write).unwrap();
+    let stats = read_reply(&mut reader);
+    assert_eq!(stats.get("event").and_then(Json::as_str), Some("stats"));
+    assert_eq!(stats.get("errors").and_then(Json::as_u64), Some(2));
+    assert_eq!(stats.get("requests").and_then(Json::as_u64), Some(4));
+    let mut rest = String::new();
+    reader.read_to_string(&mut rest).unwrap();
+    assert_eq!(rest, "", "nothing after the last reply");
+
+    flag.store(true, std::sync::atomic::Ordering::SeqCst);
+    daemon.join().expect("daemon thread");
     let _ = std::fs::remove_dir_all(&base);
 }
 

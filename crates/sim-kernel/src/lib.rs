@@ -64,7 +64,7 @@ pub use clock::ClockId;
 pub use compiled::{CompiledCtx, CompiledSim, CompiledStats, SimBackend};
 pub use coverage::{ActivityCoverage, BranchActivity, BranchId, ProcessActivity};
 pub use error::SimError;
-pub use logic::{Bits, Logic, LogicVec};
+pub use logic::{Bits, Logic};
 pub use process::{Edge, ProcCtx, ProcessId};
 pub use scheduler::Simulator;
 pub use signal::{Signal, SignalId, WordValue};

@@ -1,4 +1,4 @@
-//! Four-state logic values and bit-vector representations for tracing.
+//! Four-state logic values and the two-state bit vectors trace sinks receive.
 
 use std::fmt;
 
@@ -102,97 +102,6 @@ impl fmt::Display for Logic {
 impl From<bool> for Logic {
     fn from(b: bool) -> Self {
         Logic::from_bool(b)
-    }
-}
-
-/// A fixed-width vector of four-state [`Logic`] values.
-///
-/// Bit 0 is the least-significant bit.
-#[derive(Clone, PartialEq, Eq, Hash, Debug, Default)]
-pub struct LogicVec {
-    bits: Vec<Logic>,
-}
-
-impl LogicVec {
-    /// Creates a vector of `width` bits, all `L0`.
-    pub fn zeros(width: usize) -> Self {
-        LogicVec {
-            bits: vec![Logic::L0; width],
-        }
-    }
-
-    /// Creates a vector of `width` bits, all `X`.
-    pub fn unknown(width: usize) -> Self {
-        LogicVec {
-            bits: vec![Logic::X; width],
-        }
-    }
-
-    /// Creates a vector from the low `width` bits of `value`.
-    pub fn from_u64(value: u64, width: usize) -> Self {
-        let bits = (0..width)
-            .map(|i| Logic::from_bool(i < 64 && (value >> i) & 1 == 1))
-            .collect();
-        LogicVec { bits }
-    }
-
-    /// The number of bits.
-    pub fn width(&self) -> usize {
-        self.bits.len()
-    }
-
-    /// Returns bit `i` (LSB = 0).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.width()`.
-    pub fn bit(&self, i: usize) -> Logic {
-        self.bits[i]
-    }
-
-    /// Sets bit `i` (LSB = 0).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.width()`.
-    pub fn set_bit(&mut self, i: usize, v: Logic) {
-        self.bits[i] = v;
-    }
-
-    /// Interprets the vector as an integer, if all bits are driven.
-    pub fn to_u64(&self) -> Option<u64> {
-        let mut out = 0u64;
-        for (i, b) in self.bits.iter().enumerate() {
-            match b.to_bool() {
-                Some(true) if i < 64 => out |= 1 << i,
-                Some(_) => {}
-                None => return None,
-            }
-        }
-        Some(out)
-    }
-
-    /// Iterates bits LSB-first.
-    pub fn iter(&self) -> impl Iterator<Item = Logic> + '_ {
-        self.bits.iter().copied()
-    }
-}
-
-impl fmt::Display for LogicVec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // MSB first, like an HDL literal.
-        for b in self.bits.iter().rev() {
-            write!(f, "{b}")?;
-        }
-        Ok(())
-    }
-}
-
-impl FromIterator<Logic> for LogicVec {
-    fn from_iter<I: IntoIterator<Item = Logic>>(iter: I) -> Self {
-        LogicVec {
-            bits: iter.into_iter().collect(),
-        }
     }
 }
 
@@ -333,26 +242,6 @@ mod tests {
     }
 
     #[test]
-    fn logic_vec_u64_round_trip() {
-        let v = LogicVec::from_u64(0b1011, 4);
-        assert_eq!(v.to_u64(), Some(0b1011));
-        assert_eq!(v.to_string(), "1011");
-        assert_eq!(v.width(), 4);
-    }
-
-    #[test]
-    fn logic_vec_with_x_has_no_int() {
-        let mut v = LogicVec::from_u64(3, 4);
-        v.set_bit(2, Logic::X);
-        assert_eq!(v.to_u64(), None);
-    }
-
-    #[test]
-    fn logic_vec_unknown_display() {
-        assert_eq!(LogicVec::unknown(3).to_string(), "xxx");
-    }
-
-    #[test]
     fn bits_single_word() {
         let b = Bits::from_u64(0xA5, 8);
         assert_eq!(b.low_u64(), 0xA5);
@@ -391,13 +280,6 @@ mod tests {
             for i in 0..width {
                 prop_assert_eq!(b.bit(i), (v >> i) & 1 == 1);
             }
-        }
-
-        #[test]
-        fn prop_logicvec_round_trip(v: u64, width in 1usize..=64) {
-            let masked = if width == 64 { v } else { v & ((1u64 << width) - 1) };
-            let lv = LogicVec::from_u64(v, width);
-            prop_assert_eq!(lv.to_u64(), Some(masked));
         }
 
         #[test]

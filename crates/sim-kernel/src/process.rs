@@ -54,7 +54,6 @@ pub struct ProcCtx<'a> {
     pub(crate) delayed: &'a mut Vec<DelayedWrite>,
     pub(crate) branch_hits: &'a mut Vec<u64>,
     pub(crate) time: SimTime,
-    pub(crate) proc_id: ProcessId,
 }
 
 impl<'a> ProcCtx<'a> {
@@ -113,10 +112,5 @@ impl<'a> ProcCtx<'a> {
     /// The current simulation time.
     pub fn now(&self) -> SimTime {
         self.time
-    }
-
-    /// The identity of the running process.
-    pub fn current_process(&self) -> ProcessId {
-        self.proc_id
     }
 }

@@ -18,14 +18,10 @@ const DEFAULT_DELTA_LIMIT: u32 = 1000;
 
 trait AnyTraceSink: TraceSink {
     fn as_any(&self) -> &dyn Any;
-    fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
 impl<T: TraceSink + Any> AnyTraceSink for T {
     fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
         self
     }
 }
@@ -295,11 +291,6 @@ impl Simulator {
         self.time
     }
 
-    /// Total delta cycles executed so far (a work metric for benches).
-    pub fn total_deltas(&self) -> u64 {
-        self.total_deltas
-    }
-
     /// A snapshot of the kernel's cumulative work counters.
     pub fn kernel_stats(&self) -> KernelStats {
         KernelStats {
@@ -331,11 +322,6 @@ impl Simulator {
     /// Returns the installed trace sink, if it has type `S`.
     pub fn trace<S: TraceSink + Any>(&self) -> Option<&S> {
         self.trace.as_ref()?.as_any().downcast_ref::<S>()
-    }
-
-    /// Mutable access to the installed trace sink.
-    pub fn trace_mut<S: TraceSink + Any>(&mut self) -> Option<&mut S> {
-        self.trace.as_mut()?.as_any_mut().downcast_mut::<S>()
     }
 
     /// Marks one signal for tracing.
@@ -417,7 +403,6 @@ impl Simulator {
                 delayed: &mut delayed,
                 branch_hits: &mut self.branch_hits,
                 time: self.time,
-                proc_id: id,
             };
             (process.body)(&mut ctx);
         }
@@ -576,11 +561,6 @@ impl Simulator {
     /// Iterates over every registered signal id, in registration order.
     pub fn signal_ids(&self) -> impl Iterator<Item = SignalId> + '_ {
         (0..self.signals.len() as u32).map(SignalId)
-    }
-
-    /// Number of registered processes.
-    pub fn process_count(&self) -> usize {
-        self.processes.len()
     }
 }
 
@@ -1042,7 +1022,7 @@ mod tests {
         sim.run_for(50).unwrap(); // 10 toggles, 5 rising edges
 
         let stats = sim.kernel_stats();
-        assert_eq!(stats.delta_cycles, sim.total_deltas());
+        assert!(stats.delta_cycles > 0);
         assert_eq!(stats.process_activations, 5);
         // 10 clock commits + 5 counter commits.
         assert_eq!(stats.signal_commits, 15);

@@ -142,79 +142,6 @@ pub(crate) fn port_transfers(port: &PortTrace, cycles: u64) -> Option<Vec<Extrac
     Some(out)
 }
 
-/// The first difference between two transfer streams, if any.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum TransferDiff {
-    /// Entry `index` differs.
-    Mismatch {
-        /// Position in the streams.
-        index: usize,
-        /// The first stream's transfer.
-        first: ExtractedTransfer,
-        /// The second stream's transfer.
-        second: ExtractedTransfer,
-    },
-    /// One stream is a strict prefix of the other.
-    LengthMismatch {
-        /// Transfers in the first stream.
-        first_len: usize,
-        /// Transfers in the second stream.
-        second_len: usize,
-    },
-}
-
-impl std::fmt::Display for TransferDiff {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TransferDiff::Mismatch {
-                index,
-                first,
-                second,
-            } => {
-                write!(f, "transfer {index} differs: {first:?} vs {second:?}")
-            }
-            TransferDiff::LengthMismatch {
-                first_len,
-                second_len,
-            } => {
-                write!(f, "stream lengths differ: {first_len} vs {second_len}")
-            }
-        }
-    }
-}
-
-/// Compares two transfer streams *transactionally* — ignoring cycle
-/// numbers, so views that agree on the traffic but not on its timing
-/// (e.g. a TLM model) still compare equal.
-///
-/// Returns `None` when the streams carry the same transfers in the same
-/// order.
-pub fn diff_transfers(
-    first: &[ExtractedTransfer],
-    second: &[ExtractedTransfer],
-) -> Option<TransferDiff> {
-    let strip = |t: &ExtractedTransfer| ExtractedTransfer {
-        cycle: 0,
-        ..t.clone()
-    };
-    for (index, (a, b)) in first.iter().zip(second).enumerate() {
-        if strip(a) != strip(b) {
-            return Some(TransferDiff::Mismatch {
-                index,
-                first: a.clone(),
-                second: b.clone(),
-            });
-        }
-    }
-    if first.len() != second.len() {
-        return Some(TransferDiff::LengthMismatch {
-            first_len: first.len(),
-            second_len: second.len(),
-        });
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,37 +200,5 @@ mod tests {
     fn missing_port_yields_none() {
         let doc = VcdDocument::parse(&sample_dump()).unwrap();
         assert!(extract_transfers(&doc, "tgt5", 10).is_none());
-    }
-
-    #[test]
-    fn diff_ignores_timing_but_not_content() {
-        let doc = VcdDocument::parse(&sample_dump()).unwrap();
-        let a = extract_transfers(&doc, "init0", 10).unwrap();
-        // Same stream shifted in time: equal transactionally.
-        let shifted: Vec<ExtractedTransfer> = a
-            .iter()
-            .map(|t| ExtractedTransfer {
-                cycle: t.cycle + 7,
-                ..t.clone()
-            })
-            .collect();
-        assert_eq!(diff_transfers(&a, &shifted), None);
-
-        // Content change: flagged with the index.
-        let mut corrupted = a.clone();
-        corrupted[1].tid ^= 1;
-        match diff_transfers(&a, &corrupted) {
-            Some(TransferDiff::Mismatch { index: 1, .. }) => {}
-            other => panic!("unexpected {other:?}"),
-        }
-
-        // Truncation: flagged as a length mismatch.
-        match diff_transfers(&a, &a[..1]) {
-            Some(TransferDiff::LengthMismatch {
-                first_len: 2,
-                second_len: 1,
-            }) => {}
-            other => panic!("unexpected {other:?}"),
-        }
     }
 }

@@ -28,12 +28,9 @@ pub use align::{
     compare_traces, compare_traces_with, compare_vcd, compare_vcd_with, AlignmentReport,
     CompareVcdError, PortAlignment,
 };
-pub use extract::{
-    diff_transfers, extract_trace_transfers, extract_transfers, ExtractedTransfer, TransferDiff,
-    TransferPhase,
-};
+pub use extract::{extract_trace_transfers, extract_transfers, ExtractedTransfer, TransferPhase};
 pub use trace::{PortLayout, PortTrace, Trace, TraceVar};
 pub use txalign::{
     compare_trace_transactions, compare_trace_transactions_with, compare_transactions,
-    compare_transactions_with, AlignmentMode,
+    compare_transactions_with,
 };

@@ -31,87 +31,6 @@ use crate::trace::{self, Trace};
 use std::collections::BTreeMap;
 use vcd::VcdDocument;
 
-/// Which STBA comparison discipline to hold a view pair to.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum AlignmentMode {
-    /// Cycle-by-cycle comparison, signed off only at 100% — the bar for
-    /// an exact-fidelity BCA model.
-    Exact,
-    /// Cycle-by-cycle comparison, signed off at the paper's 99% — the
-    /// bar for the realistic BCA model.
-    Relaxed,
-    /// Committed-transaction comparison ([`compare_transactions`]) — the
-    /// bar for an untimed TLM model, which no cycle-level discipline can
-    /// accept.
-    TransactionOrder,
-}
-
-impl AlignmentMode {
-    /// Every mode, in increasing order of timing freedom.
-    pub const ALL: [AlignmentMode; 3] = [
-        AlignmentMode::Exact,
-        AlignmentMode::Relaxed,
-        AlignmentMode::TransactionOrder,
-    ];
-
-    /// The minimum per-port rate for sign-off under this mode.
-    pub fn threshold(self) -> f64 {
-        match self {
-            AlignmentMode::Exact => 1.0,
-            AlignmentMode::Relaxed | AlignmentMode::TransactionOrder => 0.99,
-        }
-    }
-
-    /// True for the modes that compare signals on the clock grid.
-    pub fn cycle_accurate(self) -> bool {
-        !matches!(self, AlignmentMode::TransactionOrder)
-    }
-
-    /// Runs the comparison this mode stands for.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`crate::compare_vcd`] / [`compare_transactions`].
-    pub fn compare(
-        self,
-        first: &str,
-        second: &str,
-        cycle_time: u64,
-        tel: &telemetry::Telemetry,
-    ) -> Result<AlignmentReport, CompareVcdError> {
-        if self.cycle_accurate() {
-            crate::align::compare_vcd_with(first, second, cycle_time, tel)
-        } else {
-            compare_transactions_with(first, second, cycle_time, tel)
-        }
-    }
-}
-
-impl std::fmt::Display for AlignmentMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            AlignmentMode::Exact => f.write_str("exact"),
-            AlignmentMode::Relaxed => f.write_str("relaxed"),
-            AlignmentMode::TransactionOrder => f.write_str("tx-order"),
-        }
-    }
-}
-
-impl std::str::FromStr for AlignmentMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "exact" => Ok(AlignmentMode::Exact),
-            "relaxed" => Ok(AlignmentMode::Relaxed),
-            "tx-order" | "transaction-order" => Ok(AlignmentMode::TransactionOrder),
-            other => Err(format!(
-                "unknown alignment mode '{other}' (expected exact, relaxed or tx-order)"
-            )),
-        }
-    }
-}
-
 /// The per-port outcome of aligning two transfer streams.
 struct StreamAlignment {
     matching: u64,
@@ -466,22 +385,6 @@ mod tests {
         assert!(rate(&a, &[]) < 1.0, "one-sided streams count against");
     }
 
-    #[test]
-    fn mode_threshold_display_and_parse() {
-        assert_eq!(AlignmentMode::Exact.threshold(), 1.0);
-        assert_eq!(AlignmentMode::Relaxed.threshold(), 0.99);
-        assert_eq!(AlignmentMode::TransactionOrder.threshold(), 0.99);
-        assert!(!AlignmentMode::TransactionOrder.cycle_accurate());
-        for mode in AlignmentMode::ALL {
-            assert_eq!(mode.to_string().parse::<AlignmentMode>().unwrap(), mode);
-        }
-        assert_eq!(
-            "transaction-order".parse::<AlignmentMode>().unwrap(),
-            AlignmentMode::TransactionOrder
-        );
-        assert!("cycle".parse::<AlignmentMode>().is_err());
-    }
-
     /// One-port dump with the given request transfers, one per cycle.
     fn dump_of(transfers: &[(u64, u64, u8, u8)]) -> String {
         let vars: &[(&str, usize, char)] = &[
@@ -530,7 +433,7 @@ mod tests {
         let report = compare_transactions(&a, &b, 10).expect("same tree");
         assert_eq!(report.ports.len(), 1);
         assert_eq!(report.min_rate(), 1.0);
-        assert!(report.signed_off(AlignmentMode::TransactionOrder.threshold()));
+        assert!(report.signed_off(0.99));
 
         // Same-src commit reorder: rejected.
         let c = dump_of(&[(1, 0x80, 2, 0), (2, 0x10, 3, 1), (3, 0x40, 1, 0)]);

@@ -123,16 +123,6 @@ impl BcaNode {
         self.bugs.insert(bug);
     }
 
-    /// Removes an injected defect.
-    pub fn clear_bug(&mut self, bug: BcaBug) {
-        self.bugs.remove(&bug);
-    }
-
-    /// The currently injected defects.
-    pub fn injected_bugs(&self) -> impl Iterator<Item = BcaBug> + '_ {
-        self.bugs.iter().copied()
-    }
-
     /// The fidelity mode.
     pub fn fidelity(&self) -> Fidelity {
         self.fidelity

@@ -480,17 +480,6 @@ impl RtlNode {
         self.kern.activity_coverage()
     }
 
-    /// Total evaluation work done by the embedded kernel (a work metric
-    /// used in the speed experiments): delta cycles on the event backend,
-    /// process activations on the compiled backend (which has no delta
-    /// queue).
-    pub fn kernel_deltas(&self) -> u64 {
-        match &self.kern {
-            Kern::Event(sim) => sim.total_deltas(),
-            Kern::Compiled { sim, .. } => sim.stats().process_activations,
-        }
-    }
-
     /// Scheduling statistics of the compiled backend; `None` on the event
     /// backend.
     pub fn compiled_stats(&self) -> Option<CompiledStats> {
@@ -498,11 +487,6 @@ impl RtlNode {
             Kern::Event(_) => None,
             Kern::Compiled { sim, .. } => Some(sim.stats()),
         }
-    }
-
-    /// The defects injected at elaboration, in catalogue order.
-    pub fn injected_bugs(&self) -> impl Iterator<Item = RtlBug> + '_ {
-        self.spec.bugs()
     }
 
     /// Starts recording every internal kernel signal (wires *and* the

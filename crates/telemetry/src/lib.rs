@@ -8,7 +8,7 @@
 //!
 //! * [`Event`] — `{ts_us, level, scope, msg, fields}` records, emitted
 //!   through a [`Telemetry`] handle to any combination of sinks:
-//!   human-readable stderr lines ([`TextSink`]), append-only JSON Lines
+//!   human-readable stderr lines ([`TextSink`]), JSON Lines
 //!   ([`JsonlSink`]), or an in-memory buffer for tests ([`MemorySink`]);
 //! * [`MetricsRegistry`] — monotonic [`Counter`]s, [`Gauge`]s and
 //!   fixed-bucket [`Histogram`]s, cloneable via `Arc`, updated with one
@@ -201,13 +201,17 @@ impl TelemetryBuilder {
         self.with_sink(Box::new(TextSink::stderr()))
     }
 
-    /// Adds an append-only JSONL file sink.
+    /// Adds a JSONL file sink. The file is created, or replaced if it
+    /// exists, so it holds exactly one run: span ids restart in every
+    /// process, and a second run appended to the same file would link
+    /// its spans to the first run's.
     ///
     /// # Errors
     ///
     /// Propagates file-open errors.
     pub fn with_jsonl_file(self, path: &std::path::Path) -> std::io::Result<Self> {
-        Ok(self.with_sink(Box::new(JsonlSink::append(path)?)))
+        let file = std::io::BufWriter::new(std::fs::File::create(path)?);
+        Ok(self.with_sink(Box::new(JsonlSink::new(file))))
     }
 
     /// Finishes the handle. With no sinks the handle is disabled-but-valid:

@@ -1,9 +1,8 @@
-//! Pluggable event sinks: human-readable text, append-only JSONL, and an
+//! Pluggable event sinks: human-readable text, JSON Lines, and an
 //! in-memory buffer for tests.
 
 use crate::event::Event;
-use std::io::{self, BufWriter, Write};
-use std::path::Path;
+use std::io::{self, Write};
 use std::sync::{Arc, Mutex};
 
 /// Receives every emitted event at or above the telemetry level.
@@ -46,26 +45,12 @@ impl<W: Write + Send> EventSink for TextSink<W> {
     }
 }
 
-/// Writes one JSON object per line (JSON Lines).
+/// Writes one JSON object per line (JSON Lines) to any writer; see
+/// [`TelemetryBuilder::with_jsonl_file`] for a file sink.
+///
+/// [`TelemetryBuilder::with_jsonl_file`]: crate::TelemetryBuilder::with_jsonl_file
 pub struct JsonlSink<W: Write + Send> {
     out: W,
-}
-
-impl JsonlSink<BufWriter<std::fs::File>> {
-    /// Appends to (or creates) a JSONL file.
-    ///
-    /// # Errors
-    ///
-    /// Propagates file-open errors.
-    pub fn append(path: &Path) -> io::Result<Self> {
-        let file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)?;
-        Ok(JsonlSink {
-            out: BufWriter::new(file),
-        })
-    }
 }
 
 impl<W: Write + Send> JsonlSink<W> {

@@ -101,72 +101,6 @@ impl VcdDocument {
             n => list[n - 1].1.clone(),
         }
     }
-
-    /// Samples a variable at `t0, t0+step, …` for `count` points.
-    ///
-    /// This is what the analyzer uses to compare two dumps cycle by cycle.
-    pub fn sample_series(&self, id: VarId, t0: u64, step: u64, count: usize) -> Vec<VcdValue> {
-        let mut out = Vec::new();
-        self.sample_series_into(id, t0, step, count, &mut out);
-        out
-    }
-
-    /// [`sample_series`](Self::sample_series) into a caller-owned buffer
-    /// (cleared first), so batch comparisons can reuse one allocation
-    /// across variables.
-    pub fn sample_series_into(
-        &self,
-        id: VarId,
-        t0: u64,
-        step: u64,
-        count: usize,
-        out: &mut Vec<VcdValue>,
-    ) {
-        out.clear();
-        out.reserve(count);
-        let mut cursor = self.cursor(id);
-        for k in 0..count {
-            out.push(cursor.advance_to(t0 + step * k as u64).clone());
-        }
-    }
-
-    /// A forward-only sampling cursor over one variable's change list.
-    ///
-    /// Walking a monotone time grid through a cursor is O(changes +
-    /// samples) for the whole series and allocates nothing, where
-    /// repeated [`value_at`](Self::value_at) calls would binary-search
-    /// (and clone) per sample — this is the analyzer's hot path.
-    pub fn cursor(&self, id: VarId) -> VarCursor<'_> {
-        VarCursor {
-            list: &self.changes[id.index()],
-            unknown: VcdValue::unknown(self.vars[id.index()].width),
-            idx: 0,
-        }
-    }
-}
-
-/// See [`VcdDocument::cursor`].
-pub struct VarCursor<'a> {
-    list: &'a [(u64, VcdValue)],
-    unknown: VcdValue,
-    idx: usize,
-}
-
-impl VarCursor<'_> {
-    /// The value at `time` — the most recent change at or before it,
-    /// all-`x` before the first change. `time` must be nondecreasing
-    /// across calls (earlier times return the value at the cursor's
-    /// high-water mark instead).
-    pub fn advance_to(&mut self, time: u64) -> &VcdValue {
-        while self.idx < self.list.len() && self.list[self.idx].0 <= time {
-            self.idx += 1;
-        }
-        if self.idx == 0 {
-            &self.unknown
-        } else {
-            &self.list[self.idx - 1].1
-        }
-    }
 }
 
 struct Parser<'a> {
@@ -451,42 +385,6 @@ b10100101 \"
         assert_eq!(doc.value_at(clk, 9).as_u64(), Some(1));
         assert_eq!(doc.value_at(clk, 10).as_u64(), Some(0));
         assert_eq!(doc.value_at(data, 7).as_u64(), Some(0xA5));
-    }
-
-    #[test]
-    fn sample_series_walks_grid() {
-        let doc = VcdDocument::parse(SAMPLE).unwrap();
-        let clk = doc.var_by_name("tb.clk").unwrap();
-        let series = doc.sample_series(clk, 0, 5, 3);
-        let vals: Vec<_> = series.iter().map(|v| v.as_u64()).collect();
-        assert_eq!(vals, [Some(0), Some(1), Some(0)]);
-    }
-
-    #[test]
-    fn cursor_matches_value_at_on_a_monotone_grid() {
-        let doc = VcdDocument::parse(SAMPLE).unwrap();
-        for name in ["tb.clk", "tb.dut.data"] {
-            let id = doc.var_by_name(name).unwrap();
-            let mut cursor = doc.cursor(id);
-            for t in 0..=12u64 {
-                assert_eq!(
-                    *cursor.advance_to(t),
-                    doc.value_at(id, t),
-                    "{name} at t={t}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn sample_series_into_reuses_the_buffer() {
-        let doc = VcdDocument::parse(SAMPLE).unwrap();
-        let clk = doc.var_by_name("tb.clk").unwrap();
-        let mut buf = vec![VcdValue::unknown(1); 17];
-        doc.sample_series_into(clk, 0, 5, 3, &mut buf);
-        assert_eq!(buf.len(), 3);
-        let vals: Vec<_> = buf.iter().map(|v| v.as_u64()).collect();
-        assert_eq!(vals, [Some(0), Some(1), Some(0)]);
     }
 
     #[test]

@@ -40,7 +40,7 @@ mod error;
 mod value;
 mod writer;
 
-pub use document::{VarCursor, VarId, VarInfo, VcdDocument};
+pub use document::{VarId, VarInfo, VcdDocument};
 pub use error::ParseVcdError;
 pub use value::{Scalar, VcdValue};
 pub use writer::VcdWriter;

@@ -244,11 +244,6 @@ impl<W: Write> VcdWriter<W> {
         self.out.flush()?;
         Ok(self.out)
     }
-
-    /// The number of declared variables.
-    pub fn var_count(&self) -> usize {
-        self.vars.len()
-    }
 }
 
 #[cfg(test)]
