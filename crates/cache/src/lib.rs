@@ -24,6 +24,8 @@
 //! * **Bounded size.** [`Store::gc`] applies an LRU eviction policy
 //!   (entry count and/or total bytes); [`Store::get`] refreshes an
 //!   entry's modification time on hit so recently useful cells survive.
+//!   It also reclaims the temporary file of a `put` whose writer died
+//!   before the rename, once that file is older than [`ORPHAN_GRACE`].
 //!
 //! The entry format is a single self-checking file:
 //!
@@ -43,7 +45,13 @@ use std::fmt;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::SystemTime;
+use std::time::{Duration, SystemTime};
+
+/// How old a `put`'s temporary file must be before [`Store::gc`] treats
+/// it as orphaned by a killed writer and removes it. A live `put` holds
+/// its temp file for the length of one write, so an hour separates the
+/// two cases with a wide margin, also across processes sharing a root.
+pub const ORPHAN_GRACE: Duration = Duration::from_secs(60 * 60);
 
 /// Schema tag leading every entry file; bumping it invalidates every
 /// existing entry (they fail header validation and read as misses).
@@ -141,6 +149,10 @@ pub struct GcStats {
     pub remaining: usize,
     /// Bytes left after the pass.
     pub remaining_bytes: u64,
+    /// Orphaned temp files (older than [`ORPHAN_GRACE`]) removed.
+    pub orphans: usize,
+    /// Bytes those orphans held.
+    pub orphan_bytes: u64,
 }
 
 /// Counter distinguishing temp files of concurrent `put`s in one process
@@ -238,6 +250,12 @@ impl Store {
     /// `(path, bytes, modified)`, skipping temp files. Corrupt entries
     /// are still listed — GC can reclaim them like any other.
     fn entries(&self) -> Vec<(PathBuf, u64, SystemTime)> {
+        self.files(false)
+    }
+
+    /// The files of every shard, temp files (`temp`) or entries (not
+    /// `temp`), as `(path, bytes, modified)`.
+    fn files(&self, temp: bool) -> Vec<(PathBuf, u64, SystemTime)> {
         let mut out = Vec::new();
         let Ok(shards) = std::fs::read_dir(&self.root) else {
             return out;
@@ -248,7 +266,7 @@ impl Store {
             };
             for file in files.flatten() {
                 let name = file.file_name();
-                if name.to_string_lossy().starts_with(".tmp.") {
+                if name.to_string_lossy().starts_with(".tmp.") != temp {
                     continue;
                 }
                 if let Ok(meta) = file.metadata() {
@@ -274,13 +292,30 @@ impl Store {
 
     /// Applies `policy`, evicting oldest-modified entries first until both
     /// bounds hold. With an all-`None` policy this only reports sizes.
+    ///
+    /// Whatever the policy, temp files last modified more than
+    /// [`ORPHAN_GRACE`] ago are removed and counted in
+    /// [`GcStats::orphans`]: they belong to `put`s killed before their
+    /// rename, which nothing else would ever reclaim. Younger ones may
+    /// belong to a `put` still writing and are left alone.
     pub fn gc(&self, policy: &GcPolicy) -> GcStats {
+        let now = SystemTime::now();
+        let (mut orphans, mut orphan_bytes) = (0, 0);
+        for (path, bytes, modified) in self.files(true) {
+            let age = now.duration_since(modified).unwrap_or_default();
+            if age > ORPHAN_GRACE && std::fs::remove_file(&path).is_ok() {
+                orphans += 1;
+                orphan_bytes += bytes;
+            }
+        }
         let mut entries = self.entries();
         entries.sort_by(|a, b| a.2.cmp(&b.2).then_with(|| a.0.cmp(&b.0)));
         let mut stats = GcStats {
             scanned: entries.len(),
             remaining: entries.len(),
             remaining_bytes: entries.iter().map(|e| e.1).sum(),
+            orphans,
+            orphan_bytes,
             ..GcStats::default()
         };
         let over = |s: &GcStats| {

@@ -4,12 +4,22 @@
 //! modes differ, the difference is a field of the spec, while fan-out,
 //! caching and reduction stay with the callers. The views are elaborated
 //! on the calling worker: the RTL simulator is single-threaded.
+//!
+//! Each worker thread keeps the views its last cell elaborated. A cell
+//! whose configuration and view descriptions equal them (injected bugs
+//! included) reuses them instead of elaborating again: the RTL view is
+//! rewound to its just-elaborated state ([`RtlNode::rewind`]), and the
+//! BCA and TLM views rely on the reset every run starts with. A reused
+//! view produces byte-identical results, coverage and engine counters.
+//!
+//! [`RtlNode::rewind`]: stbus_rtl::RtlNode::rewind
 
 use crate::testbench::{RunResult, TestSpec, Testbench, TestbenchOptions};
 use crate::views::{Elaborated, ViewSpec};
 use sim_kernel::ActivityCoverage;
 use stba::{compare_trace_transactions_with, compare_traces_with, AlignmentReport};
 use stbus_protocol::{DutView, NodeConfig};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::time::Instant;
 use telemetry::{Json, Telemetry};
@@ -147,9 +157,31 @@ pub fn sum_ports<'a>(figures: impl IntoIterator<Item = &'a PortFigures>) -> Port
         .collect()
 }
 
+/// A view elaborated by an earlier cell on this thread.
+struct KeptView {
+    spec: ViewSpec,
+    view: Elaborated,
+    /// Whether a metrics registry is attached that reuse keeps: the
+    /// BCA and TLM views keep theirs across resets, while rewinding the
+    /// RTL view detaches its own.
+    metered: bool,
+}
+
+/// The views the last cell on this thread ran, all of one configuration.
+#[derive(Default)]
+struct KeptViews {
+    config: Option<NodeConfig>,
+    views: Vec<KeptView>,
+}
+
+thread_local! {
+    static KEPT: RefCell<KeptViews> = RefCell::default();
+}
+
 /// Runs one cell on the calling thread: every view in order, then each
 /// requested comparison against the first view. The testbench captures a
-/// trace only when a view is compared.
+/// trace only when a view is compared. Views the previous cell on this
+/// thread elaborated are reused when they match (see the module docs).
 pub fn run_cell(spec: &CellSpec, tel: &Telemetry) -> CellOutcome {
     let compares = spec.views.iter().any(|(_, c)| *c != Compare::None);
     let bench = Testbench::new(
@@ -160,17 +192,18 @@ pub fn run_cell(spec: &CellSpec, tel: &Telemetry) -> CellOutcome {
             ..TestbenchOptions::default()
         },
     );
+    // Taken out for the cell: a run that panics leaves nothing behind.
+    let mut kept = KEPT.take();
+    if kept.config.as_ref() != Some(&spec.config) {
+        kept = KeptViews {
+            config: Some(spec.config.clone()),
+            views: Vec::new(),
+        };
+    }
     let mut rtl_activity = None;
     let mut runs: Vec<ViewRun> = Vec::with_capacity(spec.views.len());
+    let mut used = Vec::with_capacity(spec.views.len());
     for (view, _) in &spec.views {
-        let mut elaborated = view.elaborate(&spec.config);
-        let dut: &mut dyn DutView = match &mut elaborated {
-            Elaborated::Rtl(node) => node.as_mut(),
-            Elaborated::Other(dut) => dut.as_mut(),
-        };
-        if spec.attach_metrics {
-            dut.attach_metrics(tel.metrics());
-        }
         let span = spec.run_span.map(|name| {
             tel.span(name)
                 .field("config", Json::from(spec.config.name.as_str()))
@@ -178,6 +211,39 @@ pub fn run_cell(spec: &CellSpec, tel: &Telemetry) -> CellOutcome {
                 .field("seed", Json::from(spec.seed))
                 .field("view", Json::from(view.kind().to_string()))
         });
+        // A view that publishes into a registry the rewind cannot detach
+        // is only reused by a cell that attaches one anyway.
+        let reusable = kept
+            .views
+            .iter()
+            .position(|k| k.spec == *view && (spec.attach_metrics || !k.metered));
+        let elaborating = tel
+            .span("cell.elaborate")
+            .field("view", Json::from(view.kind().to_string()))
+            .field("reused", Json::from(reusable.is_some()));
+        let mut kept_view = match reusable {
+            Some(i) => {
+                let mut k = kept.views.swap_remove(i);
+                if let Elaborated::Rtl(node) = &mut k.view {
+                    node.rewind();
+                }
+                k
+            }
+            None => KeptView {
+                spec: view.clone(),
+                view: view.elaborate(&spec.config),
+                metered: false,
+            },
+        };
+        drop(elaborating);
+        kept_view.metered = spec.attach_metrics && !matches!(kept_view.view, Elaborated::Rtl(_));
+        let dut: &mut dyn DutView = match &mut kept_view.view {
+            Elaborated::Rtl(node) => node.as_mut(),
+            Elaborated::Other(dut) => dut.as_mut(),
+        };
+        if spec.attach_metrics {
+            dut.attach_metrics(tel.metrics());
+        }
         let started = Instant::now();
         let result = bench.run(dut, &spec.test, spec.seed);
         let wall_us = started.elapsed().as_micros() as u64;
@@ -185,7 +251,7 @@ pub fn run_cell(spec: &CellSpec, tel: &Telemetry) -> CellOutcome {
             let passed = Json::from(result.passed());
             span.end([("cycles", Json::from(result.cycles)), ("passed", passed)]);
         }
-        if let Elaborated::Rtl(node) = &elaborated {
+        if let Elaborated::Rtl(node) = &kept_view.view {
             rtl_activity = Some(node.activity_coverage());
         }
         runs.push(ViewRun {
@@ -195,7 +261,11 @@ pub fn run_cell(spec: &CellSpec, tel: &Telemetry) -> CellOutcome {
             wall_us,
             compare_wall_us: None,
         });
+        used.push(kept_view);
     }
+    // Only this cell's views stay: one set per thread at most.
+    kept.views = used;
+    KEPT.set(kept);
 
     let figures = |r: AlignmentReport| -> PortFigures {
         let ports = r.ports.into_iter();
@@ -231,8 +301,11 @@ pub fn run_cell(spec: &CellSpec, tel: &Telemetry) -> CellOutcome {
 mod tests {
     use super::*;
     use crate::tests_lib;
+    use sim_kernel::SimBackend;
     use stbus_bca::{BcaBug, Fidelity};
     use stbus_protocol::ViewKind;
+    use stbus_rtl::RtlBug;
+    use telemetry::{MemorySink, MetricsSnapshot};
 
     fn pair(bca: ViewSpec) -> CellSpec {
         CellSpec::new(
@@ -271,6 +344,155 @@ mod tests {
         spec.gated = false;
         let ungated = run_cell(&spec, &Telemetry::disabled());
         assert!(ungated.runs[1].cycle.is_some());
+    }
+
+    /// Everything a cell produced except its wall clocks.
+    fn digest(outcome: &CellOutcome) -> String {
+        let runs: Vec<_> = outcome
+            .runs
+            .iter()
+            .map(|r| (format!("{:?}", r.result), &r.cycle, &r.transactions))
+            .collect();
+        format!("{runs:?} {:?}", outcome.rtl_activity)
+    }
+
+    /// One cell's digest, metrics snapshot and, per view, whether its
+    /// elaboration was a reuse.
+    type Ran = (String, MetricsSnapshot, Vec<bool>);
+
+    fn run_observed(cell: &CellSpec) -> Ran {
+        let (sink, handle) = MemorySink::new();
+        let tel = Telemetry::builder().with_sink(Box::new(sink)).build();
+        let outcome = run_cell(cell, &tel);
+        tel.flush();
+        let reused = handle
+            .events()
+            .iter()
+            .filter(|e| e.scope == "cell.elaborate.end")
+            .map(|e| e.field("reused").and_then(Json::as_bool).expect("reused"))
+            .collect();
+        (digest(&outcome), tel.metrics().snapshot(), reused)
+    }
+
+    /// Runs `cells` in order on a new thread, which has no kept views.
+    fn on_fresh_thread(cells: Vec<CellSpec>) -> Vec<Ran> {
+        std::thread::spawn(move || cells.iter().map(run_observed).collect())
+            .join()
+            .expect("cells run")
+    }
+
+    fn cell(config: &NodeConfig, seed: u64, views: &[(ViewSpec, Compare)]) -> CellSpec {
+        CellSpec {
+            attach_metrics: true,
+            run_span: Some("test.cell"),
+            ..CellSpec::new(
+                config.clone(),
+                tests_lib::random_mixed(4),
+                seed,
+                views.to_vec(),
+            )
+        }
+    }
+
+    /// The view sets of the reuse tests: RTL on both engines, bugs in
+    /// RTL and BCA, BCA at both fidelities, and the TLM view.
+    fn view_sets() -> Vec<Vec<(ViewSpec, Compare)>> {
+        let rtl = |engine, bugs: &[RtlBug]| (ViewSpec::Rtl(engine, bugs.to_vec()), Compare::None);
+        let bca =
+            |fidelity, bugs: &[BcaBug]| (ViewSpec::Bca(fidelity, bugs.to_vec()), Compare::Cycle);
+        let tlm = (ViewSpec::Tlm(Vec::new()), Compare::Both);
+        vec![
+            vec![rtl(SimBackend::Event, &[]), bca(Fidelity::Exact, &[])],
+            vec![
+                rtl(SimBackend::Compiled, &[]),
+                bca(Fidelity::Relaxed, &[]),
+                tlm,
+            ],
+            vec![
+                rtl(SimBackend::Compiled, &[RtlBug::DroppedGrantHold]),
+                bca(Fidelity::Exact, &[BcaBug::DroppedByteEnables]),
+            ],
+        ]
+    }
+
+    #[test]
+    fn a_reused_view_runs_like_a_freshly_elaborated_one() {
+        let config = NodeConfig::reference();
+        for views in view_sets() {
+            let first = cell(&config, 1, &views);
+            let second = cell(&config, 2, &views);
+            let after = on_fresh_thread(vec![first.clone(), second.clone(), first.clone()]);
+            let fresh = on_fresh_thread(vec![second]);
+            assert!(after[0].2.iter().all(|r| !r), "nothing to reuse yet");
+            assert!(after[1].2.iter().all(|r| *r), "same config and views");
+            assert_eq!(after[1].0, fresh[0].0, "{views:?}: outcome");
+            assert_eq!(after[1].1, fresh[0].1, "{views:?}: metrics");
+            let again = on_fresh_thread(vec![first]);
+            assert_eq!(after[2].0, again[0].0, "{views:?}: outcome, rerun");
+            assert_eq!(after[2].1, again[0].1, "{views:?}: metrics, rerun");
+        }
+    }
+
+    #[test]
+    fn an_unmetered_cell_leaves_the_last_registry_alone() {
+        let config = NodeConfig::reference();
+        for views in view_sets() {
+            let metered = cell(&config, 1, &views);
+            let unmetered = CellSpec {
+                attach_metrics: false,
+                ..cell(&config, 2, &views)
+            };
+            let (outcome, fresh) = std::thread::spawn(move || {
+                let tel = Telemetry::builder().build();
+                run_cell(&metered, &tel);
+                let published = tel.metrics().snapshot();
+                let outcome = run_observed(&unmetered);
+                assert_eq!(tel.metrics().snapshot(), published, "{views:?}");
+                (outcome, on_fresh_thread(vec![unmetered]))
+            })
+            .join()
+            .expect("cells run");
+            assert_eq!((&outcome.0, &outcome.1), (&fresh[0].0, &fresh[0].1));
+        }
+    }
+
+    #[test]
+    fn another_config_or_view_is_elaborated_afresh() {
+        let reference = NodeConfig::reference();
+        let other = NodeConfig {
+            name: "other".to_owned(),
+            ..NodeConfig::reference()
+        };
+        let clean = view_sets().remove(0);
+        let mut buggy_rtl = clean.clone();
+        buggy_rtl[0].0 = ViewSpec::Rtl(SimBackend::Event, vec![RtlBug::DroppedGrantHold]);
+        let mut compiled = clean.clone();
+        compiled[0].0 = ViewSpec::Rtl(SimBackend::Compiled, Vec::new());
+        let mut relaxed = clean.clone();
+        relaxed[1].0 = ViewSpec::Bca(Fidelity::Relaxed, Vec::new());
+        let ran = on_fresh_thread(vec![
+            cell(&reference, 1, &clean),
+            cell(&other, 1, &clean),
+            cell(&other, 1, &buggy_rtl),
+            cell(&other, 1, &compiled),
+            cell(&other, 1, &relaxed),
+            cell(&other, 1, &relaxed),
+        ]);
+        let reused: Vec<&[bool]> = ran.iter().map(|r| r.2.as_slice()).collect();
+        assert_eq!(
+            reused,
+            [
+                &[false, false][..],
+                &[false, false],
+                &[false, true],
+                &[false, true],
+                &[false, false],
+                &[true, true],
+            ]
+        );
+        // The bug-injected view was not handed a clean node.
+        let fresh = on_fresh_thread(vec![cell(&other, 1, &buggy_rtl)]);
+        assert_eq!(ran[2].0, fresh[0].0);
     }
 
     #[test]

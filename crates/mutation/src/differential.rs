@@ -208,11 +208,12 @@ mod tests {
         let inject = Injections::default();
         assert_eq!(run_differential(&config, &spec, 1, &inject, &tel), None);
         tel.flush();
-        // The probe spans the two runs; the comparison itself is silent,
-        // as the hunt's report and stderr have always been.
-        let mut scopes: Vec<String> = handle.events().into_iter().map(|e| e.scope).collect();
-        scopes.dedup();
-        assert_eq!(scopes, ["tb.run.end", "hunt.probe.end"]);
+        // The probe spans the two views' elaborations and runs; the
+        // comparison itself is silent, as the hunt's report and stderr
+        // have always been.
+        let scopes: Vec<String> = handle.events().into_iter().map(|e| e.scope).collect();
+        let view = ["cell.elaborate.end", "tb.run.end"];
+        assert_eq!(scopes, [&view[..], &view, &["hunt.probe.end"]].concat());
         let counters = tel.metrics().snapshot().counters;
         assert!(counters.keys().all(|name| !name.starts_with("stba.")));
         assert_eq!(counters.get("hunt.probes"), Some(&1));

@@ -63,6 +63,7 @@ fn parallel_campaign_spans_name_their_parents() {
     let mut cells = 0;
     let mut worker_cells = 0;
     let mut runs = 0;
+    let mut elaborations = 0;
     for &(name, Link { id, parent, track }) in &ends {
         if let Some(parent) = parent {
             assert!(
@@ -85,12 +86,37 @@ fn parallel_campaign_spans_name_their_parents() {
                     "tb.run {id} must hang under a cell on its own track"
                 );
             }
+            "cell.elaborate" => {
+                elaborations += 1;
+                let parent = parent.expect("cell.elaborate runs under a cell");
+                assert_eq!(
+                    by_id[&parent],
+                    ("regress.cell", track),
+                    "cell.elaborate {id} must hang under a cell on its own track"
+                );
+            }
             _ => {}
         }
     }
     // Each (test, seed) cell runs RTL and BCA, each view under its own
-    // `regress.cell` span holding that view's one `tb.run`.
+    // `regress.cell` span holding that view's `cell.elaborate` and its
+    // one `tb.run`.
     assert_eq!(cells, 2 * 2 * 2);
     assert_eq!(runs, cells);
+    assert_eq!(
+        elaborations, cells,
+        "each view is elaborated or reused once"
+    );
+    // Each worker elaborates its first cell's views and reuses them for
+    // every later cell of the one configuration.
+    let reused = events
+        .iter()
+        .filter(|e| e.scope == "cell.elaborate.end")
+        .filter(|e| e.field("reused").and_then(telemetry::Json::as_bool) == Some(true))
+        .count();
+    assert!(
+        reused > 0 && reused < elaborations,
+        "{reused} of {elaborations}"
+    );
     assert!(worker_cells > 0, "cells run on worker threads at --jobs 2");
 }

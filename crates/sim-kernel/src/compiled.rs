@@ -227,6 +227,24 @@ impl CompiledCtx<'_> {
     }
 }
 
+/// Every mutable part of a [`CompiledSim`] at one instant, taken by
+/// [`CompiledSim::checkpoint`] and restored by [`CompiledSim::rewind`]:
+/// the committed, pending and pending-mask words, the write list,
+/// activation marks, process run counts and initialization flags, branch
+/// hits, time and the work counters. The netlist and its compiled
+/// schedule are not copied: neither changes once the simulator runs.
+pub struct CompiledCheckpoint {
+    cur: Vec<u64>,
+    pend: Vec<u64>,
+    has_pend: Vec<bool>,
+    written: Vec<u32>,
+    activated: Vec<bool>,
+    runs: Vec<(u64, bool)>,
+    branch_hits: Vec<u64>,
+    time: SimTime,
+    stats: CompiledStats,
+}
+
 /// A simulator that runs a netlist through a levelized static schedule.
 ///
 /// The registration API parallels the event-driven
@@ -475,6 +493,50 @@ impl CompiledSim {
         m.signal_commits.add(self.stats.signal_commits);
         m.fallback_iterations.add(self.stats.fallback_iterations);
         self.metrics = Some(m);
+    }
+
+    /// Captures every mutable part of the simulator (see
+    /// [`CompiledCheckpoint`]) for a later [`CompiledSim::rewind`].
+    pub fn checkpoint(&self) -> CompiledCheckpoint {
+        CompiledCheckpoint {
+            cur: self.cur.clone(),
+            pend: self.pend.clone(),
+            has_pend: self.has_pend.clone(),
+            written: self.written.clone(),
+            activated: self.activated.clone(),
+            runs: self.procs.iter().map(|p| (p.runs, p.inited)).collect(),
+            branch_hits: self.branch_hits.clone(),
+            time: self.time,
+            stats: self.stats,
+        }
+    }
+
+    /// Restores the simulator to `checkpoint`, exactly, and detaches any
+    /// attached metrics (see [`Simulator::rewind`](crate::Simulator::rewind)).
+    ///
+    /// # Panics
+    ///
+    /// If the checkpoint was taken from a simulator with another netlist.
+    pub fn rewind(&mut self, checkpoint: &CompiledCheckpoint) {
+        assert!(
+            checkpoint.cur.len() == self.cur.len()
+                && checkpoint.runs.len() == self.procs.len()
+                && checkpoint.branch_hits.len() == self.branch_hits.len(),
+            "checkpoint taken from another netlist"
+        );
+        self.cur.copy_from_slice(&checkpoint.cur);
+        self.pend.copy_from_slice(&checkpoint.pend);
+        self.has_pend.copy_from_slice(&checkpoint.has_pend);
+        self.written.clone_from(&checkpoint.written);
+        self.activated.copy_from_slice(&checkpoint.activated);
+        for (proc, &(runs, inited)) in self.procs.iter_mut().zip(&checkpoint.runs) {
+            proc.runs = runs;
+            proc.inited = inited;
+        }
+        self.branch_hits.copy_from_slice(&checkpoint.branch_hits);
+        self.time = checkpoint.time;
+        self.stats = checkpoint.stats;
+        self.metrics = None;
     }
 
     /// The process-activity and branch coverage report.
@@ -870,6 +932,60 @@ mod tests {
     /// A 3-stage pipeline of combinational processes: each evaluates
     /// exactly once per settle, in dependency order, regardless of
     /// registration order.
+    #[test]
+    fn rewind_restores_values_coverage_and_stats() {
+        let build = || {
+            let mut sim = CompiledSim::new();
+            let clk = sim.add_signal("clk", false);
+            let q = sim.add_signal("q", 0u32);
+            let q2 = sim.add_signal("q2", 0u32);
+            let odd = sim.add_branch("cnt/odd");
+            sim.add_clocked_process("cnt", clk, Edge::Rising, &[q.id()], move |ctx| {
+                let v = ctx.get(q);
+                if v % 2 == 1 {
+                    ctx.cov(odd);
+                }
+                ctx.set(q, v + 1);
+            });
+            sim.add_comb_process("follow", &[q.id()], &[q2.id()], move |ctx| {
+                let v = ctx.get(q);
+                ctx.set(q2, v * 2);
+            });
+            (sim, clk, q2)
+        };
+        let cycle = |sim: &mut CompiledSim, clk: Signal<bool>| {
+            sim.drive(clk, true);
+            sim.run_for(5).unwrap();
+            sim.drive(clk, false);
+            sim.run_for(5).unwrap();
+        };
+        let (mut sim, clk, q2) = build();
+        sim.settle().unwrap();
+        let checkpoint = sim.checkpoint();
+        let (v0, t0, cov0, stats0) = (
+            sim.value(q2),
+            sim.now(),
+            sim.activity_coverage(),
+            sim.stats(),
+        );
+
+        let registry = MetricsRegistry::new();
+        sim.attach_metrics(&registry);
+        (0..7).for_each(|_| cycle(&mut sim, clk));
+        let after = (sim.value(q2), sim.activity_coverage(), sim.stats());
+        assert_ne!(after.0, v0, "the run moved the counter");
+
+        sim.rewind(&checkpoint);
+        assert_eq!((sim.value(q2), sim.now()), (v0, t0));
+        assert_eq!(sim.activity_coverage(), cov0);
+        assert_eq!(sim.stats(), stats0);
+
+        let published = registry.snapshot();
+        (0..7).for_each(|_| cycle(&mut sim, clk));
+        assert_eq!((sim.value(q2), sim.activity_coverage(), sim.stats()), after);
+        assert_eq!(registry.snapshot(), published, "rewind detaches metrics");
+    }
+
     #[test]
     fn acyclic_chain_single_pass() {
         let mut sim = CompiledSim::new();

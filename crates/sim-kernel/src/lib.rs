@@ -61,12 +61,12 @@ mod time;
 mod trace;
 
 pub use clock::ClockId;
-pub use compiled::{CompiledCtx, CompiledSim, CompiledStats, SimBackend};
+pub use compiled::{CompiledCheckpoint, CompiledCtx, CompiledSim, CompiledStats, SimBackend};
 pub use coverage::{ActivityCoverage, BranchActivity, BranchId, ProcessActivity};
 pub use error::SimError;
 pub use logic::{Bits, Logic};
 pub use process::{Edge, ProcCtx, ProcessId};
-pub use scheduler::Simulator;
+pub use scheduler::{SimCheckpoint, Simulator};
 pub use signal::{Signal, SignalId, WordValue};
 pub use stats::KernelStats;
 pub use time::SimTime;

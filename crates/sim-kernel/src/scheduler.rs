@@ -26,11 +26,13 @@ impl<T: TraceSink + Any> AnyTraceSink for T {
     }
 }
 
+#[derive(Clone)]
 enum EventAction {
     ClockToggle(ClockId),
     Write(SignalId, u64),
 }
 
+#[derive(Clone)]
 struct EventEntry {
     time: SimTime,
     seq: u64,
@@ -52,6 +54,28 @@ impl Ord for EventEntry {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         (self.time, self.seq).cmp(&(other.time, other.seq))
     }
+}
+
+/// Every mutable part of a [`Simulator`] at one instant, taken by
+/// [`Simulator::checkpoint`] and restored by [`Simulator::rewind`]: each
+/// signal's committed and staged words, process run counts, branch hits,
+/// time, the timed-event queue and its sequence counter, clock enables,
+/// the trigger and write lists, the initialization flag and the work
+/// counters. The netlist itself (signals, processes, sensitivity) is not
+/// copied: it never changes once the simulator runs.
+pub struct SimCheckpoint {
+    words: Vec<(u64, u64, bool)>,
+    runs: Vec<u64>,
+    branch_hits: Vec<u64>,
+    time: SimTime,
+    events: BinaryHeap<Reverse<EventEntry>>,
+    event_seq: u64,
+    clocks_enabled: Vec<bool>,
+    triggered: Vec<ProcessId>,
+    written: Vec<SignalId>,
+    initialized: bool,
+    total_deltas: u64,
+    stats: KernelStats,
 }
 
 /// An event-driven simulator with delta-cycle semantics.
@@ -310,6 +334,73 @@ impl Simulator {
     /// up — exactly what a regression campaign wants.
     pub fn attach_metrics(&mut self, registry: &telemetry::MetricsRegistry) {
         self.metrics = Some(KernelMetrics::new(registry));
+    }
+
+    /// Captures every mutable part of the simulator (see
+    /// [`SimCheckpoint`]) for a later [`Simulator::rewind`].
+    pub fn checkpoint(&self) -> SimCheckpoint {
+        SimCheckpoint {
+            words: self
+                .signals
+                .iter()
+                .map(|s| (s.cur, s.pend, s.has_pend))
+                .collect(),
+            runs: self.processes.iter().map(|p| p.runs).collect(),
+            branch_hits: self.branch_hits.clone(),
+            time: self.time,
+            events: self.events.clone(),
+            event_seq: self.event_seq,
+            clocks_enabled: self.clocks.iter().map(|c| c.enabled).collect(),
+            triggered: self.triggered.clone(),
+            written: self.written.clone(),
+            initialized: self.initialized,
+            total_deltas: self.total_deltas,
+            stats: self.stats,
+        }
+    }
+
+    /// Restores the simulator to `checkpoint`, exactly: what runs next
+    /// behaves, counts and covers as it would have from the checkpoint.
+    /// Any attached metrics registry is detached, so a rewound simulator
+    /// publishes nothing until [`Simulator::attach_metrics`] is called
+    /// again. An installed trace sink keeps what it recorded.
+    ///
+    /// # Panics
+    ///
+    /// If the checkpoint was taken from a simulator with another netlist.
+    pub fn rewind(&mut self, checkpoint: &SimCheckpoint) {
+        assert!(
+            checkpoint.words.len() == self.signals.len()
+                && checkpoint.runs.len() == self.processes.len()
+                && checkpoint.branch_hits.len() == self.branch_hits.len()
+                && checkpoint.clocks_enabled.len() == self.clocks.len(),
+            "checkpoint taken from another netlist"
+        );
+        for (slot, &(cur, pend, has_pend)) in self.signals.iter_mut().zip(&checkpoint.words) {
+            slot.cur = cur;
+            slot.pend = pend;
+            slot.has_pend = has_pend;
+        }
+        for (process, &runs) in self.processes.iter_mut().zip(&checkpoint.runs) {
+            process.runs = runs;
+        }
+        self.branch_hits.clone_from(&checkpoint.branch_hits);
+        self.time = checkpoint.time;
+        self.events.clone_from(&checkpoint.events);
+        self.event_seq = checkpoint.event_seq;
+        for (clock, &enabled) in self.clocks.iter_mut().zip(&checkpoint.clocks_enabled) {
+            clock.enabled = enabled;
+        }
+        self.trigger_marks.fill(false);
+        self.triggered.clone_from(&checkpoint.triggered);
+        for id in &self.triggered {
+            self.trigger_marks[id.index()] = true;
+        }
+        self.written.clone_from(&checkpoint.written);
+        self.initialized = checkpoint.initialized;
+        self.total_deltas = checkpoint.total_deltas;
+        self.stats = checkpoint.stats;
+        self.metrics = None;
     }
 
     /// Installs a trace sink; only signals marked with
@@ -1039,6 +1130,69 @@ mod tests {
         assert_eq!(snap.counters["kernel.time_steps"], 10);
         let hist = &snap.histograms["kernel.deltas_per_settle"];
         assert_eq!(hist.count, stats.settle_calls);
+    }
+
+    /// A clocked counter with a branch on its low bit and a follower
+    /// writing through a timed delay: exercises values, events, clocks,
+    /// branches and every work counter.
+    fn counter_netlist() -> (Simulator, Signal<u32>, Signal<u32>) {
+        let mut sim = Simulator::new();
+        let clk = sim.add_signal("clk", false);
+        let q = sim.add_signal("q", 0u32);
+        let echo = sim.add_signal("echo", 0u32);
+        let odd = sim.add_branch("cnt/odd");
+        sim.add_clocked_process("cnt", clk, Edge::Rising, move |ctx| {
+            let v = ctx.get(q);
+            if v % 2 == 1 {
+                ctx.cov(odd);
+            }
+            ctx.set(q, v + 1);
+        });
+        sim.add_comb_process("echo", &[q.id()], move |ctx| {
+            let v = ctx.get(q);
+            ctx.set_after(echo, v, 3);
+        });
+        sim.add_clock(clk, 5).unwrap();
+        (sim, q, echo)
+    }
+
+    #[test]
+    fn rewind_restores_values_coverage_and_stats() {
+        let (mut sim, q, echo) = counter_netlist();
+        sim.run_for(23).unwrap();
+        let checkpoint = sim.checkpoint();
+        let (q0, echo0, now0) = (sim.value(q), sim.value(echo), sim.now());
+        let (cov0, stats0) = (sim.activity_coverage(), sim.kernel_stats());
+
+        let registry = telemetry::MetricsRegistry::new();
+        sim.attach_metrics(&registry);
+        sim.run_for(61).unwrap();
+        let after = (sim.value(q), sim.value(echo), sim.activity_coverage());
+        assert_ne!(sim.value(q), q0, "the run moved the counter");
+
+        sim.rewind(&checkpoint);
+        assert_eq!(
+            (sim.value(q), sim.value(echo), sim.now()),
+            (q0, echo0, now0)
+        );
+        assert_eq!(sim.activity_coverage(), cov0);
+        assert_eq!(sim.kernel_stats(), stats0);
+
+        // The same run again lands in the same state, pending timed
+        // writes and clock toggles included, and the registry attached
+        // before the rewind hears nothing of it.
+        let published = registry.snapshot();
+        sim.run_for(61).unwrap();
+        assert_eq!(
+            (sim.value(q), sim.value(echo), sim.activity_coverage()),
+            after
+        );
+        assert_eq!(registry.snapshot(), published);
+
+        let (mut fresh, _, _) = counter_netlist();
+        fresh.run_for(23).unwrap();
+        fresh.run_for(61).unwrap();
+        assert_eq!(sim.kernel_stats(), fresh.kernel_stats());
     }
 
     #[test]

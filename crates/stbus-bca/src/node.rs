@@ -2,10 +2,10 @@
 
 use crate::bugs::BcaBug;
 use stbus_protocol::arbitration::{make_arbiter, Arbiter, ArbiterParams};
-use stbus_protocol::packet::{response_cells, ResponsePacket};
+use stbus_protocol::packet::response_cells;
 use stbus_protocol::{
-    ArbitrationKind, DutInputs, DutOutputs, DutView, NodeConfig, Opcode, ReqCell, RspCell,
-    TargetId, TransactionId, ViewKind,
+    ArbitrationKind, DutInputs, DutOutputs, DutView, InitiatorId, NodeConfig, Opcode, ReqCell,
+    RspCell, TargetId, TransactionId, ViewKind,
 };
 use std::collections::{BTreeSet, VecDeque};
 
@@ -47,11 +47,25 @@ impl Pending {
     }
 }
 
+/// An internal error response in flight: `cells` error cells for
+/// `(src, tid)`, the last carrying `eop`, as [`ResponsePacket::error`]
+/// builds them.
+///
+/// [`ResponsePacket::error`]: stbus_protocol::packet::ResponsePacket::error
 #[derive(Clone, Debug)]
 struct ErrRsp {
     ready_at: u64,
-    cells: Vec<RspCell>,
+    src: InitiatorId,
+    tid: TransactionId,
+    cells: usize,
     sent: usize,
+}
+
+impl ErrRsp {
+    /// The next cell to deliver.
+    fn cell(&self) -> RspCell {
+        RspCell::error(self.src, self.tid, self.sent + 1 == self.cells)
+    }
 }
 
 /// The bus-cycle-accurate view of the STBus node.
@@ -87,6 +101,31 @@ pub struct BcaNode {
     rsp_presented: Vec<Option<usize>>,
     tgt_cell_hold: Vec<ReqCell>,
     init_rsp_hold: Vec<RspCell>,
+    scratch: StepScratch,
+}
+
+/// The per-cycle working buffers of [`BcaNode::step`], kept in the node
+/// so a steady-state step allocates nothing but the outputs it returns.
+/// Every buffer is refilled before it is read, so none carries state
+/// from one step to the next.
+#[derive(Default)]
+struct StepScratch {
+    heads: Vec<Option<ReqCell>>,
+    dests: Vec<Option<Dest>>,
+    req_vecs: Vec<Vec<bool>>,
+    forwards: Vec<Option<(usize, ReqCell)>>,
+    req_commits: Vec<Option<usize>>,
+    internal: Vec<(usize, ReqCell)>,
+    accepts: Vec<Option<ReqCell>>,
+    eligible: Vec<bool>,
+    /// Per initiator: the eligibility the response arbiter saw and the
+    /// responder it is told committed.
+    rsp_arb_io: Vec<(Vec<bool>, Option<usize>)>,
+    rsp_transfers: Vec<Option<(usize, RspCell)>>,
+    /// Next cycle's presented locks, swapped into the node at commit.
+    tgt_present_next: Vec<Option<usize>>,
+    rsp_present_next: Vec<Option<usize>>,
+    prios: Vec<u8>,
 }
 
 impl BcaNode {
@@ -111,6 +150,7 @@ impl BcaNode {
             rsp_presented: Vec::new(),
             tgt_cell_hold: Vec::new(),
             init_rsp_hold: Vec::new(),
+            scratch: StepScratch::default(),
             config,
         };
         node.rebuild();
@@ -186,87 +226,92 @@ impl DutView for BcaNode {
     }
 
     fn step(&mut self, inputs: &DutInputs) -> DutOutputs {
-        let cfg = self.config.clone();
-        let ni = cfg.n_initiators;
-        let nt = cfg.n_targets;
+        let ni = self.config.n_initiators;
+        let nt = self.config.n_targets;
         assert_eq!(inputs.initiator.len(), ni, "initiator port count mismatch");
         assert_eq!(inputs.target.len(), nt, "target port count mismatch");
-        let pipelined = cfg.pipe_depth > 0;
-        let lanes = cfg.arch.concurrency(nt);
-        let mut out = DutOutputs::idle(&cfg);
+        let pipe_depth = self.config.pipe_depth;
+        let pipelined = pipe_depth > 0;
+        let lanes = self.config.arch.concurrency(nt);
+        let max_open = self.max_open();
+        let mut out = DutOutputs::idle(&self.config);
+        // Taken out for the step so its buffers and `self` borrow apart.
+        let mut s = std::mem::take(&mut self.scratch);
 
         // ----- request path ------------------------------------------------
-        let heads: Vec<Option<ReqCell>> = (0..ni)
-            .map(|i| {
-                if pipelined {
-                    self.fifo[i].front().copied()
-                } else if inputs.initiator[i].req {
-                    Some(inputs.initiator[i].cell)
-                } else {
-                    None
-                }
-            })
-            .collect();
+        s.heads.clear();
+        s.heads.extend((0..ni).map(|i| {
+            if pipelined {
+                self.fifo[i].front().copied()
+            } else if inputs.initiator[i].req {
+                Some(inputs.initiator[i].cell)
+            } else {
+                None
+            }
+        }));
 
-        let dests: Vec<Option<Dest>> = (0..ni)
-            .map(|i| {
-                let cell = heads[i]?;
-                Some(match self.route[i] {
-                    Some(d) => d,
-                    None => match cfg.address_map.decode(cell.addr) {
-                        Some(TargetId(t)) => Dest::Target(t as usize),
-                        None => Dest::Internal,
-                    },
-                })
+        s.dests.clear();
+        s.dests.extend((0..ni).map(|i| {
+            let cell = s.heads[i]?;
+            Some(match self.route[i] {
+                Some(d) => d,
+                None => match self.config.address_map.decode(cell.addr) {
+                    Some(TargetId(t)) => Dest::Target(t as usize),
+                    None => Dest::Internal,
+                },
             })
-            .collect();
+        }));
 
         let ignore_chunk = self.bugs.contains(&BcaBug::IgnoredChunkLock);
         let gate_blocks = |node: &Self, i: usize| -> bool {
-            !pipelined && node.route[i].is_none() && node.open_tx[i] >= node.max_open()
+            !pipelined && node.route[i].is_none() && node.open_tx[i] >= max_open
         };
 
-        let mut req_vecs: Vec<Vec<bool>> = vec![vec![false; ni]; nt];
+        s.req_vecs.resize_with(nt, Vec::new);
+        for reqs in &mut s.req_vecs {
+            reqs.clear();
+            reqs.resize(ni, false);
+        }
         for i in 0..ni {
-            if let (Some(_), Some(Dest::Target(t))) = (heads[i], dests[i]) {
+            if let (Some(_), Some(Dest::Target(t))) = (s.heads[i], s.dests[i]) {
                 if gate_blocks(self, i) {
                     continue;
                 }
                 let chunk_ok = ignore_chunk || self.chunk_owner[t].is_none_or(|owner| owner == i);
                 let pkt_ok = self.tgt_pkt_owner[t].is_none_or(|owner| owner == i);
                 if chunk_ok && pkt_ok {
-                    req_vecs[t][i] = true;
+                    s.req_vecs[t][i] = true;
                 }
             }
         }
 
         // Arbitrate, then allocate lanes in ascending target order.
-        let mut forwards: Vec<Option<(usize, ReqCell)>> = vec![None; nt];
-        let mut req_commits: Vec<Option<usize>> = vec![None; nt];
-        let mut tgt_present_next: Vec<Option<usize>> = vec![None; nt];
+        refill(&mut s.forwards, nt, None);
+        refill(&mut s.req_commits, nt, None);
+        refill(&mut s.tgt_present_next, nt, None);
         let mut used = 0usize;
         for t in 0..nt {
             // A cell already presented to the target holds the mux.
             let winner = match self.tgt_presented[t] {
-                Some(i) if req_vecs[t][i] => Some(i),
-                _ => self.req_arb[t].choose(&req_vecs[t]),
+                Some(i) if s.req_vecs[t][i] => Some(i),
+                _ => self.req_arb[t].choose(&s.req_vecs[t]),
             };
             if let Some(w) = winner {
                 if used < lanes {
                     used += 1;
-                    let mut cell = heads[w].expect("winner has a cell");
+                    let mut cell = s.heads[w].expect("winner has a cell");
                     if self.bugs.contains(&BcaBug::DroppedByteEnables)
                         && cell.opcode.has_request_data()
                     {
-                        cell.be = cfg.full_be(); // B1: full-word write
+                        cell.be = self.config.full_be(); // B1: full-word write
                     }
                     out.target[t].req = true;
                     out.target[t].cell = cell;
                     if inputs.target[t].gnt {
-                        forwards[t] = Some((w, cell));
-                        req_commits[t] = Some(w);
+                        s.forwards[t] = Some((w, cell));
+                        s.req_commits[t] = Some(w);
                     } else {
-                        tgt_present_next[t] = Some(w);
+                        s.tgt_present_next[t] = Some(w);
                     }
                     continue;
                 }
@@ -275,28 +320,28 @@ impl DutView for BcaNode {
             out.target[t].cell = self.tgt_cell_hold[t];
         }
 
-        let mut internal: Vec<(usize, ReqCell)> = Vec::new();
+        s.internal.clear();
         for i in 0..ni {
-            if let (Some(cell), Some(Dest::Internal)) = (heads[i], dests[i]) {
+            if let (Some(cell), Some(Dest::Internal)) = (s.heads[i], s.dests[i]) {
                 if !gate_blocks(self, i) {
-                    internal.push((i, cell));
+                    s.internal.push((i, cell));
                 }
             }
         }
 
-        let mut accepts: Vec<Option<ReqCell>> = vec![None; ni];
+        refill(&mut s.accepts, ni, None);
         #[allow(clippy::needless_range_loop)]
         for i in 0..ni {
-            let forwarded = forwards.iter().flatten().any(|(w, _)| *w == i)
-                || internal.iter().any(|(w, _)| *w == i);
+            let forwarded = s.forwards.iter().flatten().any(|(w, _)| *w == i)
+                || s.internal.iter().any(|(w, _)| *w == i);
             out.initiator[i].gnt = if pipelined {
-                let space = self.fifo[i].len() < cfg.pipe_depth
-                    || (self.fifo[i].len() == cfg.pipe_depth && forwarded);
+                let space = self.fifo[i].len() < pipe_depth
+                    || (self.fifo[i].len() == pipe_depth && forwarded);
                 let first = !self.in_pkt[i];
-                let gate_ok = !first || self.open_tx[i] < self.max_open();
+                let gate_ok = !first || self.open_tx[i] < max_open;
                 let accept = inputs.initiator[i].req && space && gate_ok;
                 if accept {
-                    accepts[i] = Some(inputs.initiator[i].cell);
+                    s.accepts[i] = Some(inputs.initiator[i].cell);
                 }
                 accept
             } else {
@@ -312,19 +357,18 @@ impl DutView for BcaNode {
                 (tp.r_req && tp.r_cell.src.0 as usize == j).then_some(tp.r_cell)
             } else {
                 let er = node.err_queue[j].front()?;
-                (er.ready_at <= node.cycle).then(|| er.cells[er.sent])
+                (er.ready_at <= node.cycle).then(|| er.cell())
             }
         };
 
-        let mut rsp_commits: Vec<(Vec<bool>, Option<usize>)> = Vec::with_capacity(ni);
-        let mut rsp_transfers: Vec<Option<(usize, RspCell)>> = vec![None; ni];
-        let mut rsp_present_next: Vec<Option<usize>> = vec![None; ni];
+        s.rsp_arb_io.resize_with(ni, || (Vec::new(), None));
+        refill(&mut s.rsp_transfers, ni, None);
+        refill(&mut s.rsp_present_next, ni, None);
         let mut rsp_used = 0usize;
         for j in 0..ni {
-            let mut eligible = vec![false; n_resp];
-            for (r, e) in eligible.iter_mut().enumerate() {
-                *e = present(self, j, r).is_some();
-            }
+            let eligible = &mut s.eligible;
+            eligible.clear();
+            eligible.extend((0..n_resp).map(|r| present(self, j, r).is_some()));
             if let Some(locked) = self.rsp_route[j] {
                 for (r, e) in eligible.iter_mut().enumerate() {
                     if r != locked {
@@ -352,14 +396,15 @@ impl DutView for BcaNode {
             // local instead of skewing the arbiter state forever.
             let side_path =
                 self.fidelity == Fidelity::Relaxed && self.config.protocol.allows_out_of_order();
-            let mut arb_eligible = eligible.clone();
+            let (arb_eligible, arb_committed) = &mut s.rsp_arb_io[j];
+            arb_eligible.clone_from(eligible);
             if side_path {
                 arb_eligible[nt] = false;
             }
             let winner = match self.rsp_presented[j] {
                 Some(r) if eligible[r] => Some(r),
                 _ if side_path && eligible[nt] => Some(nt),
-                _ => self.rsp_arb[j].choose(&arb_eligible),
+                _ => self.rsp_arb[j].choose(arb_eligible),
             };
             let mut committed = None;
             if let Some(r) = winner {
@@ -377,13 +422,13 @@ impl DutView for BcaNode {
                     out.initiator[j].r_req = true;
                     out.initiator[j].r_cell = cell;
                     if inputs.initiator[j].r_gnt {
-                        rsp_transfers[j] = Some((r, cell));
+                        s.rsp_transfers[j] = Some((r, cell));
                         committed = Some(r);
                         if r < nt {
                             out.target[r].r_gnt = true;
                         }
                     } else {
-                        rsp_present_next[j] = Some(r);
+                        s.rsp_present_next[j] = Some(r);
                     }
                 }
             }
@@ -391,38 +436,37 @@ impl DutView for BcaNode {
                 out.initiator[j].r_cell = self.init_rsp_hold[j];
             }
             // The side path hides internal deliveries from the arbiter.
-            let arb_committed = if side_path && committed == Some(nt) {
+            *arb_committed = if side_path && committed == Some(nt) {
                 None
             } else {
                 committed
             };
-            rsp_commits.push((arb_eligible, arb_committed));
         }
 
         // ----- commit ---------------------------------------------------------
-        let skip_lru =
-            self.bugs.contains(&BcaBug::StuckLruState) && cfg.arbitration == ArbitrationKind::Lru;
+        let skip_lru = self.bugs.contains(&BcaBug::StuckLruState)
+            && self.config.arbitration == ArbitrationKind::Lru;
         for t in 0..nt {
             if skip_lru {
                 // B2: the refactor lost the update call entirely.
                 continue;
             }
-            self.req_arb[t].update(&req_vecs[t], req_commits[t], self.cycle);
+            self.req_arb[t].update(&s.req_vecs[t], s.req_commits[t], self.cycle);
         }
-        for (j, (eligible, committed)) in rsp_commits.iter().enumerate() {
+        for (j, (eligible, committed)) in s.rsp_arb_io.iter().enumerate() {
             self.rsp_arb[j].update(eligible, *committed, self.cycle);
         }
 
-        for (t, fwd) in forwards.iter().enumerate() {
+        for (t, fwd) in s.forwards.iter().enumerate() {
             if let Some((i, cell)) = fwd {
                 self.commit_forward(*i, Dest::Target(t), *cell, pipelined);
                 self.tgt_cell_hold[t] = *cell;
             }
         }
-        for (i, cell) in &internal {
+        for (i, cell) in &s.internal {
             self.commit_forward(*i, Dest::Internal, *cell, pipelined);
         }
-        for (i, acc) in accepts.iter().enumerate() {
+        for (i, acc) in s.accepts.iter().enumerate() {
             if let Some(cell) = acc {
                 if !self.in_pkt[i] {
                     self.open_tx[i] += 1;
@@ -431,7 +475,7 @@ impl DutView for BcaNode {
                 self.fifo[i].push_back(*cell);
             }
         }
-        for (j, tr) in rsp_transfers.iter().enumerate() {
+        for (j, tr) in s.rsp_transfers.iter().enumerate() {
             if let Some((r, cell)) = tr {
                 self.init_rsp_hold[j] = *cell;
                 if *r == nt {
@@ -439,7 +483,7 @@ impl DutView for BcaNode {
                         .front_mut()
                         .expect("error response in flight");
                     er.sent += 1;
-                    if er.sent == er.cells.len() {
+                    if er.sent == er.cells {
                         self.err_queue[j].pop_front();
                     }
                 }
@@ -465,26 +509,34 @@ impl DutView for BcaNode {
             }
         }
 
-        self.tgt_presented = tgt_present_next;
-        self.rsp_presented = rsp_present_next;
+        std::mem::swap(&mut self.tgt_presented, &mut s.tgt_present_next);
+        std::mem::swap(&mut self.rsp_presented, &mut s.rsp_present_next);
 
-        if let (Some(cmd), true) = (&inputs.prog, cfg.prog_port) {
+        if let (Some(cmd), true) = (&inputs.prog, self.config.prog_port) {
             // The programming port has exactly one priority register per
             // initiator: longer writes are truncated, shorter ones
             // zero-extended (mirroring the RTL's wire count — an earlier
             // model revision passed the raw vector through, which the
             // alignment flow caught as a cross-view divergence).
-            let prios: Vec<u8> = (0..cfg.n_initiators)
-                .map(|i| cmd.priorities.get(i).copied().unwrap_or(0))
-                .collect();
+            s.prios.clear();
+            s.prios
+                .extend((0..ni).map(|i| cmd.priorities.get(i).copied().unwrap_or(0)));
             for arb in &mut self.req_arb {
-                arb.set_priorities(&prios);
+                arb.set_priorities(&s.prios);
             }
         }
 
+        self.scratch = s;
         self.cycle += 1;
         out
     }
+}
+
+/// Empties `buf` and refills it with `n` copies of `value`, keeping its
+/// allocation.
+fn refill<T: Clone>(buf: &mut Vec<T>, n: usize, value: T) {
+    buf.clear();
+    buf.resize(n, value);
 }
 
 impl BcaNode {
@@ -514,11 +566,11 @@ impl BcaNode {
                 opcode: cell.opcode,
             });
             if matches!(dest, Dest::Internal) {
-                let n = response_cells(cell.opcode, self.config.protocol, self.config.bus_bytes);
-                let rsp = ResponsePacket::error(cell.src, cell.tid, n);
                 self.err_queue[i].push_back(ErrRsp {
                     ready_at: self.cycle + ERROR_RESPONSE_LATENCY,
-                    cells: rsp.cells().to_vec(),
+                    src: cell.src,
+                    tid: cell.tid,
+                    cells: response_cells(cell.opcode, self.config.protocol, self.config.bus_bytes),
                     sent: 0,
                 });
             }

@@ -13,8 +13,8 @@ use crate::bugs::RtlBug;
 use crate::signals::{ReqWires, RspWires, SigAlloc, SigRead, SigWrite};
 use crate::spec::{EvalScratch, NodeSpec, NodeState, Plan, ProbePoint};
 use sim_kernel::{
-    ActivityCoverage, BranchId, CompiledSim, CompiledStats, Edge, Signal, SignalId, SimBackend,
-    SimError, Simulator, WordValue,
+    ActivityCoverage, BranchId, CompiledCheckpoint, CompiledSim, CompiledStats, Edge, Signal,
+    SignalId, SimBackend, SimCheckpoint, SimError, Simulator, WordValue,
 };
 use stbus_protocol::{DutInputs, DutOutputs, DutView, NodeConfig, ProgCommand, ViewKind};
 use std::cell::{Cell, RefCell};
@@ -70,6 +70,25 @@ pub struct RtlNode {
     eval_ns: Rc<Cell<u64>>,
     eval_timing: Rc<Cell<bool>>,
     cycles: u64,
+    /// The node as elaboration left it; [`RtlNode::rewind`] restores it.
+    elaborated: Checkpoint,
+}
+
+/// What [`RtlNode::rewind`] restores besides the register state, which
+/// elaboration leaves at [`NodeSpec::initial_state`] (its settle runs the
+/// combinational process once, but no clock edge commits anything).
+struct Checkpoint {
+    kern: KernCheckpoint,
+    plan: Plan,
+    plan_valid: bool,
+}
+
+enum KernCheckpoint {
+    Event(SimCheckpoint),
+    Compiled {
+        sim: CompiledCheckpoint,
+        ports: DutInputs,
+    },
 }
 
 /// The simulation kernel the node was elaborated onto.
@@ -124,6 +143,27 @@ impl Kern {
         match self {
             Kern::Event(sim) => sim.signal_count(),
             Kern::Compiled { sim, .. } => sim.signal_count(),
+        }
+    }
+
+    fn checkpoint(&self) -> KernCheckpoint {
+        match self {
+            Kern::Event(sim) => KernCheckpoint::Event(sim.checkpoint()),
+            Kern::Compiled { sim, ports } => KernCheckpoint::Compiled {
+                sim: sim.checkpoint(),
+                ports: ports.borrow().clone(),
+            },
+        }
+    }
+
+    fn rewind(&mut self, checkpoint: &KernCheckpoint) {
+        match (self, checkpoint) {
+            (Kern::Event(sim), KernCheckpoint::Event(cp)) => sim.rewind(cp),
+            (Kern::Compiled { sim, ports }, KernCheckpoint::Compiled { sim: cp, ports: p }) => {
+                sim.rewind(cp);
+                ports.borrow_mut().clone_from(p);
+            }
+            _ => unreachable!("a node rewinds to its own kernel's checkpoint"),
         }
     }
 }
@@ -338,7 +378,7 @@ impl RtlNode {
 
         let plan = PlanBox::new();
 
-        let (kern, e) = match engine {
+        let (mut kern, e) = match engine {
             SimBackend::Event => {
                 let mut sim = Simulator::new();
                 let e = elaborate(&mut sim, &config);
@@ -436,7 +476,13 @@ impl RtlNode {
             }
         };
 
-        let mut node = RtlNode {
+        kern.settle().expect("node elaboration settles");
+        let elaborated = Checkpoint {
+            kern: kern.checkpoint(),
+            plan: plan.plan.borrow().clone(),
+            plan_valid: plan.valid.get(),
+        };
+        RtlNode {
             spec,
             kern,
             clk: e.clk,
@@ -456,9 +502,31 @@ impl RtlNode {
             eval_ns,
             eval_timing,
             cycles: 0,
-        };
-        node.kern.settle().expect("node elaboration settles");
-        node
+            elaborated,
+        }
+    }
+
+    /// Restores the node to the state elaboration left it in, exactly:
+    /// the kernel (signal values, process runs, branch hits, time and work
+    /// counters), the register state, the pending plan, the cycle count,
+    /// the compiled port cache and the evaluation timer. What runs next
+    /// behaves and counts as it would on a freshly elaborated node, so a
+    /// campaign can elaborate a view once and rewind it per cell.
+    ///
+    /// Unlike [`DutView::reset`], which keeps the structural coverage
+    /// accumulating across runs, `rewind` also rewinds the coverage, and
+    /// it detaches any attached metrics registry. An internal trace keeps
+    /// what it recorded.
+    pub fn rewind(&mut self) {
+        self.kern.rewind(&self.elaborated.kern);
+        *self.state.borrow_mut() = self.spec.initial_state();
+        self.plan
+            .plan
+            .borrow_mut()
+            .clone_from(&self.elaborated.plan);
+        self.plan.valid.set(self.elaborated.plan_valid);
+        self.eval_ns.set(0);
+        self.cycles = 0;
     }
 
     /// The simulation backend this node was elaborated onto.
@@ -1031,6 +1099,61 @@ mod tests {
             let oe = ev.step(inputs);
             let oc = cp.step(inputs);
             assert_eq!(oe, oc, "post-reset cycle {k}");
+        }
+    }
+
+    #[test]
+    fn rewound_node_matches_a_freshly_elaborated_one() {
+        let cfg = NodeConfig::reference();
+        let traffic = lcg_traffic(&cfg, 150);
+        for engine in SimBackend::ALL {
+            let mut node = RtlNode::with_engine(cfg.clone(), engine);
+            let stale = telemetry::MetricsRegistry::new();
+            node.attach_metrics(&stale);
+            node.set_phase_timing(true);
+            for (k, inputs) in traffic.iter().enumerate() {
+                if k == 90 {
+                    node.reset();
+                }
+                node.step(inputs);
+            }
+            node.rewind();
+            // A rewound node publishes nothing until a registry is
+            // attached again.
+            let published = stale.snapshot();
+            for inputs in &traffic[..20] {
+                node.step(inputs);
+            }
+            assert_eq!(stale.snapshot(), published, "{engine}: rewind detaches");
+            node.rewind();
+
+            let mut fresh = RtlNode::with_engine(cfg.clone(), engine);
+            assert_eq!(node.cycles(), 0);
+            assert_eq!(node.phase_eval_us(), 0);
+            assert_eq!(node.activity_coverage(), fresh.activity_coverage());
+            assert_eq!(node.compiled_stats(), fresh.compiled_stats());
+
+            // Stepped straight after the rewind (no reset in between), then
+            // again after a reset, the two nodes agree cycle for cycle and
+            // count the same kernel work into their own registries.
+            let (rewound, elaborated) = (
+                telemetry::MetricsRegistry::new(),
+                telemetry::MetricsRegistry::new(),
+            );
+            node.attach_metrics(&rewound);
+            fresh.attach_metrics(&elaborated);
+            for round in 0..2 {
+                for (k, inputs) in traffic.iter().enumerate() {
+                    let (a, b) = (node.step(inputs), fresh.step(inputs));
+                    assert_eq!(a, b, "{engine} round {round} cycle {k}");
+                }
+                node.reset();
+                fresh.reset();
+            }
+            assert_eq!(node.activity_coverage(), fresh.activity_coverage());
+            assert_eq!(node.compiled_stats(), fresh.compiled_stats());
+            assert_eq!(rewound.snapshot(), elaborated.snapshot(), "{engine}");
+            assert_eq!(stale.snapshot(), published, "{engine}");
         }
     }
 

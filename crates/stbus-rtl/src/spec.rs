@@ -248,7 +248,7 @@ impl ProbePoint {
 }
 
 /// The combinational result of one cycle: outputs plus register D-inputs.
-#[derive(Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Plan {
     /// This cycle's port outputs.
     pub outputs: DutOutputs,
