@@ -290,15 +290,12 @@ impl Store {
         self.len() == 0
     }
 
-    /// Applies `policy`, evicting oldest-modified entries first until both
-    /// bounds hold. With an all-`None` policy this only reports sizes.
-    ///
-    /// Whatever the policy, temp files last modified more than
-    /// [`ORPHAN_GRACE`] ago are removed and counted in
-    /// [`GcStats::orphans`]: they belong to `put`s killed before their
-    /// rename, which nothing else would ever reclaim. Younger ones may
-    /// belong to a `put` still writing and are left alone.
-    pub fn gc(&self, policy: &GcPolicy) -> GcStats {
+    /// Removes the temp files last modified more than [`ORPHAN_GRACE`]
+    /// ago and returns how many it removed and the bytes they held. They
+    /// belong to `put`s killed before their rename, which nothing else
+    /// would ever reclaim. Younger ones may belong to a `put` still
+    /// writing and are left alone. Entries are not looked at.
+    pub fn sweep_orphans(&self) -> (usize, u64) {
         let now = SystemTime::now();
         let (mut orphans, mut orphan_bytes) = (0, 0);
         for (path, bytes, modified) in self.files(true) {
@@ -308,6 +305,15 @@ impl Store {
                 orphan_bytes += bytes;
             }
         }
+        (orphans, orphan_bytes)
+    }
+
+    /// Applies `policy`, evicting oldest-modified entries first until both
+    /// bounds hold. With an all-`None` policy this only reports sizes.
+    /// Whatever the policy, it first runs [`Store::sweep_orphans`] and
+    /// counts what that removed in [`GcStats::orphans`].
+    pub fn gc(&self, policy: &GcPolicy) -> GcStats {
+        let (orphans, orphan_bytes) = self.sweep_orphans();
         let mut entries = self.entries();
         entries.sort_by(|a, b| a.2.cmp(&b.2).then_with(|| a.0.cmp(&b.0)));
         let mut stats = GcStats {

@@ -161,9 +161,9 @@ pub fn sum_ports<'a>(figures: impl IntoIterator<Item = &'a PortFigures>) -> Port
 struct KeptView {
     spec: ViewSpec,
     view: Elaborated,
-    /// Whether a metrics registry is attached that reuse keeps: the
-    /// BCA and TLM views keep theirs across resets, while rewinding the
-    /// RTL view detaches its own.
+    /// Whether a metrics registry is attached that reuse keeps: the TLM
+    /// view keeps its registry across resets, rewinding the RTL view
+    /// detaches its own and the BCA view attaches none.
     metered: bool,
 }
 
@@ -236,7 +236,7 @@ pub fn run_cell(spec: &CellSpec, tel: &Telemetry) -> CellOutcome {
             },
         };
         drop(elaborating);
-        kept_view.metered = spec.attach_metrics && !matches!(kept_view.view, Elaborated::Rtl(_));
+        kept_view.metered = spec.attach_metrics && matches!(view, ViewSpec::Tlm(_));
         let dut: &mut dyn DutView = match &mut kept_view.view {
             Elaborated::Rtl(node) => node.as_mut(),
             Elaborated::Other(dut) => dut.as_mut(),
@@ -442,6 +442,11 @@ mod tests {
                 attach_metrics: false,
                 ..cell(&config, 2, &views)
             };
+            // Only the TLM view keeps a registry the rewind cannot detach.
+            let reusable: Vec<bool> = views
+                .iter()
+                .map(|(view, _)| !matches!(view, ViewSpec::Tlm(_)))
+                .collect();
             let (outcome, fresh) = std::thread::spawn(move || {
                 let tel = Telemetry::builder().build();
                 run_cell(&metered, &tel);
@@ -453,6 +458,7 @@ mod tests {
             .join()
             .expect("cells run");
             assert_eq!((&outcome.0, &outcome.1), (&fresh[0].0, &fresh[0].1));
+            assert_eq!(outcome.2, reusable);
         }
     }
 

@@ -169,7 +169,7 @@ pub fn cell_key(
 /// only — deliberately not part of the manifest, whose metrics must be
 /// byte-identical between cold and warm runs): the campaign's increase
 /// of the `cache.hit`, `cache.miss`, `cache.put` and `cache.corrupt`
-/// counters, plus what the post-campaign GC pass evicted.
+/// counters, plus what the post-campaign GC pass evicted and swept.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheSummary {
     /// Cells answered from the store without simulating.
@@ -182,6 +182,9 @@ pub struct CacheSummary {
     pub corrupt: u64,
     /// Entries evicted by the post-campaign GC pass.
     pub evicted: u64,
+    /// Temp files of killed writers the post-campaign sweep removed
+    /// ([`cache::Store::sweep_orphans`]).
+    pub orphans: u64,
     /// Cells that actually ran a simulation: every miss, by
     /// construction. A fully warm campaign reports `simulated == 0` and
     /// `hits == cell count` — the proof the acceptance gate checks.
@@ -211,6 +214,7 @@ impl CacheSummary {
             ("puts", Json::from(self.puts)),
             ("corrupt", Json::from(self.corrupt)),
             ("evicted", Json::from(self.evicted)),
+            ("orphans", Json::from(self.orphans)),
             ("simulated", Json::from(self.simulated)),
         ])
     }
@@ -799,14 +803,17 @@ pub fn run_regression(
     assemble_span.end([("configs", Json::from(configs.len()))]);
 
     if let (Some(store), Some(before)) = (&store, counts_before) {
-        let evicted =
+        // Orphaned temp files of killed writers go after every cached
+        // campaign; entries are only scanned when a bound asks for it.
+        let (evicted, orphans) =
             if options.cache_gc.max_entries.is_some() || options.cache_gc.max_bytes.is_some() {
                 let gc = store.gc(&options.cache_gc);
                 tel.metrics().counter("cache.evict").add(gc.evicted as u64);
-                gc.evicted as u64
+                (gc.evicted as u64, gc.orphans as u64)
             } else {
-                0
+                (0, store.sweep_orphans().0 as u64)
             };
+        tel.metrics().counter("cache.orphans").add(orphans);
         let after = cache_counts(tel);
         let delta = |i: usize| after[i] - before[i];
         let summary = CacheSummary {
@@ -815,6 +822,7 @@ pub fn run_regression(
             puts: delta(2),
             corrupt: delta(3),
             evicted,
+            orphans,
             simulated: delta(1),
         };
         tel.info(
@@ -826,6 +834,7 @@ pub fn run_regression(
                 ("puts", Json::from(summary.puts)),
                 ("corrupt", Json::from(summary.corrupt)),
                 ("evicted", Json::from(summary.evicted)),
+                ("orphans", Json::from(summary.orphans)),
                 ("simulated", Json::from(summary.simulated)),
             ],
         );

@@ -7,6 +7,7 @@
 use stbus_protocol::NodeConfig;
 use stbus_regression::{run_regression, standard_configs, RegressionOptions, RegressionReport};
 use std::path::{Path, PathBuf};
+use std::time::{Duration, SystemTime};
 
 fn temp_store(tag: &str) -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("stbus-cache-gc-{tag}"));
@@ -56,7 +57,7 @@ fn options(dir: &Path, seeds: Vec<u64>, jobs: usize) -> RegressionOptions {
 /// eviction-precision allowance, so the test separates its campaigns by
 /// more than one tick to keep the intended LRU order unambiguous.
 fn settle() {
-    std::thread::sleep(std::time::Duration::from_millis(25));
+    std::thread::sleep(Duration::from_millis(25));
 }
 
 fn stripped_manifest(report: &mut RegressionReport) -> String {
@@ -150,6 +151,40 @@ fn byte_budget_evicts_like_entry_budget() {
     let cache = warm.cache.expect("summary");
     assert_eq!(cache.hits, 2, "eviction happens after the campaign");
     assert_eq!(cache.evicted, 2, "a one-byte budget keeps nothing");
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A killed writer's temp file, aged `age` into the past, in a shard of
+/// the store at `dir`.
+fn orphan(dir: &Path, name: &str, age: Duration) -> PathBuf {
+    let shard = dir.join("00");
+    std::fs::create_dir_all(&shard).unwrap();
+    let path = shard.join(format!(".tmp.{name}.4242.0"));
+    std::fs::write(&path, b"half an entry").unwrap();
+    let file = std::fs::File::options().write(true).open(&path).unwrap();
+    file.set_modified(SystemTime::now() - age).unwrap();
+    path
+}
+
+#[test]
+fn unbounded_campaign_sweeps_stale_orphans_and_reports_them() {
+    let dir = temp_store("orphans");
+    let (configs, tests, seeds) = shape_a();
+    let grace = cache::ORPHAN_GRACE;
+    let stale = orphan(&dir, "stale", grace + Duration::from_secs(60));
+    let fresh = orphan(&dir, "fresh", grace / 2);
+
+    // No bound is set: nothing is evicted, but the stale orphan goes.
+    let mut opts = options(&dir, seeds, 1);
+    opts.cache_gc.max_entries = None;
+    let report = run_regression(&configs, &tests, &opts);
+    let cache = report.cache.expect("summary");
+    assert_eq!((cache.puts, cache.evicted, cache.orphans), (2, 0, 1));
+    let reported = cache.to_json().get("orphans").and_then(|v| v.as_u64());
+    assert_eq!(reported, Some(1));
+    assert!(!stale.exists(), "an orphan past the grace is reclaimed");
+    assert!(fresh.exists(), "a temp file within the grace may be live");
 
     let _ = std::fs::remove_dir_all(&dir);
 }

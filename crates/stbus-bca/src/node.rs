@@ -2,7 +2,7 @@
 
 use crate::bugs::BcaBug;
 use stbus_protocol::arbitration::{make_arbiter, Arbiter, ArbiterParams};
-use stbus_protocol::packet::response_cells;
+use stbus_protocol::packet::{response_cells, ResponsePacket};
 use stbus_protocol::{
     ArbitrationKind, DutInputs, DutOutputs, DutView, InitiatorId, NodeConfig, Opcode, ReqCell,
     RspCell, TargetId, TransactionId, ViewKind,
@@ -47,11 +47,8 @@ impl Pending {
     }
 }
 
-/// An internal error response in flight: `cells` error cells for
-/// `(src, tid)`, the last carrying `eop`, as [`ResponsePacket::error`]
-/// builds them.
-///
-/// [`ResponsePacket::error`]: stbus_protocol::packet::ResponsePacket::error
+/// An internal error response in flight: the [`ResponsePacket::error`]
+/// of `cells` cells for `(src, tid)`, delivered one cell at a time.
 #[derive(Clone, Debug)]
 struct ErrRsp {
     ready_at: u64,
@@ -64,7 +61,7 @@ struct ErrRsp {
 impl ErrRsp {
     /// The next cell to deliver.
     fn cell(&self) -> RspCell {
-        RspCell::error(self.src, self.tid, self.sent + 1 == self.cells)
+        ResponsePacket::error_cell(self.src, self.tid, self.sent, self.cells)
     }
 }
 

@@ -286,9 +286,20 @@ impl ResponsePacket {
     pub fn error(src: InitiatorId, tid: TransactionId, n_cells: usize) -> ResponsePacket {
         assert!(n_cells > 0, "response needs at least one cell");
         let cells = (0..n_cells)
-            .map(|k| RspCell::error(src, tid, k == n_cells - 1))
+            .map(|k| ResponsePacket::error_cell(src, tid, k, n_cells))
             .collect();
         ResponsePacket { cells }
+    }
+
+    /// Cell `k` of the all-error response [`ResponsePacket::error`]
+    /// builds, without building the packet: `eop` on the last cell.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `k < n_cells`.
+    pub fn error_cell(src: InitiatorId, tid: TransactionId, k: usize, n_cells: usize) -> RspCell {
+        assert!(k < n_cells, "cell {k} of a {n_cells}-cell response");
+        RspCell::error(src, tid, k == n_cells - 1)
     }
 
     /// Reassembles a response packet from monitored cells.
@@ -540,6 +551,16 @@ mod tests {
         let e = ResponsePacket::error(InitiatorId(0), TransactionId(1), 3);
         assert!(e.is_error());
         assert_eq!(e.len(), 3);
+        for (k, cell) in e.cells().iter().enumerate() {
+            let alone = ResponsePacket::error_cell(InitiatorId(0), TransactionId(1), k, 3);
+            assert_eq!(*cell, alone);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "cell 0 of a 0-cell response")]
+    fn error_cell_rejects_an_empty_response() {
+        let _ = ResponsePacket::error_cell(InitiatorId(0), TransactionId(1), 0, 0);
     }
 
     #[test]
