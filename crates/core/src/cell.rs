@@ -203,10 +203,15 @@ pub fn run_cell(spec: &CellSpec, tel: &Telemetry) -> CellOutcome {
     let mut rtl_activity = None;
     let mut runs: Vec<ViewRun> = Vec::with_capacity(spec.views.len());
     let mut used = Vec::with_capacity(spec.views.len());
+    // A disabled handle builds none of the spans' fields.
+    let fields = tel.is_enabled();
     for (view, _) in &spec.views {
         let span = spec.run_span.map(|name| {
-            tel.span(name)
-                .field("config", Json::from(spec.config.name.as_str()))
+            let span = tel.span(name);
+            if !fields {
+                return span;
+            }
+            span.field("config", Json::from(spec.config.name.as_str()))
                 .field("test", Json::from(spec.test.name.as_str()))
                 .field("seed", Json::from(spec.seed))
                 .field("view", Json::from(view.kind().to_string()))
@@ -217,10 +222,12 @@ pub fn run_cell(spec: &CellSpec, tel: &Telemetry) -> CellOutcome {
             .views
             .iter()
             .position(|k| k.spec == *view && (spec.attach_metrics || !k.metered));
-        let elaborating = tel
-            .span("cell.elaborate")
-            .field("view", Json::from(view.kind().to_string()))
-            .field("reused", Json::from(reusable.is_some()));
+        let mut elaborating = tel.span("cell.elaborate");
+        if fields {
+            elaborating = elaborating
+                .field("view", Json::from(view.kind().to_string()))
+                .field("reused", Json::from(reusable.is_some()));
+        }
         let mut kept_view = match reusable {
             Some(i) => {
                 let mut k = kept.views.swap_remove(i);

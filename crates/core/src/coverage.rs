@@ -12,6 +12,7 @@ use crate::record::{CycleRecord, PortId};
 use stbus_protocol::packet::request_cells;
 use stbus_protocol::{NodeConfig, OpKind, Opcode, RspKind, TransferSize};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A typed coverage-hole identifier: one never-hit bin of one group.
 ///
@@ -193,25 +194,37 @@ impl std::fmt::Display for CoverageReport {
 
 /// The live functional-coverage collector.
 ///
-/// [`FunctionalCoverage::new`] declares every bin and numbers them in
-/// report order; each hit site looks its bin's number up in a small
-/// table fixed at construction, so a hit is one indexed increment into a
-/// dense counter vector. The [`CoverageGroup`]s are rendered once, by
+/// The bins a configuration declares, numbered in report order, and the
+/// table from each hit site to its bin's number are its
+/// [`CoverageShape`], built once per configuration on each thread and
+/// shared by every run of it ([`crate::per_config`]). A hit is one
+/// indexed increment into a dense counter vector, so
+/// [`FunctionalCoverage::new`] allocates only the per-run counters. The
+/// [`CoverageGroup`]s are rendered once, by
 /// [`FunctionalCoverage::report`].
 #[derive(Debug)]
 pub struct FunctionalCoverage {
-    config: NodeConfig,
-    /// The declared groups in report order, every bin at zero.
-    declared: Vec<CoverageGroup>,
+    shape: Arc<CoverageShape>,
     /// Hit count per bin, numbered in report order (group, then bin).
     hits: Vec<u64>,
-    sites: BinSites,
     /// Per-initiator wait-cycle counter feeding the stall bins.
     wait: Vec<u64>,
     /// Per-target: was a grant seen last cycle (back-to-back detection)?
     last_grant: Vec<bool>,
     /// Per-target scratch: this cycle's requesting initiators.
     requesters: Vec<u32>,
+}
+
+/// What every run of one configuration declares: the groups and bins,
+/// and the bin number behind every hit site.
+#[derive(Debug)]
+pub(crate) struct CoverageShape {
+    config: NodeConfig,
+    /// The declared groups in report order, every bin at zero.
+    declared: Vec<CoverageGroup>,
+    sites: BinSites,
+    /// Declared bins across all groups.
+    n_bins: usize,
 }
 
 /// A hit site whose bin is not declared for the configuration (a locked
@@ -331,9 +344,9 @@ const G_ARB: &str = "arbitration";
 const G_STALL: &str = "stall";
 const G_FEATURES: &str = "features";
 
-impl FunctionalCoverage {
+impl CoverageShape {
     /// Declares the bins implied by a configuration.
-    pub fn new(config: &NodeConfig) -> Self {
+    pub(crate) fn new(config: &NodeConfig) -> Self {
         let legal = Opcode::all_for(config.protocol);
         let kinds: std::collections::BTreeSet<OpKind> = legal.iter().map(|o| o.kind()).collect();
         let sizes: std::collections::BTreeSet<TransferSize> =
@@ -440,14 +453,27 @@ impl FunctionalCoverage {
             ));
         }
 
-        FunctionalCoverage {
+        CoverageShape {
+            config: config.clone(),
             declared,
-            hits: vec![0; n_bins],
             sites,
+            n_bins,
+        }
+    }
+}
+
+impl FunctionalCoverage {
+    /// Declares the bins implied by a configuration: its thread's shared
+    /// [`CoverageShape`], and zeroed per-run counters.
+    pub fn new(config: &NodeConfig) -> Self {
+        let shape = crate::per_config::coverage_shape(config);
+        let (ni, nt) = (config.n_initiators, config.n_targets);
+        FunctionalCoverage {
+            hits: vec![0; shape.n_bins],
             wait: vec![0; ni],
             last_grant: vec![false; nt],
             requesters: vec![0; nt],
-            config: config.clone(),
+            shape,
         }
     }
 
@@ -458,7 +484,7 @@ impl FunctionalCoverage {
     }
 
     fn hit_feature(&mut self, feature: Feature) {
-        self.hit(self.sites.features[feature as usize]);
+        self.hit(self.shape.sites.features[feature as usize]);
     }
 
     /// Digests one cycle record (arbitration, stall and prog events).
@@ -466,31 +492,32 @@ impl FunctionalCoverage {
         // Contention & back-to-back per target; each requesting
         // initiator's address is decoded once.
         self.requesters.fill(0);
-        for i in 0..self.config.n_initiators {
+        let config = &self.shape.config;
+        for i in 0..config.n_initiators {
             let (req, cell, _) = rec.init_request(i);
             if req {
-                if let Some(t) = self.config.address_map.decode(cell.addr) {
+                if let Some(t) = config.address_map.decode(cell.addr) {
                     if let Some(n) = self.requesters.get_mut(t.0 as usize) {
                         *n += 1;
                     }
                 }
             }
         }
-        for t in 0..self.config.n_targets {
+        for t in 0..self.shape.config.n_targets {
             if self.requesters[t] >= 2 {
-                self.hit(self.sites.contention[t]);
+                self.hit(self.shape.sites.contention[t]);
             }
             let fired = rec.request_fires(PortId::Target(t));
             if fired && self.last_grant[t] {
-                self.hit(self.sites.back_to_back[t]);
+                self.hit(self.shape.sites.back_to_back[t]);
             }
             self.last_grant[t] = fired;
         }
         // Stall bins per initiator.
-        for i in 0..self.config.n_initiators {
+        for i in 0..self.shape.config.n_initiators {
             let (req, _, gnt) = rec.init_request(i);
             if req && gnt {
-                self.hit(self.sites.stall[stall_bin(self.wait[i])]);
+                self.hit(self.shape.sites.stall[stall_bin(self.wait[i])]);
                 self.wait[i] = 0;
             } else if req {
                 self.wait[i] += 1;
@@ -518,19 +545,21 @@ impl FunctionalCoverage {
             } => {
                 let op = packet.opcode();
                 let len = packet.len();
-                self.hit(self.sites.op_kind[i * OpKind::ALL.len() + op.kind() as usize]);
-                self.hit(self.sites.size[op.size() as usize]);
+                self.hit(self.shape.sites.op_kind[i * OpKind::ALL.len() + op.kind() as usize]);
+                self.hit(self.shape.sites.size[op.size() as usize]);
                 self.hit(
-                    self.sites
+                    self.shape
+                        .sites
                         .packet_len
                         .get(len)
                         .copied()
                         .unwrap_or(UNDECLARED),
                 );
-                if let Some(t) = self.config.address_map.decode(packet.addr()) {
+                let nt = self.shape.config.n_targets;
+                if let Some(t) = self.shape.config.address_map.decode(packet.addr()) {
                     let t = t.0 as usize;
-                    if t < self.config.n_targets {
-                        self.hit(self.sites.routing[i * self.config.n_targets + t]);
+                    if t < nt {
+                        self.hit(self.shape.sites.routing[i * nt + t]);
                     }
                 }
                 if len > 1 {
@@ -546,7 +575,7 @@ impl FunctionalCoverage {
                 ..
             } => {
                 let error = packet.cells().iter().any(|c| c.kind == RspKind::Error);
-                self.hit(self.sites.response[usize::from(error)]);
+                self.hit(self.shape.sites.response[usize::from(error)]);
             }
             _ => {}
         }
@@ -567,6 +596,7 @@ impl FunctionalCoverage {
     pub fn report(&self) -> CoverageReport {
         let mut hits = self.hits.iter();
         let groups = self
+            .shape
             .declared
             .iter()
             .map(|g| {

@@ -44,6 +44,7 @@ mod harness;
 mod legacy;
 mod memory;
 mod monitor;
+mod per_config;
 mod record;
 mod report;
 mod scoreboard;

@@ -201,11 +201,14 @@ impl Testbench {
         // by the view itself, where the kernel hands control to the model.
         dut.set_phase_timing(profiling);
         let eval_us_base = dut.phase_eval_us();
-        let span = tel
-            .span("tb.run")
-            .field("test", Json::from(spec.name.as_str()))
-            .field("seed", Json::from(seed))
-            .field("view", Json::from(dut.view_kind().to_string()));
+        // A disabled handle builds none of the span's fields.
+        let mut span = tel.span("tb.run");
+        if profiling {
+            span = span
+                .field("test", Json::from(spec.name.as_str()))
+                .field("seed", Json::from(seed))
+                .field("view", Json::from(dut.view_kind().to_string()));
+        }
         dut.reset();
 
         let mut harnesses: Vec<InitiatorBfm> = (0..cfg.n_initiators)
@@ -380,8 +383,6 @@ impl Testbench {
             trace,
         };
 
-        let wall = started.elapsed();
-        let cycles_per_sec = result.cycles as f64 / wall.as_secs_f64().max(1e-9);
         let metrics = tel.metrics();
         metrics.counter("tb.runs").inc();
         metrics.counter("tb.cycles").add(result.cycles);
@@ -401,6 +402,11 @@ impl Testbench {
         if !result.passed() {
             metrics.counter("tb.failures").inc();
         }
+        if !profiling {
+            return result;
+        }
+        let wall = started.elapsed();
+        let cycles_per_sec = result.cycles as f64 / wall.as_secs_f64().max(1e-9);
         span.end([
             ("cycles", Json::from(result.cycles)),
             ("transactions", Json::from(result.transactions)),

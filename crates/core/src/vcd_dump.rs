@@ -13,6 +13,7 @@
 use crate::record::CycleRecord;
 use stba::{PortLayout, Trace};
 use stbus_protocol::{NodeConfig, ReqCell, RspCell, RspKind};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Nanoseconds of simulated time per clock cycle in the dump.
@@ -95,8 +96,33 @@ impl Packer<'_> {
     }
 }
 
+/// The trace ports every run of one configuration declares, and how
+/// long their change lists have grown (see [`crate::per_config`]).
+pub(crate) struct TraceShape {
+    layout: Arc<PortLayout>,
+    /// `init0..` then `tgt0..`.
+    names: Vec<Arc<str>>,
+    /// Per port, the most snapshots a finished run recorded.
+    high_water: Vec<AtomicUsize>,
+}
+
+impl TraceShape {
+    pub(crate) fn new(config: &NodeConfig) -> Self {
+        let names: Vec<Arc<str>> = (0..config.n_initiators)
+            .map(|i| format!("init{i}").into())
+            .chain((0..config.n_targets).map(|t| format!("tgt{t}").into()))
+            .collect();
+        TraceShape {
+            layout: Arc::new(PortLayout::new(port_var_names(config.bus_bytes))),
+            high_water: names.iter().map(|_| AtomicUsize::new(0)).collect(),
+            names,
+        }
+    }
+}
+
 /// Records the cycle records of one run into its typed port trace.
 pub struct VcdDump {
+    shape: Arc<TraceShape>,
     trace: Trace,
     n_initiators: usize,
     bus_bytes: usize,
@@ -106,21 +132,22 @@ pub struct VcdDump {
 
 impl VcdDump {
     /// Declares the full variable tree for a configuration: ports
-    /// `init0..` then `tgt0..`, each with [`port_var_names`].
+    /// `init0..` then `tgt0..`, each with [`port_var_names`]. Each port's
+    /// change list starts with room for as many snapshots as the longest
+    /// earlier run of the configuration on this thread recorded.
     pub fn new(config: &NodeConfig) -> Self {
-        let layout = Arc::new(PortLayout::new(port_var_names(config.bus_bytes)));
+        let shape = crate::per_config::trace_shape(config);
         let mut trace = Trace::new();
-        for i in 0..config.n_initiators {
-            trace.add_port(format!("init{i}"), Arc::clone(&layout));
-        }
-        for t in 0..config.n_targets {
-            trace.add_port(format!("tgt{t}"), Arc::clone(&layout));
+        for (name, high_water) in shape.names.iter().zip(&shape.high_water) {
+            let port = trace.add_port(Arc::clone(name), Arc::clone(&shape.layout));
+            trace.reserve(port, high_water.load(Ordering::Relaxed));
         }
         VcdDump {
             trace,
             n_initiators: config.n_initiators,
             bus_bytes: config.bus_bytes,
-            words: vec![0; layout.stride()],
+            words: vec![0; shape.layout.stride()],
+            shape,
         }
     }
 
@@ -145,15 +172,20 @@ impl VcdDump {
         }
     }
 
-    /// Finishes the capture and returns the trace.
+    /// Finishes the capture and returns the trace, raising the
+    /// configuration's high-water marks to its change-list lengths.
     pub fn finish_trace(self) -> Trace {
+        // Relaxed: a mark is a size hint and publishes no other data.
+        for (port, high_water) in self.trace.ports().iter().zip(&self.shape.high_water) {
+            high_water.fetch_max(port.len(), Ordering::Relaxed);
+        }
         self.trace
     }
 
     /// Finishes the capture and returns it rendered as VCD text
     /// ([`Trace::to_vcd`] at [`CYCLE_TIME`]).
     pub fn finish(self) -> String {
-        self.trace.to_vcd(CYCLE_TIME)
+        self.finish_trace().to_vcd(CYCLE_TIME)
     }
 }
 

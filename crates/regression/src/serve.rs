@@ -31,8 +31,10 @@
 //! resolved shape) and then a `"report"` line carrying the §5 table, the
 //! full manifest JSON and the cache summary. Unknown ops and malformed
 //! lines — including lines that are not UTF-8 — answer
-//! `{"ok":false,...}` without killing the connection. A last request
-//! line cut off by EOF without its newline is still answered.
+//! `{"ok":false,...}` without killing the connection. So does a line
+//! longer than [`MAX_REQUEST_LINE`] bytes, whose rest is read and thrown
+//! away unparsed. A last request line cut off by EOF without its newline
+//! is still answered.
 //!
 //! `stats` reads the daemon's metrics registry: the `serve.*` counters
 //! (`connections`, `requests`, `campaigns`, `cells`, `cache_hits`,
@@ -51,7 +53,7 @@ use crate::standard_configs;
 use cache::GcPolicy;
 use exec::ThreadPool;
 use stbus_protocol::ViewKind;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -210,6 +212,34 @@ struct ConnCtx {
     shutdown: Arc<AtomicBool>,
 }
 
+/// The longest request line the daemon reads, newline excluded. A
+/// campaign request names its configurations and seeds, so real requests
+/// stay far below it; the cap keeps one client from growing a
+/// connection's line buffer without bound.
+const MAX_REQUEST_LINE: usize = 64 * 1024;
+
+/// Reads one request line into `line` (cleared first): `None` at EOF or
+/// on a read error, `Some(false)` when the line is longer than
+/// [`MAX_REQUEST_LINE`], in which case its rest is read up to the next
+/// newline and discarded.
+fn read_request(reader: &mut impl BufRead, line: &mut Vec<u8>) -> Option<bool> {
+    line.clear();
+    // Raw bytes rather than `lines()`, which fails on a line that is not
+    // UTF-8: such a line is a bad request to answer, not a reason to drop
+    // the connection.
+    let limit = MAX_REQUEST_LINE as u64 + 1;
+    match reader.by_ref().take(limit).read_until(b'\n', line) {
+        Ok(0) | Err(_) => return None,
+        Ok(_) => {}
+    }
+    if line.len() <= MAX_REQUEST_LINE || line.ends_with(b"\n") {
+        return Some(true);
+    }
+    line.clear();
+    reader.skip_until(b'\n').ok()?;
+    Some(false)
+}
+
 fn serve_connection(stream: UnixStream, ctx: &ConnCtx) {
     let tel = &ctx.options.telemetry;
     let Ok(write_half) = stream.try_clone() else {
@@ -219,19 +249,21 @@ fn serve_connection(stream: UnixStream, ctx: &ConnCtx) {
     let mut reader = BufReader::new(stream);
     let mut line = Vec::new();
     loop {
-        // Raw bytes rather than `lines()`, which fails on a line that is
-        // not UTF-8: such a line is a bad request to answer, not a
-        // reason to drop the connection.
-        line.clear();
-        match reader.read_until(b'\n', &mut line) {
-            Ok(0) | Err(_) => return,
-            Ok(_) => {}
-        }
+        let Some(fits) = read_request(&mut reader, &mut line) else {
+            return;
+        };
         let request = line.trim_ascii();
-        if request.is_empty() {
+        if fits && request.is_empty() {
             continue;
         }
         tel.metrics().counter("serve.requests").inc();
+        let request = if fits {
+            Ok(request)
+        } else {
+            Err(format!(
+                "malformed request: line longer than {MAX_REQUEST_LINE} bytes"
+            ))
+        };
         let responses = handle_request(request, ctx);
         for response in &responses {
             if writeln!(writer, "{}", response.render()).is_err() {
@@ -266,12 +298,14 @@ const STATS_COUNTERS: [(&str, &str); 7] = [
     ("errors", "serve.errors"),
 ];
 
-/// Answers one request line; every `{"ok":false}` reply is counted
-/// here, once, as `serve.errors`.
-fn handle_request(line: &[u8], ctx: &ConnCtx) -> Vec<Json> {
+/// Answers one request line, or the error that reading it met; every
+/// `{"ok":false}` reply is counted here, once, as `serve.errors`.
+fn handle_request(line: Result<&[u8], String>, ctx: &ConnCtx) -> Vec<Json> {
     let tel = &ctx.options.telemetry;
-    let request = std::str::from_utf8(line)
-        .map_err(|_| "malformed request: not UTF-8".to_owned())
+    let request = line
+        .and_then(|line| {
+            std::str::from_utf8(line).map_err(|_| "malformed request: not UTF-8".to_owned())
+        })
         .and_then(|text| Json::parse(text).map_err(|e| format!("malformed request: {e:?}")));
     let (span, responses) = match request {
         Ok(request) => {

@@ -2,9 +2,9 @@
 //! cell store (a cold campaign warms every later client), clean
 //! cooperative shutdown (request op and the embedder's flag, which is
 //! what the CLI's stdin-EOF watcher flips), stale-socket recovery,
-//! error replies to malformed and non-UTF-8 lines on a connection that
-//! stays usable, and campaigns refused to clients built from other
-//! sources.
+//! error replies to malformed, non-UTF-8 and oversized lines on a
+//! connection that stays usable, and campaigns refused to clients built
+//! from other sources.
 
 #![cfg(unix)]
 
@@ -336,6 +336,51 @@ fn non_utf8_lines_are_answered_and_a_last_line_without_newline_counts() {
     assert_eq!(rest, "", "nothing after the last reply");
 
     flag.store(true, std::sync::atomic::Ordering::SeqCst);
+    daemon.join().expect("daemon thread");
+    let _ = std::fs::remove_dir_all(&base);
+}
+
+#[test]
+fn an_oversized_request_line_is_answered_and_discarded() {
+    let base = temp_base("oversized");
+    let socket = base.join("daemon.sock");
+    let server = Server::bind(ServeOptions {
+        socket: socket.clone(),
+        cache_dir: base.join("cache"),
+        jobs: 1,
+        ..ServeOptions::default()
+    })
+    .expect("bind");
+    let flag = server.shutdown_flag();
+    let daemon = std::thread::spawn(move || server.run().expect("daemon run"));
+    wait_for_socket(&socket);
+
+    let mut stream = UnixStream::connect(&socket).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+
+    // A line far over the cap, whose tail looks like a request of its
+    // own: it is refused whole, and nothing of it is parsed.
+    let mut line = vec![b' '; 1 << 20];
+    line.extend_from_slice(b"{\"op\":\"shutdown\"}\n");
+    let writer = {
+        let mut stream = stream.try_clone().expect("clone");
+        std::thread::spawn(move || stream.write_all(&line).expect("write"))
+    };
+    let refused = read_reply(&mut reader);
+    writer.join().expect("writer");
+    assert_eq!(refused.get("ok").and_then(Json::as_bool), Some(false));
+    let error = refused.get("error").and_then(Json::as_str).unwrap();
+    assert!(error.contains("longer than"), "{error}");
+
+    // The connection is still usable, and the daemon still running.
+    stream.write_all(b"{\"op\":\"stats\"}\n").unwrap();
+    let stats = read_reply(&mut reader);
+    assert_eq!(stats.get("event").and_then(Json::as_str), Some("stats"));
+    assert_eq!(stats.get("errors").and_then(Json::as_u64), Some(1));
+    assert_eq!(stats.get("requests").and_then(Json::as_u64), Some(2));
+
+    flag.store(true, std::sync::atomic::Ordering::SeqCst);
+    stream.shutdown(Shutdown::Both).unwrap();
     daemon.join().expect("daemon thread");
     let _ = std::fs::remove_dir_all(&base);
 }

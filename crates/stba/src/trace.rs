@@ -183,7 +183,7 @@ impl<'a> Snap<'a> {
 /// One port's change list.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PortTrace {
-    name: String,
+    name: Arc<str>,
     layout: Arc<PortLayout>,
     /// Cycle of each snapshot, strictly increasing.
     cycles: Vec<u64>,
@@ -194,7 +194,7 @@ pub struct PortTrace {
 }
 
 impl PortTrace {
-    fn new(name: String, layout: Arc<PortLayout>) -> Self {
+    fn new(name: Arc<str>, layout: Arc<PortLayout>) -> Self {
         PortTrace {
             name,
             layout,
@@ -282,9 +282,18 @@ impl Trace {
     }
 
     /// Declares a port and returns its index for [`record`](Self::record).
-    pub fn add_port(&mut self, name: impl Into<String>, layout: Arc<PortLayout>) -> usize {
+    /// A shared name (`Arc<str>`) is taken without copying.
+    pub fn add_port(&mut self, name: impl Into<Arc<str>>, layout: Arc<PortLayout>) -> usize {
         self.ports.push(PortTrace::new(name.into(), layout));
         self.ports.len() - 1
+    }
+
+    /// Makes room for `snapshots` more snapshots on port `port`, so
+    /// recording them does not regrow its change list.
+    pub fn reserve(&mut self, port: usize, snapshots: usize) {
+        let port = &mut self.ports[port];
+        port.cycles.reserve(snapshots);
+        port.values.reserve(snapshots * port.layout.stride());
     }
 
     /// Records port `port`'s two-state snapshot on `cycle`: one word
@@ -309,7 +318,7 @@ impl Trace {
 
     /// The port called `name`.
     pub fn port(&self, name: &str) -> Option<&PortTrace> {
-        self.ports.iter().find(|p| p.name == name)
+        self.ports.iter().find(|p| &*p.name == name)
     }
 
     /// The cycles the trace spans: one past the last recorded cycle, and
@@ -439,7 +448,7 @@ pub(crate) fn sample(
                 .zip(widths)
                 .map(|((var, _), width)| (var.clone(), *width)),
         ));
-        let mut port = PortTrace::new(name.clone(), Arc::clone(&layout));
+        let mut port = PortTrace::new(name.as_str().into(), Arc::clone(&layout));
         let mut values = vec![0; layout.stride()];
         let mut unknown = layout.all_unknown.clone();
         // Per variable, the number of its changes at or before the

@@ -1,7 +1,8 @@
-//! Allocation budget of the BCA step: once the node's queues have grown
-//! to their working size, a step allocates only the two port vectors of
-//! the [`DutOutputs`] it returns. A std-only counting allocator counts
-//! the allocations made on the stepping thread while `step` runs.
+//! Allocation budget of the BCA and TLM steps: once a node's queues have
+//! grown to their working size, a step allocates only the two port
+//! vectors of the [`DutOutputs`] it returns. A std-only counting
+//! allocator counts the allocations made on the stepping thread while
+//! `step` runs.
 
 use stbus_bca::{BcaBug, BcaNode, Fidelity};
 use stbus_protocol::packet::{PacketParams, RequestPacket};
@@ -9,6 +10,7 @@ use stbus_protocol::{
     ArbitrationKind, Architecture, DutInputs, DutView, InitiatorId, NodeConfig, Opcode,
     ProgCommand, ProtocolType, ReqCell, RspCell, TransactionId, TransferSize,
 };
+use stbus_tlm::{TlmBug, TlmNode};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -89,13 +91,22 @@ impl Lcg {
 
 /// Closed-loop traffic: initiators issue loads and multi-cell stores
 /// (some to an unmapped address, answered by the node's error
-/// responder), targets answer every packet they accept, and grants are
-/// withheld at random so presented cells must hold.
+/// responder) up to the configuration's outstanding limit, targets
+/// answer every packet they accept, and grants are withheld at random so
+/// presented cells must hold.
 struct Traffic {
     cfg: NodeConfig,
     rng: Lcg,
     /// Per initiator: the cells of the packet being sent.
     sending: Vec<VecDeque<ReqCell>>,
+    /// Per initiator: packets sent whose response has not ended. The
+    /// limit is what keeps the TLM view, which grants every request at
+    /// once, in a steady state.
+    outstanding: Vec<usize>,
+    /// A target that every new packet goes to and that neither accepts
+    /// cells nor responds, so every outstanding transaction ends up
+    /// waiting on it.
+    stalled: Option<usize>,
     /// Per target: `(src, tid)` of accepted packets awaiting a response.
     answering: Vec<VecDeque<(InitiatorId, TransactionId)>>,
     tid: u8,
@@ -107,6 +118,8 @@ impl Traffic {
             cfg: cfg.clone(),
             rng: Lcg(0x2545_f491_4f6c_dd1d),
             sending: vec![VecDeque::new(); cfg.n_initiators],
+            outstanding: vec![0; cfg.n_initiators],
+            stalled: None,
             answering: vec![VecDeque::new(); cfg.n_targets],
             tid: 0,
         }
@@ -119,10 +132,11 @@ impl Traffic {
             endianness: self.cfg.endianness,
         };
         let map = &self.cfg.address_map;
-        let addr = match self.rng.next() % 8 {
+        // While a target is stalled, every packet goes to it.
+        let addr = match self.stalled.map_or(self.rng.next() % 8, |t| t as u64 + 1) {
             0 => map.unmapped_address().expect("the map leaves a hole"),
             k => {
-                let t = (k as usize) % self.cfg.n_targets;
+                let t = (k as usize - 1) % self.cfg.n_targets;
                 let base = map
                     .base_of(stbus_protocol::TargetId(t as u8))
                     .expect("mapped");
@@ -153,7 +167,8 @@ impl Traffic {
     /// This cycle's inputs.
     fn drive(&mut self, cycle: u64, inputs: &mut DutInputs) {
         for i in 0..self.cfg.n_initiators {
-            if self.sending[i].is_empty() && self.rng.one_in(2) {
+            let room = self.outstanding[i] < self.cfg.max_outstanding;
+            if self.sending[i].is_empty() && room && self.rng.one_in(2) {
                 let cells = self.packet(i);
                 self.sending[i].extend(cells);
             }
@@ -164,9 +179,10 @@ impl Traffic {
         }
         for t in 0..self.cfg.n_targets {
             let port = &mut inputs.target[t];
-            port.gnt = !self.rng.one_in(4);
+            let stalled = self.stalled == Some(t);
+            port.gnt = !self.rng.one_in(4) && !stalled;
             match self.answering[t].front() {
-                Some(&(src, tid)) if !self.rng.one_in(3) => {
+                Some(&(src, tid)) if !self.rng.one_in(3) && !stalled => {
                     port.r_req = true;
                     port.r_cell = RspCell::ok(src, tid, true);
                 }
@@ -186,6 +202,13 @@ impl Traffic {
         for i in 0..self.cfg.n_initiators {
             if inputs.initiator[i].req && out.initiator[i].gnt {
                 self.sending[i].pop_front();
+                if inputs.initiator[i].cell.eop {
+                    self.outstanding[i] += 1;
+                }
+            }
+            let rsp = &out.initiator[i];
+            if rsp.r_req && inputs.initiator[i].r_gnt && rsp.r_cell.eop {
+                self.outstanding[i] = self.outstanding[i].saturating_sub(1);
             }
         }
         for t in 0..self.cfg.n_targets {
@@ -200,18 +223,27 @@ impl Traffic {
     }
 }
 
+/// Cycles each target is stalled for at the start of the warm-up.
+const STALL: u64 = 300;
+
 /// The most any one steady-state step allocated, over `steps` steps that
-/// follow `warmup` unmeasured ones.
-fn worst_step(mut node: BcaNode, warmup: u64, steps: u64) -> u64 {
+/// follow `warmup` unmeasured ones. The warm-up first stalls each target
+/// in turn, so every outstanding transaction queues at one target and
+/// the node's buffers reach the largest size the traffic can ask of
+/// them; the TLM view, which buffers without backpressure, would
+/// otherwise still be growing them long after.
+fn worst_step(mut node: impl DutView, warmup: u64, steps: u64) -> u64 {
     let cfg = node.config().clone();
     let mut traffic = Traffic::new(&cfg);
     let mut inputs = DutInputs::idle(&cfg);
     let mut worst = 0;
     let mut transfers = 0;
-    for cycle in 0..warmup + steps {
+    let stalls = cfg.n_targets as u64 * STALL;
+    for cycle in 0..stalls + warmup + steps {
+        traffic.stalled = (cycle < stalls).then_some((cycle / STALL) as usize);
         traffic.drive(cycle, &mut inputs);
         let (out, n) = allocations(|| node.step(&inputs));
-        if cycle >= warmup {
+        if cycle >= stalls + warmup {
             worst = worst.max(n);
         }
         transfers += out.target.iter().filter(|p| p.req).count();
@@ -265,4 +297,22 @@ fn injected_bugs_keep_the_budget() {
     }
     let worst = worst_step(node, 500, 2_000);
     assert!(worst <= 2, "a step made {worst} allocations, budget 2");
+}
+
+#[test]
+fn a_steady_state_tlm_step_allocates_only_its_outputs() {
+    for cfg in configs() {
+        for bug in [None, Some(TlmBug::ReorderedCommit)] {
+            let mut node = TlmNode::new(cfg.clone());
+            if let Some(bug) = bug {
+                node.inject_bug(bug);
+            }
+            let worst = worst_step(node, 500, 2_000);
+            assert!(
+                worst <= 2,
+                "{} with {bug:?}: a step made {worst} allocations, budget 2",
+                cfg.name
+            );
+        }
+    }
 }

@@ -3,7 +3,8 @@
 use crate::bugs::TlmBug;
 use stbus_protocol::packet::{response_cells, ResponsePacket};
 use stbus_protocol::{
-    DutInputs, DutOutputs, DutView, NodeConfig, ReqCell, RspCell, TargetId, ViewKind,
+    DutInputs, DutOutputs, DutView, InitiatorId, NodeConfig, ReqCell, RspCell, TargetId,
+    TransactionId, ViewKind,
 };
 use std::collections::VecDeque;
 
@@ -42,6 +43,22 @@ impl TgtPacket {
     }
 }
 
+/// An internal error response in flight: the [`ResponsePacket::error`]
+/// of `cells` cells for `(src, tid)`, delivered one cell at a time.
+struct ErrRsp {
+    src: InitiatorId,
+    tid: TransactionId,
+    cells: usize,
+    sent: usize,
+}
+
+impl ErrRsp {
+    /// The next cell to deliver.
+    fn cell(&self) -> RspCell {
+        ResponsePacket::error_cell(self.src, self.tid, self.sent, self.cells)
+    }
+}
+
 struct TlmMetrics {
     steps: telemetry::Counter,
     packets_routed: telemetry::Counter,
@@ -73,6 +90,12 @@ pub struct TlmNode {
     cycle: u64,
     /// Per-initiator request-packet assembly.
     rx: Vec<Vec<ReqCell>>,
+    /// Emptied cell vectors of delivered packets, reused for assembly so
+    /// a steady-state step allocates nothing but its outputs.
+    spare: Vec<Vec<ReqCell>>,
+    /// Cell vectors made so far. `spare` keeps room for all of them, so
+    /// handing one back never grows it.
+    cell_vecs: usize,
     /// Per-target queue of committed packets.
     tgt_queue: Vec<VecDeque<TgtPacket>>,
     /// Per-initiator staging queue: `(target, packet)` pairs waiting for
@@ -94,7 +117,7 @@ pub struct TlmNode {
     /// Per-initiator arrival order of responders (ordering on Type 1/2).
     order: Vec<VecDeque<PendingRsp>>,
     /// Per-initiator internal error responses.
-    err_queue: Vec<VecDeque<(Vec<RspCell>, usize)>>,
+    err_queue: Vec<VecDeque<ErrRsp>>,
     /// Per-initiator locked responder during a multi-cell response.
     rsp_route: Vec<Option<usize>>,
     /// Per-initiator responder presented but not yet accepted.
@@ -117,6 +140,8 @@ impl TlmNode {
         TlmNode {
             cycle: 0,
             rx: vec![Vec::new(); ni],
+            spare: Vec::new(),
+            cell_vecs: 0,
             tgt_queue: (0..nt).map(|_| VecDeque::new()).collect(),
             staged: (0..ni).map(|_| VecDeque::new()).collect(),
             lock_owner: vec![None; nt],
@@ -145,7 +170,7 @@ impl TlmNode {
         self.cycle
     }
 
-    fn enqueue_packet(&mut self, i: usize, cells: Vec<ReqCell>) {
+    fn enqueue_packet(&mut self, i: usize, mut cells: Vec<ReqCell>) {
         let first = cells[0];
         match self.config.address_map.decode(first.addr) {
             Some(TargetId(t)) => {
@@ -186,19 +211,24 @@ impl TlmNode {
                             retried: true,
                             forwarded: true,
                         });
-                        let n = response_cells(
-                            head.opcode,
-                            self.config.protocol,
-                            self.config.bus_bytes,
-                        );
-                        let rsp = ResponsePacket::error(head.src, head.tid, n);
-                        self.err_queue[i].push_back((rsp.cells().to_vec(), 0));
+                        self.err_queue[i].push_back(ErrRsp {
+                            src: head.src,
+                            tid: head.tid,
+                            cells: response_cells(
+                                head.opcode,
+                                self.config.protocol,
+                                self.config.bus_bytes,
+                            ),
+                            sent: 0,
+                        });
                         if let Some(m) = &self.metrics {
                             m.error_responses.inc();
                         }
                         start = idx + 1;
                     }
                 }
+                cells.clear();
+                self.spare.push(cells);
             }
         }
     }
@@ -231,12 +261,12 @@ impl DutView for TlmNode {
     }
 
     fn step(&mut self, inputs: &DutInputs) -> DutOutputs {
-        let cfg = self.config.clone();
-        let ni = cfg.n_initiators;
-        let nt = cfg.n_targets;
+        let ni = self.config.n_initiators;
+        let nt = self.config.n_targets;
+        let ordered = !self.config.protocol.allows_out_of_order();
         assert_eq!(inputs.initiator.len(), ni, "initiator port count mismatch");
         assert_eq!(inputs.target.len(), nt, "target port count mismatch");
-        let mut out = DutOutputs::idle(&cfg);
+        let mut out = DutOutputs::idle(&self.config);
         if let Some(m) = &self.metrics {
             m.steps.inc();
         }
@@ -250,7 +280,15 @@ impl DutView for TlmNode {
                 out.initiator[i].gnt = true;
                 self.rx[i].push(p.cell);
                 if p.cell.eop {
-                    let cells = std::mem::take(&mut self.rx[i]);
+                    let fresh = match self.spare.pop() {
+                        Some(cells) => cells,
+                        None => {
+                            self.cell_vecs += 1;
+                            self.spare.reserve(self.cell_vecs);
+                            Vec::new()
+                        }
+                    };
+                    let cells = std::mem::replace(&mut self.rx[i], fresh);
                     self.enqueue_packet(i, cells);
                 }
             }
@@ -267,7 +305,6 @@ impl DutView for TlmNode {
         // responses (responder == n_targets) never occupy a target FIFO
         // and are exempt. T2's replayed packets rejoin when no chunk is
         // open at their target.
-        let ordered = !cfg.protocol.allows_out_of_order();
         for i in 0..ni {
             while let Some((t, _)) = self.staged[i].front() {
                 let t = *t;
@@ -336,7 +373,9 @@ impl DutView for TlmNode {
                     let pkt = self.tgt_queue[t].front_mut().expect("just seen");
                     pkt.sent += 1;
                     if pkt.sent == pkt.cells.len() {
-                        self.tgt_queue[t].pop_front();
+                        let mut cells = self.tgt_queue[t].pop_front().expect("just seen").cells;
+                        cells.clear();
+                        self.spare.push(cells);
                     }
                 }
             } else {
@@ -346,14 +385,13 @@ impl DutView for TlmNode {
 
         // Response side: fixed smallest-index selection with packet-route
         // and presentation holds; ordering enforced for Type 1/2.
-        let ordered = !cfg.protocol.allows_out_of_order();
         for j in 0..ni {
             let present = |node: &Self, r: usize| -> Option<RspCell> {
                 if r < nt {
                     let tp = &inputs.target[r];
                     (tp.r_req && tp.r_cell.src.0 as usize == j).then_some(tp.r_cell)
                 } else {
-                    node.err_queue[j].front().map(|(cells, sent)| cells[*sent])
+                    node.err_queue[j].front().map(ErrRsp::cell)
                 }
             };
 
@@ -404,18 +442,17 @@ impl DutView for TlmNode {
             }
 
             let swallowing = self.drop_route[j].as_ref().map(|(r, _)| *r);
-            let mut eligible: Vec<usize> = (0..=nt)
-                .filter(|r| Some(*r) != swallowing && present(self, *r).is_some())
-                .collect();
-            if let Some(locked) = self.rsp_route[j] {
-                eligible.retain(|r| *r == locked);
-            } else if ordered {
-                let front = self.order[j].front().map(|p| p.responder);
-                eligible.retain(|r| Some(*r) == front);
-            }
+            let front = self.order[j].front().map(|p| p.responder);
+            let eligible = |r: usize| {
+                let routed = match self.rsp_route[j] {
+                    Some(locked) => r == locked,
+                    None => !ordered || Some(r) == front,
+                };
+                routed && Some(r) != swallowing && present(self, r).is_some()
+            };
             let winner = match self.rsp_presented[j] {
-                Some(r) if eligible.contains(&r) => Some(r),
-                _ => eligible.first().copied(),
+                Some(r) if eligible(r) => Some(r),
+                _ => (0..=nt).find(|r| eligible(*r)),
             };
             let mut delivered = false;
             if let Some(r) = winner {
@@ -429,9 +466,9 @@ impl DutView for TlmNode {
                     if r < nt {
                         out.target[r].r_gnt = true;
                     } else {
-                        let (cells, sent) = self.err_queue[j].front_mut().expect("presented");
-                        *sent += 1;
-                        if *sent == cells.len() {
+                        let err = self.err_queue[j].front_mut().expect("presented");
+                        err.sent += 1;
+                        if err.sent == err.cells {
                             self.err_queue[j].pop_front();
                         }
                     }

@@ -430,12 +430,11 @@ impl Telemetry {
     /// this thread, else the [`handoff`](Telemetry::handoff) parent, else
     /// null) — enough for a consumer to rebuild the call tree. The span
     /// must end on the thread that opened it. A disabled handle's spans
-    /// get no id and leave the open-span stack alone.
+    /// get no id, leave the open-span stack alone and allocate nothing:
+    /// their fields are dropped unconverted.
     pub fn span(&self, scope: &str) -> Span {
-        let id = self
-            .inner
-            .enabled
-            .then(|| NEXT_SPAN.fetch_add(1, Ordering::Relaxed));
+        let enabled = self.inner.enabled;
+        let id = enabled.then(|| NEXT_SPAN.fetch_add(1, Ordering::Relaxed));
         let parent = id.and_then(|id| {
             OPEN_SPANS.with_borrow_mut(|open| {
                 let parent = open.last().copied().or(self.handoff_parent);
@@ -445,9 +444,13 @@ impl Telemetry {
         });
         Span {
             telemetry: self.clone(),
-            scope: scope.to_owned(),
+            scope: if enabled {
+                scope.to_owned()
+            } else {
+                String::new()
+            },
             start: Instant::now(),
-            start_us: self.elapsed_us(),
+            start_us: if enabled { self.elapsed_us() } else { 0 },
             track: current_track(),
             id,
             parent,
@@ -489,13 +492,15 @@ pub struct Span {
 impl Span {
     /// Attaches a field to the eventual end event.
     pub fn field(mut self, key: impl Into<String>, value: Json) -> Self {
-        self.fields.push((key.into(), value));
+        self.add_field(key, value);
         self
     }
 
     /// Attaches a field through a mutable reference.
     pub fn add_field(&mut self, key: impl Into<String>, value: Json) {
-        self.fields.push((key.into(), value));
+        if self.id.is_some() {
+            self.fields.push((key.into(), value));
+        }
     }
 
     /// Elapsed wall time so far.
@@ -505,8 +510,10 @@ impl Span {
 
     /// Ends the span, merging `extra` fields into the end event.
     pub fn end(mut self, extra: impl IntoIterator<Item = (impl Into<String>, Json)>) {
-        self.fields
-            .extend(extra.into_iter().map(|(k, v)| (k.into(), v)));
+        if self.id.is_some() {
+            self.fields
+                .extend(extra.into_iter().map(|(k, v)| (k.into(), v)));
+        }
         self.finish();
     }
 

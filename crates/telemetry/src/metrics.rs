@@ -245,27 +245,24 @@ impl MetricsRegistry {
         Self::default()
     }
 
-    /// Registers (or fetches) a counter by name.
+    /// Registers (or fetches) a counter by name. Fetching an existing
+    /// one allocates nothing.
     pub fn counter(&self, name: &str) -> Counter {
         let mut inner = self.inner.lock().expect("metrics lock");
-        inner.counters.entry(name.to_owned()).or_default().clone()
+        fetch_or_insert(&mut inner.counters, name, Counter::default)
     }
 
     /// Registers (or fetches) a gauge by name.
     pub fn gauge(&self, name: &str) -> Gauge {
         let mut inner = self.inner.lock().expect("metrics lock");
-        inner.gauges.entry(name.to_owned()).or_default().clone()
+        fetch_or_insert(&mut inner.gauges, name, Gauge::default)
     }
 
     /// Registers (or fetches) a histogram by name. Bounds are fixed by the
     /// first registration; later callers get the existing instance.
     pub fn histogram(&self, name: &str, bounds: &[u64]) -> Histogram {
         let mut inner = self.inner.lock().expect("metrics lock");
-        inner
-            .histograms
-            .entry(name.to_owned())
-            .or_insert_with(|| Histogram::new(bounds))
-            .clone()
+        fetch_or_insert(&mut inner.histograms, name, || Histogram::new(bounds))
     }
 
     /// Merges a snapshot into this registry: counters add their totals,
@@ -308,6 +305,19 @@ impl MetricsRegistry {
                 .collect(),
         }
     }
+}
+
+/// The metric called `name`, registered with `new` if it is missing. The
+/// name is looked up before it is copied into a key.
+fn fetch_or_insert<M: Clone>(
+    metrics: &mut BTreeMap<String, M>,
+    name: &str,
+    new: impl FnOnce() -> M,
+) -> M {
+    if let Some(metric) = metrics.get(name) {
+        return metric.clone();
+    }
+    metrics.entry(name.to_owned()).or_insert_with(new).clone()
 }
 
 /// Point-in-time state of a whole registry.
