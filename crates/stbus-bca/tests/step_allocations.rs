@@ -91,17 +91,19 @@ impl Lcg {
 
 /// Closed-loop traffic: initiators issue loads and multi-cell stores
 /// (some to an unmapped address, answered by the node's error
-/// responder) up to the configuration's outstanding limit, targets
-/// answer every packet they accept, and grants are withheld at random so
-/// presented cells must hold.
+/// responder), targets answer every packet they accept, and grants are
+/// withheld at random so presented cells must hold.
 struct Traffic {
     cfg: NodeConfig,
     rng: Lcg,
+    /// Whether initiators stop issuing at the configuration's outstanding
+    /// limit. Free issue drives a BCA node into its gate-denial path; the
+    /// TLM view, which grants every request at once, needs the limit to
+    /// reach a steady state.
+    bounded: bool,
     /// Per initiator: the cells of the packet being sent.
     sending: Vec<VecDeque<ReqCell>>,
-    /// Per initiator: packets sent whose response has not ended. The
-    /// limit is what keeps the TLM view, which grants every request at
-    /// once, in a steady state.
+    /// Per initiator: packets sent whose response has not ended.
     outstanding: Vec<usize>,
     /// A target that every new packet goes to and that neither accepts
     /// cells nor responds, so every outstanding transaction ends up
@@ -113,10 +115,11 @@ struct Traffic {
 }
 
 impl Traffic {
-    fn new(cfg: &NodeConfig) -> Traffic {
+    fn new(cfg: &NodeConfig, bounded: bool) -> Traffic {
         Traffic {
             cfg: cfg.clone(),
             rng: Lcg(0x2545_f491_4f6c_dd1d),
+            bounded,
             sending: vec![VecDeque::new(); cfg.n_initiators],
             outstanding: vec![0; cfg.n_initiators],
             stalled: None,
@@ -133,10 +136,16 @@ impl Traffic {
         };
         let map = &self.cfg.address_map;
         // While a target is stalled, every packet goes to it.
-        let addr = match self.stalled.map_or(self.rng.next() % 8, |t| t as u64 + 1) {
-            0 => map.unmapped_address().expect("the map leaves a hole"),
-            k => {
-                let t = (k as usize - 1) % self.cfg.n_targets;
+        let target = match self.stalled {
+            Some(t) => Some(t),
+            None => match self.rng.next() % 8 {
+                0 => None,
+                k => Some(k as usize % self.cfg.n_targets),
+            },
+        };
+        let addr = match target {
+            None => map.unmapped_address().expect("the map leaves a hole"),
+            Some(t) => {
                 let base = map
                     .base_of(stbus_protocol::TargetId(t as u8))
                     .expect("mapped");
@@ -167,7 +176,7 @@ impl Traffic {
     /// This cycle's inputs.
     fn drive(&mut self, cycle: u64, inputs: &mut DutInputs) {
         for i in 0..self.cfg.n_initiators {
-            let room = self.outstanding[i] < self.cfg.max_outstanding;
+            let room = !self.bounded || self.outstanding[i] < self.cfg.max_outstanding;
             if self.sending[i].is_empty() && room && self.rng.one_in(2) {
                 let cells = self.packet(i);
                 self.sending[i].extend(cells);
@@ -227,18 +236,23 @@ impl Traffic {
 const STALL: u64 = 300;
 
 /// The most any one steady-state step allocated, over `steps` steps that
-/// follow `warmup` unmeasured ones. The warm-up first stalls each target
-/// in turn, so every outstanding transaction queues at one target and
-/// the node's buffers reach the largest size the traffic can ask of
-/// them; the TLM view, which buffers without backpressure, would
-/// otherwise still be growing them long after.
-fn worst_step(mut node: impl DutView, warmup: u64, steps: u64) -> u64 {
+/// follow `warmup` unmeasured ones, under free-issue or `bounded`
+/// traffic. Bounded traffic's warm-up first stalls each target in turn,
+/// so every outstanding transaction queues at one target and the node's
+/// buffers reach the largest size the traffic can ask of them; the TLM
+/// view, which buffers without backpressure, would otherwise still be
+/// growing them long after.
+fn worst_step(mut node: impl DutView, bounded: bool, warmup: u64, steps: u64) -> u64 {
     let cfg = node.config().clone();
-    let mut traffic = Traffic::new(&cfg);
+    let mut traffic = Traffic::new(&cfg, bounded);
     let mut inputs = DutInputs::idle(&cfg);
     let mut worst = 0;
     let mut transfers = 0;
-    let stalls = cfg.n_targets as u64 * STALL;
+    let stalls = if bounded {
+        cfg.n_targets as u64 * STALL
+    } else {
+        0
+    };
     for cycle in 0..stalls + warmup + steps {
         traffic.stalled = (cycle < stalls).then_some((cycle / STALL) as usize);
         traffic.drive(cycle, &mut inputs);
@@ -275,7 +289,7 @@ fn a_steady_state_step_allocates_only_its_outputs() {
     for cfg in configs() {
         for fidelity in [Fidelity::Exact, Fidelity::Relaxed] {
             let node = BcaNode::new(cfg.clone(), fidelity);
-            let worst = worst_step(node, 500, 2_000);
+            let worst = worst_step(node, false, 500, 2_000);
             assert!(
                 worst <= 2,
                 "{} at {fidelity:?}: a step made {worst} allocations, budget 2",
@@ -295,7 +309,7 @@ fn injected_bugs_keep_the_budget() {
     ] {
         node.inject_bug(bug);
     }
-    let worst = worst_step(node, 500, 2_000);
+    let worst = worst_step(node, false, 500, 2_000);
     assert!(worst <= 2, "a step made {worst} allocations, budget 2");
 }
 
@@ -307,7 +321,7 @@ fn a_steady_state_tlm_step_allocates_only_its_outputs() {
             if let Some(bug) = bug {
                 node.inject_bug(bug);
             }
-            let worst = worst_step(node, 500, 2_000);
+            let worst = worst_step(node, true, 500, 2_000);
             assert!(
                 worst <= 2,
                 "{} with {bug:?}: a step made {worst} allocations, budget 2",

@@ -93,9 +93,6 @@ pub struct TlmNode {
     /// Emptied cell vectors of delivered packets, reused for assembly so
     /// a steady-state step allocates nothing but its outputs.
     spare: Vec<Vec<ReqCell>>,
-    /// Cell vectors made so far. `spare` keeps room for all of them, so
-    /// handing one back never grows it.
-    cell_vecs: usize,
     /// Per-target queue of committed packets.
     tgt_queue: Vec<VecDeque<TgtPacket>>,
     /// Per-initiator staging queue: `(target, packet)` pairs waiting for
@@ -141,7 +138,6 @@ impl TlmNode {
             cycle: 0,
             rx: vec![Vec::new(); ni],
             spare: Vec::new(),
-            cell_vecs: 0,
             tgt_queue: (0..nt).map(|_| VecDeque::new()).collect(),
             staged: (0..ni).map(|_| VecDeque::new()).collect(),
             lock_owner: vec![None; nt],
@@ -280,14 +276,7 @@ impl DutView for TlmNode {
                 out.initiator[i].gnt = true;
                 self.rx[i].push(p.cell);
                 if p.cell.eop {
-                    let fresh = match self.spare.pop() {
-                        Some(cells) => cells,
-                        None => {
-                            self.cell_vecs += 1;
-                            self.spare.reserve(self.cell_vecs);
-                            Vec::new()
-                        }
-                    };
+                    let fresh = self.spare.pop().unwrap_or_default();
                     let cells = std::mem::replace(&mut self.rx[i], fresh);
                     self.enqueue_packet(i, cells);
                 }
