@@ -51,7 +51,7 @@ fn main() {
     println!("=== E1: configuration sweep (paper section 5) ===\n");
     println!("{}", report.table());
     println!(
-        "{} of {} configurations signed off   ({} runs total, {:.1}s)",
+        "{} of {} configurations signed off   ({} runs total)",
         report.signed_off_count(),
         report.configs.len(),
         report
@@ -59,7 +59,6 @@ fn main() {
             .iter()
             .map(|c| c.runs.len() * 2)
             .sum::<usize>(),
-        start.elapsed().as_secs_f64(),
     );
     for c in &report.configs {
         if let Some(cov) = &c.coverage_rtl {
