@@ -11,24 +11,19 @@
 //! cargo run -p stbus-bench --release --bin exp_alignment [intensity]
 //! ```
 
-use catg::{tests_lib, Testbench, TestbenchOptions};
-use stbus_bca::{BcaNode, Fidelity};
+use catg::cell::{port_rate, sum_ports};
+use catg::tests_lib;
+use regression::{run_regression, RegressionOptions};
+use stbus_bca::Fidelity;
 use stbus_protocol::NodeConfig;
-use stbus_rtl::RtlNode;
 
 fn main() {
     let intensity: usize = std::env::args()
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(30);
-    let config = NodeConfig::reference();
-    let bench = Testbench::new(
-        config.clone(),
-        TestbenchOptions {
-            capture_vcd: true,
-            ..TestbenchOptions::default()
-        },
-    );
+    let configs = [NodeConfig::reference()];
+    let tests = tests_lib::all(intensity);
 
     println!("=== E4: per-port RTL/BCA alignment (paper section 4) ===\n");
     let tel = telemetry::Telemetry::to_stderr(telemetry::Level::Info);
@@ -41,48 +36,32 @@ fn main() {
                 ("intensity", telemetry::Json::from(intensity)),
             ],
         );
-        let mut rtl = RtlNode::new(config.clone());
-        let mut bca = BcaNode::new(config.clone(), fidelity);
-        // Per-port aggregation across the whole campaign.
-        let mut matching: std::collections::BTreeMap<String, (u64, u64)> = Default::default();
-        let mut first_divergences = 0u64;
-        for spec in tests_lib::all(intensity) {
-            for seed in [1u64, 2] {
-                let a = bench.run(&mut rtl, &spec, seed);
-                let b = bench.run(&mut bca, &spec, seed);
-                assert!(
-                    a.passed() && b.passed(),
-                    "{}: both views must pass",
-                    spec.name
-                );
-                let report = stba::compare_vcd(
-                    a.vcd.as_ref().expect("captured"),
-                    b.vcd.as_ref().expect("captured"),
-                    catg::vcd_cycle_time(),
-                )
-                .expect("identical trees");
-                for p in &report.ports {
-                    let e = matching.entry(p.port.clone()).or_insert((0, 0));
-                    e.0 += p.matching_cycles;
-                    e.1 += p.total_cycles;
-                    if p.first_divergence.is_some() {
-                        first_divergences += 1;
-                    }
-                }
-            }
-        }
+        let options = RegressionOptions {
+            seeds: vec![1, 2],
+            fidelity,
+            ..RegressionOptions::default()
+        };
+        let report = run_regression(&configs, &tests, &options);
+        let outcome = &report.configs[0];
+        assert!(outcome.all_passed(), "both views must pass every test");
+        let compared: Vec<_> = outcome.runs.iter().flat_map(|r| &r.alignment).collect();
+        // A port-run diverges when any of its cycles mismatched.
+        let diverging = compared
+            .iter()
+            .flat_map(|ports| ports.iter())
+            .filter(|(_, m, t)| m < t)
+            .count();
         println!("BCA fidelity: {fidelity:?}");
         println!("  port     aligned cycles  total cycles   rate");
-        let mut min_rate: f64 = 1.0;
-        for (port, (m, t)) in &matching {
-            let rate = *m as f64 / *t as f64;
-            min_rate = min_rate.min(rate);
-            println!("  {:<8} {:>13} {:>13}  {:>8.3}%", port, m, t, rate * 100.0);
+        for (port, m, t) in sum_ports(compared) {
+            let rate = port_rate(m, t) * 100.0;
+            println!("  {port:<8} {m:>13} {t:>13}  {rate:>8.3}%");
         }
+        let min_rate = outcome.min_alignment().expect("every run compared");
         println!(
             "  min rate {:.3}%  diverging port-runs {}  sign-off(>=99%): {}\n",
             min_rate * 100.0,
-            first_divergences,
+            diverging,
             if min_rate >= 0.99 { "YES" } else { "NO" }
         );
     }

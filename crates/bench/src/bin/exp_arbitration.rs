@@ -10,7 +10,8 @@
 //! cargo run -p stbus-bench --release --bin exp_arbitration [intensity]
 //! ```
 
-use catg::{OpMix, TargetProfile, TestSpec, Testbench, TestbenchOptions, TrafficProfile};
+use catg::{OpMix, TargetProfile, TestSpec, TrafficProfile};
+use stbus_bench::run_view;
 use stbus_protocol::arbitration::ArbiterParams;
 use stbus_protocol::{
     ArbitrationKind, Architecture, NodeConfig, ProtocolType, TargetId, TransferSize, ViewKind,
@@ -97,9 +98,7 @@ fn main() {
             .max_outstanding(8)
             .build()
             .expect("valid");
-        let bench = Testbench::new(config.clone(), TestbenchOptions::default());
-        let mut dut = catg::build_view(&config, ViewKind::Bca);
-        let result = bench.run(dut.as_mut(), &spec, 7);
+        let result = run_view(&config, ViewKind::Bca, &spec, 7);
         assert!(result.passed(), "{policy}: {:?}", result.checker.violations);
         let lat = |i: usize| {
             let s = result.stats[i];

@@ -11,7 +11,8 @@
 //! cargo run -p stbus-bench --release --bin exp_architecture [intensity]
 //! ```
 
-use catg::{tests_lib, Testbench, TestbenchOptions};
+use catg::tests_lib;
+use stbus_bench::run_view;
 use stbus_protocol::{ArbitrationKind, Architecture, NodeConfig, ProtocolType, ViewKind};
 
 fn main() {
@@ -47,15 +48,13 @@ fn main() {
             .max_outstanding(4)
             .build()
             .expect("valid");
-        let bench = Testbench::new(config.clone(), TestbenchOptions::default());
-        let mut dut = catg::build_view(&config, ViewKind::Bca);
         // Saturating traffic spread over all targets.
         let spec = tests_lib::back_to_back(intensity);
         let mut cycles = 0u64;
         let mut tx = 0u64;
         let mut latency_sum = 0u64;
         for seed in [1u64, 2, 3] {
-            let result = bench.run(dut.as_mut(), &spec, seed);
+            let result = run_view(&config, ViewKind::Bca, &spec, seed);
             assert!(result.passed(), "{arch}: {:?}", result.checker.violations);
             cycles += result.cycles;
             tx += result.transactions;

@@ -2,124 +2,58 @@
 //! bugs on BCA models, not found using old environment of the past flow"
 //! (paper §5).
 //!
-//! For each catalogue bug: run the legacy write-then-read flow and the
-//! common environment (checkers + scoreboard + STBA alignment) against a
-//! BCA model with that bug injected, and tabulate who found it.
+//! The common environment's column is the mutation-qualification
+//! campaign's verdict on the five BCA catalogue entries (checkers,
+//! scoreboard, STBA alignment and coverage, attributed by
+//! [`mutation::Detector::attribute`]), the same rows `stbus-regress
+//! --qualify` prints. The legacy column runs the old write-then-read flow
+//! against each entry's mutated BCA view on the same configurations.
 //!
 //! ```text
 //! cargo run -p stbus-bench --release --bin exp_bugs
 //! ```
 
-use catg::{tests_lib, LegacyTestbench, Testbench, TestbenchOptions};
-use stbus_bca::{BcaBug, BcaNode, Fidelity};
-use stbus_protocol::{ArbitrationKind, Architecture, NodeConfig, ProtocolType};
-use stbus_rtl::RtlNode;
-
-struct Detection {
-    legacy: bool,
-    common: bool,
-    detector: String,
-}
-
-fn hunt(bug: BcaBug) -> Detection {
-    let configs = vec![
-        NodeConfig::reference(),
-        NodeConfig::builder("reference_t2")
-            .initiators(3)
-            .targets(2)
-            .bus_bytes(8)
-            .protocol(ProtocolType::Type2)
-            .architecture(Architecture::FullCrossbar)
-            .arbitration(ArbitrationKind::Lru)
-            .build()
-            .expect("valid"),
-    ];
-    let suite = tests_lib::all(25);
-    let mut legacy_found = false;
-    let mut common_found = false;
-    let mut detector = String::from("-");
-
-    for config in configs {
-        let mut node = BcaNode::new(config.clone(), Fidelity::Exact);
-        node.inject_bug(bug);
-        legacy_found |= !LegacyTestbench::new(config.clone()).run(&mut node).passed;
-        if common_found {
-            continue;
-        }
-        let bench = Testbench::new(
-            config.clone(),
-            TestbenchOptions {
-                capture_vcd: true,
-                ..TestbenchOptions::default()
-            },
-        );
-        // Quality metric 1: functional verification.
-        'outer: for spec in &suite {
-            for seed in [1u64, 2] {
-                let result = bench.run(&mut node, spec, seed);
-                if !result.passed() {
-                    common_found = true;
-                    detector = result
-                        .checker
-                        .violations
-                        .first()
-                        .map(|v| format!("{}", v.kind))
-                        .or_else(|| {
-                            (!result.scoreboard_errors.is_empty()).then(|| "scoreboard".into())
-                        })
-                        .unwrap_or_else(|| "harness anomaly".into());
-                    break 'outer;
-                }
-            }
-        }
-        // Quality metric 2: bus-accurate comparison.
-        if !common_found {
-            let mut rtl = RtlNode::new(config.clone());
-            let spec = tests_lib::lru_fairness(25);
-            let a = bench.run(&mut rtl, &spec, 1);
-            let b = bench.run(&mut node, &spec, 1);
-            if let (Some(va), Some(vb)) = (&a.vcd, &b.vcd) {
-                if let Ok(r) = stba::compare_vcd(va, vb, catg::vcd_cycle_time()) {
-                    if !r.signed_off(0.99) {
-                        common_found = true;
-                        detector = format!("STBA alignment ({:.1}%)", r.min_rate() * 100.0);
-                    }
-                }
-            }
-        }
-    }
-    Detection {
-        legacy: legacy_found,
-        common: common_found,
-        detector,
-    }
-}
+use catg::tests_lib::qualification::qualification_configs;
+use catg::LegacyTestbench;
+use mutation::{catalogue, run_qualification, CatalogueEntry, Mutation, QualifyOptions};
 
 fn main() {
+    let configs = qualification_configs();
+    let tel = telemetry::Telemetry::to_stderr(telemetry::Level::Info);
+    tel.info(
+        "exp.bugs",
+        "running the qualification campaign",
+        [("configs", telemetry::Json::from(configs.len()))],
+    );
+    let report = run_qualification(&QualifyOptions::default());
+
     println!("=== E2: five injected BCA bugs (paper section 5) ===\n");
     println!(
         "{:<4} {:<52} {:<12} {:<11} detector",
         "bug", "description", "legacy flow", "common env"
     );
-    let tel = telemetry::Telemetry::to_stderr(telemetry::Level::Info);
     let mut legacy_total = 0;
     let mut common_total = 0;
-    for bug in BcaBug::ALL {
-        tel.info(
-            "exp.bugs",
-            "hunting injected bug",
-            [("bug", telemetry::Json::from(bug.label()))],
-        );
-        let d = hunt(bug);
-        legacy_total += usize::from(d.legacy);
-        common_total += usize::from(d.common);
+    for (entry, outcome) in catalogue().into_iter().zip(&report.outcomes) {
+        if !matches!(entry, CatalogueEntry::Bca(_)) {
+            continue;
+        }
+        let legacy = configs.iter().any(|config| {
+            let mut dut = entry.build_mutated(config);
+            !LegacyTestbench::new(config.clone())
+                .run(dut.as_mut())
+                .passed
+        });
+        let common = outcome.detector.is_some();
+        legacy_total += usize::from(legacy);
+        common_total += usize::from(common);
         println!(
             "{:<4} {:<52} {:<12} {:<11} {}",
-            bug.label(),
-            bug.description(),
-            if d.legacy { "FOUND" } else { "missed" },
-            if d.common { "FOUND" } else { "missed" },
-            d.detector
+            outcome.label,
+            outcome.description,
+            if legacy { "FOUND" } else { "missed" },
+            if common { "FOUND" } else { "missed" },
+            outcome.detector.map_or("-".to_owned(), |d| d.to_string())
         );
     }
     println!();

@@ -9,11 +9,9 @@
 //! cargo run -p stbus-bench --release --bin exp_coverage [intensity]
 //! ```
 
-use catg::{tests_lib, CoverageReport, Testbench, TestbenchOptions};
+use regression::{run_regression, RegressionOptions};
 use signoff::{JustifiedCoverage, WaiverFile};
-use stbus_bca::{BcaNode, Fidelity};
 use stbus_protocol::NodeConfig;
-use stbus_rtl::RtlNode;
 
 fn main() {
     let intensity: usize = std::env::args()
@@ -21,35 +19,23 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(30);
     let config = NodeConfig::reference();
-    let bench = Testbench::new(config.clone(), TestbenchOptions::default());
-    let mut rtl = RtlNode::new(config.clone());
-    let mut bca = BcaNode::new(config.clone(), Fidelity::Relaxed);
-
     let tel = telemetry::Telemetry::to_stderr(telemetry::Level::Info);
-    let mut cov_rtl: Option<CoverageReport> = None;
-    let mut cov_bca: Option<CoverageReport> = None;
-    for spec in tests_lib::all(intensity) {
-        tel.info(
-            "exp.coverage",
-            "running test on both views",
-            [("test", telemetry::Json::from(spec.name.as_str()))],
-        );
-        for seed in [1u64, 2, 3] {
-            let a = bench.run(&mut rtl, &spec, seed);
-            let b = bench.run(&mut bca, &spec, seed);
-            assert!(a.passed() && b.passed(), "{} must pass", spec.name);
-            match &mut cov_rtl {
-                Some(c) => c.merge(&a.coverage),
-                None => cov_rtl = Some(a.coverage.clone()),
-            }
-            match &mut cov_bca {
-                Some(c) => c.merge(&b.coverage),
-                None => cov_bca = Some(b.coverage.clone()),
-            }
-        }
-    }
-    let cov_rtl = cov_rtl.expect("ran");
-    let cov_bca = cov_bca.expect("ran");
+    tel.info(
+        "exp.coverage",
+        "running the suite on both views",
+        [("intensity", telemetry::Json::from(intensity))],
+    );
+    let options = RegressionOptions {
+        seeds: vec![1, 2, 3],
+        compare_waveforms: false,
+        ..RegressionOptions::default()
+    };
+    let tests = catg::tests_lib::all(intensity);
+    let report = run_regression(std::slice::from_ref(&config), &tests, &options);
+    let outcome = &report.configs[0];
+    assert!(outcome.all_passed(), "every test must pass on both views");
+    let cov_rtl = outcome.coverage_rtl.as_ref().expect("ran");
+    let cov_bca = outcome.coverage_bca.as_ref().expect("ran");
 
     println!("=== E6: coverage goals (paper section 4) ===\n");
     println!("functional coverage, RTL view:");
@@ -63,7 +49,7 @@ fn main() {
 
     // Code coverage exists only for the RTL view — exactly the asymmetry
     // the paper describes.
-    let code = rtl.activity_coverage();
+    let code = outcome.code_coverage_rtl.as_ref().expect("ran");
     println!("\ncode (structural) coverage — RTL view only:");
     println!(
         "  processes exercised: {:.1}%   branch points hit: {:.1}%",
@@ -82,7 +68,7 @@ fn main() {
     waivers
         .validate(&config)
         .expect("the generated template validates against the netlist");
-    let gate = JustifiedCoverage::new(&code, &config, &waivers);
+    let gate = JustifiedCoverage::new(code, &config, &waivers);
     for j in &gate.justified {
         println!(
             "  JUSTIFIED {} — predicate `{}`, owner `{}`",

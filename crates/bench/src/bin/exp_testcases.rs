@@ -9,7 +9,8 @@
 //! cargo run -p stbus-bench --release --bin exp_testcases [intensity]
 //! ```
 
-use catg::{tests_lib, CoverageReport, Testbench, TestbenchOptions};
+use catg::{tests_lib, CoverageReport};
+use stbus_bench::run_view;
 use stbus_protocol::{NodeConfig, ViewKind};
 
 fn main() {
@@ -18,8 +19,6 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(30);
     let config = NodeConfig::reference();
-    let bench = Testbench::new(config.clone(), TestbenchOptions::default());
-    let mut dut = catg::build_view(&config, ViewKind::Bca);
 
     println!("=== E3: the twelve test cases (paper section 5) ===\n");
     println!(
@@ -41,7 +40,7 @@ fn main() {
         let mut passed = true;
         let mut tx = 0;
         for seed in [1u64, 2, 3] {
-            let result = bench.run(dut.as_mut(), spec, seed);
+            let result = run_view(&config, ViewKind::Bca, spec, seed);
             passed &= result.passed();
             tx += result.transactions;
             match &mut own {

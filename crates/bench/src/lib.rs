@@ -6,8 +6,21 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use stbus_protocol::{DutInputs, DutView};
+use catg::cell::{run_cell, CellSpec, Compare};
+use catg::{RunResult, TestSpec, ViewSpec};
+use stbus_protocol::{DutInputs, DutView, NodeConfig, ViewKind};
 use std::time::Instant;
+use telemetry::Telemetry;
+
+/// Runs `test` under `seed` on the clean `kind` view of `config` as a
+/// one-view cell, through the cell path every campaign mode uses
+/// ([`catg::cell::run_cell`]).
+pub fn run_view(config: &NodeConfig, kind: ViewKind, test: &TestSpec, seed: u64) -> RunResult {
+    let views = vec![(ViewSpec::of(kind), Compare::None)];
+    let cell = CellSpec::new(config.clone(), test.clone(), seed, views);
+    let mut outcome = run_cell(&cell, &Telemetry::disabled());
+    outcome.runs.pop().expect("one view").result
+}
 
 /// Walltime and simulated cycles of one measured run.
 #[derive(Clone, Copy, Debug, PartialEq)]

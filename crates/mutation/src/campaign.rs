@@ -295,39 +295,7 @@ pub fn run_qualification(options: &QualifyOptions) -> QualificationReport {
             }
         }
 
-        // Campaign-level attribution: the strongest detector *class* wins
-        // (a protocol rule names the defect more precisely than the
-        // scoreboard, which beats the indirect alignment/coverage
-        // evidence); within that class the modal detector is reported, so
-        // one odd cell — a tid corruption that happens to collide with
-        // another outstanding transaction and trips R-RSP-LEN instead of
-        // R-TID — cannot steal the attribution from the designed catch.
-        // Ties break to the first detection in matrix order.
-        let detector = detections
-            .iter()
-            .map(|det| det.detector)
-            .min_by_key(|det| det.precedence())
-            .map(|strongest| {
-                let class = strongest.precedence();
-                let mut counts: Vec<(Detector, usize)> = Vec::new();
-                for det in detections.iter().map(|det| det.detector) {
-                    if det.precedence() != class {
-                        continue;
-                    }
-                    match counts.iter_mut().find(|(d, _)| *d == det) {
-                        Some((_, n)) => *n += 1,
-                        None => counts.push((det, 1)),
-                    }
-                }
-                // Strict `>` keeps the first-seen detector on ties.
-                let mut best = (strongest, 0usize);
-                for &(d, n) in &counts {
-                    if n > best.1 {
-                        best = (d, n);
-                    }
-                }
-                best.0
-            });
+        let detector = Detector::attribute(detections.iter().map(|det| det.detector));
 
         if detector.is_some() && !d.entry.is_control() {
             tel.metrics().counter("mutation.killed").inc();

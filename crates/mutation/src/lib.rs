@@ -121,6 +121,39 @@ impl Detector {
             Detector::Coverage => 5,
         }
     }
+
+    /// Campaign-level attribution of a mutation from its detections, in
+    /// matrix order: the strongest detector *class* wins (see
+    /// [`Detector::precedence`]); within that class the most frequent
+    /// detector is reported, so one odd cell — a tid corruption that
+    /// happens to collide with another outstanding transaction and trips
+    /// R-RSP-LEN instead of R-TID — cannot steal the attribution from the
+    /// designed catch. Ties go to the detector seen first. `None` when
+    /// nothing fired.
+    pub fn attribute(detections: impl IntoIterator<Item = Detector>) -> Option<Detector> {
+        // Per-detector counts of the strongest class so far, first seen
+        // first.
+        let mut counts: Vec<(Detector, usize)> = Vec::new();
+        for det in detections {
+            if let Some(&(first, _)) = counts.first() {
+                if det.precedence() > first.precedence() {
+                    continue;
+                }
+                if det.precedence() < first.precedence() {
+                    counts.clear();
+                }
+            }
+            match counts.iter_mut().find(|(d, _)| *d == det) {
+                Some((_, n)) => *n += 1,
+                None => counts.push((det, 1)),
+            }
+        }
+        // Strict `>` keeps the first-seen detector on ties.
+        let best = counts
+            .into_iter()
+            .reduce(|best, c| if c.1 > best.1 { c } else { best });
+        best.map(|(d, _)| d)
+    }
 }
 
 impl fmt::Display for Detector {
@@ -287,6 +320,29 @@ pub fn catalogue() -> Vec<CatalogueEntry> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn attribution_reports_the_modal_detector_of_the_strongest_class() {
+        let tid = Detector::Checker(RuleId::TidMatch);
+        let rsp_len = Detector::Checker(RuleId::RspLength);
+        assert_eq!(Detector::attribute([rsp_len, tid, tid]), Some(tid));
+        assert_eq!(Detector::attribute([]), None);
+    }
+
+    #[test]
+    fn attribution_ties_keep_the_first_detector_seen() {
+        let tid = Detector::Checker(RuleId::TidMatch);
+        let rsp_len = Detector::Checker(RuleId::RspLength);
+        assert_eq!(Detector::attribute([rsp_len, tid]), Some(rsp_len));
+        assert_eq!(Detector::attribute([tid, rsp_len]), Some(tid));
+    }
+
+    #[test]
+    fn one_checker_hit_outranks_three_alignment_hits() {
+        let be = Detector::Checker(RuleId::ByteEnable);
+        let align = Detector::Alignment;
+        assert_eq!(Detector::attribute([align, align, align, be]), Some(be));
+    }
 
     #[test]
     fn catalogue_has_three_controls_and_thirteen_mutations() {
