@@ -33,6 +33,10 @@ use stbus_protocol::{
 };
 use std::fmt;
 
+/// Cycles one directed operation may take before it fails with
+/// [`SequenceError::Timeout`].
+const OP_TIMEOUT: u64 = 1000;
+
 /// Why a directed operation failed.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum SequenceError {
@@ -89,7 +93,6 @@ pub struct SequenceRunner {
     initiator: usize,
     tid: u8,
     cycle: u64,
-    timeout: u64,
 }
 
 impl SequenceRunner {
@@ -110,7 +113,6 @@ impl SequenceRunner {
             initiator: 0,
             tid: 0,
             cycle: 0,
-            timeout: 1000,
             config,
         }
     }
@@ -121,19 +123,9 @@ impl SequenceRunner {
         self.initiator = port;
     }
 
-    /// Overrides the per-operation cycle budget (default 1000).
-    pub fn set_timeout(&mut self, cycles: u64) {
-        self.timeout = cycles.max(1);
-    }
-
     /// Cycles simulated so far.
     pub fn cycles(&self) -> u64 {
         self.cycle
-    }
-
-    /// Recovers the wrapped view.
-    pub fn into_dut(self) -> Box<dyn DutView> {
-        self.dut
     }
 
     /// Writes `data` at `addr` (length must be a legal transfer size).
@@ -189,7 +181,7 @@ impl SequenceRunner {
         )?;
         let mut cell_idx = 0usize;
         let mut rsp: Vec<RspCell> = Vec::new();
-        let deadline = self.cycle + self.timeout;
+        let deadline = self.cycle + OP_TIMEOUT;
         while self.cycle < deadline {
             let mut inputs = DutInputs::idle(&self.config);
             inputs.initiator[self.initiator].r_gnt = true;
@@ -234,9 +226,7 @@ impl SequenceRunner {
                 }
             }
         }
-        Err(SequenceError::Timeout {
-            cycles: self.timeout,
-        })
+        Err(SequenceError::Timeout { cycles: OP_TIMEOUT })
     }
 }
 

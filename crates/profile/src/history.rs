@@ -64,7 +64,7 @@ pub struct CampaignShape {
 pub struct HistoryRecord {
     /// Content key — equal keys mean comparable workloads.
     pub key: String,
-    /// What produced the record (`regress`, `bench`, ...).
+    /// What produced the record (`regress`).
     pub source: String,
     /// Engine version that ran the campaign.
     pub engine_version: String,

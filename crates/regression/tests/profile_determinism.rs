@@ -3,13 +3,14 @@
 //! timings are stripped, and the Chrome trace export must honor the
 //! B/E pairing contract.
 
+use sim_kernel::SimBackend;
 use stbus_protocol::NodeConfig;
 use stbus_regression::{run_regression, standard_configs, RegressionOptions};
 use telemetry::{MemorySink, Telemetry};
 
-/// Runs a small-but-interleaving campaign (8 cells) and returns the
-/// captured telemetry events.
-fn campaign_events(jobs: usize) -> Vec<telemetry::Event> {
+/// Runs a small-but-interleaving campaign (8 cells) with the RTL view on
+/// `engine` and returns the captured telemetry events.
+fn campaign_events(jobs: usize, engine: SimBackend) -> Vec<telemetry::Event> {
     let configs: Vec<NodeConfig> = vec![NodeConfig::reference(), standard_configs()[5].clone()];
     let tests = vec![
         catg::tests_lib::basic_read_write(6),
@@ -20,6 +21,7 @@ fn campaign_events(jobs: usize) -> Vec<telemetry::Event> {
     let options = RegressionOptions {
         seeds: vec![1, 2],
         jobs,
+        engine,
         telemetry: tel.clone(),
         ..RegressionOptions::default()
     };
@@ -33,8 +35,14 @@ fn stripped_profile_is_byte_identical_across_worker_counts() {
     let opts = profile::ProfileOptions {
         group_by: vec!["config".to_owned()],
     };
-    let mut serial = profile::build_profile(&profile::collect_spans(&campaign_events(1)), &opts);
-    let mut parallel = profile::build_profile(&profile::collect_spans(&campaign_events(4)), &opts);
+    let mut serial = profile::build_profile(
+        &profile::collect_spans(&campaign_events(1, SimBackend::Event)),
+        &opts,
+    );
+    let mut parallel = profile::build_profile(
+        &profile::collect_spans(&campaign_events(4, SimBackend::Event)),
+        &opts,
+    );
 
     // Live profiles differ (wall clock is never reproducible)...
     assert_ne!(serial.render_text(), parallel.render_text());
@@ -62,7 +70,7 @@ fn stripped_profile_is_byte_identical_across_worker_counts() {
 
 #[test]
 fn campaign_trace_export_pairs_and_orders_correctly() {
-    let events = campaign_events(4);
+    let events = campaign_events(4, SimBackend::Event);
     let spans = profile::collect_spans(&events);
     assert!(!spans.is_empty());
 
@@ -82,20 +90,39 @@ fn campaign_trace_export_pairs_and_orders_correctly() {
     assert!(stats.max_depth >= 3, "max depth: {}", stats.max_depth);
 }
 
+/// The per-layer split `stbus-regress --profile` records and `history`
+/// compares: the kernel's `settle`/`eval`, the check phase and its five
+/// sub-layers, trace capture, comparison and assembly, on either engine.
 #[test]
 fn phase_totals_cover_the_history_buckets() {
-    let events = campaign_events(2);
-    let spans = profile::collect_spans(&events);
-    let profile = profile::build_profile(&spans, &profile::ProfileOptions::default());
-    let phases = profile.phase_totals();
-    for bucket in ["settle", "drive", "check", "vcd", "compare", "merge"] {
-        assert!(
-            phases.contains_key(bucket),
-            "missing phase bucket `{bucket}` in {:?}",
-            phases.keys().collect::<Vec<_>>()
-        );
+    for engine in [SimBackend::Event, SimBackend::Compiled] {
+        let events = campaign_events(2, engine);
+        let spans = profile::collect_spans(&events);
+        let profile = profile::build_profile(&spans, &profile::ProfileOptions::default());
+        let phases = profile.phase_totals();
+        for bucket in [
+            "settle",
+            "eval",
+            "drive",
+            "check",
+            "check:bfm",
+            "check:monitor",
+            "check:checker",
+            "check:coverage",
+            "check:scoreboard",
+            "vcd",
+            "compare",
+            "merge",
+        ] {
+            assert!(
+                phases.contains_key(bucket),
+                "{engine:?}: missing phase bucket `{bucket}` in {:?}",
+                phases.keys().collect::<Vec<_>>()
+            );
+        }
+        // The dominant simulation phases actually accumulated time.
+        assert!(phases["settle"] > 0, "{engine:?}");
+        assert!(phases["check"] > 0, "{engine:?}");
+        assert!(phases["compare"] > 0, "{engine:?}");
     }
-    // The dominant simulation phases actually accumulated time.
-    assert!(phases["settle"] > 0);
-    assert!(phases["compare"] > 0);
 }
