@@ -31,12 +31,11 @@ fn main() {
         "clean campaign",
         [("budget", telemetry::Json::from(16u64))],
     );
-    let mut clean = run_hunt(&HuntOptions {
+    let clean = run_hunt(&HuntOptions {
         budget: 16,
         campaign_seed: 1,
         ..HuntOptions::default()
     });
-    clean.strip_timings();
     println!("--- clean hunt (16 probes, campaign seed 1, no seeded defects) ---");
     println!("{}", clean.table());
     assert_eq!(
@@ -63,8 +62,7 @@ fn main() {
         "seeded campaign",
         [("inject", telemetry::Json::from("R2"))],
     );
-    let mut seeded = run_hunt(&seeded_options(1));
-    seeded.strip_timings();
+    let seeded = run_hunt(&seeded_options(1));
     println!("--- seeded hunt (8 probes, campaign seed 1, inject R2) ---");
     println!("{}", seeded.table());
     assert!(
@@ -116,12 +114,11 @@ fn main() {
     );
 
     // Worker-count invariance: jobs=4 reproduces jobs=1 byte-for-byte.
-    let mut wide = run_hunt(&seeded_options(4));
-    wide.strip_timings();
+    let wide = run_hunt(&seeded_options(4));
     assert_eq!(
         seeded.hunt_json().render_pretty(),
         wide.hunt_json().render_pretty(),
-        "the stripped report must not depend on --jobs"
+        "the report must not depend on --jobs"
     );
     println!("  determinism   : --jobs 1 and --jobs 4 reports byte-identical");
 

@@ -33,8 +33,7 @@ fn main() {
     };
 
     println!("=== E13: three views of one node through one environment ===\n");
-    let mut report = run_regression(&configs, &tests, &options);
-    report.strip_timings();
+    let report = run_regression(&configs, &tests, &options);
 
     for outcome in &report.configs {
         let runs = outcome.runs.len();

@@ -21,7 +21,6 @@ use stba::{compare_trace_transactions_with, compare_traces_with, AlignmentReport
 use stbus_protocol::{DutView, NodeConfig};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::time::Instant;
 use telemetry::{Json, Telemetry};
 
 /// Per-port `(port, matching, total)` figures of one comparison.
@@ -97,12 +96,9 @@ pub struct ViewRun {
     pub cycle: Option<PortFigures>,
     /// Transaction-order alignment against the first view, when compared.
     pub transactions: Option<PortFigures>,
-    // Both clocks exist only because `RunRecord::*_wall_us` still does;
-    // they leave with it (ROADMAP item 4).
-    /// Wall-clock microseconds of the run.
-    pub wall_us: u64,
-    /// Wall-clock microseconds of this view's comparisons, when any ran.
-    pub compare_wall_us: Option<u64>,
+    /// Whether this view's comparisons ran (a comparison that could not
+    /// align the traces leaves its figures `None` but still counts).
+    pub compared: bool,
 }
 
 impl ViewRun {
@@ -251,9 +247,7 @@ pub fn run_cell(spec: &CellSpec, tel: &Telemetry) -> CellOutcome {
         if spec.attach_metrics {
             dut.attach_metrics(tel.metrics());
         }
-        let started = Instant::now();
         let result = bench.run(dut, &spec.test, spec.seed);
-        let wall_us = started.elapsed().as_micros() as u64;
         if let Some(span) = span {
             let passed = Json::from(result.passed());
             span.end([("cycles", Json::from(result.cycles)), ("passed", passed)]);
@@ -265,8 +259,7 @@ pub fn run_cell(spec: &CellSpec, tel: &Telemetry) -> CellOutcome {
             result,
             cycle: None,
             transactions: None,
-            wall_us,
-            compare_wall_us: None,
+            compared: false,
         });
         used.push(kept_view);
     }
@@ -291,14 +284,13 @@ pub fn run_cell(spec: &CellSpec, tel: &Telemetry) -> CellOutcome {
             let (Some(a), Some(b)) = (&first.result.trace, &run.result.trace) else {
                 continue;
             };
-            let started = Instant::now();
             if matches!(compare, Compare::Cycle | Compare::Both) {
                 run.cycle = compare_traces_with(a, b, tel).ok().map(figures);
             }
             if matches!(compare, Compare::Transactions | Compare::Both) {
                 run.transactions = compare_trace_transactions_with(a, b, tel).ok().map(figures);
             }
-            run.compare_wall_us = Some(started.elapsed().as_micros() as u64);
+            run.compared = true;
         }
     }
     CellOutcome { runs, rtl_activity }
@@ -347,20 +339,16 @@ mod tests {
         let gated = run_cell(&spec, &Telemetry::disabled());
         assert!(!gated.runs[1].result.passed());
         assert!(gated.runs[1].cycle.is_none());
-        assert!(gated.runs[1].compare_wall_us.is_none());
+        assert!(!gated.runs[1].compared);
         spec.gated = false;
         let ungated = run_cell(&spec, &Telemetry::disabled());
         assert!(ungated.runs[1].cycle.is_some());
+        assert!(ungated.runs[1].compared);
     }
 
-    /// Everything a cell produced except its wall clocks.
+    /// Everything a cell produced.
     fn digest(outcome: &CellOutcome) -> String {
-        let runs: Vec<_> = outcome
-            .runs
-            .iter()
-            .map(|r| (format!("{:?}", r.result), &r.cycle, &r.transactions))
-            .collect();
-        format!("{runs:?} {:?}", outcome.rtl_activity)
+        format!("{outcome:?}")
     }
 
     /// One cell's digest, metrics snapshot and, per view, whether its

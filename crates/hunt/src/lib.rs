@@ -20,7 +20,8 @@
 //! `(campaign_seed, budget)`: probes are drawn from hashed per-index RNG
 //! streams, the fan-out preserves probe order for any worker count, and
 //! shrinking is serial and greedy with a fixed candidate order — so
-//! `hunt.json` is byte-identical for `--jobs 1` and `--jobs 8`.
+//! `hunt.json` is byte-identical for `--jobs 1` and `--jobs 8`. It holds
+//! no clock: the campaign's time lives in its `hunt.campaign` span.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,7 +33,6 @@ pub use mutation::promoted::{Repro, REPRO_SCHEMA};
 pub use probe::{draw_probe, run_probe, Finding, Injections, Probe};
 pub use shrink::{config_reductions, shrink, ShrinkResult};
 
-use std::time::Instant;
 use telemetry::{Json, Telemetry};
 
 /// Schema tag written into every `hunt.json`.
@@ -103,20 +103,12 @@ pub struct HuntReport {
     pub repros: Vec<Repro>,
     /// Total shrink re-validations spent.
     pub shrink_evaluations: usize,
-    /// Wall-clock; `None` after [`HuntReport::strip_timings`].
-    pub elapsed_ms: Option<u64>,
 }
 
 impl HuntReport {
     /// Number of divergent probes (shrunk or not).
     pub fn divergences(&self) -> usize {
         self.probes.iter().filter(|p| p.detector.is_some()).count()
-    }
-
-    /// Removes wall-clock content so the report is byte-identical across
-    /// machines and worker counts (`--deterministic`).
-    pub fn strip_timings(&mut self) {
-        self.elapsed_ms = None;
     }
 
     /// The machine-readable `hunt.json` form ([`HUNT_SCHEMA`]).
@@ -160,7 +152,6 @@ impl HuntReport {
                 Json::Arr(self.repros.iter().map(Repro::to_json).collect()),
             ),
             ("shrink_evaluations", Json::from(self.shrink_evaluations)),
-            ("elapsed_ms", Json::from(self.elapsed_ms)),
         ])
     }
 
@@ -204,7 +195,6 @@ impl HuntReport {
 /// Runs one budgeted hunt campaign: draw, fan out, classify, shrink.
 pub fn run_hunt(options: &HuntOptions) -> HuntReport {
     let tel = &options.telemetry;
-    let started = Instant::now();
     let campaign_span = tel
         .span("hunt.campaign")
         .field("budget", Json::from(options.budget))
@@ -285,7 +275,6 @@ pub fn run_hunt(options: &HuntOptions) -> HuntReport {
         probes,
         repros,
         shrink_evaluations,
-        elapsed_ms: Some(started.elapsed().as_millis() as u64),
     };
     campaign_span.end([
         ("divergences", Json::from(report.divergences())),
@@ -350,10 +339,8 @@ mod tests {
 
     #[test]
     fn hunt_json_is_byte_identical_across_worker_counts() {
-        let mut serial = run_hunt(&seeded_options(1));
-        let mut parallel = run_hunt(&seeded_options(4));
-        serial.strip_timings();
-        parallel.strip_timings();
+        let serial = run_hunt(&seeded_options(1));
+        let parallel = run_hunt(&seeded_options(4));
         let a = serial.hunt_json().render_pretty();
         let b = parallel.hunt_json().render_pretty();
         assert_eq!(a, b);

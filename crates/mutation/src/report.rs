@@ -89,7 +89,8 @@ impl MutationOutcome {
 pub struct QualificationReport {
     /// One verdict per catalogue entry (controls included).
     pub outcomes: Vec<MutationOutcome>,
-    /// Campaign wall-clock microseconds.
+    /// Always 0: the campaign's time lives in its `mutation.campaign`
+    /// span.
     pub wall_us: u64,
     /// Snapshot of every metric recorded during the campaign.
     pub metrics: telemetry::MetricsSnapshot,
@@ -131,9 +132,8 @@ impl QualificationReport {
         self.mutation_score() == 1.0 && self.attribution_issues().is_empty()
     }
 
-    /// Zeroes the wall-clock field; everything else in the report is a
-    /// pure function of the campaign inputs, so a stripped report renders
-    /// byte-identical tables and manifests for any worker count.
+    /// Zeroes the wall-clock field, which a report from
+    /// [`crate::run_qualification`] already leaves at 0.
     pub fn strip_timings(&mut self) {
         self.wall_us = 0;
     }

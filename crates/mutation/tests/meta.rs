@@ -45,10 +45,8 @@ fn clean_controls_come_out_with_zero_detections() {
 
 #[test]
 fn qualification_json_is_identical_for_any_worker_count() {
-    let mut serial = run_qualification(&tiny_options(1));
-    let mut parallel = run_qualification(&tiny_options(4));
-    serial.strip_timings();
-    parallel.strip_timings();
+    let serial = run_qualification(&tiny_options(1));
+    let parallel = run_qualification(&tiny_options(4));
     assert_eq!(
         serial.qualification_json().render_pretty(),
         parallel.qualification_json().render_pretty(),
@@ -59,8 +57,7 @@ fn qualification_json_is_identical_for_any_worker_count() {
 
 #[test]
 fn qualification_json_parses_and_mirrors_the_report() {
-    let mut report = run_qualification(&tiny_options(0));
-    report.strip_timings();
+    let report = run_qualification(&tiny_options(0));
     let rendered = report.qualification_json().render_pretty();
     let parsed = Json::parse(&rendered).expect("valid JSON");
     assert_eq!(

@@ -357,13 +357,12 @@ impl Profile {
     }
 
     /// Folded-stacks output for flamegraph tooling: one
-    /// `root;child;leaf <self_us>` line per node with nonzero self time,
-    /// sorted lexically.
+    /// `root;child;leaf <self_us>` line per node, sorted lexically. A node
+    /// without self time reads 0 rather than being left out, so the
+    /// stacks listed are the tree's shape: the same for any worker count.
     pub fn render_folded(&self) -> String {
         fn walk(lines: &mut Vec<String>, path: &str, node: &ProfileNode) {
-            if node.self_us > 0 {
-                lines.push(format!("{path} {}", node.self_us));
-            }
+            lines.push(format!("{path} {}", node.self_us));
             for (child_name, child) in &node.children {
                 walk(lines, &format!("{path};{child_name}"), child);
             }
@@ -588,7 +587,13 @@ mod tests {
         ];
         let p = build_profile(&spans, &ProfileOptions::default());
         let folded = p.render_folded();
-        assert!(folded.contains("a 70"));
-        assert!(folded.contains("a;b 30"));
+        assert_eq!(folded, "a 70\na;b 30\n");
+        // A node whose children cover it is still listed.
+        let spans = vec![
+            span(1, None, "a", 0, 0, 30),
+            span(2, Some(1), "b", 0, 0, 30),
+        ];
+        let folded = build_profile(&spans, &ProfileOptions::default()).render_folded();
+        assert_eq!(folded, "a 0\na;b 30\n");
     }
 }

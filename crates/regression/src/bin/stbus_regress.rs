@@ -8,22 +8,21 @@
 //!
 //! ```text
 //! stbus-regress [--configs DIR] [--out DIR] [--seeds N] [--intensity N]
-//!               [--jobs N] [--engine event|compiled] [--deterministic]
+//!               [--jobs N] [--engine event|compiled]
 //!               [--views rtl,bca[,tlm]] [--no-compare] [--exact]
 //!               [--cache] [--cache-dir DIR] [--cache-max-entries N]
 //!               [--cache-max-bytes N] [--profile] [--trace-out FILE]
 //!               [--no-history] [--history-dir DIR]
 //! stbus-regress --client SOCKET [--configs DIR] [--seeds N] [--intensity N]
 //!               [--engine event|compiled] [--views rtl,bca[,tlm]]
-//!               [--no-compare] [--deterministic] [--out DIR]
+//!               [--no-compare] [--out DIR]
 //! stbus-regress --serve SOCKET [--cache-dir DIR] [--cache-max-entries N]
 //!               [--cache-max-bytes N] [--jobs N]
 //! stbus-regress --qualify [--seeds N] [--intensity N] [--jobs N]
-//!               [--deterministic] [--out DIR] [--hunts-dir DIR]
+//!               [--out DIR] [--hunts-dir DIR]
 //! stbus-regress --hunt [--hunt-budget N] [--hunt-seed N]
 //!               [--hunt-inject LABEL[,LABEL]] [--hunt-shrink N]
-//!               [--hunt-shrink-budget N] [--jobs N] [--deterministic]
-//!               [--out DIR]
+//!               [--hunt-shrink-budget N] [--jobs N] [--out DIR]
 //! stbus-regress --hunt-replay FILE
 //! stbus-regress --hunt-promote FILE [--hunts-dir DIR]
 //! stbus-regress --close-coverage [--configs DIR] [--batch N] [--budget N]
@@ -31,7 +30,8 @@
 //! stbus-regress --signoff [--configs DIR] [--waivers FILE]
 //!               [--from-closure FILE] [--exact] [--seeds N] [--intensity N]
 //!               [--jobs N] [--out DIR]
-//! stbus-regress history [--baseline N] [--max-regression PCT] [--dir DIR]
+//! stbus-regress history [--baseline N] [--max-regression PCT]
+//!               [--history-dir DIR]
 //! ```
 //!
 //! Two pairs are rejected even inside one mode, because the first flag
@@ -48,8 +48,10 @@
 //! directory to which the tool has to point"); otherwise the built-in
 //! sweep of more than 36 configurations runs. `--jobs N` fans cells out across N
 //! workers (0 = one per hardware thread); results are reassembled in
-//! matrix order, and `--deterministic` zeroes wall-clock fields so every
-//! artifact is byte-identical across runs and worker counts. `--engine`
+//! matrix order. No report holds a clock (time lives only in the spans
+//! behind `--profile`, `--trace-out`, `--log-file` and the history
+//! record), so every artifact but `cache_stats.json` is byte-identical
+//! across runs, worker counts and cold or warm cell stores. `--engine`
 //! picks the RTL backend (event-driven reference or levelized compiled;
 //! same reports). `--cache` (or any `--cache-*` flag) consults the
 //! content-addressed cell store (default `.stbus/cell-cache`) and writes
@@ -83,9 +85,10 @@
 //! `signoff.json`; it exits 2 on an invalid waiver file and 1 on a failed
 //! gate.
 //!
-//! **history** prints the campaign trend and compares the latest record
-//! with the `--baseline`-th prior one sharing its content key, exiting 1
-//! when a phase slowed beyond `--max-regression` percent (default 20).
+//! **history** prints the campaign trend of the store under
+//! `--history-dir` and compares the latest record with the
+//! `--baseline`-th prior one sharing its content key, exiting 1 when a
+//! phase slowed beyond `--max-regression` percent (default 20).
 
 use stbus_bca::Fidelity;
 use stbus_protocol::NodeConfig;
@@ -151,7 +154,7 @@ const MODES: &[ModeSpec] = &[
         mode: Mode::Regress,
         select: "",
         operand: "",
-        flags: "--configs --out --seeds --intensity --jobs --engine --deterministic --views \
+        flags: "--configs --out --seeds --intensity --jobs --engine --views \
                 --no-compare --exact --cache --cache-dir --cache-max-entries --cache-max-bytes \
                 --profile --trace-out --no-history --history-dir",
         run: regress,
@@ -161,7 +164,7 @@ const MODES: &[ModeSpec] = &[
         select: "--client",
         operand: "SOCKET",
         // Not --exact: the daemon protocol has no fidelity field.
-        flags: "--configs --seeds --intensity --engine --views --no-compare --deterministic --out",
+        flags: "--configs --seeds --intensity --engine --views --no-compare --out",
         run: client,
     },
     ModeSpec {
@@ -175,7 +178,7 @@ const MODES: &[ModeSpec] = &[
         mode: Mode::Qualify,
         select: "--qualify",
         operand: "",
-        flags: "--seeds --intensity --jobs --deterministic --out --hunts-dir",
+        flags: "--seeds --intensity --jobs --out --hunts-dir",
         run: qualify,
     },
     ModeSpec {
@@ -183,7 +186,7 @@ const MODES: &[ModeSpec] = &[
         select: "--hunt",
         operand: "",
         flags: "--hunt-budget --hunt-seed --hunt-inject --hunt-shrink --hunt-shrink-budget \
-                --jobs --deterministic --out",
+                --jobs --out",
         run: bug_hunt,
     },
     ModeSpec {
@@ -218,7 +221,7 @@ const MODES: &[ModeSpec] = &[
         mode: Mode::History,
         select: "history",
         operand: "",
-        flags: "--baseline --max-regression --dir",
+        flags: "--baseline --max-regression --history-dir",
         run: history,
     },
 ];
@@ -231,7 +234,6 @@ const FLAGS: &[(&str, &str)] = &[
     ("--intensity", "N"),
     ("--jobs", "N"),
     ("--engine", "event|compiled"),
-    ("--deterministic", ""),
     ("--views", "rtl,bca[,tlm]"),
     ("--no-compare", ""),
     ("--exact", ""),
@@ -255,7 +257,6 @@ const FLAGS: &[(&str, &str)] = &[
     ("--from-closure", "FILE"),
     ("--baseline", "N"),
     ("--max-regression", "PCT"),
-    ("--dir", "DIR"),
     ("--log-format", "text|json"),
     ("--log-file", "PATH"),
     ("--quiet", ""),
@@ -531,7 +532,8 @@ impl Ctx {
     }
 
     /// The configurations of `--configs DIR` (every `*.cfg`, sorted), or
-    /// the built-in sweep. An unreadable or empty set exits 1.
+    /// the built-in sweep. An unreadable or empty set, or an unreadable
+    /// file, exits 1.
     fn configs(&self) -> Vec<NodeConfig> {
         let Some(dir) = self.args.text("--configs") else {
             return standard_configs();
@@ -550,7 +552,8 @@ impl Ctx {
         paths
             .iter()
             .map(|path| {
-                let text = std::fs::read_to_string(path).unwrap_or_default();
+                let text = std::fs::read_to_string(path)
+                    .unwrap_or_else(|e| die(1, format!("{}: {e}", path.display())));
                 parse_config(&text).unwrap_or_else(|e| die(1, format!("{}: {e}", path.display())))
             })
             .collect()
@@ -630,15 +633,12 @@ fn regress(ctx: &Ctx) -> i32 {
             ("jobs", Json::from(exec::resolve_jobs(options.jobs))),
         ],
     );
-    let mut report = run_regression(&configs, &tests, &options);
-    if args.has("--deterministic") {
-        report.strip_timings();
-    }
+    let report = run_regression(&configs, &tests, &options);
     println!("{}", report.table());
     ctx.out("reports", |dir| report.write_reports(dir));
     // Cache statistics are volatile by design (a warm run differs from a
-    // cold one), so they live in their own file next to the deterministic
-    // reports rather than inside manifest.json.
+    // cold one), so they live in their own file next to the reports
+    // rather than inside manifest.json.
     if let Some(stats) = &report.cache {
         ctx.out_file("cache_stats.json", || stats.to_json().render_pretty());
     }
@@ -649,10 +649,7 @@ fn regress(ctx: &Ctx) -> i32 {
         }
         if args.has("--profile") {
             let group_by = vec!["config".to_owned()];
-            let mut prof = profile::build_profile(&spans, &profile::ProfileOptions { group_by });
-            if args.has("--deterministic") {
-                prof.strip_timings();
-            }
+            let prof = profile::build_profile(&spans, &profile::ProfileOptions { group_by });
             let text = prof.render_text();
             print!("{text}");
             ctx.out_file("profile.txt", || text);
@@ -707,7 +704,10 @@ fn append_history(
             intensity: options.intensity as u64,
             cells: (configs.len() * tests.len() * options.seeds.len()) as u64,
         },
-        wall_us: report.wall_us,
+        wall_us: spans
+            .iter()
+            .find(|s| s.name == "regress.campaign")
+            .map_or(0, profile::SpanRecord::duration_us),
         phases,
         passed: report.configs.iter().all(|c| c.all_passed()),
     };
@@ -766,7 +766,6 @@ fn client(ctx: &Ctx) -> i32 {
             ),
         ),
         ("compare", Json::from(options.compare_waveforms)),
-        ("deterministic", Json::from(args.has("--deterministic"))),
     ]);
     let socket = &args.operand;
     let responses = serve::client_request(Path::new(socket), &request.render())
@@ -851,10 +850,7 @@ fn qualify(ctx: &Ctx) -> i32 {
             ("jobs", Json::from(exec::resolve_jobs(qopts.jobs))),
         ],
     );
-    let mut report = mutation::run_qualification(&qopts);
-    if args.has("--deterministic") {
-        report.strip_timings();
-    }
+    let report = mutation::run_qualification(&qopts);
     // The promoted-reproducer catalogue rides along: every pinned hunt
     // find must still fire its recorded detector class, or the
     // qualification fails like any escaped mutation.
@@ -922,10 +918,7 @@ fn bug_hunt(ctx: &Ctx) -> i32 {
             ("jobs", Json::from(exec::resolve_jobs(opts.jobs))),
         ],
     );
-    let mut report = hunt::run_hunt(&opts);
-    if args.has("--deterministic") {
-        report.strip_timings();
-    }
+    let report = hunt::run_hunt(&opts);
     println!("{}", report.table());
     ctx.out_file("hunt.json", || report.hunt_json().render_pretty());
     for (k, repro) in report.repros.iter().enumerate() {
@@ -955,67 +948,80 @@ fn bug_hunt(ctx: &Ctx) -> i32 {
     0
 }
 
-/// `--hunt-replay FILE`: exit 0 only if the reproducer still fires its
-/// recorded detector class.
-fn hunt_replay(ctx: &Ctx) -> i32 {
+/// What replaying a reproducer showed, against its record.
+enum Verdict {
+    /// Its recorded detector class fired.
+    Fires(mutation::DiffFinding),
+    /// Another detector class fired.
+    Drifted(mutation::DiffFinding),
+    /// It no longer diverges.
+    Silent,
+}
+
+/// Loads the mode's reproducer operand, logs `message` under `scope`, and
+/// replays it. An unusable file or replay exits 2.
+fn replay_operand(ctx: &Ctx, scope: &str, message: &str) -> (hunt::Repro, Verdict) {
     let path = &ctx.args.operand;
     let repro = load_repro(path);
     let fields = [
         ("id", Json::from(repro.id())),
         ("path", Json::str(path.as_str())),
     ];
-    ctx.tel.info("hunt.replay", "replaying reproducer", fields);
-    match repro.replay(&ctx.tel) {
-        Ok(Some(finding)) => {
-            println!(
-                "replay {}: {} fired on the {} view (recorded {})",
-                repro.id(),
-                finding.detector,
-                finding.view,
-                repro.detector,
-            );
-            if repro.matches(&finding) {
-                return 0;
-            }
-            eprintln!(
-                "replay misattributed: expected class `{}`, got `{}`",
-                repro.detector_column,
-                finding.detector.column(),
-            );
-            1
-        }
-        Ok(None) => {
-            let id = repro.id();
-            eprintln!("replay {id}: no divergence — the reproducer no longer fires");
-            1
-        }
+    ctx.tel.info(scope, message, fields);
+    let verdict = match repro.replay(&ctx.tel) {
+        Ok(Some(finding)) if repro.matches(&finding) => Verdict::Fires(finding),
+        Ok(Some(finding)) => Verdict::Drifted(finding),
+        Ok(None) => Verdict::Silent,
         Err(e) => {
-            eprintln!("{path}: {e}");
-            2
+            ctx.tel.flush();
+            die(2, format!("{path}: {e}"))
         }
+    };
+    (repro, verdict)
+}
+
+/// `--hunt-replay FILE`: exit 0 only if the reproducer still fires its
+/// recorded detector class.
+fn hunt_replay(ctx: &Ctx) -> i32 {
+    let (repro, verdict) = replay_operand(ctx, "hunt.replay", "replaying reproducer");
+    if let Verdict::Fires(finding) | Verdict::Drifted(finding) = &verdict {
+        println!(
+            "replay {}: {} fired on the {} view (recorded {})",
+            repro.id(),
+            finding.detector,
+            finding.view,
+            repro.detector,
+        );
     }
+    match verdict {
+        Verdict::Fires(_) => return 0,
+        Verdict::Drifted(finding) => eprintln!(
+            "replay misattributed: expected class `{}`, got `{}`",
+            repro.detector_column,
+            finding.detector.column(),
+        ),
+        Verdict::Silent => eprintln!(
+            "replay {}: no divergence — the reproducer no longer fires",
+            repro.id()
+        ),
+    }
+    1
 }
 
 /// `--hunt-promote FILE`: validate the reproducer, then pin it into the
-/// `--hunts-dir` catalogue under its content id.
+/// `--hunts-dir` catalogue under its content id. Only a reproducer that
+/// still fires its recorded detector class is pinned: the catalogue must
+/// never hold an entry that fails its first qualification replay.
 fn hunt_promote(ctx: &Ctx) -> i32 {
     let path = &ctx.args.operand;
-    let mut repro = load_repro(path);
-    let fields = [
-        ("id", Json::from(repro.id())),
-        ("path", Json::str(path.as_str())),
-    ];
-    ctx.tel.info(
+    let (mut repro, verdict) = replay_operand(
+        ctx,
         "hunt.promote",
         "validating reproducer before promotion",
-        fields,
     );
-    // A reproducer is only pinned if it still fires its recorded detector
-    // class right now — the catalogue must never accumulate entries that
-    // fail on their very first qualification replay.
-    match repro.replay(&ctx.tel) {
-        Ok(Some(finding)) if repro.matches(&finding) => {}
-        Ok(Some(finding)) => {
+    match verdict {
+        Verdict::Fires(_) => {}
+        Verdict::Drifted(finding) => {
             eprintln!(
                 "refusing to promote {path}: detector class drifted to `{}` (recorded `{}`)",
                 finding.detector.column(),
@@ -1023,13 +1029,9 @@ fn hunt_promote(ctx: &Ctx) -> i32 {
             );
             return 1;
         }
-        Ok(None) => {
+        Verdict::Silent => {
             eprintln!("refusing to promote {path}: the reproducer no longer diverges");
             return 1;
-        }
-        Err(e) => {
-            eprintln!("{path}: {e}");
-            return 2;
         }
     }
     let dir = Path::new(ctx.args.text("--hunts-dir").unwrap_or(DEFAULT_HUNTS_DIR));
@@ -1139,7 +1141,7 @@ fn sign_off(ctx: &Ctx) -> i32 {
 /// against the `--baseline`-th prior record sharing its content key.
 fn history(ctx: &Ctx) -> i32 {
     let (baseline, max_pct) = (ctx.args.baseline, ctx.args.max_regression);
-    let dir = ctx.args.text("--dir").unwrap_or(".");
+    let dir = ctx.args.text("--history-dir").unwrap_or(".");
     let store = profile::HistoryStore::in_dir(Path::new(dir));
     let records = store.load();
     if records.is_empty() {

@@ -36,9 +36,8 @@ pub const CELL_SCHEMA: &str = "stbus-cell/3";
 /// Everything one cell contributes to a campaign, in cacheable form.
 #[derive(Clone, Debug)]
 pub struct CachedCell {
-    /// The cell's run record; `rtl_wall_us`/`bca_wall_us` are zero and
-    /// `compare_wall_us` is `Some(0)`/`None` — cached cells cost no
-    /// simulation time and report none.
+    /// The cell's run record, clock fields zero as every record's are;
+    /// `compare_wall_us` is `Some(0)`/`None` for compared or not.
     pub record: RunRecord,
     /// The (fresh) RTL node's structural coverage.
     pub rtl_activity: ActivityCoverage,

@@ -2,9 +2,10 @@
 //!
 //! Alongside the textual reports, a campaign serializes itself into one
 //! `manifest.json`: every `{config, test, seed}` cell with both views'
-//! results, per-port alignment, coverage percentages and wall-clock
-//! timings, plus the campaign-wide metrics snapshot (the `kernel.*`,
-//! `tb.*` and `stba.*` counters). The schema is versioned through the
+//! results, per-port alignment and coverage percentages, plus the
+//! campaign-wide metrics snapshot (the `kernel.*`, `tb.*` and `stba.*`
+//! counters). Its `*wall_us` fields are always zero: a campaign's time
+//! lives in its spans, so the manifest is a pure function of its inputs. The schema is versioned through the
 //! top-level `"schema"` string so downstream tooling can detect changes.
 
 use crate::runner::{ConfigOutcome, RegressionReport, RunRecord};

@@ -12,12 +12,13 @@
 //! cell as a [`catg::cell::CellSpec`], plain `Send` data run by
 //! [`catg::cell::run_cell`], fans the specs out across an [`exec`] worker
 //! pool ([`RegressionOptions::jobs`]), and reassembles
-//! the results in matrix order — the table, the manifest and the
-//! [`RegressionReport`] are byte-identical for any worker count (modulo
-//! the wall-clock fields, which [`RegressionReport::strip_timings`]
-//! zeroes). The RTL view is built *on* the worker because its simulator
-//! is intentionally single-threaded (`Rc`/`RefCell` process closures);
-//! only the descriptor crosses threads.
+//! the results in matrix order. The report carries no clock: time lives
+//! only in the campaign's spans (`regress.campaign`, `regress.cell`,
+//! `tb.run`, `stba.compare`), so the table, the manifest and the
+//! [`RegressionReport`] are byte-identical for any worker count and for a
+//! cold or warm cell store. The RTL view is built *on* the worker because
+//! its simulator is intentionally single-threaded (`Rc`/`RefCell` process
+//! closures); only the descriptor crosses threads.
 
 use crate::cell_codec;
 use cache::{GcPolicy, Key, Lookup, Store};
@@ -28,7 +29,6 @@ use stbus_bca::{BcaBug, Fidelity};
 use stbus_protocol::{NodeConfig, ViewKind};
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Instant;
 use telemetry::{Json, Telemetry};
 
 /// Options of one regression campaign.
@@ -246,16 +246,17 @@ pub struct RunRecord {
     /// ([`stba::compare_transactions`]) — the discipline an untimed view
     /// signs off under.
     pub tlm_tx_alignment: Option<PortFigures>,
-    /// Wall-clock microseconds of the RTL run.
+    // The five clock fields are always zero: a run's time lives in its
+    // `regress.cell` span. They stay until the manifest schema drops them.
+    /// Always 0.
     pub rtl_wall_us: u64,
-    /// Wall-clock microseconds of the BCA run.
+    /// Always 0.
     pub bca_wall_us: u64,
-    /// Wall-clock microseconds of the TLM run, when it ran.
+    /// Always 0.
     pub tlm_wall_us: u64,
-    /// Wall-clock microseconds of the waveform comparison, when it ran.
+    /// `Some(0)` when the waveform comparison ran, else `None`.
     pub compare_wall_us: Option<u64>,
-    /// Wall-clock microseconds of both TLM-vs-RTL comparisons, when they
-    /// ran.
+    /// `Some(0)` when the TLM-vs-RTL comparisons ran, else `None`.
     pub tlm_compare_wall_us: Option<u64>,
 }
 
@@ -411,10 +412,13 @@ pub struct RegressionReport {
     pub configs: Vec<ConfigOutcome>,
     /// Simulation backend the RTL runs used.
     pub engine: SimBackend,
-    /// Campaign wall-clock microseconds.
+    /// Always 0: the campaign's time lives in its `regress.campaign` span.
     pub wall_us: u64,
     /// Snapshot of every metric the campaign recorded (kernel, testbench
-    /// and analyzer counters), taken right after the last run.
+    /// and analyzer counters), taken right after the last run. The
+    /// `cache.*` and `serve.*` bookkeeping is left out: it describes how
+    /// a result was obtained, not the result, and lives in
+    /// [`RegressionReport::cache`].
     pub metrics: telemetry::MetricsSnapshot,
     /// Cell-cache activity, when [`RegressionOptions::cache_dir`] was
     /// set. In-memory only: the manifest omits it so cold and warm runs
@@ -485,12 +489,9 @@ impl RegressionReport {
         self.configs.iter().filter(|c| c.signed_off()).count()
     }
 
-    /// Zeroes every wall-clock field (the campaign total and the per-run
-    /// RTL/BCA/compare timings). Everything else a campaign reports —
-    /// pass/fail, coverage, alignment, the metrics snapshot — is a pure
-    /// function of the inputs, so a stripped report renders byte-identical
-    /// tables, manifests and report trees across repeat runs and across
-    /// any [`RegressionOptions::jobs`] value.
+    /// Zeroes every wall-clock field and drops the `cache.*`/`serve.*`
+    /// metrics. A report from [`run_regression`] already has neither, so
+    /// this changes only a report assembled by hand.
     pub fn strip_timings(&mut self) {
         self.wall_us = 0;
         for config in &mut self.configs {
@@ -502,15 +503,19 @@ impl RegressionReport {
                 run.tlm_compare_wall_us = run.tlm_compare_wall_us.map(|_| 0);
             }
         }
-        // Cache and daemon bookkeeping metrics describe *how* the result
-        // was obtained, not the result: a warm run counts hits where the
-        // cold run counted misses. Stripped alongside the wall-clocks so
-        // deterministic reports stay byte-identical between the two.
-        let volatile = |name: &str| name.starts_with("cache.") || name.starts_with("serve.");
-        self.metrics.counters.retain(|name, _| !volatile(name));
-        self.metrics.gauges.retain(|name, _| !volatile(name));
-        self.metrics.histograms.retain(|name, _| !volatile(name));
+        drop_bookkeeping(&mut self.metrics);
     }
+}
+
+/// Drops the cache and daemon bookkeeping metrics: they describe *how* a
+/// result was obtained, not the result (a warm run counts hits where the
+/// cold run counted misses), so a report that kept them would differ
+/// between the two.
+fn drop_bookkeeping(metrics: &mut telemetry::MetricsSnapshot) {
+    let volatile = |name: &str| name.starts_with("cache.") || name.starts_with("serve.");
+    metrics.counters.retain(|name, _| !volatile(name));
+    metrics.gauges.retain(|name, _| !volatile(name));
+    metrics.histograms.retain(|name, _| !volatile(name));
 }
 
 /// Everything a worker needs to run one `{config, test, seed}` cell:
@@ -618,11 +623,11 @@ fn run_job(job: &CellJob) -> CellResult {
             alignment: bca.cycle,
             tlm_alignment: tlm.as_mut().and_then(|t| t.cycle.take()),
             tlm_tx_alignment: tlm.as_mut().and_then(|t| t.transactions.take()),
-            rtl_wall_us: rtl.wall_us,
-            bca_wall_us: bca.wall_us,
-            tlm_wall_us: tlm.as_ref().map_or(0, |t| t.wall_us),
-            compare_wall_us: bca.compare_wall_us,
-            tlm_compare_wall_us: tlm.as_ref().and_then(|t| t.compare_wall_us),
+            rtl_wall_us: 0,
+            bca_wall_us: 0,
+            tlm_wall_us: 0,
+            compare_wall_us: bca.compared.then_some(0),
+            tlm_compare_wall_us: tlm.as_ref().and_then(|t| t.compared.then_some(0)),
             tlm: tlm.map(|t| t.result.without_waveforms()),
         },
         rtl_activity: outcome
@@ -681,7 +686,6 @@ pub fn run_regression(
     options: &RegressionOptions,
 ) -> RegressionReport {
     let tel = &options.telemetry;
-    let campaign_started = Instant::now();
     let campaign_span = tel
         .span("regress.campaign")
         .field("configs", Json::from(configs.len()))
@@ -841,12 +845,9 @@ pub fn run_regression(
         report.cache = Some(summary);
     }
 
-    report.wall_us = campaign_started.elapsed().as_micros() as u64;
     report.metrics = tel.metrics().snapshot();
-    campaign_span.end([
-        ("signed_off", Json::from(report.signed_off_count())),
-        ("wall_us", Json::from(report.wall_us)),
-    ]);
+    drop_bookkeeping(&mut report.metrics);
+    campaign_span.end([("signed_off", Json::from(report.signed_off_count()))]);
     report
 }
 
@@ -1010,25 +1011,23 @@ mod tests {
             ..RegressionOptions::default()
         };
 
-        let mut cold = run_regression(&configs, &tests, &options());
+        let cold = run_regression(&configs, &tests, &options());
         let cold_cache = cold.cache.expect("cache enabled");
         assert_eq!(cold_cache.hits, 0);
         assert_eq!(cold_cache.simulated, 2);
         assert_eq!(cold_cache.puts, 2);
 
-        let mut warm = run_regression(&configs, &tests, &options());
+        let warm = run_regression(&configs, &tests, &options());
         let warm_cache = warm.cache.expect("cache enabled");
         assert_eq!(warm_cache.hits, 2, "every cell answered from the store");
         assert_eq!(warm_cache.simulated, 0, "warm run must not simulate");
 
-        cold.strip_timings();
-        warm.strip_timings();
         assert_eq!(
             cold.manifest_json().render_pretty(),
             warm.manifest_json().render_pretty(),
             "warm report must be byte-identical to cold"
         );
-        // The stripped manifest carries no cache bookkeeping.
+        // The manifest carries no cache bookkeeping.
         assert!(!cold.manifest_json().render().contains("cache."));
         // But the warm run still replayed the kernel's counters.
         assert!(warm.metrics.counters["kernel.delta_cycles"] > 0);
@@ -1068,7 +1067,7 @@ mod tests {
     }
 
     #[test]
-    fn strip_timings_zeroes_every_wall_clock_field() {
+    fn reports_carry_no_wall_clock() {
         let configs = vec![NodeConfig::reference()];
         let tests = vec![tests_lib::basic_read_write(5)];
         let options = RegressionOptions {
@@ -1076,9 +1075,7 @@ mod tests {
             views: vec![ViewKind::Rtl, ViewKind::Bca, ViewKind::Tlm],
             ..RegressionOptions::default()
         };
-        let mut report = run_regression(&configs, &tests, &options);
-        assert!(report.wall_us > 0);
-        report.strip_timings();
+        let report = run_regression(&configs, &tests, &options);
         assert_eq!(report.wall_us, 0);
         let run = &report.configs[0].runs[0];
         assert_eq!(run.rtl_wall_us, 0);

@@ -18,7 +18,7 @@
 //! {"op":"shutdown"}
 //! {"op":"campaign","source":"<fingerprint>","configs":["reference"],
 //!  "seeds":[1,2],"intensity":10,"engine":"event",
-//!  "views":["rtl","bca","tlm"],"compare":true,"deterministic":true}
+//!  "views":["rtl","bca","tlm"],"compare":true}
 //! ```
 //!
 //! `ping` and `stats` report the daemon's `source`, the
@@ -29,7 +29,8 @@
 //!
 //! A campaign request answers with an `"accepted"` line (echoing the
 //! resolved shape) and then a `"report"` line carrying the §5 table, the
-//! full manifest JSON and the cache summary. Unknown ops and malformed
+//! full manifest JSON and the cache summary. The table and manifest hold
+//! no clock, so a warm campaign answers the same bytes as a cold one. Unknown ops and malformed
 //! lines — including lines that are not UTF-8 — answer
 //! `{"ok":false,...}` without killing the connection. So does a line
 //! longer than [`MAX_REQUEST_LINE`] bytes, whose rest is read and thrown
@@ -452,10 +453,6 @@ fn run_campaign(request: &Json, ctx: &ConnCtx) -> Vec<Json> {
         .get("compare")
         .and_then(Json::as_bool)
         .unwrap_or(true);
-    let deterministic = request
-        .get("deterministic")
-        .and_then(Json::as_bool)
-        .unwrap_or(false);
 
     let tests = catg::tests_lib::all(intensity);
     let cells = configs.len() * tests.len() * seeds.len();
@@ -487,10 +484,7 @@ fn run_campaign(request: &Json, ctx: &ConnCtx) -> Vec<Json> {
         pool: Some(Arc::clone(&ctx.pool)),
         ..RegressionOptions::default()
     };
-    let mut report = run_regression(&configs, &tests, &options);
-    if deterministic {
-        report.strip_timings();
-    }
+    let report = run_regression(&configs, &tests, &options);
     let summary = report.cache.unwrap_or_default();
     tel.metrics().counter("serve.cache_hits").add(summary.hits);
     tel.metrics()

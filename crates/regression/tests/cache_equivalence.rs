@@ -1,7 +1,6 @@
 //! Cache equivalence: memoizing cells must never change the evidence.
 //! A warm campaign answers every cell from the store without simulating,
-//! yet renders the same table and (under `--deterministic` stripping)
-//! a byte-identical manifest; flipping any key component forces a miss;
+//! yet renders the same table and a byte-identical manifest; flipping any key component forces a miss;
 //! corrupt entries are never trusted; and the cache preserves the
 //! worker-count determinism guarantee.
 //!
@@ -31,8 +30,7 @@ fn matrix() -> (Vec<NodeConfig>, Vec<catg::TestSpec>) {
     (configs, tests)
 }
 
-fn stripped_manifest(report: &mut RegressionReport) -> String {
-    report.strip_timings();
+fn manifest(report: &RegressionReport) -> String {
     report.manifest_json().render_pretty()
 }
 
@@ -47,14 +45,14 @@ fn warm_run_simulates_nothing_and_reports_byte_identically() {
     };
     let cells = (configs.len() * tests.len() * 2) as u64;
 
-    let mut cold = run_regression(&configs, &tests, &options());
+    let cold = run_regression(&configs, &tests, &options());
     let cold_cache = cold.cache.expect("cache summary present");
     assert_eq!(cold_cache.hits, 0);
     assert_eq!(cold_cache.misses, cells);
     assert_eq!(cold_cache.puts, cells);
     assert_eq!(cold_cache.simulated, cells);
 
-    let mut warm = run_regression(&configs, &tests, &options());
+    let warm = run_regression(&configs, &tests, &options());
     let warm_cache = warm.cache.expect("cache summary present");
     assert_eq!(
         warm_cache.hits, cells,
@@ -69,9 +67,9 @@ fn warm_run_simulates_nothing_and_reports_byte_identically() {
 
     // The table carries no wall-clock data: identical as-is.
     assert_eq!(cold.table(), warm.table());
-    // The deterministic manifest — coverage, alignment, pass/fail and
-    // the full metrics snapshot — must be byte-identical.
-    assert_eq!(stripped_manifest(&mut cold), stripped_manifest(&mut warm));
+    // The manifest — coverage, alignment, pass/fail and the full
+    // metrics snapshot — must be byte-identical.
+    assert_eq!(manifest(&cold), manifest(&warm));
 
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -175,14 +173,14 @@ fn three_view_campaign_is_cached_and_worker_invariant() {
     let three = || vec![ViewKind::Rtl, ViewKind::Bca, ViewKind::Tlm];
     let cells = (configs.len() * tests.len() * 2) as u64;
 
-    let mut cold = run_regression(&configs, &tests, &options(1, three()));
+    let cold = run_regression(&configs, &tests, &options(1, three()));
     let cold_cache = cold.cache.expect("cache summary present");
     assert_eq!((cold_cache.hits, cold_cache.misses), (0, cells));
-    let cold_manifest = stripped_manifest(&mut cold);
+    let cold_manifest = manifest(&cold);
 
     // Warm, on more workers: zero simulations, byte-identical evidence
     // including the TLM columns.
-    let mut warm = run_regression(&configs, &tests, &options(4, three()));
+    let warm = run_regression(&configs, &tests, &options(4, three()));
     let cache = warm.cache.expect("cache summary present");
     assert_eq!(
         (cache.hits, cache.simulated),
@@ -191,7 +189,7 @@ fn three_view_campaign_is_cached_and_worker_invariant() {
     );
     assert_eq!(cold.table(), warm.table());
     assert_eq!(
-        stripped_manifest(&mut warm),
+        manifest(&warm),
         cold_manifest,
         "three-view evidence must be worker-count invariant under the cache"
     );
@@ -224,8 +222,8 @@ fn corrupt_entries_are_resimulated_not_trusted() {
     };
     let cells = (configs.len() * tests.len() * 2) as u64;
 
-    let mut cold = run_regression(&configs, &tests, &options());
-    let cold_manifest = stripped_manifest(&mut cold);
+    let cold = run_regression(&configs, &tests, &options());
+    let cold_manifest = manifest(&cold);
 
     // Damage two entries on disk: truncate one mid-payload, scribble
     // over another.
@@ -243,14 +241,14 @@ fn corrupt_entries_are_resimulated_not_trusted() {
     std::fs::write(&entries[0], &full[..full.len() / 2]).unwrap();
     std::fs::write(&entries[1], b"stbus-cache/1 not an entry at all\n").unwrap();
 
-    let mut warm = run_regression(&configs, &tests, &options());
+    let warm = run_regression(&configs, &tests, &options());
     let cache = warm.cache.expect("cache summary present");
     assert_eq!(cache.corrupt, 2, "both damaged entries must be detected");
     assert_eq!(cache.hits, cells - 2);
     assert_eq!(cache.simulated, 2, "damaged cells re-simulate");
     assert_eq!(cache.puts, 2, "re-simulated cells are re-recorded");
     assert_eq!(
-        stripped_manifest(&mut warm),
+        manifest(&warm),
         cold_manifest,
         "a damaged store must not change the evidence"
     );
@@ -276,21 +274,21 @@ fn cached_campaign_is_worker_count_invariant() {
     };
     let cells = (configs.len() * tests.len() * 2) as u64;
 
-    let mut cold_serial = run_regression(&configs, &tests, &options(1, &dir_serial));
-    let mut cold_parallel = run_regression(&configs, &tests, &options(4, &dir_parallel));
-    let serial_manifest = stripped_manifest(&mut cold_serial);
+    let cold_serial = run_regression(&configs, &tests, &options(1, &dir_serial));
+    let cold_parallel = run_regression(&configs, &tests, &options(4, &dir_parallel));
+    let serial_manifest = manifest(&cold_serial);
     assert_eq!(
         serial_manifest,
-        stripped_manifest(&mut cold_parallel),
+        manifest(&cold_parallel),
         "cold cached campaigns must stay worker-count invariant"
     );
 
     // Warm on 4 workers against the store a serial run filled.
-    let mut warm = run_regression(&configs, &tests, &options(4, &dir_serial));
+    let warm = run_regression(&configs, &tests, &options(4, &dir_serial));
     let cache = warm.cache.unwrap();
     assert_eq!((cache.hits, cache.simulated), (cells, 0));
     assert_eq!(
-        stripped_manifest(&mut warm),
+        manifest(&warm),
         serial_manifest,
         "a warm parallel campaign must reproduce the serial evidence"
     );

@@ -60,8 +60,7 @@ fn settle() {
     std::thread::sleep(Duration::from_millis(25));
 }
 
-fn stripped_manifest(report: &mut RegressionReport) -> String {
-    report.strip_timings();
+fn manifest(report: &RegressionReport) -> String {
     report.manifest_json().render_pretty()
 }
 
@@ -72,8 +71,8 @@ fn mixed_campaigns_evict_oldest_first_and_keep_warm_hits_identical() {
     let (b_configs, b_tests, b_seeds) = shape_b();
 
     // Campaign A cold: fills 2 of the 3 budgeted entries — no eviction.
-    let mut a_cold = run_regression(&a_configs, &a_tests, &options(&dir, a_seeds.clone(), 1));
-    let a_manifest = stripped_manifest(&mut a_cold);
+    let a_cold = run_regression(&a_configs, &a_tests, &options(&dir, a_seeds.clone(), 1));
+    let a_manifest = manifest(&a_cold);
     let cache = a_cold.cache.expect("cache summary present");
     assert_eq!((cache.puts, cache.evicted), (2, 0));
 
@@ -81,8 +80,8 @@ fn mixed_campaigns_evict_oldest_first_and_keep_warm_hits_identical() {
     // against a budget of 3, and the post-campaign GC must drop the two
     // oldest — which are exactly campaign A's.
     settle();
-    let mut b_cold = run_regression(&b_configs, &b_tests, &options(&dir, b_seeds.clone(), 4));
-    let b_manifest = stripped_manifest(&mut b_cold);
+    let b_cold = run_regression(&b_configs, &b_tests, &options(&dir, b_seeds.clone(), 4));
+    let b_manifest = manifest(&b_cold);
     let cache = b_cold.cache.expect("cache summary present");
     assert_eq!(cache.puts, 3);
     assert_eq!(cache.evicted, 2, "two oldest entries leave the store");
@@ -91,14 +90,14 @@ fn mixed_campaigns_evict_oldest_first_and_keep_warm_hits_identical() {
     // simulations, byte-identical evidence — eviction of the *other*
     // campaign must not disturb this one.
     settle();
-    let mut b_warm = run_regression(&b_configs, &b_tests, &options(&dir, b_seeds, 4));
+    let b_warm = run_regression(&b_configs, &b_tests, &options(&dir, b_seeds, 4));
     let cache = b_warm.cache.expect("cache summary present");
     assert_eq!(
         (cache.hits, cache.misses, cache.simulated, cache.evicted),
         (3, 0, 0, 0)
     );
     assert_eq!(
-        stripped_manifest(&mut b_warm),
+        manifest(&b_warm),
         b_manifest,
         "warm hits must reproduce campaign B byte-for-byte"
     );
@@ -109,7 +108,7 @@ fn mixed_campaigns_evict_oldest_first_and_keep_warm_hits_identical() {
     // pass then squeezes the store back to budget at campaign B's
     // expense (B's entries are now the oldest).
     settle();
-    let mut a_again = run_regression(&a_configs, &a_tests, &options(&dir, a_seeds.clone(), 1));
+    let a_again = run_regression(&a_configs, &a_tests, &options(&dir, a_seeds.clone(), 1));
     let cache = a_again.cache.expect("cache summary present");
     assert_eq!(
         (cache.hits, cache.misses, cache.simulated),
@@ -119,7 +118,7 @@ fn mixed_campaigns_evict_oldest_first_and_keep_warm_hits_identical() {
     assert_eq!(cache.puts, 2);
     assert_eq!(cache.evicted, 2, "now campaign B pays: its oldest two go");
     assert_eq!(
-        stripped_manifest(&mut a_again),
+        manifest(&a_again),
         a_manifest,
         "re-simulated evicted cells must reproduce the original evidence"
     );

@@ -1,7 +1,10 @@
 //! Acceptance tests of the CLI's mode table: every flag either takes
 //! effect in the chosen mode or is rejected with exit 2 before anything
 //! runs, malformed values exit 2 naming the flag, and an unwritable
-//! `--out` exits 1 once the mode's table is printed.
+//! `--out` exits 1 once the mode's table is printed. Also pinned: an
+//! unreadable `--configs` file exits 1, the reports are byte-identical
+//! across worker counts and cold or warm cell stores with no flag asking
+//! for it, and the replay verdicts' exit codes.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -136,7 +139,7 @@ fn each_mode_rejects_a_foreign_flag_before_running() {
             "--signoff",
         ),
         (
-            &["history", "--seeds", "2", "--dir", out],
+            &["history", "--seeds", "2", "--history-dir", out],
             "--seeds",
             "history",
         ),
@@ -209,6 +212,209 @@ fn malformed_or_missing_values_are_rejected() {
     }
     for flag in ["--waivers", "--from-closure"] {
         rejected(&["--signoff", flag], &[flag]);
+    }
+}
+
+#[test]
+fn retired_flags_are_unknown() {
+    // Reports hold no clock, so there is nothing left to strip.
+    for mode in [
+        &[][..],
+        &["--qualify"],
+        &["--hunt"],
+        &["--client", "x.sock"],
+    ] {
+        let args = [mode, &["--deterministic"]].concat();
+        rejected(&args, &["unknown argument `--deterministic`"]);
+    }
+    // `history` reads the store where regress writes it: `--history-dir`.
+    rejected(&["history", "--dir", "."], &["unknown argument `--dir`"]);
+}
+
+#[test]
+fn an_unreadable_config_file_exits_1_naming_it() {
+    let dir = scratch("cli-bad-config");
+    let configs = dir.join("configs");
+    std::fs::create_dir_all(&configs).expect("config dir");
+    std::fs::write(configs.join("bad.cfg"), b"\xff\xfe").expect("config file");
+    let (code, stdout, stderr) = run(&[
+        "--configs",
+        configs.to_str().unwrap(),
+        "--seeds",
+        "1",
+        "--intensity",
+        "1",
+        "--no-history",
+        "--no-compare",
+    ]);
+    assert_eq!(code, 1, "stdout:\n{stdout}\nstderr:\n{stderr}");
+    assert!(stdout.is_empty(), "ran anyway:\n{stdout}");
+    assert!(
+        stderr.contains("bad.cfg") && stderr.contains("UTF-8"),
+        "{stderr}"
+    );
+}
+
+/// Every file under `dir` with its bytes, in path order.
+fn tree(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+    let mut files = Vec::new();
+    let mut stack = vec![dir.to_path_buf()];
+    while let Some(d) = stack.pop() {
+        for entry in std::fs::read_dir(&d).expect("read out dir") {
+            let path = entry.expect("dir entry").path();
+            if path.is_dir() {
+                stack.push(path);
+            } else {
+                let bytes = std::fs::read(&path).expect("read report file");
+                files.push((path.strip_prefix(dir).expect("under dir").to_owned(), bytes));
+            }
+        }
+    }
+    files.sort();
+    files
+}
+
+#[test]
+fn reports_are_byte_identical_across_jobs_and_cold_or_warm_stores() {
+    let dir = scratch("cli-identity");
+    let configs = tiny_configs(&dir);
+    let store = dir.join("store").display().to_string();
+    // stdout and the `--out` tree, minus the store's own statistics.
+    let campaign = |jobs: &str, out: &str, cached: bool| {
+        let out = dir.join(out);
+        let out = out.to_str().unwrap();
+        let mut args = vec![
+            "--configs",
+            &configs,
+            "--seeds",
+            "2",
+            "--intensity",
+            "3",
+            "--no-history",
+            "--quiet",
+            "--jobs",
+            jobs,
+            "--out",
+            out,
+        ];
+        if cached {
+            args.extend(["--cache-dir", store.as_str()]);
+        }
+        let (code, stdout, stderr) = run(&args);
+        assert_eq!(code, 0, "{args:?}\nstderr:\n{stderr}");
+        let mut files = tree(Path::new(out));
+        let stats = files
+            .iter()
+            .position(|(path, _)| path == Path::new("cache_stats.json"))
+            .map(|i| files.remove(i).1);
+        assert_eq!(stats.is_some(), cached);
+        (stdout, files, stats)
+    };
+    let serial = campaign("1", "serial", false);
+    let parallel = campaign("2", "parallel", false);
+    assert!(serial
+        .1
+        .iter()
+        .any(|(path, _)| path == Path::new("manifest.json")));
+    assert_eq!((&serial.0, &serial.1), (&parallel.0, &parallel.1));
+    let cold = campaign("2", "cold", true);
+    let warm = campaign("1", "warm", true);
+    assert_eq!((&serial.0, &serial.1), (&cold.0, &cold.1));
+    assert_eq!((&cold.0, &cold.1), (&warm.0, &warm.1));
+    let stats = Json::parse(&String::from_utf8(warm.2.unwrap()).unwrap()).expect("stats");
+    assert_eq!(stats.get("simulated").and_then(Json::as_u64), Some(0));
+    assert_eq!(stats.get("hits").and_then(Json::as_u64), Some(24));
+}
+
+#[test]
+fn replay_and_promote_exit_by_the_replay_verdict() {
+    let dir = scratch("cli-replay");
+    let found = dir.join("found");
+    let hunts = dir.join("hunts");
+    let (found, hunts) = (found.to_str().unwrap(), hunts.to_str().unwrap());
+    // The seeded hunt of the CI smoke step shrinks one reproducer.
+    let (code, _, stderr) = run(&[
+        "--hunt",
+        "--hunt-budget",
+        "8",
+        "--hunt-seed",
+        "1",
+        "--hunt-inject",
+        "R2",
+        "--hunt-shrink",
+        "1",
+        "--hunt-shrink-budget",
+        "60",
+        "--quiet",
+        "--out",
+        found,
+    ]);
+    assert_eq!(code, 0, "{stderr}");
+    let fires = format!("{found}/repro_0.json");
+    let text = std::fs::read_to_string(&fires).expect("repro_0.json");
+    let repro = hunt::Repro::from_json(&Json::parse(&text).unwrap()).expect("repro");
+    assert_eq!(repro.detector_column, "checker");
+    let variant = |name: &str, edit: fn(&mut hunt::Repro)| {
+        let mut repro = repro.clone();
+        edit(&mut repro);
+        let path = dir.join(name).display().to_string();
+        std::fs::write(&path, repro.to_json().render_pretty()).expect("repro file");
+        path
+    };
+    let drifted = variant("drifted.json", |r| {
+        r.detector_column = "alignment".to_owned()
+    });
+    let silent = variant("silent.json", |r| r.injected.clear());
+    let broken = dir.join("broken.json").display().to_string();
+    std::fs::write(&broken, "{}").expect("repro file");
+
+    let cases: [(&str, &str, i32, &str); 8] = [
+        ("--hunt-replay", &fires, 0, ""),
+        (
+            "--hunt-replay",
+            &drifted,
+            1,
+            "replay misattributed: expected class `alignment`, got `checker`",
+        ),
+        (
+            "--hunt-replay",
+            &silent,
+            1,
+            "no divergence — the reproducer no longer fires",
+        ),
+        ("--hunt-replay", &broken, 2, "repro: missing schema"),
+        (
+            "--hunt-promote",
+            &drifted,
+            1,
+            "detector class drifted to `checker` (recorded `alignment`)",
+        ),
+        (
+            "--hunt-promote",
+            &silent,
+            1,
+            "the reproducer no longer diverges",
+        ),
+        ("--hunt-promote", &broken, 2, "repro: missing schema"),
+        ("--hunt-promote", &fires, 0, ""),
+    ];
+    for (mode, file, want, needle) in cases {
+        let mut args = vec![mode, file, "--quiet"];
+        if mode == "--hunt-promote" {
+            args.extend(["--hunts-dir", hunts]);
+        }
+        let (code, stdout, stderr) = run(&args);
+        assert_eq!(code, want, "{args:?}\nstdout:\n{stdout}\nstderr:\n{stderr}");
+        assert!(
+            stderr.contains(needle),
+            "{args:?}: `{needle}` not in {stderr}"
+        );
+        if mode == "--hunt-replay" && want < 2 && file != silent {
+            assert!(stdout.contains("fired on the"), "{args:?}: {stdout}");
+        }
+        // Only the reproducer that still fires is pinned.
+        let pinned = std::fs::read_dir(hunts).map_or(0, Iterator::count);
+        assert_eq!(pinned, usize::from(mode == "--hunt-promote" && want == 0));
     }
 }
 

@@ -42,9 +42,7 @@ fn campaign(engine: SimBackend, jobs: usize) -> RegressionReport {
         engine,
         ..RegressionOptions::default()
     };
-    let mut report = run_regression(&configs, &tests, &options);
-    report.strip_timings();
-    report
+    run_regression(&configs, &tests, &options)
 }
 
 /// Drops the fields that legitimately differ across engines: the

@@ -48,9 +48,7 @@ fn campaign() -> RegressionReport {
         jobs: 1,
         ..RegressionOptions::default()
     };
-    let mut report = run_regression(&configs(), &tests(), &options);
-    report.strip_timings();
-    report
+    run_regression(&configs(), &tests(), &options)
 }
 
 /// 64-bit FNV-1a, the digest the cell store keys with.

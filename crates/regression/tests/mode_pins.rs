@@ -2,9 +2,8 @@
 //! small run of each, digested and compared with
 //! `fixtures/mode_pins.txt`.
 //!
-//! Each mode's report is stripped of wall-clock data the way that mode
-//! already strips it for `--deterministic` output, then every artifact it
-//! renders — tables, JSON documents, report-tree files — is hashed:
+//! No report holds a clock, so every artifact a mode renders — tables,
+//! JSON documents, report-tree files — is hashed as it is:
 //!
 //! * the two-view and the three-view (`rtl,bca,tlm`) regression;
 //! * the mutation qualification campaign;
@@ -72,8 +71,7 @@ fn regression(out: &mut String, mode: &str, views: Vec<ViewKind>) {
         jobs: JOBS,
         ..RegressionOptions::default()
     };
-    let mut report = run_regression(&configs, &tests, &options);
-    report.strip_timings();
+    let report = run_regression(&configs, &tests, &options);
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("mode_pins_{mode}"));
     let _ = std::fs::remove_dir_all(&dir);
     report.write_reports(&dir).expect("write reports");
@@ -95,8 +93,7 @@ fn qualification(out: &mut String) {
         jobs: JOBS,
         ..mutation::QualifyOptions::default()
     };
-    let mut report = mutation::run_qualification(&options);
-    report.strip_timings();
+    let report = mutation::run_qualification(&options);
     pin(out, "qualify", "table", &report.table());
     pin(
         out,
@@ -119,8 +116,7 @@ fn hunt(out: &mut String) {
         jobs: JOBS,
         ..hunt::HuntOptions::default()
     };
-    let mut report = hunt::run_hunt(&options);
-    report.strip_timings();
+    let report = hunt::run_hunt(&options);
     pin(out, "hunt", "table", &report.table());
     pin(
         out,

@@ -36,7 +36,7 @@ fn wait_for_socket(path: &Path) {
 /// test library at low intensity.
 fn campaign_request(seeds: &str) -> String {
     format!(
-        r#"{{"op":"campaign","source":"{SOURCE_FINGERPRINT}","configs":["cfg01"],"seeds":{seeds},"intensity":4,"deterministic":true}}"#
+        r#"{{"op":"campaign","source":"{SOURCE_FINGERPRINT}","configs":["cfg01"],"seeds":{seeds},"intensity":4}}"#
     )
 }
 
@@ -109,7 +109,7 @@ fn daemon_shares_one_cache_across_concurrent_clients() {
 
     // A third client repeating the wider campaign is fully warm: the
     // store the other clients filled answers every cell, and the
-    // deterministic report is byte-identical to the cold one.
+    // report is byte-identical to the cold one.
     let responses_c = client_request(&socket, &campaign_request("[1,2]")).expect("warm client");
     let report_c = report_of(&responses_c);
     assert_eq!(
@@ -195,7 +195,7 @@ fn three_view_campaigns_warm_their_own_cells() {
     wait_for_socket(&socket);
 
     let request = &format!(
-        r#"{{"op":"campaign","source":"{SOURCE_FINGERPRINT}","configs":["cfg01"],"seeds":[1],"intensity":4,"views":["rtl","bca","tlm"],"deterministic":true}}"#
+        r#"{{"op":"campaign","source":"{SOURCE_FINGERPRINT}","configs":["cfg01"],"seeds":[1],"intensity":4,"views":["rtl","bca","tlm"]}}"#
     );
     let cold = client_request(&socket, request).expect("cold three-view campaign");
     let cold_report = report_of(&cold);
