@@ -15,7 +15,7 @@
 //! cargo run -p stbus-bench --release --bin exp_three_views [intensity]
 //! ```
 
-use regression::{run_regression, RegressionOptions};
+use regression::{run_regression, RegressionOptions, SIGNOFF_RATE};
 use stbus_protocol::{NodeConfig, ViewKind};
 
 fn main() {
@@ -97,8 +97,12 @@ fn main() {
             pct(outcome.min_tlm_tx_alignment()),
         );
         println!();
-        let cycle_rejected = outcome.min_tlm_alignment().is_some_and(|a| a < 0.99);
-        let tx_signed = outcome.min_tlm_tx_alignment().is_some_and(|a| a >= 0.99);
+        let cycle_rejected = outcome
+            .min_tlm_alignment()
+            .is_some_and(|a| a < SIGNOFF_RATE);
+        let tx_signed = outcome
+            .min_tlm_tx_alignment()
+            .is_some_and(|a| a >= SIGNOFF_RATE);
         println!(
             "  BCA sign-off (functional + >=99% cycle alignment): {}",
             if outcome.signed_off() { "YES" } else { "no" }

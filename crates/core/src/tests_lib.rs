@@ -385,7 +385,7 @@ pub mod qualification {
     /// The seed the alignment comparison uses.
     pub const ALIGNMENT_SEED: u64 = 1;
     /// STBA sign-off threshold: alignment below this rate is a detection.
-    pub const SIGNOFF: f64 = 0.99;
+    pub const SIGNOFF: f64 = stba::SIGNOFF_RATE;
 
     /// The Type 2 (ordered-response) hunt configuration: ordered-response
     /// rules are invisible on the Type 3 reference node.

@@ -306,18 +306,13 @@ pub fn compare_records(
     }
 }
 
-/// Finds the `nth`-most-recent record before `latest_index` with the
-/// same content key (`nth` = 1 means the immediately preceding match).
-pub fn find_baseline(
-    records: &[HistoryRecord],
-    latest_index: usize,
-    nth: usize,
-) -> Option<&HistoryRecord> {
+/// The index of the `nth`-most-recent record before `latest_index` with
+/// the same content key (`nth` = 1 means the immediately preceding match).
+pub fn find_baseline(records: &[HistoryRecord], latest_index: usize, nth: usize) -> Option<usize> {
     let key = &records.get(latest_index)?.key;
-    records[..latest_index]
-        .iter()
+    (0..latest_index)
         .rev()
-        .filter(|r| &r.key == key)
+        .filter(|&i| &records[i].key == key)
         .nth(nth.saturating_sub(1))
 }
 
@@ -491,9 +486,9 @@ mod tests {
             record("k", 120_000, 3),
         ];
         let b = find_baseline(&records, 4, 1).unwrap();
-        assert_eq!(b.wall_us, 110_000);
+        assert_eq!((b, records[b].wall_us), (3, 110_000));
         let b2 = find_baseline(&records, 4, 2).unwrap();
-        assert_eq!(b2.wall_us, 100_000);
+        assert_eq!((b2, records[b2].wall_us), (1, 100_000));
         assert!(find_baseline(&records, 0, 1).is_none());
     }
 

@@ -159,7 +159,10 @@ pub struct ProfileNode {
     pub count: u64,
     /// Summed wall-clock, microseconds.
     pub total_us: u64,
-    /// `total_us` minus the children's totals (clamped at zero).
+    /// Summed self time: each span's duration minus its child spans on
+    /// its own track and its phase slices (clamped at zero per span). A
+    /// child on another track ran beside the span, not inside its time,
+    /// so a fan-out parent keeps its own thread's work.
     pub self_us: u64,
     /// Shortest single span.
     pub min_us: u64,
@@ -170,7 +173,7 @@ pub struct ProfileNode {
 }
 
 impl ProfileNode {
-    fn fold(&mut self, duration_us: u64) {
+    fn fold(&mut self, duration_us: u64, self_us: u64) {
         if self.count == 0 {
             self.min_us = duration_us;
             self.max_us = duration_us;
@@ -180,14 +183,7 @@ impl ProfileNode {
         }
         self.count += 1;
         self.total_us += duration_us;
-    }
-
-    fn finalize(&mut self) {
-        let children_total: u64 = self.children.values().map(|c| c.total_us).sum();
-        self.self_us = self.total_us.saturating_sub(children_total);
-        for child in self.children.values_mut() {
-            child.finalize();
-        }
+        self.self_us += self_us;
     }
 
     fn strip(&mut self) {
@@ -231,27 +227,42 @@ fn node_name(span: &SpanRecord, opts: &ProfileOptions) -> String {
 }
 
 fn add_node(map: &mut BTreeMap<String, ProfileNode>, node: &SpanNode, opts: &ProfileOptions) {
-    let entry = map.entry(node_name(node.span, opts)).or_default();
-    entry.fold(node.span.duration_us());
+    let span = node.span;
+    let phases = span.phases();
+    // The phase slices inside `outer` (`""`: the span's own phases).
+    let sliced = |outer: &str| -> u64 {
+        let within = |phase: &str| phase.split_once(':').map_or("", |(o, _)| o) == outer;
+        phases
+            .iter()
+            .filter(|(p, _)| within(p))
+            .map(|(_, us)| us)
+            .sum()
+    };
+    let nested: u64 = node
+        .children
+        .iter()
+        .filter(|c| c.span.track == span.track)
+        .map(|c| c.span.duration_us())
+        .sum();
+    let entry = map.entry(node_name(span, opts)).or_default();
+    let duration = span.duration_us();
+    entry.fold(duration, duration.saturating_sub(nested + sliced("")));
     for child in &node.children {
         add_node(&mut entry.children, child, opts);
     }
-    for (phase, us) in node.span.phases() {
+    for &(phase, us) in &phases {
         // A `<phase>:<part>` annotation is a sub-slice of `<phase>`.
-        let siblings = match phase.split_once(':') {
+        let (siblings, own) = match phase.split_once(':') {
             Some((outer, _)) => {
-                &mut entry
-                    .children
-                    .entry(format!("phase:{outer}"))
-                    .or_default()
-                    .children
+                let outer = entry.children.entry(format!("phase:{outer}")).or_default();
+                (&mut outer.children, us)
             }
-            None => &mut entry.children,
+            None => (&mut entry.children, us.saturating_sub(sliced(phase))),
         };
         siblings
             .entry(format!("phase:{phase}"))
             .or_default()
-            .fold(us);
+            .fold(us, own);
     }
 }
 
@@ -266,9 +277,6 @@ pub fn build_profile(spans: &[SpanRecord], opts: &ProfileOptions) -> Profile {
     };
     for node in &build_tree(spans) {
         add_node(&mut profile.roots, node, opts);
-    }
-    for root in profile.roots.values_mut() {
-        root.finalize();
     }
     profile
 }
@@ -499,6 +507,29 @@ mod tests {
         assert_eq!(step.total_us, 70);
         assert_eq!(run.self_us, 110);
         assert_eq!((step.min_us, step.max_us), (20, 30));
+    }
+
+    #[test]
+    fn self_time_subtracts_only_same_track_children_and_phases() {
+        // jobs=2 shape: the campaign on track 0 assembles on its own
+        // track while its cells run on worker tracks 1 and 2.
+        let mut cell = span(3, Some(1), "cell", 1, 10, 400);
+        cell.fields
+            .push(("phase_settle_us".into(), Json::from(300u64)));
+        let spans = vec![
+            span(1, None, "campaign", 0, 0, 1000),
+            span(2, Some(1), "assemble", 0, 900, 950),
+            cell,
+            span(4, Some(1), "cell", 2, 15, 500),
+        ];
+        let p = build_profile(&spans, &ProfileOptions::default());
+        let campaign = &p.roots["campaign"];
+        assert_eq!(campaign.self_us, 950, "the workers' cells ran beside it");
+        let cell = &campaign.children["cell"];
+        assert_eq!((cell.total_us, cell.self_us), (875, 90 + 485));
+        assert_eq!(cell.children["phase:settle"].self_us, 300);
+        assert_eq!(campaign.children["assemble"].self_us, 50);
+        assert_eq!(p.phase_totals()["settle"], 300);
     }
 
     #[test]

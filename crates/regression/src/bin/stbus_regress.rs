@@ -13,9 +13,9 @@
 //!               [--cache] [--cache-dir DIR] [--cache-max-entries N]
 //!               [--cache-max-bytes N] [--profile] [--trace-out FILE]
 //!               [--no-history] [--history-dir DIR]
-//! stbus-regress --client SOCKET [--configs DIR] [--seeds N] [--intensity N]
-//!               [--engine event|compiled] [--views rtl,bca[,tlm]]
-//!               [--no-compare] [--out DIR]
+//! stbus-regress --client SOCKET [--configs DIR] [--out DIR] [--seeds N]
+//!               [--intensity N] [--engine event|compiled]
+//!               [--views rtl,bca[,tlm]] [--no-compare] [--exact]
 //! stbus-regress --serve SOCKET [--cache-dir DIR] [--cache-max-entries N]
 //!               [--cache-max-bytes N] [--jobs N]
 //! stbus-regress --qualify [--seeds N] [--intensity N] [--jobs N]
@@ -63,8 +63,12 @@
 //! **--client SOCKET** submits the campaign described by its flags to a
 //! `--serve SOCKET` daemon, which shares one cell store and one worker
 //! pool across all clients and stops on a `shutdown` request or EOF on
-//! its stdin. A daemon built from other sources than the client (another
-//! source fingerprint) rejects the campaign, and the client exits 1.
+//! its stdin. The client forwards its campaign flags verbatim, and the
+//! daemon reads them as regress does, so the client prints the table and
+//! writes the `manifest.json` of a local run with the same flags, then
+//! the store's counters. A daemon built from other sources than the
+//! client (another source fingerprint) rejects the campaign, and the
+//! client exits 1.
 //!
 //! **--qualify** injects every catalogue defect in turn and fails unless
 //! each is killed by its declared detector, then replays every promoted
@@ -90,20 +94,17 @@
 //! `--baseline`-th prior one sharing its content key, exiting 1 when a
 //! phase slowed beyond `--max-regression` percent (default 20).
 
-use stbus_bca::Fidelity;
 use stbus_protocol::NodeConfig;
+use stbus_regression::flags::{count, positive, value, CAMPAIGN_FLAGS};
 use stbus_regression::{
-    parse_config, parse_views, render_config, run_regression, serve, standard_configs,
-    RegressionOptions, SOURCE_FINGERPRINT,
+    parse_config, render_config, run_regression, serve, standard_configs, RegressionOptions,
+    SOURCE_FINGERPRINT,
 };
 use std::cell::Cell;
 use std::fmt::Display;
 use std::path::{Path, PathBuf};
-use std::str::FromStr;
 use telemetry::{Json, JsonlSink, Level, MemorySink, MemorySinkHandle, Telemetry, TextSink};
 
-/// Where the cell store lives when no `--cache-dir` is given.
-const DEFAULT_CACHE_DIR: &str = ".stbus/cell-cache";
 /// Where promoted reproducers live when no `--hunts-dir` is given.
 const DEFAULT_HUNTS_DIR: &str = "hunts";
 
@@ -144,8 +145,17 @@ impl ModeSpec {
         }
     }
 
+    /// The flags of the row; `--client` also reads the campaign flags it
+    /// forwards to the daemon.
+    fn flags(&self) -> impl Iterator<Item = &'static str> {
+        let forwarded = (self.mode == Mode::Client).then_some(serve::CLIENT_FLAGS);
+        self.flags
+            .split_whitespace()
+            .chain(forwarded.into_iter().flatten())
+    }
+
     fn reads(&self, flag: &str) -> bool {
-        LOGGING.contains(&flag) || self.flags.split_whitespace().any(|f| f == flag)
+        LOGGING.contains(&flag) || self.flags().any(|f| f == flag)
     }
 }
 
@@ -163,8 +173,7 @@ const MODES: &[ModeSpec] = &[
         mode: Mode::Client,
         select: "--client",
         operand: "SOCKET",
-        // Not --exact: the daemon protocol has no fidelity field.
-        flags: "--configs --seeds --intensity --engine --views --no-compare --out",
+        flags: "--configs --out",
         run: client,
     },
     ModeSpec {
@@ -226,21 +235,11 @@ const MODES: &[ModeSpec] = &[
     },
 ];
 
-/// Every option flag and its value placeholder (`""` for a switch).
+/// Every option flag besides [`CAMPAIGN_FLAGS`] and its value placeholder
+/// (`""` for a switch).
 const FLAGS: &[(&str, &str)] = &[
     ("--configs", "DIR"),
     ("--out", "DIR"),
-    ("--seeds", "N"),
-    ("--intensity", "N"),
-    ("--jobs", "N"),
-    ("--engine", "event|compiled"),
-    ("--views", "rtl,bca[,tlm]"),
-    ("--no-compare", ""),
-    ("--exact", ""),
-    ("--cache", ""),
-    ("--cache-dir", "DIR"),
-    ("--cache-max-entries", "N"),
-    ("--cache-max-bytes", "N"),
     ("--profile", ""),
     ("--trace-out", "FILE"),
     ("--no-history", ""),
@@ -261,6 +260,15 @@ const FLAGS: &[(&str, &str)] = &[
     ("--log-file", "PATH"),
     ("--quiet", ""),
 ];
+
+/// The flag `arg` names, with its value placeholder.
+fn flag(arg: &str) -> Option<(&'static str, &'static str)> {
+    CAMPAIGN_FLAGS
+        .iter()
+        .chain(FLAGS)
+        .find(|(f, _)| *f == arg)
+        .copied()
+}
 
 /// Flags every mode accepts.
 const LOGGING: &[&str] = &["--log-format", "--log-file", "--quiet"];
@@ -299,6 +307,9 @@ struct Args {
     operand: String,
     /// Every option flag given, with its raw value (`""` for a switch).
     given: Vec<(&'static str, String)>,
+    /// The [`CAMPAIGN_FLAGS`] given, with their values, verbatim and in
+    /// order: applied to `regress`, and what `--client` forwards.
+    campaign: Vec<String>,
     regress: RegressionOptions,
     hunt: hunt::HuntOptions,
     closure: cdg::ClosureOptions,
@@ -317,55 +328,27 @@ impl Args {
         Some(v)
     }
 
-    /// Stores the typed form of one flag value; exits 2 if it is malformed.
-    fn set(&mut self, flag: &str, v: &str) {
-        let o = &mut self.regress;
+    /// Stores the typed form of one mode-specific flag value; the campaign
+    /// flags go to [`RegressionOptions::apply_args`] instead.
+    fn set(&mut self, flag: &str, v: &str) -> Result<(), String> {
         match flag {
-            "--seeds" => o.seeds = (1..=positive(flag, v)).collect(),
-            "--intensity" => o.intensity = count(flag, v),
-            "--jobs" => o.jobs = count(flag, v),
-            "--engine" => o.engine = value(flag, v, "`event` or `compiled`", |_| true),
-            "--views" => {
-                o.views = parse_views(v.split(',').filter(|s| !s.is_empty()))
-                    .unwrap_or_else(|e| die(2, format!("--views: {e}")));
-            }
-            "--no-compare" => o.compare_waveforms = false,
-            "--exact" => o.fidelity = Fidelity::Exact,
-            "--cache-max-entries" => o.cache_gc.max_entries = Some(positive(flag, v)),
-            "--cache-max-bytes" => o.cache_gc.max_bytes = Some(positive(flag, v)),
-            "--hunt-budget" => self.hunt.budget = positive(flag, v),
-            "--hunt-seed" => self.hunt.campaign_seed = count(flag, v),
-            "--hunt-shrink" => self.hunt.max_shrinks = count(flag, v),
-            "--hunt-shrink-budget" => self.hunt.shrink_budget = positive(flag, v),
-            "--batch" => self.closure.tests_per_batch = positive(flag, v),
-            "--budget" => self.closure.max_batches = positive(flag, v),
-            "--baseline" => self.baseline = positive(flag, v),
+            "--hunt-budget" => self.hunt.budget = positive(flag, v)?,
+            "--hunt-seed" => self.hunt.campaign_seed = count(flag, v)?,
+            "--hunt-shrink" => self.hunt.max_shrinks = count(flag, v)?,
+            "--hunt-shrink-budget" => self.hunt.shrink_budget = positive(flag, v)?,
+            "--batch" => self.closure.tests_per_batch = positive(flag, v)?,
+            "--budget" => self.closure.max_batches = positive(flag, v)?,
+            "--baseline" => self.baseline = positive(flag, v)?,
             "--max-regression" => {
-                self.max_regression = value(flag, v, "a percentage", |p: &f64| *p >= 0.0);
+                self.max_regression = value(flag, v, "a percentage", |p: &f64| *p >= 0.0)?;
             }
             "--log-format" if v != "text" && v != "json" => {
-                die(2, "--log-format takes `text` or `json`")
+                return Err("--log-format takes `text` or `json`".to_owned())
             }
             _ => {}
         }
+        Ok(())
     }
-}
-
-/// The one value parser: `raw` as a `T` that passes `ok`, or exit 2
-/// naming the flag.
-fn value<T: FromStr>(flag: &str, raw: &str, expected: &str, ok: impl Fn(&T) -> bool) -> T {
-    match raw.parse() {
-        Ok(v) if ok(&v) => v,
-        _ => die(2, format!("{flag} takes {expected} (got `{raw}`)")),
-    }
-}
-
-fn positive<T: FromStr + PartialOrd + Default>(flag: &str, raw: &str) -> T {
-    value(flag, raw, "a positive integer", |n| *n > T::default())
-}
-
-fn count<T: FromStr>(flag: &str, raw: &str) -> T {
-    value(flag, raw, "a non-negative integer", |_| true)
 }
 
 /// The next argument as the value of `flag`, or exit 2 naming the flag.
@@ -382,6 +365,7 @@ fn parse(argv: impl IntoIterator<Item = String>) -> Args {
         mode: Mode::Regress,
         operand: String::new(),
         given: Vec::new(),
+        campaign: Vec::new(),
         // The CLI default is deep enough to reach full functional coverage
         // on every sweep configuration (the library default favors speed).
         regress: RegressionOptions {
@@ -414,7 +398,7 @@ fn parse(argv: impl IntoIterator<Item = String>) -> Args {
             mode_token = Some(arg);
             continue;
         }
-        let Some(&(flag, placeholder)) = FLAGS.iter().find(|(f, _)| *f == arg) else {
+        let Some((flag, placeholder)) = flag(&arg) else {
             die(2, format!("unknown argument `{arg}` (try --help)"));
         };
         let v = if placeholder.is_empty() {
@@ -422,9 +406,19 @@ fn parse(argv: impl IntoIterator<Item = String>) -> Args {
         } else {
             take(&mut argv, flag, placeholder)
         };
-        args.set(flag, &v);
+        if CAMPAIGN_FLAGS.iter().any(|(f, _)| *f == flag) {
+            args.campaign.push(arg);
+            if !placeholder.is_empty() {
+                args.campaign.push(v.clone());
+            }
+        }
+        args.set(flag, &v).unwrap_or_else(|e| die(2, e));
         args.given.push((flag, v));
     }
+    let every = CAMPAIGN_FLAGS.map(|(f, _)| f);
+    args.regress
+        .apply_args(&args.campaign, &every)
+        .unwrap_or_else(|e| die(2, e));
     if args.has("--hunt-inject") {
         let labels: Vec<&str> = args
             .given
@@ -474,9 +468,8 @@ fn usage() -> String {
                 line += &format!(" {word}");
             }
         }
-        for flag in spec.flags.split_whitespace() {
-            let (_, placeholder) = FLAGS.iter().find(|(f, _)| *f == flag).expect("known flag");
-            line += &format!(" [{}]", format!("{flag} {placeholder}").trim_end());
+        for (name, placeholder) in spec.flags().map(|f| flag(f).expect("known flag")) {
+            line += &format!(" [{}]", format!("{name} {placeholder}").trim_end());
         }
         text += &format!("{line}\n");
     }
@@ -610,12 +603,6 @@ fn regress(ctx: &Ctx) -> i32 {
     let (args, tel) = (&ctx.args, &ctx.tel);
     let mut options = args.regress.clone();
     options.telemetry = tel.clone();
-    // Any --cache* flag switches the store on; --cache alone uses the
-    // default location.
-    if args.given.iter().any(|(f, _)| f.starts_with("--cache")) {
-        let dir = args.text("--cache-dir").unwrap_or(DEFAULT_CACHE_DIR);
-        options.cache_dir = Some(PathBuf::from(dir));
-    }
     let configs = ctx.configs();
     let tests = catg::tests_lib::all(options.intensity);
     let views: Vec<String> = options.views.iter().map(ToString::to_string).collect();
@@ -732,53 +719,28 @@ fn append_history(
 
 /// `--client SOCKET`: submits the campaign to a daemon, prints its report.
 fn client(ctx: &Ctx) -> i32 {
-    let (args, options) = (&ctx.args, &ctx.args.regress);
-    // The client re-renders its resolved configurations into the request,
-    // so the daemon runs exactly what this invocation would have run
-    // locally (not the daemon's idea of the sweep).
-    let configs = ctx.configs();
+    let args = &ctx.args;
+    // The resolved configurations, so the daemon runs exactly what this
+    // invocation would have run locally, and the campaign flags verbatim.
+    let strings = |items: Vec<String>| Json::Arr(items.into_iter().map(Json::from).collect());
     let request = Json::obj([
         ("op", Json::from("campaign")),
         ("source", Json::from(SOURCE_FINGERPRINT)),
         (
             "config_text",
-            Json::Arr(
-                configs
-                    .iter()
-                    .map(|c| Json::from(render_config(c)))
-                    .collect(),
-            ),
+            strings(ctx.configs().iter().map(render_config).collect()),
         ),
-        (
-            "seeds",
-            Json::Arr(options.seeds.iter().map(|&s| Json::from(s)).collect()),
-        ),
-        ("intensity", Json::from(options.intensity)),
-        ("engine", Json::from(options.engine.to_string())),
-        (
-            "views",
-            Json::Arr(
-                options
-                    .views
-                    .iter()
-                    .map(|v| Json::from(v.to_string().to_ascii_lowercase()))
-                    .collect(),
-            ),
-        ),
-        ("compare", Json::from(options.compare_waveforms)),
+        ("args", strings(args.campaign.clone())),
     ]);
     let socket = &args.operand;
     let responses = serve::client_request(Path::new(socket), &request.render())
         .unwrap_or_else(|e| die(1, format!("cannot reach daemon at {socket}: {e}")));
-    let is_report = |r: &&Json| r.get("event").and_then(Json::as_str) == Some("report");
-    let Some(report) = responses.iter().find(is_report) else {
-        let error = responses
-            .last()
-            .and_then(|r| r.get("error"))
-            .and_then(Json::as_str)
-            .unwrap_or("daemon sent no report");
+    let report = responses.last().expect("client_request answers a line");
+    if report.get("event").and_then(Json::as_str) != Some("report") {
+        let error = report.get("error").and_then(Json::as_str);
+        let error = error.unwrap_or("daemon sent no report");
         die(1, format!("campaign rejected: {error}"));
-    };
+    }
     if let Some(table) = report.get("table").and_then(Json::as_str) {
         println!("{table}");
     }
@@ -801,14 +763,13 @@ fn client(ctx: &Ctx) -> i32 {
 /// `--serve SOCKET`: the long-lived daemon.
 fn serve_daemon(ctx: &Ctx) -> i32 {
     let args = &ctx.args;
-    let options = serve::ServeOptions {
-        socket: PathBuf::from(&args.operand),
-        cache_dir: PathBuf::from(args.text("--cache-dir").unwrap_or(DEFAULT_CACHE_DIR)),
-        jobs: args.regress.jobs,
-        cache_gc: args.regress.cache_gc,
-        telemetry: ctx.tel.clone(),
-    };
-    let server = serve::Server::bind(options)
+    // The daemon always keeps a store: `--cache` switches it on wherever
+    // the given `--cache-dir` (if any) put it.
+    let mut base = args.regress.clone();
+    base.apply_args(&["--cache"], &["--cache"])
+        .expect("--cache takes no value");
+    base.telemetry = ctx.tel.clone();
+    let server = serve::Server::bind(PathBuf::from(&args.operand), base)
         .unwrap_or_else(|e| die(1, format!("cannot serve on {}: {e}", args.operand)));
     // EOF on stdin is the no-signal shutdown path: the daemon dies with
     // whoever spawned it once the write end of its stdin closes.
@@ -1149,14 +1110,8 @@ fn history(ctx: &Ctx) -> i32 {
         return 0;
     }
     let latest = records.len() - 1;
-    let key = records[latest].key.clone();
-    let baseline_index = records[..latest]
-        .iter()
-        .enumerate()
-        .rev()
-        .filter(|(_, r)| r.key == key)
-        .nth(baseline - 1)
-        .map(|(i, _)| i);
+    let key = &records[latest].key;
+    let baseline_index = profile::find_baseline(&records, latest, baseline);
     print!("{}", profile::render_trend(&records, baseline_index));
     let Some(b) = baseline_index else {
         println!("\nno prior record with content key {key}; nothing to compare");

@@ -15,11 +15,12 @@
 //! failure at any level reads as "corrupt entry" (`None`) so the caller
 //! re-simulates instead of trusting a half-parsed result.
 
-use crate::runner::{sim_kernel_coverage::ActivityCoverage, RunRecord};
+use crate::runner::RunRecord;
 use catg::{
     CheckerReport, CoverageGroup, CoverageReport, InitiatorStats, PortId, RunResult,
     ScoreboardError, Violation, ViolationKind,
 };
+use sim_kernel::ActivityCoverage;
 use stbus_protocol::{RuleId, ViewKind};
 use telemetry::{Json, MetricsSnapshot};
 

@@ -21,6 +21,7 @@
 
 pub mod cell_codec;
 pub mod fingerprint;
+pub mod flags;
 mod manifest;
 mod matrix;
 mod report_files;
@@ -36,7 +37,8 @@ pub mod serve;
 pub use manifest::MANIFEST_SCHEMA;
 pub use matrix::standard_configs;
 pub use runner::{
-    cell_key, parse_views, run_regression, CacheSummary, ConfigOutcome, RegressionOptions,
-    RegressionReport, RunRecord, CACHE_STATS_SCHEMA, SOURCE_FINGERPRINT,
+    cell_key, run_regression, CacheSummary, ConfigOutcome, RegressionOptions, RegressionReport,
+    RunRecord, CACHE_STATS_SCHEMA, SOURCE_FINGERPRINT,
 };
+pub use stba::SIGNOFF_RATE;
 pub use stbus_protocol::config_file::{parse_config, render_config, ParseConfigError};

@@ -24,7 +24,8 @@ use crate::cell_codec;
 use cache::{GcPolicy, Key, Lookup, Store};
 use catg::cell::{min_rate, sum_ports, CellSpec, Compare, PortFigures};
 use catg::{CoverageReport, RunResult, TestSpec, ViewSpec};
-use sim_kernel::SimBackend;
+use sim_kernel::{ActivityCoverage, SimBackend};
+use stba::SIGNOFF_RATE;
 use stbus_bca::{BcaBug, Fidelity};
 use stbus_protocol::{NodeConfig, ViewKind};
 use std::path::PathBuf;
@@ -106,28 +107,6 @@ impl Default for RegressionOptions {
             pool: None,
         }
     }
-}
-
-/// Validates a view list for [`RegressionOptions::views`]: every name
-/// must be `rtl`, `bca` or `tlm` (any case), duplicates are dropped, and
-/// both RTL and BCA must be present — they anchor the alignment
-/// comparisons. The CLI's `--views` and the serve daemon's `views` field
-/// share this one rule.
-pub fn parse_views<'a>(names: impl IntoIterator<Item = &'a str>) -> Result<Vec<ViewKind>, String> {
-    let mut views = Vec::new();
-    for name in names {
-        let view = ViewKind::ALL
-            .into_iter()
-            .find(|v| v.to_string().eq_ignore_ascii_case(name))
-            .ok_or_else(|| format!("unknown view `{name}` (expected rtl, bca or tlm)"))?;
-        if !views.contains(&view) {
-            views.push(view);
-        }
-    }
-    if !views.contains(&ViewKind::Rtl) || !views.contains(&ViewKind::Bca) {
-        return Err("the view list must include both rtl and bca".to_owned());
-    }
-    Ok(views)
 }
 
 /// The hash of the sources that decide a cell's outcome, computed by the
@@ -238,7 +217,7 @@ pub struct RunRecord {
     /// untimed view.
     pub tlm: Option<RunResult>,
     /// Per-port cycle alignment of TLM against RTL — the figure the
-    /// untimed view is *expected* to fail (`rate < 0.99`), demonstrating
+    /// untimed view is *expected* to fail (`rate <` [`SIGNOFF_RATE`]), demonstrating
     /// why the cycle discipline cannot accept it.
     pub tlm_alignment: Option<PortFigures>,
     /// Per-port `(port, matching transfers, total transfers)` of TLM
@@ -293,13 +272,7 @@ pub struct ConfigOutcome {
     /// ran the untimed view.
     pub coverage_tlm: Option<CoverageReport>,
     /// RTL structural (process/branch) coverage merged over the campaign.
-    pub code_coverage_rtl: Option<sim_kernel_coverage::ActivityCoverage>,
-}
-
-/// Re-exported kernel coverage type (the RTL-only "code coverage" of the
-/// paper).
-pub mod sim_kernel_coverage {
-    pub use sim_kernel::ActivityCoverage;
+    pub code_coverage_rtl: Option<ActivityCoverage>,
 }
 
 impl ConfigOutcome {
@@ -351,7 +324,7 @@ impl ConfigOutcome {
                 .coverage_rtl
                 .as_ref()
                 .is_some_and(CoverageReport::is_full)
-            && self.min_alignment().is_some_and(|a| a >= 0.99)
+            && self.min_alignment().is_some_and(|a| a >= SIGNOFF_RATE)
     }
 
     /// All checker/scoreboard checks green on the TLM runs; `false` when
@@ -401,7 +374,9 @@ impl ConfigOutcome {
                     }
                 })
             })
-            && self.min_tlm_tx_alignment().is_some_and(|a| a >= 0.99)
+            && self
+                .min_tlm_tx_alignment()
+                .is_some_and(|a| a >= SIGNOFF_RATE)
     }
 }
 
@@ -541,7 +516,7 @@ struct CellResult {
     record: RunRecord,
     /// Structural coverage of this cell's (fresh) RTL node; merged
     /// per-configuration by the assembler.
-    rtl_activity: sim_kernel_coverage::ActivityCoverage,
+    rtl_activity: ActivityCoverage,
 }
 
 /// Tries to answer the cell from the store. A decoded entry must also
@@ -761,7 +736,7 @@ pub fn run_regression(
         let mut coverage_rtl: Option<CoverageReport> = None;
         let mut coverage_bca: Option<CoverageReport> = None;
         let mut coverage_tlm: Option<CoverageReport> = None;
-        let mut code_coverage_rtl: Option<sim_kernel_coverage::ActivityCoverage> = None;
+        let mut code_coverage_rtl: Option<ActivityCoverage> = None;
         for _ in 0..per_config {
             let cell = results.next().expect("one result per cell");
             debug_assert_eq!(cell.config_idx, config_idx);
@@ -877,7 +852,7 @@ mod tests {
         );
         assert!(c.coverage_matches_across_views());
         let align = c.min_alignment().expect("compared");
-        assert!(align >= 0.99, "alignment {align}");
+        assert!(align >= SIGNOFF_RATE, "alignment {align}");
         // Two tests alone do not reach full functional coverage.
         assert!(c.functional_coverage() < 1.0);
         let table = report.table();
@@ -951,7 +926,7 @@ mod tests {
         assert!(c.tlm_all_passed(), "{:?}", c.runs[0].tlm);
         let cycle = c.min_tlm_alignment().expect("compared");
         assert!(
-            cycle < 0.99,
+            cycle < SIGNOFF_RATE,
             "untimed view must fail cycle sign-off: {cycle}"
         );
         let tx = c.min_tlm_tx_alignment().expect("compared");

@@ -16,9 +16,9 @@
 //! {"op":"ping"}
 //! {"op":"stats"}
 //! {"op":"shutdown"}
-//! {"op":"campaign","source":"<fingerprint>","configs":["reference"],
-//!  "seeds":[1,2],"intensity":10,"engine":"event",
-//!  "views":["rtl","bca","tlm"],"compare":true}
+//! {"op":"campaign","source":"<fingerprint>",
+//!  "config_text":["name = reference\n..."],
+//!  "args":["--seeds","1","--intensity","10","--views","rtl,bca,tlm","--exact"]}
 //! ```
 //!
 //! `ping` and `stats` report the daemon's `source`, the
@@ -27,15 +27,21 @@
 //! daemon only answers for its own code, so a request with a different
 //! or missing fingerprint is rejected with an error naming both.
 //!
+//! A campaign carries its configurations as config-file texts and its
+//! shape as `stbus-regress` flags ([`CLIENT_FLAGS`]), which the daemon
+//! applies to its base options with [`RegressionOptions::apply_args`],
+//! as the CLI does: it keeps no defaults of its own. Any other key or
+//! flag is refused naming it.
+//!
 //! A campaign request answers with an `"accepted"` line (echoing the
 //! resolved shape) and then a `"report"` line carrying the §5 table, the
 //! full manifest JSON and the cache summary. The table and manifest hold
-//! no clock, so a warm campaign answers the same bytes as a cold one. Unknown ops and malformed
-//! lines — including lines that are not UTF-8 — answer
-//! `{"ok":false,...}` without killing the connection. So does a line
-//! longer than [`MAX_REQUEST_LINE`] bytes, whose rest is read and thrown
-//! away unparsed. A last request line cut off by EOF without its newline
-//! is still answered.
+//! no clock, so a warm campaign answers the same bytes as a cold one.
+//! Unknown ops and malformed lines — including lines that are not UTF-8
+//! — answer `{"ok":false,...}` without killing the connection. So does a
+//! line longer than `MAX_REQUEST_LINE` (64 KiB), whose rest is read and
+//! thrown away unparsed. A last request line cut off by EOF without its
+//! newline is still answered.
 //!
 //! `stats` reads the daemon's metrics registry: the `serve.*` counters
 //! (`connections`, `requests`, `campaigns`, `cells`, `cache_hits`,
@@ -49,93 +55,74 @@
 //! so a SIGTERM simply terminates the process and the *next* daemon heals
 //! the stale socket file at bind time (connect-probe, then unlink).
 
-use crate::runner::{parse_views, run_regression, RegressionOptions, SOURCE_FINGERPRINT};
-use crate::standard_configs;
-use cache::GcPolicy;
+use crate::parse_config;
+use crate::runner::{run_regression, RegressionOptions, SOURCE_FINGERPRINT};
 use exec::ThreadPool;
-use stbus_protocol::ViewKind;
+use stbus_protocol::NodeConfig;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use telemetry::{Json, Telemetry};
+use telemetry::Json;
 
 /// Protocol identifier echoed by `ping`, bumped with any incompatible
-/// protocol change (`/2`: campaigns carry the client's `source`).
-pub const SERVE_PROTOCOL: &str = "stbus-serve/2";
-
-/// How the daemon is configured at bind time.
-#[derive(Clone, Debug)]
-pub struct ServeOptions {
-    /// Path of the Unix socket to listen on.
-    pub socket: PathBuf,
-    /// Root of the shared cell store.
-    pub cache_dir: PathBuf,
-    /// Worker threads in the shared pool (0 = one per hardware thread).
-    pub jobs: usize,
-    /// Eviction bounds applied after every campaign.
-    pub cache_gc: GcPolicy,
-    /// Telemetry for `serve.*` counters and request events.
-    pub telemetry: Telemetry,
-}
-
-impl Default for ServeOptions {
-    fn default() -> Self {
-        ServeOptions {
-            socket: PathBuf::from("stbus-regress.sock"),
-            cache_dir: PathBuf::from(".stbus/cell-cache"),
-            jobs: 0,
-            cache_gc: GcPolicy::default(),
-            telemetry: Telemetry::disabled(),
-        }
-    }
-}
+/// protocol change (`/2`: campaigns carry the client's `source`; `/3`:
+/// campaigns carry `config_text` and `args` and nothing else).
+pub const SERVE_PROTOCOL: &str = "stbus-serve/3";
 
 /// A bound, not-yet-running daemon.
 pub struct Server {
     listener: UnixListener,
-    options: ServeOptions,
+    socket: PathBuf,
+    base: RegressionOptions,
     pool: Arc<ThreadPool>,
     shutdown: Arc<AtomicBool>,
 }
 
 impl Server {
-    /// Binds the socket, healing a stale file left by a killed daemon: if
+    /// Binds `socket`, healing a stale file left by a killed daemon: if
     /// the address is taken but nothing answers a connect probe, the file
     /// is an orphan — unlink it and bind again. A *live* daemon on the
     /// socket is an error.
-    pub fn bind(options: ServeOptions) -> std::io::Result<Server> {
-        if let Some(dir) = options.socket.parent() {
+    ///
+    /// Every campaign starts from `base` before its request's `args`
+    /// apply: `cache_dir` is the shared cell store (`None` serves without
+    /// one), `cache_gc` the eviction bounds applied after every campaign,
+    /// `jobs` the shared pool's size, and `telemetry` carries the
+    /// `serve.*` counters and request events.
+    pub fn bind(socket: PathBuf, base: RegressionOptions) -> std::io::Result<Server> {
+        if let Some(dir) = socket.parent() {
             if !dir.as_os_str().is_empty() {
                 std::fs::create_dir_all(dir)?;
             }
         }
-        let listener = match UnixListener::bind(&options.socket) {
+        let listener = match UnixListener::bind(&socket) {
             Ok(l) => l,
             Err(e) if e.kind() == std::io::ErrorKind::AddrInUse => {
-                if UnixStream::connect(&options.socket).is_ok() {
+                if UnixStream::connect(&socket).is_ok() {
                     return Err(std::io::Error::new(
                         std::io::ErrorKind::AddrInUse,
-                        format!("a daemon is already serving {}", options.socket.display()),
+                        format!("a daemon is already serving {}", socket.display()),
                     ));
                 }
-                options.telemetry.warn(
+                base.telemetry.warn(
                     "serve",
                     "recovered stale socket",
-                    [("socket", Json::from(options.socket.display().to_string()))],
+                    [("socket", Json::from(socket.display().to_string()))],
                 );
-                std::fs::remove_file(&options.socket)?;
-                UnixListener::bind(&options.socket)?
+                std::fs::remove_file(&socket)?;
+                UnixListener::bind(&socket)?
             }
             Err(e) => return Err(e),
         };
         listener.set_nonblocking(true)?;
-        let pool = Arc::new(ThreadPool::new(exec::resolve_jobs(options.jobs)));
+        let pool = Arc::new(ThreadPool::new(exec::resolve_jobs(base.jobs)));
         Ok(Server {
             listener,
-            options,
+            socket,
+            base,
             pool,
             shutdown: Arc::new(AtomicBool::new(false)),
         })
@@ -151,19 +138,19 @@ impl Server {
     /// Returns the number of connections served. The socket file is
     /// removed on the way out.
     pub fn run(&self) -> std::io::Result<u64> {
-        let tel = &self.options.telemetry;
+        let tel = &self.base.telemetry;
         tel.info(
             "serve",
             "daemon listening",
             [
-                (
-                    "socket",
-                    Json::from(self.options.socket.display().to_string()),
-                ),
+                ("socket", Json::from(self.socket.display().to_string())),
                 ("jobs", Json::from(self.pool.threads())),
                 (
                     "cache_dir",
-                    Json::from(self.options.cache_dir.display().to_string()),
+                    self.base
+                        .cache_dir
+                        .as_ref()
+                        .map_or(Json::Null, |d| Json::from(d.display().to_string())),
                 ),
             ],
         );
@@ -173,7 +160,7 @@ impl Server {
                 Ok((stream, _)) => {
                     tel.metrics().counter("serve.connections").inc();
                     let ctx = ConnCtx {
-                        options: self.options.clone(),
+                        base: self.base.clone(),
                         pool: Arc::clone(&self.pool),
                         shutdown: Arc::clone(&self.shutdown),
                     };
@@ -189,7 +176,7 @@ impl Server {
         for h in handlers {
             let _ = h.join();
         }
-        let _ = std::fs::remove_file(&self.options.socket);
+        let _ = std::fs::remove_file(&self.socket);
         let served = tel.metrics().counter("serve.connections").get();
         tel.info(
             "serve",
@@ -208,14 +195,15 @@ impl Server {
 
 /// Everything a connection thread needs.
 struct ConnCtx {
-    options: ServeOptions,
+    base: RegressionOptions,
     pool: Arc<ThreadPool>,
     shutdown: Arc<AtomicBool>,
 }
 
 /// The longest request line the daemon reads, newline excluded. A
-/// campaign request names its configurations and seeds, so real requests
-/// stay far below it; the cap keeps one client from growing a
+/// campaign request carries its configuration texts and a few flags (the
+/// whole built-in sweep renders to under 16 KiB), so real requests stay
+/// below it; the cap keeps one client from growing a
 /// connection's line buffer without bound.
 const MAX_REQUEST_LINE: usize = 64 * 1024;
 
@@ -242,7 +230,7 @@ fn read_request(reader: &mut impl BufRead, line: &mut Vec<u8>) -> Option<bool> {
 }
 
 fn serve_connection(stream: UnixStream, ctx: &ConnCtx) {
-    let tel = &ctx.options.telemetry;
+    let tel = &ctx.base.telemetry;
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
@@ -302,7 +290,7 @@ const STATS_COUNTERS: [(&str, &str); 7] = [
 /// Answers one request line, or the error that reading it met; every
 /// `{"ok":false}` reply is counted here, once, as `serve.errors`.
 fn handle_request(line: Result<&[u8], String>, ctx: &ConnCtx) -> Vec<Json> {
-    let tel = &ctx.options.telemetry;
+    let tel = &ctx.base.telemetry;
     let request = line
         .and_then(|line| {
             std::str::from_utf8(line).map_err(|_| "malformed request: not UTF-8".to_owned())
@@ -339,7 +327,7 @@ fn answer(op: &str, request: &Json, ctx: &ConnCtx) -> Vec<Json> {
             ("source", Json::from(SOURCE_FINGERPRINT)),
         ])],
         "stats" => {
-            let metrics = ctx.options.telemetry.metrics();
+            let metrics = ctx.base.telemetry.metrics();
             let counters = STATS_COUNTERS
                 .map(|(field, counter)| (field, Json::from(metrics.counter(counter).get())));
             vec![Json::obj(
@@ -364,104 +352,80 @@ fn answer(op: &str, request: &Json, ctx: &ConnCtx) -> Vec<Json> {
     }
 }
 
-fn run_campaign(request: &Json, ctx: &ConnCtx) -> Vec<Json> {
-    let tel = &ctx.options.telemetry;
+/// The flags a `--client` forwards in a campaign request's `args`: the
+/// campaign shape. The store, the pool and the eviction bounds are the
+/// daemon's own, so `--jobs` and the `--cache*` flags are refused.
+pub const CLIENT_FLAGS: [&str; 6] = [
+    "--seeds",
+    "--intensity",
+    "--engine",
+    "--views",
+    "--no-compare",
+    "--exact",
+];
 
+/// The keys a campaign request may carry.
+const CAMPAIGN_KEYS: [&str; 4] = ["op", "source", "config_text", "args"];
+
+/// The campaign a request asks for: its configurations, and the daemon's
+/// base options with the request's `args` applied.
+fn campaign_of(
+    request: &Json,
+    base: &RegressionOptions,
+) -> Result<(Vec<NodeConfig>, RegressionOptions), String> {
+    if let Json::Obj(pairs) = request {
+        if let Some((key, _)) = pairs
+            .iter()
+            .find(|(k, _)| !CAMPAIGN_KEYS.contains(&k.as_str()))
+        {
+            return Err(format!(
+                "unknown campaign request key `{key}` (expected {})",
+                CAMPAIGN_KEYS.join(", ")
+            ));
+        }
+    }
     // The daemon's store and verdicts are only valid for the code it was
     // built from; a client built from other sources must not get them.
     let source = request.get("source").and_then(Json::as_str);
     if source != Some(SOURCE_FINGERPRINT) {
-        return error_line(format!(
+        return Err(format!(
             "source fingerprint mismatch: client {}, daemon {SOURCE_FINGERPRINT}",
             source.unwrap_or("(none)")
         ));
     }
+    let strings = |key: &str| -> Option<Vec<&str>> {
+        match request.get(key) {
+            None => Some(Vec::new()),
+            Some(j) => j.as_arr()?.iter().map(Json::as_str).collect(),
+        }
+    };
+    let texts = strings("config_text")
+        .filter(|t| !t.is_empty())
+        .ok_or("`config_text` must be a non-empty array of configuration texts")?;
+    let configs = texts
+        .into_iter()
+        .map(|text| parse_config(text).map_err(|e| format!("bad config text: {e}")))
+        .collect::<Result<_, _>>()?;
+    let args = strings("args").ok_or("`args` must be an array of strings")?;
+    let mut options = base.clone();
+    options.apply_args(&args, &CLIENT_FLAGS)?;
+    Ok((configs, options))
+}
 
-    // Resolve the configuration list: named standard configurations
-    // and/or inline config-file texts; a request naming neither runs the
-    // whole standard sweep.
-    let all = standard_configs();
-    let mut configs = Vec::new();
-    match request.get("configs") {
-        None | Some(Json::Null) => {}
-        Some(Json::Arr(names)) => {
-            for name in names {
-                let Some(name) = name.as_str() else {
-                    return error_line("`configs` must be an array of names");
-                };
-                match all.iter().find(|c| c.name == name) {
-                    Some(config) => configs.push(config.clone()),
-                    None => return error_line(format!("unknown configuration `{name}`")),
-                }
-            }
-        }
-        Some(_) => return error_line("`configs` must be an array of names"),
-    }
-    if let Some(texts) = request.get("config_text").and_then(Json::as_arr) {
-        for text in texts {
-            let Some(text) = text.as_str() else {
-                return error_line("`config_text` must be an array of strings");
-            };
-            match crate::parse_config(text) {
-                Ok(config) => configs.push(config),
-                Err(e) => return error_line(format!("bad config text: {e}")),
-            }
-        }
-    }
-    if configs.is_empty() {
-        configs = all;
-    }
-
-    let seeds = match request.get("seeds") {
-        None | Some(Json::Null) => vec![1, 2],
-        Some(Json::Arr(seeds)) => {
-            let parsed: Option<Vec<u64>> = seeds.iter().map(Json::as_u64).collect();
-            match parsed {
-                Some(s) if !s.is_empty() => s,
-                _ => return error_line("`seeds` must be a non-empty array of integers"),
-            }
-        }
-        Some(_) => return error_line("`seeds` must be an array of integers"),
+fn run_campaign(request: &Json, ctx: &ConnCtx) -> Vec<Json> {
+    let tel = &ctx.base.telemetry;
+    let (configs, mut options) = match campaign_of(request, &ctx.base) {
+        Ok(campaign) => campaign,
+        Err(e) => return error_line(e),
     };
-    let intensity = match request.get("intensity") {
-        None | Some(Json::Null) => 10,
-        Some(j) => match j.as_u64() {
-            Some(n) if n > 0 => n as usize,
-            _ => return error_line("`intensity` must be a positive integer"),
-        },
-    };
-    let engine = match request.get("engine").and_then(Json::as_str) {
-        None => sim_kernel::SimBackend::Event,
-        Some(s) => match s.parse() {
-            Ok(engine) => engine,
-            Err(e) => return error_line(e),
-        },
-    };
-    // Optional view list ("rtl"/"bca"/"tlm" names); the default pair is
-    // the paper's two-view flow. A non-string entry is an unknown view.
-    let views = match request.get("views") {
-        None | Some(Json::Null) => vec![ViewKind::Rtl, ViewKind::Bca],
-        Some(Json::Arr(names)) => {
-            match parse_views(names.iter().map(|n| n.as_str().unwrap_or(""))) {
-                Ok(views) => views,
-                Err(e) => return error_line(format!("`views`: {e}")),
-            }
-        }
-        Some(_) => return error_line("`views` must be an array of view names"),
-    };
-    let compare = request
-        .get("compare")
-        .and_then(Json::as_bool)
-        .unwrap_or(true);
-
-    let tests = catg::tests_lib::all(intensity);
-    let cells = configs.len() * tests.len() * seeds.len();
+    let tests = catg::tests_lib::all(options.intensity);
+    let cells = configs.len() * tests.len() * options.seeds.len();
     let accepted = Json::obj([
         ("ok", Json::from(true)),
         ("event", Json::from("accepted")),
         ("configs", Json::from(configs.len())),
         ("tests", Json::from(tests.len())),
-        ("seeds", Json::from(seeds.len())),
+        ("seeds", Json::from(options.seeds.len())),
         ("cells", Json::from(cells)),
     ]);
 
@@ -472,18 +436,8 @@ fn run_campaign(request: &Json, ctx: &ConnCtx) -> Vec<Json> {
     // Each campaign gets a fresh telemetry handle (private metrics, the
     // daemon's sinks) so its manifest reports its own totals, while the
     // store and pool are the daemon-shared ones.
-    let options = RegressionOptions {
-        seeds,
-        intensity,
-        engine,
-        views,
-        compare_waveforms: compare,
-        telemetry: tel.scoped_metrics(),
-        cache_dir: Some(ctx.options.cache_dir.clone()),
-        cache_gc: ctx.options.cache_gc,
-        pool: Some(Arc::clone(&ctx.pool)),
-        ..RegressionOptions::default()
-    };
+    options.telemetry = tel.scoped_metrics();
+    options.pool = Some(Arc::clone(&ctx.pool));
     let report = run_regression(&configs, &tests, &options);
     let summary = report.cache.unwrap_or_default();
     tel.metrics().counter("serve.cache_hits").add(summary.hits);
@@ -509,21 +463,13 @@ fn run_campaign(request: &Json, ctx: &ConnCtx) -> Vec<Json> {
 }
 
 /// Thin client: connect, send one request line, collect response lines
-/// until the final event of the request arrives (`report` for campaigns,
-/// anything else immediately) or the daemon hangs up.
+/// until the final one of the request arrives (any line but a campaign's
+/// `accepted`) or the daemon hangs up.
 pub fn client_request(socket: &Path, request: &str) -> std::io::Result<Vec<Json>> {
     let stream = UnixStream::connect(socket)?;
     let mut writer = stream.try_clone()?;
     writeln!(writer, "{}", request.trim())?;
     writer.flush()?;
-    let is_campaign = Json::parse(request.trim())
-        .ok()
-        .and_then(|j| {
-            j.get("op")
-                .and_then(Json::as_str)
-                .map(|op| op == "campaign")
-        })
-        .unwrap_or(false);
     let reader = BufReader::new(stream);
     let mut responses = Vec::new();
     for line in reader.lines() {
@@ -537,11 +483,8 @@ pub fn client_request(socket: &Path, request: &str) -> std::io::Result<Vec<Json>
                 format!("daemon sent malformed JSON: {e:?}"),
             )
         })?;
-        let done = {
-            let event = json.get("event").and_then(Json::as_str);
-            let failed = json.get("ok").and_then(Json::as_bool) == Some(false);
-            failed || !is_campaign || event == Some("report")
-        };
+        // Only a campaign's `accepted` line is followed by another.
+        let done = json.get("event").and_then(Json::as_str) != Some("accepted");
         responses.push(json);
         if done {
             break;

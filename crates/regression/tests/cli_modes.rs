@@ -93,8 +93,8 @@ fn each_mode_rejects_a_foreign_flag_before_running() {
             "regress",
         ),
         (
-            &["--client", socket, "--exact", "--out", out],
-            "--exact",
+            &["--client", socket, "--jobs", "2", "--out", out],
+            "--jobs",
             "--client",
         ),
         (&["--serve", socket, "--seeds", "2"], "--seeds", "--serve"),
@@ -205,6 +205,7 @@ fn malformed_or_missing_values_are_rejected() {
     rejected(&["--seeds", "abc"], &["--seeds"]);
     rejected(&["--seeds", "0"], &["--seeds"]);
     rejected(&["--intensity", "x"], &["--intensity"]);
+    rejected(&["--intensity", "0"], &["--intensity"]);
     rejected(&["--jobs", "-1"], &["--jobs"]);
     rejected(&["--views", "rtl,tlm"], &["--views"]);
     for flag in ["--out", "--configs", "--log-file", "--trace-out"] {

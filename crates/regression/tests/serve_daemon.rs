@@ -3,17 +3,22 @@
 //! cooperative shutdown (request op and the embedder's flag, which is
 //! what the CLI's stdin-EOF watcher flips), stale-socket recovery,
 //! error replies to malformed, non-UTF-8 and oversized lines on a
-//! connection that stays usable, and campaigns refused to clients built
-//! from other sources.
+//! connection that stays usable, campaigns refused to clients built
+//! from other sources, requests in another shape refused naming the key
+//! or flag, and `--client` answering what a local regress run prints.
 
 #![cfg(unix)]
 
-use stbus_regression::serve::{client_request, ServeOptions, Server, SERVE_PROTOCOL};
-use stbus_regression::{CacheSummary, CACHE_STATS_SCHEMA, SOURCE_FINGERPRINT};
+use stbus_regression::serve::{client_request, Server, SERVE_PROTOCOL};
+use stbus_regression::{
+    render_config, standard_configs, CacheSummary, RegressionOptions, CACHE_STATS_SCHEMA,
+    SOURCE_FINGERPRINT,
+};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::Shutdown;
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
+use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 use telemetry::Json;
 
@@ -32,11 +37,46 @@ fn wait_for_socket(path: &Path) {
     }
 }
 
-/// A quick overlapping campaign: one standard configuration, the whole
-/// test library at low intensity.
+/// Binds a daemon under `base`: its socket, its store in `cache`, and a
+/// pool of `jobs` workers.
+fn bind(base: &Path, cache: &str, jobs: usize) -> std::io::Result<Server> {
+    let options = RegressionOptions {
+        cache_dir: Some(base.join(cache)),
+        jobs,
+        ..RegressionOptions::default()
+    };
+    Server::bind(base.join("daemon.sock"), options)
+}
+
+/// The text of standard configuration `name`.
+fn config_text(name: &str) -> String {
+    let configs = standard_configs();
+    render_config(configs.iter().find(|c| c.name == name).expect(name))
+}
+
+/// A campaign request in the `/3` shape: the config texts and the flags.
+fn request(config_text: &[String], args: &[&str]) -> String {
+    Json::obj([
+        ("op", Json::from("campaign")),
+        ("source", Json::from(SOURCE_FINGERPRINT)),
+        (
+            "config_text",
+            Json::Arr(config_text.iter().map(|t| Json::str(t.as_str())).collect()),
+        ),
+        (
+            "args",
+            Json::Arr(args.iter().map(|a| Json::str(*a)).collect()),
+        ),
+    ])
+    .render()
+}
+
+/// A quick overlapping campaign: `cfg01`, the whole test library at low
+/// intensity, seeds `1..=seeds`.
 fn campaign_request(seeds: &str) -> String {
-    format!(
-        r#"{{"op":"campaign","source":"{SOURCE_FINGERPRINT}","configs":["cfg01"],"seeds":{seeds},"intensity":4}}"#
+    request(
+        &[config_text("cfg01")],
+        &["--seeds", seeds, "--intensity", "4"],
     )
 }
 
@@ -59,13 +99,7 @@ fn cache_stat(report: &Json, name: &str) -> u64 {
 fn daemon_shares_one_cache_across_concurrent_clients() {
     let base = temp_base("shared");
     let socket = base.join("daemon.sock");
-    let server = Server::bind(ServeOptions {
-        socket: socket.clone(),
-        cache_dir: base.join("cache"),
-        jobs: 2,
-        ..ServeOptions::default()
-    })
-    .expect("bind");
+    let server = bind(&base, "cache", 2).expect("bind");
     let daemon = std::thread::spawn(move || server.run().expect("daemon run"));
     wait_for_socket(&socket);
 
@@ -84,10 +118,10 @@ fn daemon_shares_one_cache_across_concurrent_clients() {
     // both). Each must get a complete, correct report.
     let sock_a = socket.clone();
     let client_a =
-        std::thread::spawn(move || client_request(&sock_a, &campaign_request("[1]")).unwrap());
+        std::thread::spawn(move || client_request(&sock_a, &campaign_request("1")).unwrap());
     let sock_b = socket.clone();
     let client_b =
-        std::thread::spawn(move || client_request(&sock_b, &campaign_request("[1,2]")).unwrap());
+        std::thread::spawn(move || client_request(&sock_b, &campaign_request("2")).unwrap());
     let responses_a = client_a.join().unwrap();
     let responses_b = client_b.join().unwrap();
     let report_a = report_of(&responses_a);
@@ -110,7 +144,7 @@ fn daemon_shares_one_cache_across_concurrent_clients() {
     // A third client repeating the wider campaign is fully warm: the
     // store the other clients filled answers every cell, and the
     // report is byte-identical to the cold one.
-    let responses_c = client_request(&socket, &campaign_request("[1,2]")).expect("warm client");
+    let responses_c = client_request(&socket, &campaign_request("2")).expect("warm client");
     let report_c = report_of(&responses_c);
     assert_eq!(
         cache_stat(report_c, "hits"),
@@ -153,17 +187,11 @@ fn daemon_shares_one_cache_across_concurrent_clients() {
 fn daemon_cache_report_is_the_cache_stats_document() {
     let base = temp_base("cachestats");
     let socket = base.join("daemon.sock");
-    let server = Server::bind(ServeOptions {
-        socket: socket.clone(),
-        cache_dir: base.join("cache"),
-        jobs: 1,
-        ..ServeOptions::default()
-    })
-    .expect("bind");
+    let server = bind(&base, "cache", 1).expect("bind");
     let daemon = std::thread::spawn(move || server.run().expect("daemon run"));
     wait_for_socket(&socket);
 
-    let responses = client_request(&socket, &campaign_request("[1]")).expect("campaign");
+    let responses = client_request(&socket, &campaign_request("1")).expect("campaign");
     let cache = report_of(&responses).get("cache").expect("cache object");
     assert_eq!(
         cache.get("schema").and_then(Json::as_str),
@@ -184,18 +212,13 @@ fn daemon_cache_report_is_the_cache_stats_document() {
 fn three_view_campaigns_warm_their_own_cells() {
     let base = temp_base("threeview");
     let socket = base.join("daemon.sock");
-    let server = Server::bind(ServeOptions {
-        socket: socket.clone(),
-        cache_dir: base.join("cache"),
-        jobs: 2,
-        ..ServeOptions::default()
-    })
-    .expect("bind");
+    let server = bind(&base, "cache", 2).expect("bind");
     let daemon = std::thread::spawn(move || server.run().expect("daemon run"));
     wait_for_socket(&socket);
 
-    let request = &format!(
-        r#"{{"op":"campaign","source":"{SOURCE_FINGERPRINT}","configs":["cfg01"],"seeds":[1],"intensity":4,"views":["rtl","bca","tlm"]}}"#
+    let request = &request(
+        &[config_text("cfg01")],
+        &["--seeds", "1", "--intensity", "4", "--views", "rtl,bca,tlm"],
     );
     let cold = client_request(&socket, request).expect("cold three-view campaign");
     let cold_report = report_of(&cold);
@@ -217,7 +240,7 @@ fn three_view_campaigns_warm_their_own_cells() {
     );
 
     // A two-view campaign must not be answered from three-view cells.
-    let two = client_request(&socket, &campaign_request("[1]")).expect("two-view campaign");
+    let two = client_request(&socket, &campaign_request("1")).expect("two-view campaign");
     let two_report = report_of(&two);
     assert_eq!(
         cache_stat(two_report, "hits"),
@@ -238,13 +261,7 @@ fn three_view_campaigns_warm_their_own_cells() {
 fn malformed_and_unknown_requests_do_not_kill_the_connection() {
     let base = temp_base("errors");
     let socket = base.join("daemon.sock");
-    let server = Server::bind(ServeOptions {
-        socket: socket.clone(),
-        cache_dir: base.join("cache"),
-        jobs: 1,
-        ..ServeOptions::default()
-    })
-    .expect("bind");
+    let server = bind(&base, "cache", 1).expect("bind");
     let flag = server.shutdown_flag();
     let daemon = std::thread::spawn(move || server.run().expect("daemon run"));
     wait_for_socket(&socket);
@@ -255,12 +272,12 @@ fn malformed_and_unknown_requests_do_not_kill_the_connection() {
     assert_eq!(unknown[0].get("ok").and_then(Json::as_bool), Some(false));
     let rejected = client_request(
         &socket,
-        &format!(
-            r#"{{"op":"campaign","source":"{SOURCE_FINGERPRINT}","configs":["no-such-config"]}}"#
-        ),
+        &request(&["no such config".to_owned()], &["--seeds", "1"]),
     )
     .unwrap();
     assert_eq!(rejected[0].get("ok").and_then(Json::as_bool), Some(false));
+    let error = rejected[0].get("error").and_then(Json::as_str).unwrap();
+    assert!(error.contains("bad config text"), "{error}");
     // The daemon is still alive and answering.
     let pong = client_request(&socket, r#"{"op":"ping"}"#).expect("ping after errors");
     assert_eq!(pong[0].get("event").and_then(Json::as_str), Some("pong"));
@@ -289,13 +306,7 @@ fn read_reply(reader: &mut BufReader<UnixStream>) -> Json {
 fn non_utf8_lines_are_answered_and_a_last_line_without_newline_counts() {
     let base = temp_base("bytes");
     let socket = base.join("daemon.sock");
-    let server = Server::bind(ServeOptions {
-        socket: socket.clone(),
-        cache_dir: base.join("cache"),
-        jobs: 1,
-        ..ServeOptions::default()
-    })
-    .expect("bind");
+    let server = bind(&base, "cache", 1).expect("bind");
     let flag = server.shutdown_flag();
     let daemon = std::thread::spawn(move || server.run().expect("daemon run"));
     wait_for_socket(&socket);
@@ -310,8 +321,8 @@ fn non_utf8_lines_are_answered_and_a_last_line_without_newline_counts() {
     let error = bad.get("error").and_then(Json::as_str).unwrap();
     assert!(error.contains("UTF-8"), "{error}");
 
-    // A campaign with a bad field is an error reply like any other.
-    let bad_seeds = campaign_request("[]");
+    // A campaign with a bad flag value is an error reply like any other.
+    let bad_seeds = campaign_request("0");
     stream
         .write_all(format!("{bad_seeds}\n").as_bytes())
         .unwrap();
@@ -344,13 +355,7 @@ fn non_utf8_lines_are_answered_and_a_last_line_without_newline_counts() {
 fn an_oversized_request_line_is_answered_and_discarded() {
     let base = temp_base("oversized");
     let socket = base.join("daemon.sock");
-    let server = Server::bind(ServeOptions {
-        socket: socket.clone(),
-        cache_dir: base.join("cache"),
-        jobs: 1,
-        ..ServeOptions::default()
-    })
-    .expect("bind");
+    let server = bind(&base, "cache", 1).expect("bind");
     let flag = server.shutdown_flag();
     let daemon = std::thread::spawn(move || server.run().expect("daemon run"));
     wait_for_socket(&socket);
@@ -392,22 +397,11 @@ fn stale_socket_files_are_recovered_live_daemons_are_not_displaced() {
 
     // A dead daemon's leftover: nothing listens on the path.
     std::fs::write(&socket, b"").unwrap();
-    let server = Server::bind(ServeOptions {
-        socket: socket.clone(),
-        cache_dir: base.join("cache"),
-        jobs: 1,
-        ..ServeOptions::default()
-    })
-    .expect("stale socket file must be healed");
+    let server = bind(&base, "cache", 1).expect("stale socket file must be healed");
 
     // While that daemon is bound, a second bind on the same path must
     // refuse rather than displace it.
-    let err = match Server::bind(ServeOptions {
-        socket: socket.clone(),
-        cache_dir: base.join("cache2"),
-        jobs: 1,
-        ..ServeOptions::default()
-    }) {
+    let err = match bind(&base, "cache2", 1) {
         Err(e) => e,
         Ok(_) => panic!("live daemon must not be displaced"),
     };
@@ -427,13 +421,7 @@ fn stale_socket_files_are_recovered_live_daemons_are_not_displaced() {
 fn rejected_by_fresh_daemon(tag: &str, request: &str) -> Json {
     let base = temp_base(tag);
     let socket = base.join("daemon.sock");
-    let server = Server::bind(ServeOptions {
-        socket: socket.clone(),
-        cache_dir: base.join("cache"),
-        jobs: 1,
-        ..ServeOptions::default()
-    })
-    .expect("bind");
+    let server = bind(&base, "cache", 1).expect("bind");
     let flag = server.shutdown_flag();
     let daemon = std::thread::spawn(move || server.run().expect("daemon run"));
     wait_for_socket(&socket);
@@ -451,7 +439,7 @@ fn rejected_by_fresh_daemon(tag: &str, request: &str) -> Json {
 
 #[test]
 fn campaign_from_other_sources_is_rejected_naming_both_fingerprints() {
-    let request = campaign_request("[1]").replace(SOURCE_FINGERPRINT, "0123456789abcdef");
+    let request = campaign_request("1").replace(SOURCE_FINGERPRINT, "0123456789abcdef");
     let answer = rejected_by_fresh_daemon("mismatch", &request);
     assert_eq!(answer.get("ok").and_then(Json::as_bool), Some(false));
     let error = answer.get("error").and_then(Json::as_str).unwrap();
@@ -462,11 +450,130 @@ fn campaign_from_other_sources_is_rejected_naming_both_fingerprints() {
 #[test]
 fn campaign_without_a_source_is_rejected() {
     let request =
-        campaign_request("[1]").replace(&format!(r#""source":"{SOURCE_FINGERPRINT}","#), "");
+        campaign_request("1").replace(&format!(r#""source":"{SOURCE_FINGERPRINT}","#), "");
     assert!(!request.contains("source"));
     let answer = rejected_by_fresh_daemon("nosource", &request);
     assert_eq!(answer.get("ok").and_then(Json::as_bool), Some(false));
     let error = answer.get("error").and_then(Json::as_str).unwrap();
     assert!(error.contains("(none)"), "{error}");
     assert!(error.contains(SOURCE_FINGERPRINT), "{error}");
+}
+
+#[test]
+fn a_campaign_in_another_shape_is_refused_naming_the_key() {
+    // The `/2` shape: fields instead of flags, `configs` by name.
+    let old = format!(
+        r#"{{"op":"campaign","source":"{SOURCE_FINGERPRINT}","configs":["cfg01"],"seeds":[1],"intensity":4}}"#
+    );
+    // A `/3` request with one `/2` field added.
+    let mixed = campaign_request("1").replace(r#""args""#, r#""seeds":[1],"args""#);
+    for (tag, request, key) in [("old", old, "configs"), ("mixed", mixed, "seeds")] {
+        let answer = rejected_by_fresh_daemon(tag, &request);
+        assert_eq!(answer.get("ok").and_then(Json::as_bool), Some(false));
+        let error = answer.get("error").and_then(Json::as_str).unwrap();
+        assert!(error.contains(&format!("`{key}`")), "{error}");
+    }
+}
+
+#[test]
+fn a_flag_outside_the_client_row_is_refused_naming_it() {
+    // The store, the pool and the eviction bounds are the daemon's own.
+    for flag in ["--jobs", "--cache-dir", "--cache-max-entries", "--configs"] {
+        let request = request(&[config_text("cfg01")], &["--seeds", "1", flag, "2"]);
+        let answer = rejected_by_fresh_daemon(&format!("flag{flag}"), &request);
+        assert_eq!(answer.get("ok").and_then(Json::as_bool), Some(false));
+        let error = answer.get("error").and_then(Json::as_str).unwrap();
+        assert!(error.starts_with(flag), "{error}");
+    }
+}
+
+fn run_cli(args: &[&str]) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_stbus-regress"))
+        .args(args)
+        .output()
+        .expect("spawn stbus-regress");
+    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{args:?}\n{stdout}\n{stderr}");
+    stdout
+}
+
+/// stdout without its last line: the local run ends with the sign-off
+/// count, the client with the store's counters.
+fn without_last_line(stdout: &str) -> &str {
+    let body = stdout.trim_end_matches('\n');
+    body.rsplit_once('\n').map_or("", |(table, _)| table)
+}
+
+/// `--client` forwards regress's own flags, `--exact` included, and the
+/// daemon reads them the way the CLI does: the same table and the same
+/// `manifest.json` as a local run with the same flags.
+#[test]
+fn a_client_campaign_matches_a_local_run_with_the_same_flags() {
+    let base = temp_base("parity");
+    let configs = base.join("configs");
+    std::fs::create_dir_all(&configs).unwrap();
+    // A Type 3 configuration on which the relaxed BCA view misaligns, so
+    // the table shows whether `--exact` took effect.
+    std::fs::write(configs.join("cfg02.cfg"), config_text("cfg02")).unwrap();
+    let socket = base.join("daemon.sock").display().to_string();
+    let store = base.join("cache").display().to_string();
+    let mut daemon = Command::new(env!("CARGO_BIN_EXE_stbus-regress"))
+        .args([
+            "--serve",
+            &socket,
+            "--cache-dir",
+            &store,
+            "--jobs",
+            "2",
+            "--quiet",
+        ])
+        .stdin(Stdio::piped())
+        .spawn()
+        .expect("spawn daemon");
+    wait_for_socket(Path::new(&socket));
+
+    let configs = configs.display().to_string();
+    let flags = [
+        "--configs",
+        &configs,
+        "--seeds",
+        "1",
+        "--intensity",
+        "2",
+        "--views",
+        "rtl,bca,tlm",
+        "--quiet",
+    ];
+    // stdout of a run with `flags`, `extra` and `--out <base>/<out>`.
+    let campaign = |extra: &[&str], out: &str| {
+        let out = base.join(out).display().to_string();
+        run_cli(&[&flags[..], extra, &["--out", &out]].concat())
+    };
+    let remote = campaign(&["--client", &socket, "--exact"], "remote");
+    let local = campaign(&["--exact", "--no-history"], "local");
+    let relaxed = campaign(&["--no-history"], "relaxed");
+    assert!(local.contains("tx-align"), "{local}");
+    assert_eq!(without_last_line(&remote), without_last_line(&local));
+    assert_ne!(
+        without_last_line(&relaxed),
+        without_last_line(&local),
+        "--exact had no effect"
+    );
+    assert!(
+        remote.ends_with("cache: 0 hits, 12 misses, 12 simulated\n"),
+        "{remote}"
+    );
+    let manifest = |out: &str| std::fs::read(base.join(out).join("manifest.json")).expect(out);
+    assert_eq!(
+        manifest("remote"),
+        manifest("local"),
+        "manifest.json differs"
+    );
+
+    // EOF on the daemon's stdin stops it.
+    drop(daemon.stdin.take());
+    assert!(daemon.wait().expect("daemon exit").success());
+    assert!(!Path::new(&socket).exists());
+    let _ = std::fs::remove_dir_all(&base);
 }

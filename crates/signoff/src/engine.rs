@@ -41,9 +41,6 @@ use crate::waiver::{WaiverError, WaiverFile};
 /// Schema identifier written into `signoff.json`.
 pub const SIGNOFF_SCHEMA: &str = "stbus-signoff/1";
 
-/// The per-port alignment floor of the paper's third gate.
-const ALIGNMENT_FLOOR: f64 = 0.99;
-
 /// One candidate regression entry: a frozen spec and the seeds to run it
 /// under.
 #[derive(Clone, Debug)]
@@ -512,7 +509,7 @@ impl SignoffReport {
         }
         for (port, m, t) in &self.alignment_ports {
             let r = port_rate(*m, *t);
-            if r < ALIGNMENT_FLOOR {
+            if r < stba::SIGNOFF_RATE {
                 detail.push(format!("port {port} aligned {:.3}% < 99%", r * 100.0));
             }
         }

@@ -41,7 +41,8 @@ pub struct AlignmentReport {
 }
 
 impl AlignmentReport {
-    /// The lowest per-port rate — the sign-off figure (target ≥ 0.99).
+    /// The lowest per-port rate — the sign-off figure (target
+    /// [`crate::SIGNOFF_RATE`]).
     pub fn min_rate(&self) -> f64 {
         self.ports
             .iter()
@@ -58,7 +59,7 @@ impl AlignmentReport {
     }
 
     /// The paper's sign-off criterion: every port at or above `threshold`
-    /// (0.99 in the paper).
+    /// ([`crate::SIGNOFF_RATE`] in the paper).
     pub fn signed_off(&self, threshold: f64) -> bool {
         self.min_rate() >= threshold
     }
@@ -546,7 +547,7 @@ mod tests {
         let report = compare_vcd(&a, &a, 10).unwrap();
         assert_eq!(report.cycles, 4);
         assert_eq!(report.min_rate(), 1.0);
-        assert!(report.signed_off(0.99));
+        assert!(report.signed_off(crate::SIGNOFF_RATE));
         assert!(report.ports.iter().all(|p| p.first_divergence.is_none()));
     }
 
@@ -564,7 +565,7 @@ mod tests {
         // The other port is untouched.
         assert_eq!(report.ports[1].rate(), 1.0);
         assert!((report.min_rate() - 0.75).abs() < 1e-12);
-        assert!(!report.signed_off(0.99));
+        assert!(!report.signed_off(crate::SIGNOFF_RATE));
     }
 
     #[test]
@@ -600,7 +601,7 @@ mod tests {
         };
         assert_eq!(report.mean_rate(), 1.0);
         assert_eq!(report.min_rate(), 1.0);
-        assert!(report.signed_off(0.99));
+        assert!(report.signed_off(crate::SIGNOFF_RATE));
     }
 
     #[test]

@@ -433,12 +433,12 @@ mod tests {
         let report = compare_transactions(&a, &b, 10).expect("same tree");
         assert_eq!(report.ports.len(), 1);
         assert_eq!(report.min_rate(), 1.0);
-        assert!(report.signed_off(0.99));
+        assert!(report.signed_off(crate::SIGNOFF_RATE));
 
         // Same-src commit reorder: rejected.
         let c = dump_of(&[(1, 0x80, 2, 0), (2, 0x10, 3, 1), (3, 0x40, 1, 0)]);
         let report = compare_transactions(&a, &c, 10).expect("same tree");
-        assert!(report.min_rate() < 0.99);
+        assert!(report.min_rate() < crate::SIGNOFF_RATE);
         assert_eq!(report.ports[0].diverging_vars, vec!["req:src0".to_owned()]);
     }
 

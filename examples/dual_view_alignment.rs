@@ -59,7 +59,7 @@ fn main() {
     );
     println!(
         "sign-off (>=99%): {}",
-        if worst >= 0.99 {
+        if worst >= stba::SIGNOFF_RATE {
             "YES — BCA model can ship"
         } else {
             "NO"

@@ -70,7 +70,7 @@ fn relaxed_bca_stays_above_sign_off_threshold() {
     )
     .unwrap();
     assert!(
-        report.signed_off(0.99),
+        report.signed_off(stba::SIGNOFF_RATE),
         "alignment below the 99% sign-off target:\n{report}"
     );
 }

@@ -87,7 +87,7 @@ fn tlm_view_is_not_bus_accurate() {
     )
     .expect("same tree");
     assert!(
-        !report.signed_off(0.99),
+        !report.signed_off(stba::SIGNOFF_RATE),
         "an untimed model must not pass bus-accurate sign-off: {report}"
     );
 }
