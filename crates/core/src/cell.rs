@@ -12,9 +12,16 @@
 //! BCA and TLM views rely on the reset every run starts with. A reused
 //! view produces byte-identical results, coverage and engine counters.
 //!
+//! A later view that publishes no engine counters (today the BCA view) is
+//! replayed against the port log of the cell's first view: it steps
+//! through the logged inputs, and when its outputs match on every cycle
+//! it takes the first view's verdict instead of running the environment
+//! again ([`Testbench`]'s replay, DESIGN §28). The log lives as long as
+//! the cell.
+//!
 //! [`RtlNode::rewind`]: stbus_rtl::RtlNode::rewind
 
-use crate::testbench::{RunResult, TestSpec, Testbench, TestbenchOptions};
+use crate::testbench::{PortLog, RunResult, TestSpec, Testbench, TestbenchOptions};
 use crate::views::{Elaborated, ViewSpec};
 use sim_kernel::ActivityCoverage;
 use stba::{compare_trace_transactions_with, compare_traces_with, AlignmentReport};
@@ -196,6 +203,8 @@ pub fn run_cell(spec: &CellSpec, tel: &Telemetry) -> CellOutcome {
             views: Vec::new(),
         };
     }
+    let replays = spec.views.iter().skip(1).any(|(view, _)| view.replays());
+    let mut log = replays.then(PortLog::default);
     let mut rtl_activity = None;
     let mut runs: Vec<ViewRun> = Vec::with_capacity(spec.views.len());
     let mut used = Vec::with_capacity(spec.views.len());
@@ -247,7 +256,14 @@ pub fn run_cell(spec: &CellSpec, tel: &Telemetry) -> CellOutcome {
         if spec.attach_metrics {
             dut.attach_metrics(tel.metrics());
         }
-        let result = bench.run(dut, &spec.test, spec.seed);
+        let (test, seed) = (&spec.test, spec.seed);
+        let result = match (runs.first(), &log) {
+            (None, _) => bench.run_logged(dut, test, seed, log.as_mut()),
+            (Some(first), Some(log)) if view.replays() => {
+                bench.replay(dut, test, seed, log, &first.result)
+            }
+            (Some(_), _) => bench.run(dut, test, seed),
+        };
         if let Some(span) = span {
             let passed = Json::from(result.passed());
             span.end([("cycles", Json::from(result.cycles)), ("passed", passed)]);

@@ -67,7 +67,7 @@ pub use record::{CycleRecord, PortId};
 pub use scoreboard::{Scoreboard, ScoreboardError};
 pub use sequence::{SequenceError, SequenceRunner};
 pub use target::{TargetBfm, TargetProfile};
-pub use testbench::{RunResult, TestSpec, Testbench, TestbenchOptions};
+pub use testbench::{RunResult, TestSpec, Testbench, TestbenchOptions, PORT_LOG_CYCLES};
 pub use traffic::{generate_plans, OpMix, TrafficProfile, TransactionPlan};
 pub use vcd_dump::{port_var_names, VcdDump, CYCLE_TIME};
 

@@ -10,10 +10,13 @@ use crate::record::{CycleRecord, PortId};
 use crate::scoreboard::{Scoreboard, ScoreboardError};
 use crate::target::{TargetBfm, TargetProfile};
 use crate::vcd_dump::VcdDump;
-use stbus_protocol::{DutInputs, DutView, NodeConfig, ProgCommand, ViewKind};
+use stbus_protocol::{
+    DutInputs, DutView, InitiatorPortIn, InitiatorPortOut, NodeConfig, ProgCommand, TargetPortIn,
+    TargetPortOut, ViewKind,
+};
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
-use telemetry::{Json, Telemetry};
+use telemetry::{Json, Span, Telemetry};
 
 /// Hard cycle limit of a run, including the drain phase.
 const MAX_CYCLES: u64 = 50_000;
@@ -182,13 +185,66 @@ impl Testbench {
     ///
     /// Panics if the DUT's configuration disagrees with the testbench's.
     pub fn run(&self, dut: &mut dyn DutView, spec: &TestSpec, seed: u64) -> RunResult {
+        self.run_logged(dut, spec, seed, None)
+    }
+
+    /// [`Testbench::run`], recording the run's port values into `log`
+    /// when one is given.
+    pub(crate) fn run_logged(
+        &self,
+        dut: &mut dyn DutView,
+        spec: &TestSpec,
+        seed: u64,
+        log: Option<&mut PortLog>,
+    ) -> RunResult {
+        let mut run = self.open(dut, spec, seed);
+        let result = self.simulate(dut, spec, seed, &mut run, log);
+        self.publish(run, dut, &result, false);
+        result
+    }
+
+    /// Runs `spec` with `seed` against `dut` by replaying `log`, the port
+    /// values of `first`, an earlier run of the same spec and seed on this
+    /// testbench (DESIGN §28).
+    ///
+    /// `dut` is reset and stepped through the logged inputs. If its
+    /// outputs equal the logged outputs on every cycle, the environment
+    /// would have seen the very same port values, so the result is
+    /// `first`'s relabelled with `dut`'s view. On the first mismatch, or
+    /// when the log outgrew [`PORT_LOG_CYCLES`], the run starts over in
+    /// full, as [`Testbench::run`]. Either way it is one `tb.run` span,
+    /// whose `replayed` field tells which.
+    pub(crate) fn replay(
+        &self,
+        dut: &mut dyn DutView,
+        spec: &TestSpec,
+        seed: u64,
+        log: &PortLog,
+        first: &RunResult,
+    ) -> RunResult {
+        debug_assert!(first.test == spec.name && first.seed == seed);
+        let mut run = self.open(dut, spec, seed);
+        let replayed = !log.overflowed && self.matches_log(dut, log, &mut run);
+        let result = if replayed {
+            RunResult {
+                view: dut.view_kind(),
+                ..first.clone()
+            }
+        } else {
+            self.simulate(dut, spec, seed, &mut run, None)
+        };
+        self.publish(run, dut, &result, replayed);
+        result
+    }
+
+    /// Opens a run's `tb.run` span and phase clock.
+    fn open(&self, dut: &mut dyn DutView, spec: &TestSpec, seed: u64) -> RunClock {
         assert_eq!(
             dut.config().n_initiators,
             self.config.n_initiators,
             "DUT/testbench configuration mismatch"
         );
         assert_eq!(dut.config().n_targets, self.config.n_targets);
-        let cfg = &self.config;
         let tel = &self.options.telemetry;
         let started = Instant::now();
         // Phase attribution (drive / settle / check / vcd, with check split
@@ -196,7 +252,6 @@ impl Testbench {
         // so it is gated on telemetry being live: a disabled handle keeps
         // the hot loop clock-free.
         let profiling = tel.is_enabled();
-        let mut phases = Phases::default();
         // The eval sub-phase (model evaluation inside `settle`) is timed
         // by the view itself, where the kernel hands control to the model.
         dut.set_phase_timing(profiling);
@@ -209,6 +264,56 @@ impl Testbench {
                 .field("seed", Json::from(seed))
                 .field("view", Json::from(dut.view_kind().to_string()));
         }
+        RunClock {
+            span,
+            started,
+            profiling,
+            eval_us_base,
+            phases: Phases::default(),
+        }
+    }
+
+    /// Steps `dut` from reset through `log`'s inputs; true when its
+    /// outputs equal the logged ones on every cycle. The steps are timed
+    /// as `settle`, the comparison as `check`.
+    fn matches_log(&self, dut: &mut dyn DutView, log: &PortLog, run: &mut RunClock) -> bool {
+        let (ni, nt) = (self.config.n_initiators, self.config.n_targets);
+        dut.reset();
+        let mut inputs = DutInputs::idle(&self.config);
+        let mut prog = log.prog.iter().peekable();
+        for (c, cycle) in (0..log.cycles).enumerate() {
+            let mut mark = run.profiling.then(Instant::now);
+            let (i, t) = (c * ni..(c + 1) * ni, c * nt..(c + 1) * nt);
+            inputs
+                .initiator
+                .copy_from_slice(&log.initiator_in[i.clone()]);
+            inputs.target.copy_from_slice(&log.target_in[t.clone()]);
+            inputs.prog = prog.next_if(|(at, _)| *at == cycle).map(|(_, p)| p.clone());
+            lap(&mut mark, &mut run.phases.drive);
+            let outputs = dut.step(&inputs);
+            lap(&mut mark, &mut run.phases.settle);
+            let same = outputs.initiator[..] == log.initiator_out[i]
+                && outputs.target[..] == log.target_out[t];
+            lap(&mut mark, &mut run.phases.replay);
+            if !same {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// The run itself: resets `dut`, drives it with the environment until
+    /// the traffic drains or the cycle limit, and assembles the result.
+    fn simulate(
+        &self,
+        dut: &mut dyn DutView,
+        spec: &TestSpec,
+        seed: u64,
+        run: &mut RunClock,
+        mut log: Option<&mut PortLog>,
+    ) -> RunResult {
+        let cfg = &self.config;
+        let (profiling, phases) = (run.profiling, &mut run.phases);
         dut.reset();
 
         let mut harnesses: Vec<InitiatorBfm> = (0..cfg.n_initiators)
@@ -341,6 +446,9 @@ impl Testbench {
             if let Some(v) = &mut vcd {
                 v.record(&rec);
             }
+            if let Some(log) = log.as_deref_mut() {
+                log.record(&rec);
+            }
             lap(&mut mark, &mut phases.vcd);
             inputs = rec.inputs;
 
@@ -363,7 +471,7 @@ impl Testbench {
             .map(|trace| trace.to_vcd(crate::vcd_dump::CYCLE_TIME));
         let trace = trace.filter(|_| self.options.capture_trace);
         lap(&mut mark, &mut phases.vcd);
-        let result = RunResult {
+        RunResult {
             test: spec.name.clone(),
             seed,
             view: dut.view_kind(),
@@ -381,9 +489,13 @@ impl Testbench {
             transactions,
             vcd: vcd_text,
             trace,
-        };
+        }
+    }
 
-        let metrics = tel.metrics();
+    /// Feeds a finished run into the `tb.*` counters and closes its span,
+    /// whether the run was simulated or replayed.
+    fn publish(&self, run: RunClock, dut: &dyn DutView, result: &RunResult, replayed: bool) {
+        let metrics = self.options.telemetry.metrics();
         metrics.counter("tb.runs").inc();
         metrics.counter("tb.cycles").add(result.cycles);
         metrics.counter("tb.transactions").add(result.transactions);
@@ -402,12 +514,13 @@ impl Testbench {
         if !result.passed() {
             metrics.counter("tb.failures").inc();
         }
-        if !profiling {
-            return result;
+        if !run.profiling {
+            return;
         }
-        let wall = started.elapsed();
+        let phases = &run.phases;
+        let wall = run.started.elapsed();
         let cycles_per_sec = result.cycles as f64 / wall.as_secs_f64().max(1e-9);
-        span.end([
+        run.span.end([
             ("cycles", Json::from(result.cycles)),
             ("transactions", Json::from(result.transactions)),
             ("cycles_per_sec", Json::from(cycles_per_sec)),
@@ -426,6 +539,8 @@ impl Testbench {
                 Json::from(result.coverage.coverage() * 100.0),
             ),
             ("passed", Json::from(result.passed())),
+            // Whether the verdict was reused from the cell's first view.
+            ("replayed", Json::from(replayed)),
             // Phase attribution for the span-tree profiler: these become
             // synthetic `phase:*` children of the tb.run node.
             ("phase_drive_us", micros(phases.drive)),
@@ -436,7 +551,7 @@ impl Testbench {
             // the view (zero for uninstrumented views like the BCA).
             (
                 "phase_eval_us",
-                Json::from(dut.phase_eval_us().saturating_sub(eval_us_base)),
+                Json::from(dut.phase_eval_us().saturating_sub(run.eval_us_base)),
             ),
             // The check phase's sub-layers, sub-slices of `check`.
             ("phase_check:bfm_us", micros(phases.bfm)),
@@ -455,8 +570,61 @@ impl Testbench {
                 ),
             ),
         ]);
-        result
     }
+}
+
+/// The cycles a [`PortLog`] holds at most. The default campaign's longest
+/// run is 902 cycles; a hung run reaches the 50,000-cycle limit, which
+/// would log about 30 MB for the reference configuration.
+pub const PORT_LOG_CYCLES: u64 = 4096;
+
+/// One run's port values, cycle by cycle: the inputs the environment
+/// drove and the outputs the view answered, as flat cycle-major arrays
+/// per port kind, plus the rare programming-port writes. A later view of
+/// the same cell replays against it ([`Testbench::replay`]).
+#[derive(Debug, Default)]
+pub(crate) struct PortLog {
+    initiator_in: Vec<InitiatorPortIn>,
+    target_in: Vec<TargetPortIn>,
+    initiator_out: Vec<InitiatorPortOut>,
+    target_out: Vec<TargetPortOut>,
+    /// `(cycle, write)` in cycle order.
+    prog: Vec<(u64, ProgCommand)>,
+    cycles: u64,
+    /// The run outgrew [`PORT_LOG_CYCLES`]: nothing replays against it.
+    overflowed: bool,
+}
+
+impl PortLog {
+    fn record(&mut self, rec: &CycleRecord) {
+        if self.overflowed {
+            return;
+        }
+        if self.cycles == PORT_LOG_CYCLES {
+            *self = PortLog {
+                overflowed: true,
+                ..PortLog::default()
+            };
+            return;
+        }
+        self.initiator_in.extend_from_slice(&rec.inputs.initiator);
+        self.target_in.extend_from_slice(&rec.inputs.target);
+        self.initiator_out.extend_from_slice(&rec.outputs.initiator);
+        self.target_out.extend_from_slice(&rec.outputs.target);
+        if let Some(prog) = &rec.inputs.prog {
+            self.prog.push((rec.cycle, prog.clone()));
+        }
+        self.cycles += 1;
+    }
+}
+
+/// A run's `tb.run` span and phase clock, from opening to publishing.
+struct RunClock {
+    span: Span,
+    started: Instant,
+    profiling: bool,
+    eval_us_base: u64,
+    phases: Phases,
 }
 
 /// Per-phase wall time of one run; only accumulated while profiling.
@@ -469,13 +637,16 @@ struct Phases {
     checker: Duration,
     coverage: Duration,
     scoreboard: Duration,
+    /// A replay's output comparison, which has no sub-layer of its own.
+    replay: Duration,
     vcd: Duration,
 }
 
 impl Phases {
-    /// The check phase: its five sub-layers, which tile it.
+    /// The check phase: its five sub-layers, which tile a simulated run's
+    /// check, plus a replay's output comparison.
     fn check(&self) -> Duration {
-        self.bfm + self.monitor + self.checker + self.coverage + self.scoreboard
+        self.bfm + self.monitor + self.checker + self.coverage + self.scoreboard + self.replay
     }
 }
 

@@ -47,6 +47,15 @@ impl ViewSpec {
         }
     }
 
+    /// Whether a later view of a cell described by this is replayed
+    /// against the first view's port log (DESIGN §28). Only a view that
+    /// publishes nothing but its ports qualifies: the RTL view has engine
+    /// counters and structural coverage and the TLM view `tlm.*`
+    /// counters, which the steps before a mismatch would count twice.
+    pub(crate) fn replays(&self) -> bool {
+        matches!(self, ViewSpec::Bca(..))
+    }
+
     /// Elaborates the described view for a configuration.
     pub fn build(&self, config: &NodeConfig) -> Box<dyn DutView> {
         match self.elaborate(config) {

@@ -64,9 +64,10 @@
 //! `--serve SOCKET` daemon, which shares one cell store and one worker
 //! pool across all clients and stops on a `shutdown` request or EOF on
 //! its stdin. The client forwards its campaign flags verbatim, and the
-//! daemon reads them as regress does, so the client prints the table and
-//! writes the `manifest.json` of a local run with the same flags, then
-//! the store's counters. A daemon built from other sources than the
+//! daemon reads them as regress does, so the client's stdout and
+//! `manifest.json` are those of a local run with the same flags; the
+//! store's counters go to stderr (unless `--quiet`) and to
+//! `cache_stats.json`. A daemon built from other sources than the
 //! client (another source fingerprint) rejects the campaign, and the
 //! client exits 1.
 //!
@@ -366,12 +367,7 @@ fn parse(argv: impl IntoIterator<Item = String>) -> Args {
         operand: String::new(),
         given: Vec::new(),
         campaign: Vec::new(),
-        // The CLI default is deep enough to reach full functional coverage
-        // on every sweep configuration (the library default favors speed).
-        regress: RegressionOptions {
-            intensity: 30,
-            ..RegressionOptions::default()
-        },
+        regress: RegressionOptions::default(),
         hunt: hunt::HuntOptions::default(),
         closure: cdg::ClosureOptions::default(),
         baseline: 1,
@@ -635,7 +631,7 @@ fn regress(ctx: &Ctx) -> i32 {
             append_history(ctx, &options, &configs, &tests, &report, &spans);
         }
         if args.has("--profile") {
-            let group_by = vec!["config".to_owned()];
+            let group_by = vec!["config".to_owned(), "view".to_owned()];
             let prof = profile::build_profile(&spans, &profile::ProfileOptions { group_by });
             let text = prof.render_text();
             print!("{text}");
@@ -648,12 +644,15 @@ fn regress(ctx: &Ctx) -> i32 {
         }
     }
     tel.flush();
-    println!(
-        "{} of {} configurations signed off (all checks green, full functional coverage, >=99% alignment)",
-        report.signed_off_count(),
-        report.configs.len()
-    );
+    print_signed_off(report.signed_off_count(), report.configs.len());
     0
+}
+
+/// regress's last stdout line, local or `--client`.
+fn print_signed_off(signed_off: usize, configs: usize) {
+    println!(
+        "{signed_off} of {configs} configurations signed off (all checks green, full functional coverage, >=99% alignment)"
+    );
 }
 
 /// Appends regress's record to the campaign history store.
@@ -723,12 +722,13 @@ fn client(ctx: &Ctx) -> i32 {
     // The resolved configurations, so the daemon runs exactly what this
     // invocation would have run locally, and the campaign flags verbatim.
     let strings = |items: Vec<String>| Json::Arr(items.into_iter().map(Json::from).collect());
+    let configs = ctx.configs();
     let request = Json::obj([
         ("op", Json::from("campaign")),
         ("source", Json::from(SOURCE_FINGERPRINT)),
         (
             "config_text",
-            strings(ctx.configs().iter().map(render_config).collect()),
+            strings(configs.iter().map(render_config).collect()),
         ),
         ("args", strings(args.campaign.clone())),
     ]);
@@ -750,13 +750,18 @@ fn client(ctx: &Ctx) -> i32 {
     if let Some(cache) = report.get("cache") {
         ctx.out_file("cache_stats.json", || cache.render_pretty());
         let n = |k: &str| cache.get(k).and_then(Json::as_u64).unwrap_or(0);
-        println!(
-            "cache: {} hits, {} misses, {} simulated",
-            n("hits"),
-            n("misses"),
-            n("simulated")
-        );
+        if !args.has("--quiet") {
+            eprintln!(
+                "cache: {} hits, {} misses, {} simulated",
+                n("hits"),
+                n("misses"),
+                n("simulated")
+            );
+        }
     }
+    // The same last line as a local run's.
+    let signed_off = report.get("signed_off").and_then(Json::as_u64);
+    print_signed_off(signed_off.unwrap_or(0) as usize, configs.len());
     0
 }
 

@@ -38,7 +38,9 @@ pub struct RegressionOptions {
     /// Seeds applied to every test ("Same test file could be run more
     /// than one time with a different seed").
     pub seeds: Vec<u64>,
-    /// Per-initiator transactions per test.
+    /// Per-initiator transactions per test. The default, 30, is the CLI's:
+    /// deep enough to reach full functional coverage on every sweep
+    /// configuration.
     pub intensity: usize,
     /// BCA fidelity (Relaxed reproduces the paper's <100% alignment).
     pub fidelity: Fidelity,
@@ -94,7 +96,7 @@ impl Default for RegressionOptions {
     fn default() -> Self {
         RegressionOptions {
             seeds: vec![1, 2],
-            intensity: 15,
+            intensity: 30,
             fidelity: Fidelity::Relaxed,
             bca_bugs: Vec::new(),
             views: vec![ViewKind::Rtl, ViewKind::Bca],

@@ -32,8 +32,9 @@ fn campaign_events(jobs: usize, engine: SimBackend) -> Vec<telemetry::Event> {
 
 #[test]
 fn stripped_profile_is_byte_identical_across_worker_counts() {
+    // `stbus-regress --profile`'s grouping.
     let opts = profile::ProfileOptions {
-        group_by: vec!["config".to_owned()],
+        group_by: vec!["config".to_owned(), "view".to_owned()],
     };
     let mut serial = profile::build_profile(
         &profile::collect_spans(&campaign_events(1, SimBackend::Event)),
@@ -56,11 +57,12 @@ fn stripped_profile_is_byte_identical_across_worker_counts() {
     assert_eq!(a, b);
 
     // And the tree is the real campaign shape, not a degenerate flat
-    // list: cells grouped per configuration, with the testbench and its
-    // phase attribution nested underneath, plus the assembly span.
+    // list: cells grouped per configuration and view, with the testbench
+    // and its phase attribution nested underneath, plus the assembly span.
     assert!(a.contains("regress.campaign"));
-    assert!(a.contains("regress.cell{config=reference}"));
-    assert!(a.contains("tb.run"));
+    assert!(a.contains("regress.cell{config=reference,view=RTL}"));
+    assert!(a.contains("regress.cell{config=reference,view=BCA}"));
+    assert!(a.contains("tb.run{view=BCA}"));
     assert!(a.contains("phase:settle"));
     assert!(a.contains("phase:drive"));
     assert!(a.contains("phase:vcd"));

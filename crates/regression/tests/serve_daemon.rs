@@ -498,13 +498,6 @@ fn run_cli(args: &[&str]) -> String {
     stdout
 }
 
-/// stdout without its last line: the local run ends with the sign-off
-/// count, the client with the store's counters.
-fn without_last_line(stdout: &str) -> &str {
-    let body = stdout.trim_end_matches('\n');
-    body.rsplit_once('\n').map_or("", |(table, _)| table)
-}
-
 /// `--client` forwards regress's own flags, `--exact` included, and the
 /// daemon reads them the way the CLI does: the same table and the same
 /// `manifest.json` as a local run with the same flags.
@@ -554,17 +547,17 @@ fn a_client_campaign_matches_a_local_run_with_the_same_flags() {
     let local = campaign(&["--exact", "--no-history"], "local");
     let relaxed = campaign(&["--no-history"], "relaxed");
     assert!(local.contains("tx-align"), "{local}");
-    assert_eq!(without_last_line(&remote), without_last_line(&local));
-    assert_ne!(
-        without_last_line(&relaxed),
-        without_last_line(&local),
-        "--exact had no effect"
+    assert_eq!(remote, local);
+    assert_ne!(relaxed, local, "--exact had no effect");
+    let read = |out: &str, file: &str| std::fs::read(base.join(out).join(file)).expect(out);
+    let stats = String::from_utf8(read("remote", "cache_stats.json")).unwrap();
+    let stats = Json::parse(&stats).expect("cache_stats.json");
+    let n = |key: &str| stats.get(key).and_then(Json::as_u64);
+    assert_eq!(
+        (n("hits"), n("misses"), n("simulated")),
+        (Some(0), Some(12), Some(12))
     );
-    assert!(
-        remote.ends_with("cache: 0 hits, 12 misses, 12 simulated\n"),
-        "{remote}"
-    );
-    let manifest = |out: &str| std::fs::read(base.join(out).join("manifest.json")).expect(out);
+    let manifest = |out: &str| read(out, "manifest.json");
     assert_eq!(
         manifest("remote"),
         manifest("local"),
@@ -575,5 +568,31 @@ fn a_client_campaign_matches_a_local_run_with_the_same_flags() {
     drop(daemon.stdin.take());
     assert!(daemon.wait().expect("daemon exit").success());
     assert!(!Path::new(&socket).exists());
+    let _ = std::fs::remove_dir_all(&base);
+}
+
+/// A daemon embedded with `RegressionOptions::default()` answers a client
+/// that gives no `--intensity` at the intensity a local run defaults to.
+#[test]
+fn an_embedded_daemon_defaults_to_the_cli_intensity() {
+    let base = temp_base("intensity");
+    let configs = base.join("configs");
+    std::fs::create_dir_all(&configs).unwrap();
+    std::fs::write(configs.join("cfg01.cfg"), config_text("cfg01")).unwrap();
+    let socket = base.join("daemon.sock");
+    let server = bind(&base, "cache", 2).expect("bind");
+    let daemon = std::thread::spawn(move || server.run().expect("daemon run"));
+    wait_for_socket(&socket);
+
+    let (configs, socket_arg) = (configs.display().to_string(), socket.display().to_string());
+    let flags = ["--configs", &configs, "--seeds", "1", "--quiet"];
+    let remote = run_cli(&[&flags[..], &["--client", &socket_arg]].concat());
+    let local = run_cli(&[&flags[..], &["--no-history"]].concat());
+    assert_eq!(remote, local);
+    // Intensity 30 is deep enough for cfg01 to sign off.
+    assert!(local.ends_with("1 of 1 configurations signed off (all checks green, full functional coverage, >=99% alignment)\n"), "{local}");
+
+    client_request(&socket, r#"{"op":"shutdown"}"#).expect("shutdown");
+    daemon.join().expect("daemon thread");
     let _ = std::fs::remove_dir_all(&base);
 }

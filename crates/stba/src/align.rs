@@ -237,6 +237,24 @@ pub fn compare_traces(first: &Trace, second: &Trace) -> Result<AlignmentReport, 
 }
 
 fn align_port(a: &PortTrace, b: &PortTrace, cycles: u64) -> PortAlignment {
+    // Equal change lists hold equal values on every cycle, before the
+    // first snapshot and after the last included: nothing to walk. Every
+    // view whose verdict was replayed from the first view hits this.
+    if a.same_changes(b) {
+        return PortAlignment {
+            port: a.name().to_owned(),
+            matching_cycles: cycles,
+            total_cycles: cycles,
+            first_divergence: None,
+            diverging_vars: Vec::new(),
+        };
+    }
+    walk_port(a, b, cycles)
+}
+
+/// [`align_port`] the long way: one visit per pair of change-list
+/// segments.
+fn walk_port(a: &PortTrace, b: &PortTrace, cycles: u64) -> PortAlignment {
     let vars = a.layout().vars();
     let zeros = vec![0; a.layout().stride()];
     let unknown = Snap::all_unknown(a.layout(), &zeros);
@@ -637,6 +655,51 @@ mod tests {
         let snap = tel.metrics().snapshot();
         assert_eq!(snap.counters["stba.compares"], 1);
         assert_eq!(snap.counters["stba.diverging_ports"], 1);
+    }
+
+    /// A one-port trace with a 1-bit `req` and an 8-bit `v`, recorded
+    /// from `(cycle, req, v)` samples.
+    fn port_trace(samples: &[(u64, u64, u64)]) -> Trace {
+        let layout = std::sync::Arc::new(crate::PortLayout::new([("req", 1), ("v", 8)]));
+        let mut trace = Trace::new();
+        let port = trace.add_port("init0", layout);
+        for &(cycle, req, v) in samples {
+            trace.record(port, cycle, &[req, v]);
+        }
+        trace
+    }
+
+    #[test]
+    fn equal_change_lists_take_the_fast_path_to_the_walks_report() {
+        let base = [(0, 1, 3), (4, 0, 3), (9, 1, 7)];
+        let mut one_var = base;
+        one_var[1].2 = 4;
+        let pairs = [
+            ("identical", port_trace(&base), port_trace(&base)),
+            ("one variable", port_trace(&base), port_trace(&one_var)),
+            // Equal change lists, but the second run went on idle longer.
+            (
+                "different spans",
+                port_trace(&base),
+                port_trace(&[(0, 1, 3), (4, 0, 3), (9, 1, 7), (15, 1, 7)]),
+            ),
+        ];
+        for (case, a, b) in &pairs {
+            let cycles = a.cycles().max(b.cycles());
+            let (pa, pb) = (&a.ports()[0], &b.ports()[0]);
+            let walked = walk_port(pa, pb, cycles);
+            assert_eq!(align_port(pa, pb, cycles), walked, "{case}");
+            let report = compare_traces(a, b).unwrap();
+            assert_eq!(report.ports, [walked], "{case}");
+        }
+        let (_, a, b) = &pairs[2];
+        assert!(a.ports()[0].same_changes(&b.ports()[0]));
+        assert_ne!(a.cycles(), b.cycles());
+        assert_eq!(compare_traces(a, b).unwrap().min_rate(), 1.0);
+        let (_, a, b) = &pairs[1];
+        let report = compare_traces(a, b).unwrap();
+        assert_eq!(report.ports[0].first_divergence, Some(4));
+        assert_eq!(report.ports[0].diverging_vars, ["v"]);
     }
 
     #[test]

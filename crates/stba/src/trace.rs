@@ -229,6 +229,12 @@ impl PortTrace {
         self.cycles.get(i).copied()
     }
 
+    /// True when both change lists are equal: the same snapshot cycles,
+    /// value planes and unknown planes.
+    pub(crate) fn same_changes(&self, other: &PortTrace) -> bool {
+        self.cycles == other.cycles && self.values == other.values && self.unknown == other.unknown
+    }
+
     pub(crate) fn snap(&self, i: usize) -> Snap<'_> {
         let r = i * self.layout.stride()..(i + 1) * self.layout.stride();
         Snap {
