@@ -11,11 +11,12 @@
 //! cargo run -p stbus-bench --release --bin exp_arbitration [intensity]
 //! ```
 
-use catg::{OpMix, TargetProfile, TestSpec, TrafficProfile};
+use catg::{ConstraintModel, TargetProfile, TestSpec};
 use stbus_bench::run_view;
 use stbus_protocol::arbitration::ArbiterParams;
 use stbus_protocol::{
-    ArbitrationKind, Architecture, NodeConfig, ProtocolType, TargetId, TransferSize, ViewKind,
+    ArbitrationKind, Architecture, NodeConfig, OpKind, ProtocolType, TargetId, TransferSize,
+    ViewKind,
 };
 
 fn workload(intensity: usize) -> TestSpec {
@@ -24,35 +25,53 @@ fn workload(intensity: usize) -> TestSpec {
         description: "hog + steady + sporadic on one target".into(),
         profiles: vec![
             // The hog: saturating multi-cell stores.
-            TrafficProfile {
+            ConstraintModel {
                 n_transactions: intensity * 2,
-                mean_gap: 0,
-                op_mix: OpMix::stores_only(),
-                sizes: vec![TransferSize::B32],
-                targets: vec![TargetId(0)],
-                ..TrafficProfile::default()
-            }
-            .to_model(),
+                gap_max: 0,
+                kinds: vec![
+                    (OpKind::Load, 0),
+                    (OpKind::Store, 1),
+                    (OpKind::ReadModifyWrite, 0),
+                    (OpKind::Swap, 0),
+                    (OpKind::Flush, 0),
+                    (OpKind::Purge, 0),
+                ],
+                sizes: vec![(TransferSize::B32, 1)],
+                targets: vec![(TargetId(0), 1)],
+                ..ConstraintModel::default()
+            },
             // Steady near-saturating loads.
-            TrafficProfile {
+            ConstraintModel {
                 n_transactions: intensity,
-                mean_gap: 1,
-                op_mix: OpMix::loads_only(),
-                sizes: vec![TransferSize::B8],
-                targets: vec![TargetId(0)],
-                ..TrafficProfile::default()
-            }
-            .to_model(),
+                gap_max: 2,
+                kinds: vec![
+                    (OpKind::Load, 1),
+                    (OpKind::Store, 0),
+                    (OpKind::ReadModifyWrite, 0),
+                    (OpKind::Swap, 0),
+                    (OpKind::Flush, 0),
+                    (OpKind::Purge, 0),
+                ],
+                sizes: vec![(TransferSize::B8, 1)],
+                targets: vec![(TargetId(0), 1)],
+                ..ConstraintModel::default()
+            },
             // Sporadic latency-sensitive loads (the "VIP").
-            TrafficProfile {
+            ConstraintModel {
                 n_transactions: intensity / 2 + 1,
-                mean_gap: 8,
-                op_mix: OpMix::loads_only(),
-                sizes: vec![TransferSize::B4],
-                targets: vec![TargetId(0)],
-                ..TrafficProfile::default()
-            }
-            .to_model(),
+                gap_max: 16,
+                kinds: vec![
+                    (OpKind::Load, 1),
+                    (OpKind::Store, 0),
+                    (OpKind::ReadModifyWrite, 0),
+                    (OpKind::Swap, 0),
+                    (OpKind::Flush, 0),
+                    (OpKind::Purge, 0),
+                ],
+                sizes: vec![(TransferSize::B4, 1)],
+                targets: vec![(TargetId(0), 1)],
+                ..ConstraintModel::default()
+            },
         ],
         target_profiles: vec![TargetProfile::fast()],
         prog_schedule: Vec::new(),

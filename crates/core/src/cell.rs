@@ -5,12 +5,25 @@
 //! caching and reduction stay with the callers. The views are elaborated
 //! on the calling worker: the RTL simulator is single-threaded.
 //!
-//! Each worker thread keeps the views its last cell elaborated. A cell
-//! whose configuration and view descriptions equal them (injected bugs
-//! included) reuses them instead of elaborating again: the RTL view is
-//! rewound to its just-elaborated state ([`RtlNode::rewind`]), and the
-//! BCA and TLM views rely on the reset every run starts with. A reused
-//! view produces byte-identical results, coverage and engine counters.
+//! Each thread keeps one store for the last configuration it ran. The key
+//! is the whole [`NodeConfig`], so two configurations that differ in any
+//! field never share anything; a different configuration first empties
+//! the store. It holds:
+//!
+//! * the views the thread's last cell elaborated. A cell whose view
+//!   descriptions equal them (injected bugs included) reuses them instead
+//!   of elaborating again: the RTL view is rewound to its just-elaborated
+//!   state ([`RtlNode::rewind`]), and the BCA and TLM views rely on the
+//!   reset every run starts with. A reused view produces byte-identical
+//!   results, coverage and engine counters. The views leave the store for
+//!   the length of a cell, so a run that panics leaves none behind;
+//! * the configuration's coverage shape (declared bins and hit sites) and
+//!   trace shape (port layout and names), which every run of the
+//!   configuration on any view shares through `Arc`s. Each is built the
+//!   first time a run asks for it: a run that captures no trace builds no
+//!   trace shape. The trace shape also records, per port, the most
+//!   snapshots a run has reached, and the next run reserves that much up
+//!   front instead of regrowing each change list from empty.
 //!
 //! A later view that publishes no engine counters (today the BCA view) is
 //! replayed against the port log of the cell's first view: it steps
@@ -21,13 +34,16 @@
 //!
 //! [`RtlNode::rewind`]: stbus_rtl::RtlNode::rewind
 
+use crate::coverage::CoverageShape;
 use crate::testbench::{PortLog, RunResult, TestSpec, Testbench, TestbenchOptions};
+use crate::vcd_dump::TraceShape;
 use crate::views::{Elaborated, ViewSpec};
 use sim_kernel::ActivityCoverage;
 use stba::{compare_trace_transactions_with, compare_traces_with, AlignmentReport};
 use stbus_protocol::{DutView, NodeConfig};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use telemetry::{Json, Telemetry};
 
 /// Per-port `(port, matching, total)` figures of one comparison.
@@ -170,15 +186,51 @@ struct KeptView {
     metered: bool,
 }
 
-/// The views the last cell on this thread ran, all of one configuration.
+/// What this thread keeps for the last configuration it ran.
 #[derive(Default)]
-struct KeptViews {
+struct Store {
     config: Option<NodeConfig>,
     views: Vec<KeptView>,
+    coverage: Option<Arc<CoverageShape>>,
+    trace: Option<Arc<TraceShape>>,
+}
+
+impl Store {
+    /// Empties the store unless it holds `config`.
+    fn hold(&mut self, config: &NodeConfig) {
+        if self.config.as_ref() != Some(config) {
+            *self = Store {
+                config: Some(config.clone()),
+                ..Store::default()
+            };
+        }
+    }
 }
 
 thread_local! {
-    static KEPT: RefCell<KeptViews> = RefCell::default();
+    static STORE: RefCell<Store> = RefCell::default();
+}
+
+/// The shape part `slot` of `config`, built with `build` when missing.
+fn shape<T>(
+    config: &NodeConfig,
+    slot: fn(&mut Store) -> &mut Option<Arc<T>>,
+    build: fn(&NodeConfig) -> T,
+) -> Arc<T> {
+    STORE.with_borrow_mut(|store| {
+        store.hold(config);
+        Arc::clone(slot(store).get_or_insert_with(|| Arc::new(build(config))))
+    })
+}
+
+/// The declared coverage bins and hit sites of `config`.
+pub(crate) fn coverage_shape(config: &NodeConfig) -> Arc<CoverageShape> {
+    shape(config, |s| &mut s.coverage, CoverageShape::new)
+}
+
+/// The trace ports of `config` and their high-water marks.
+pub(crate) fn trace_shape(config: &NodeConfig) -> Arc<TraceShape> {
+    shape(config, |s| &mut s.trace, TraceShape::new)
 }
 
 /// Runs one cell on the calling thread: every view in order, then each
@@ -195,14 +247,11 @@ pub fn run_cell(spec: &CellSpec, tel: &Telemetry) -> CellOutcome {
             ..TestbenchOptions::default()
         },
     );
-    // Taken out for the cell: a run that panics leaves nothing behind.
-    let mut kept = KEPT.take();
-    if kept.config.as_ref() != Some(&spec.config) {
-        kept = KeptViews {
-            config: Some(spec.config.clone()),
-            views: Vec::new(),
-        };
-    }
+    // Taken out for the cell: a run that panics leaves no view behind.
+    let mut kept = STORE.with_borrow_mut(|store| {
+        store.hold(&spec.config);
+        std::mem::take(&mut store.views)
+    });
     let replays = spec.views.iter().skip(1).any(|(view, _)| view.replays());
     let mut log = replays.then(PortLog::default);
     let mut rtl_activity = None;
@@ -224,7 +273,6 @@ pub fn run_cell(spec: &CellSpec, tel: &Telemetry) -> CellOutcome {
         // A view that publishes into a registry the rewind cannot detach
         // is only reused by a cell that attaches one anyway.
         let reusable = kept
-            .views
             .iter()
             .position(|k| k.spec == *view && (spec.attach_metrics || !k.metered));
         let mut elaborating = tel.span("cell.elaborate");
@@ -235,7 +283,7 @@ pub fn run_cell(spec: &CellSpec, tel: &Telemetry) -> CellOutcome {
         }
         let mut kept_view = match reusable {
             Some(i) => {
-                let mut k = kept.views.swap_remove(i);
+                let mut k = kept.swap_remove(i);
                 if let Elaborated::Rtl(node) = &mut k.view {
                     node.rewind();
                 }
@@ -280,8 +328,10 @@ pub fn run_cell(spec: &CellSpec, tel: &Telemetry) -> CellOutcome {
         used.push(kept_view);
     }
     // Only this cell's views stay: one set per thread at most.
-    kept.views = used;
-    KEPT.set(kept);
+    STORE.with_borrow_mut(|store| {
+        store.hold(&spec.config);
+        store.views = used;
+    });
 
     let figures = |r: AlignmentReport| -> PortFigures {
         let ports = r.ports.into_iter();

@@ -197,7 +197,7 @@ impl std::fmt::Display for CoverageReport {
 /// The bins a configuration declares, numbered in report order, and the
 /// table from each hit site to its bin's number are its
 /// [`CoverageShape`], built once per configuration on each thread and
-/// shared by every run of it ([`crate::per_config`]). A hit is one
+/// shared by every run of it ([`crate::cell`]). A hit is one
 /// indexed increment into a dense counter vector, so
 /// [`FunctionalCoverage::new`] allocates only the per-run counters. The
 /// [`CoverageGroup`]s are rendered once, by
@@ -466,7 +466,7 @@ impl FunctionalCoverage {
     /// Declares the bins implied by a configuration: its thread's shared
     /// [`CoverageShape`], and zeroed per-run counters.
     pub fn new(config: &NodeConfig) -> Self {
-        let shape = crate::per_config::coverage_shape(config);
+        let shape = crate::cell::coverage_shape(config);
         let (ni, nt) = (config.n_initiators, config.n_targets);
         FunctionalCoverage {
             hits: vec![0; shape.n_bins],

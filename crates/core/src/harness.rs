@@ -1,8 +1,8 @@
 //! The initiator harness (BFM): drives constrained-random request traffic
 //! and consumes responses, exactly like the paper's CATG harnesses.
 
+use crate::constraint::TransactionPlan;
 use crate::record::CycleRecord;
-use crate::traffic::{throttled, TransactionPlan};
 use stbus_protocol::packet::PacketParams;
 use stbus_protocol::{
     InitiatorId, InitiatorPortIn, NodeConfig, Opcode, ProtocolType, RequestPacket, RspKind,
@@ -29,6 +29,20 @@ pub struct InitiatorStats {
     pub errors: u64,
     /// Sum over completed transactions of (completion − issue) cycles.
     pub total_latency: u64,
+}
+
+/// A pure per-cycle throttle decision: deterministic across views. Both
+/// harnesses use it, the initiator for `r_gnt` and the target for `gnt`.
+pub(crate) fn throttled(seed: u64, salt: u64, cycle: u64, percent: u32) -> bool {
+    if percent == 0 {
+        return false;
+    }
+    let x = seed
+        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        .wrapping_add(salt.wrapping_mul(0xD1B5_4A32_D192_ED03))
+        .wrapping_add(cycle.wrapping_mul(0x2545_F491_4F6C_DD1D));
+    let h = x ^ (x >> 29);
+    (h % 100) < percent as u64
 }
 
 /// A bus-functional model of one initiator.
@@ -252,17 +266,17 @@ impl InitiatorBfm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::constraint::ConstraintModel;
     use crate::record::CycleRecord;
-    use crate::traffic::{generate_plans, TrafficProfile};
-    use stbus_protocol::{DutInputs, DutOutputs, NodeConfig, RspCell};
+    use stbus_protocol::{DutInputs, DutOutputs, NodeConfig, OpKind, RspCell};
 
     fn bfm(cfg: &NodeConfig, n: usize) -> InitiatorBfm {
-        let profile = TrafficProfile {
+        let model = ConstraintModel {
             n_transactions: n,
-            mean_gap: 0,
-            ..TrafficProfile::default()
+            gap_max: 0,
+            ..ConstraintModel::default()
         };
-        InitiatorBfm::new(cfg, 0, generate_plans(&profile, cfg, 0, 1), 1, 0)
+        InitiatorBfm::new(cfg, 0, model.solve(cfg, 0, 1), 1, 0)
     }
 
     fn record_with(
@@ -344,12 +358,12 @@ mod tests {
     #[test]
     fn respects_issue_schedule() {
         let cfg = NodeConfig::reference();
-        let profile = TrafficProfile {
+        let model = ConstraintModel {
             n_transactions: 1,
-            mean_gap: 0,
-            ..TrafficProfile::default()
+            gap_max: 0,
+            ..ConstraintModel::default()
         };
-        let mut plans = generate_plans(&profile, &cfg, 0, 1);
+        let mut plans = model.solve(&cfg, 0, 1);
         plans[0].issue_cycle = 50;
         let mut b = InitiatorBfm::new(&cfg, 0, plans, 1, 0);
         assert!(!b.drive(10).req, "too early");
@@ -383,15 +397,22 @@ mod tests {
         // Two harnesses with identical plans allocate identical tids even
         // if their responses complete in different orders.
         let cfg = NodeConfig::reference();
-        let profile = TrafficProfile {
+        let model = ConstraintModel {
             n_transactions: 4,
-            mean_gap: 0,
+            gap_max: 0,
             // Loads only: request packets are single-cell, so each grant
             // completes one issue regardless of the RNG stream's sizes.
-            op_mix: crate::traffic::OpMix::loads_only(),
-            ..TrafficProfile::default()
+            kinds: vec![
+                (OpKind::Load, 1),
+                (OpKind::Store, 0),
+                (OpKind::ReadModifyWrite, 0),
+                (OpKind::Swap, 0),
+                (OpKind::Flush, 0),
+                (OpKind::Purge, 0),
+            ],
+            ..ConstraintModel::default()
         };
-        let plans = generate_plans(&profile, &cfg, 0, 3);
+        let plans = model.solve(&cfg, 0, 3);
         let mut a = InitiatorBfm::new(&cfg, 0, plans.clone(), 1, 0);
         let mut b = InitiatorBfm::new(&cfg, 0, plans, 1, 0);
         let grant_next = |h: &mut InitiatorBfm, cycle: u64| -> Option<u8> {
@@ -415,9 +436,19 @@ mod tests {
     #[test]
     fn throttle_lowers_r_gnt_sometimes() {
         let cfg = NodeConfig::reference();
-        let profile = TrafficProfile::default();
-        let mut b = InitiatorBfm::new(&cfg, 0, generate_plans(&profile, &cfg, 0, 1), 9, 50);
+        let plans = ConstraintModel::default().solve(&cfg, 0, 1);
+        let mut b = InitiatorBfm::new(&cfg, 0, plans, 9, 50);
         let low = (0..200).filter(|c| !b.drive(*c).r_gnt).count();
         assert!((50..150).contains(&low), "≈50%: {low}");
+    }
+
+    #[test]
+    fn throttle_is_deterministic_and_ratioed() {
+        let hits = (0..10_000u64).filter(|c| throttled(1, 2, *c, 30)).count();
+        assert!((2200..3800).contains(&hits), "≈30%: {hits}");
+        for c in 0..100 {
+            assert_eq!(throttled(1, 2, c, 30), throttled(1, 2, c, 30));
+            assert!(!throttled(1, 2, c, 0));
+        }
     }
 }

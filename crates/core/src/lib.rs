@@ -44,7 +44,6 @@ mod harness;
 mod legacy;
 mod memory;
 mod monitor;
-mod per_config;
 mod record;
 mod report;
 mod scoreboard;
@@ -52,12 +51,11 @@ mod sequence;
 mod target;
 mod testbench;
 pub mod tests_lib;
-mod traffic;
 mod vcd_dump;
 mod views;
 
 pub use checker::{CheckerReport, ProtocolChecker, Violation, ViolationKind};
-pub use constraint::{ConstraintModel, Implication, Pred};
+pub use constraint::{ConstraintModel, Implication, Pred, TransactionPlan};
 pub use coverage::{CoverageGroup, CoverageReport, FunctionalCoverage, HoleId};
 pub use harness::{InitiatorBfm, InitiatorStats};
 pub use legacy::{LegacyOutcome, LegacyTestbench};
@@ -68,7 +66,6 @@ pub use scoreboard::{Scoreboard, ScoreboardError};
 pub use sequence::{SequenceError, SequenceRunner};
 pub use target::{TargetBfm, TargetProfile};
 pub use testbench::{RunResult, TestSpec, Testbench, TestbenchOptions, PORT_LOG_CYCLES};
-pub use traffic::{generate_plans, OpMix, TrafficProfile, TransactionPlan};
 pub use vcd_dump::{port_var_names, VcdDump, CYCLE_TIME};
 
 /// The dump's nanoseconds-per-cycle constant, for analyzer callers.

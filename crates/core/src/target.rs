@@ -1,9 +1,9 @@
 //! The target harness (BFM): a reactive memory-model slave with a
 //! configurable latency and acceptance profile.
 
+use crate::harness::throttled;
 use crate::memory::SparseMemory;
 use crate::record::{CycleRecord, PortId};
-use crate::traffic::throttled;
 use stbus_protocol::packet::{response_cells, PacketParams, RequestPacket, ResponsePacket};
 use stbus_protocol::{NodeConfig, ReqCell, TargetPortIn};
 use std::collections::VecDeque;

@@ -15,6 +15,7 @@ use stbus_protocol::{
     TargetPortOut, ViewKind,
 };
 use std::collections::VecDeque;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use telemetry::{Json, Span, Telemetry};
 
@@ -59,9 +60,7 @@ impl Default for TestbenchOptions {
 
 /// One of the (generic, configuration-independent) test cases:
 /// constraint models for every port plus an optional programming-port
-/// script. Directed tests usually build the models by lowering a
-/// [`crate::TrafficProfile`] through
-/// [`crate::TrafficProfile::to_model`].
+/// script.
 #[derive(Clone, Debug)]
 pub struct TestSpec {
     /// Test name (stable across configurations; used in reports).
@@ -119,8 +118,8 @@ pub struct RunResult {
     /// The VCD text, when [`TestbenchOptions::capture_vcd`] was set.
     pub vcd: Option<String>,
     /// The typed port trace, when [`TestbenchOptions::capture_trace`] was
-    /// set.
-    pub trace: Option<stba::Trace>,
+    /// set. Shared, so a replayed run copies a pointer, not the trace.
+    pub trace: Option<Arc<stba::Trace>>,
 }
 
 impl RunResult {
@@ -469,7 +468,7 @@ impl Testbench {
             .as_ref()
             .filter(|_| self.options.capture_vcd)
             .map(|trace| trace.to_vcd(crate::vcd_dump::CYCLE_TIME));
-        let trace = trace.filter(|_| self.options.capture_trace);
+        let trace = trace.filter(|_| self.options.capture_trace).map(Arc::new);
         lap(&mut mark, &mut phases.vcd);
         RunResult {
             test: spec.name.clone(),

@@ -9,19 +9,16 @@
 //! count — so regressions can trade runtime for depth. [`all`] returns the
 //! full suite.
 
+use crate::constraint::ConstraintModel;
 use crate::target::TargetProfile;
 use crate::testbench::TestSpec;
-use crate::traffic::{OpMix, TrafficProfile};
-use stbus_protocol::TransferSize;
+use stbus_protocol::{OpKind, TargetId, TransferSize};
 
-fn spec(name: &str, description: &str, profiles: Vec<TrafficProfile>) -> TestSpec {
+fn spec(name: &str, description: &str, profiles: Vec<ConstraintModel>) -> TestSpec {
     TestSpec {
         name: name.to_owned(),
         description: description.to_owned(),
-        // Every suite entry runs on the declarative constraint model; the
-        // profile literals below are lowered through the byte-compatible
-        // `to_model`, so historical seeds reproduce exactly.
-        profiles: profiles.iter().map(TrafficProfile::to_model).collect(),
+        profiles,
         target_profiles: vec![TargetProfile::default()],
         prog_schedule: Vec::new(),
     }
@@ -32,11 +29,10 @@ pub fn basic_read_write(intensity: usize) -> TestSpec {
     spec(
         "basic_read_write",
         "low-rate loads and stores across all targets",
-        vec![TrafficProfile {
+        vec![ConstraintModel {
             n_transactions: intensity,
-            mean_gap: 6,
-            op_mix: OpMix::balanced(),
-            ..TrafficProfile::default()
+            gap_max: 12,
+            ..ConstraintModel::default()
         }],
     )
 }
@@ -46,12 +42,21 @@ pub fn random_mixed(intensity: usize) -> TestSpec {
     spec(
         "random_mixed",
         "full opcode/size mix with medium pressure",
-        vec![TrafficProfile {
+        vec![ConstraintModel {
             n_transactions: intensity,
-            mean_gap: 3,
-            op_mix: OpMix::full(),
-            sizes: TransferSize::ALL.to_vec(),
-            ..TrafficProfile::default()
+            gap_max: 6,
+            // Every kind, the rare ones frequent enough that every
+            // initiator exercises each of them in a modest run.
+            kinds: vec![
+                (OpKind::Load, 5),
+                (OpKind::Store, 5),
+                (OpKind::ReadModifyWrite, 2),
+                (OpKind::Swap, 2),
+                (OpKind::Flush, 2),
+                (OpKind::Purge, 2),
+            ],
+            sizes: TransferSize::ALL.iter().map(|&s| (s, 1)).collect(),
+            ..ConstraintModel::default()
         }],
     )
 }
@@ -62,12 +67,19 @@ pub fn out_of_order(intensity: usize) -> TestSpec {
     let mut s = spec(
         "out_of_order",
         "short transactions to fast and slow targets force out-of-order responses",
-        vec![TrafficProfile {
+        vec![ConstraintModel {
             n_transactions: intensity,
-            mean_gap: 1,
-            op_mix: OpMix::loads_only(),
-            sizes: vec![TransferSize::B4, TransferSize::B8],
-            ..TrafficProfile::default()
+            gap_max: 2,
+            kinds: vec![
+                (OpKind::Load, 1),
+                (OpKind::Store, 0),
+                (OpKind::ReadModifyWrite, 0),
+                (OpKind::Swap, 0),
+                (OpKind::Flush, 0),
+                (OpKind::Purge, 0),
+            ],
+            sizes: vec![(TransferSize::B4, 1), (TransferSize::B8, 1)],
+            ..ConstraintModel::default()
         }],
     );
     s.target_profiles = vec![TargetProfile::fast(), TargetProfile::slow()];
@@ -80,12 +92,11 @@ pub fn latency_stress(intensity: usize) -> TestSpec {
     spec(
         "latency_stress",
         "all initiators saturate one hot target",
-        vec![TrafficProfile {
+        vec![ConstraintModel {
             n_transactions: intensity,
-            mean_gap: 0,
-            op_mix: OpMix::balanced(),
-            targets: vec![stbus_protocol::TargetId(0)],
-            ..TrafficProfile::default()
+            gap_max: 0,
+            targets: vec![(TargetId(0), 1)],
+            ..ConstraintModel::default()
         }],
     )
 }
@@ -97,17 +108,17 @@ pub fn bandwidth_share(intensity: usize) -> TestSpec {
         "bandwidth_share",
         "one hog plus background traffic on a shared hot target",
         vec![
-            TrafficProfile {
+            ConstraintModel {
                 n_transactions: intensity * 2,
-                mean_gap: 0,
-                targets: vec![stbus_protocol::TargetId(0)],
-                ..TrafficProfile::default()
+                gap_max: 0,
+                targets: vec![(TargetId(0), 1)],
+                ..ConstraintModel::default()
             },
-            TrafficProfile {
+            ConstraintModel {
                 n_transactions: intensity / 2 + 1,
-                mean_gap: 8,
-                targets: vec![stbus_protocol::TargetId(0)],
-                ..TrafficProfile::default()
+                gap_max: 16,
+                targets: vec![(TargetId(0), 1)],
+                ..ConstraintModel::default()
             },
         ],
     )
@@ -118,11 +129,10 @@ pub fn lru_fairness(intensity: usize) -> TestSpec {
     spec(
         "lru_fairness",
         "symmetric saturation; grant shares must stay balanced",
-        vec![TrafficProfile {
+        vec![ConstraintModel {
             n_transactions: intensity,
-            mean_gap: 0,
-            op_mix: OpMix::balanced(),
-            ..TrafficProfile::default()
+            gap_max: 0,
+            ..ConstraintModel::default()
         }],
     )
 }
@@ -133,10 +143,10 @@ pub fn priority_prog(intensity: usize) -> TestSpec {
     let mut s = spec(
         "priority_prog",
         "programming port rewrites priorities mid-run",
-        vec![TrafficProfile {
+        vec![ConstraintModel {
             n_transactions: intensity,
-            mean_gap: 1,
-            ..TrafficProfile::default()
+            gap_max: 2,
+            ..ConstraintModel::default()
         }],
     );
     s.prog_schedule = vec![
@@ -151,11 +161,11 @@ pub fn chunk_locking(intensity: usize) -> TestSpec {
     spec(
         "chunk_locking",
         "locked chunk pairs under contention",
-        vec![TrafficProfile {
+        vec![ConstraintModel {
             n_transactions: intensity,
-            mean_gap: 1,
+            gap_max: 2,
             chunk_percent: 60,
-            ..TrafficProfile::default()
+            ..ConstraintModel::default()
         }],
     )
 }
@@ -165,12 +175,11 @@ pub fn max_size_bursts(intensity: usize) -> TestSpec {
     spec(
         "max_size_bursts",
         "32/64-byte bursts stress multi-cell packets",
-        vec![TrafficProfile {
+        vec![ConstraintModel {
             n_transactions: intensity,
-            mean_gap: 2,
-            sizes: vec![TransferSize::B32, TransferSize::B64],
-            op_mix: OpMix::balanced(),
-            ..TrafficProfile::default()
+            gap_max: 4,
+            sizes: vec![(TransferSize::B32, 1), (TransferSize::B64, 1)],
+            ..ConstraintModel::default()
         }],
     )
 }
@@ -180,12 +189,12 @@ pub fn target_stall_storm(intensity: usize) -> TestSpec {
     let mut s = spec(
         "target_stall_storm",
         "heavily throttled slow targets create deep stalls",
-        vec![TrafficProfile {
+        vec![ConstraintModel {
             n_transactions: intensity,
-            mean_gap: 0,
+            gap_max: 0,
             chunk_percent: 20,
             r_gnt_throttle_percent: 30,
-            ..TrafficProfile::default()
+            ..ConstraintModel::default()
         }],
     );
     s.target_profiles = vec![TargetProfile {
@@ -201,11 +210,11 @@ pub fn back_to_back(intensity: usize) -> TestSpec {
     let mut s = spec(
         "back_to_back",
         "zero-gap traffic against instant targets",
-        vec![TrafficProfile {
+        vec![ConstraintModel {
             n_transactions: intensity,
-            mean_gap: 0,
-            sizes: vec![TransferSize::B8, TransferSize::B16],
-            ..TrafficProfile::default()
+            gap_max: 0,
+            sizes: vec![(TransferSize::B8, 1), (TransferSize::B16, 1)],
+            ..ConstraintModel::default()
         }],
     );
     s.target_profiles = vec![TargetProfile::fast()];
@@ -218,11 +227,11 @@ pub fn error_responses(intensity: usize) -> TestSpec {
     spec(
         "error_responses",
         "unmapped addresses must produce error responses",
-        vec![TrafficProfile {
+        vec![ConstraintModel {
             n_transactions: intensity,
-            mean_gap: 3,
+            gap_max: 6,
             unmapped_percent: 25,
-            ..TrafficProfile::default()
+            ..ConstraintModel::default()
         }],
     )
 }

@@ -97,7 +97,7 @@ impl Packer<'_> {
 }
 
 /// The trace ports every run of one configuration declares, and how
-/// long their change lists have grown (see [`crate::per_config`]).
+/// long their change lists have grown (see [`crate::cell`]).
 pub(crate) struct TraceShape {
     layout: Arc<PortLayout>,
     /// `init0..` then `tgt0..`.
@@ -136,7 +136,7 @@ impl VcdDump {
     /// change list starts with room for as many snapshots as the longest
     /// earlier run of the configuration on this thread recorded.
     pub fn new(config: &NodeConfig) -> Self {
-        let shape = crate::per_config::trace_shape(config);
+        let shape = crate::cell::trace_shape(config);
         let mut trace = Trace::new();
         for (name, high_water) in shape.names.iter().zip(&shape.high_water) {
             let port = trace.add_port(Arc::clone(name), Arc::clone(&shape.layout));

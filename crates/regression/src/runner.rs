@@ -582,7 +582,7 @@ fn run_job(job: &CellJob) -> CellResult {
 
     // Only a cache entry stores the trace digests; without a store
     // nobody reads them, so they are not computed.
-    let digest = |r: &RunResult| r.trace.as_ref().map(stba::Trace::digest);
+    let digest = |r: &RunResult| r.trace.as_deref().map(stba::Trace::digest);
     let digests = job.cache.as_ref().map(|_| {
         (
             digest(&rtl.result),

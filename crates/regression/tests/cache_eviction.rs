@@ -5,7 +5,10 @@
 //! reproduce their original evidence byte-for-byte.
 
 use stbus_protocol::NodeConfig;
-use stbus_regression::{run_regression, standard_configs, RegressionOptions, RegressionReport};
+use stbus_regression::{
+    cell_codec, cell_key, run_regression, standard_configs, RegressionOptions, RegressionReport,
+    SOURCE_FINGERPRINT,
+};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, SystemTime};
 
@@ -185,5 +188,101 @@ fn unbounded_campaign_sweeps_stale_orphans_and_reports_them() {
     assert!(!stale.exists(), "an orphan past the grace is reclaimed");
     assert!(fresh.exists(), "a temp file within the grace may be live");
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// [`cell_key`]'s parts with `source` in place of this build's
+/// fingerprint: the key another build files the same cell under.
+fn key_from_source(
+    source: &str,
+    config: &NodeConfig,
+    spec: &catg::TestSpec,
+    seed: u64,
+    options: &RegressionOptions,
+) -> cache::Key {
+    cache::Key::from_parts([
+        format!("schema:{}", cell_codec::CELL_SCHEMA),
+        format!("source:{source}"),
+        format!("config:{config:?}"),
+        format!("test:{spec:?}"),
+        format!("seed:{seed}"),
+        format!("views:{:?}", options.views),
+        format!("fidelity:{:?}", options.fidelity),
+        format!("bca_bugs:{:?}", options.bca_bugs),
+        format!("engine:{}", options.engine),
+        format!("compare:{}", options.compare_waveforms),
+    ])
+}
+
+#[test]
+fn a_store_written_by_another_build_answers_nothing_and_is_collected() {
+    let (configs, tests, seeds) = shape_a();
+    let cells = configs.len() * tests.len() * seeds.len();
+
+    // Fresh options per campaign: each reports only its own metrics.
+    let bounded = |dir: &Path| {
+        let mut o = options(dir, seeds.clone(), 1);
+        o.cache_gc.max_entries = Some(cells);
+        o
+    };
+
+    // Valid payloads of every cell, from a cold run on an empty store.
+    let empty = temp_store("foreign-source-empty");
+    let opts = bounded(&empty);
+    let cold = run_regression(&configs, &tests, &opts);
+    let filled = cache::Store::open(&empty);
+
+    // The same payloads, filed by a build with another fingerprint and
+    // last touched an hour ago.
+    let dir = temp_store("foreign-source");
+    let foreign = cache::Store::open(&dir);
+    let mut foreign_paths = Vec::new();
+    for config in &configs {
+        for test in &tests {
+            for &seed in &seeds {
+                let key = cell_key(config, test, seed, &opts);
+                assert_eq!(
+                    key_from_source(SOURCE_FINGERPRINT, config, test, seed, &opts),
+                    key,
+                    "the parts are cell_key's"
+                );
+                let (_, payload) = filled.get(&key);
+                let payload = payload.expect("the cold run filled every cell");
+                let other = key_from_source("0123456789abcdef", config, test, seed, &opts);
+                foreign.put(&other, &payload).unwrap();
+                let path = foreign.entry_path(&other);
+                let file = std::fs::File::options().write(true).open(&path).unwrap();
+                file.set_modified(SystemTime::now() - Duration::from_secs(3600))
+                    .unwrap();
+                foreign_paths.push(path);
+            }
+        }
+    }
+
+    // Nothing answers for this build; the report is the empty store's,
+    // and the GC keeps this build's entries, dropping every foreign one.
+    let report = run_regression(&configs, &tests, &bounded(&dir));
+    let cache = report.cache.expect("cache summary present");
+    assert_eq!(
+        (cache.hits, cache.misses, cache.puts, cache.evicted),
+        (0, cells as u64, cells as u64, cells as u64)
+    );
+    assert_eq!(manifest(&report), manifest(&cold));
+    assert!(
+        foreign_paths.iter().all(|p| !p.exists()),
+        "foreign entries evicted"
+    );
+
+    // The store now answers every cell.
+    settle();
+    let warm = run_regression(&configs, &tests, &bounded(&dir));
+    let cache = warm.cache.expect("cache summary present");
+    assert_eq!(
+        (cache.hits, cache.misses, cache.evicted),
+        (cells as u64, 0, 0)
+    );
+    assert_eq!(manifest(&warm), manifest(&cold));
+
+    let _ = std::fs::remove_dir_all(&empty);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,6 +1,7 @@
 //! Span parentage over a real parallel campaign: every span end event
 //! names its parent, worker spans included, and every named parent is a
-//! span the stream carries.
+//! span the stream carries. The profile built from those links charges
+//! the campaign no time for the cells its workers ran.
 
 use stbus_protocol::NodeConfig;
 use stbus_regression::{run_regression, RegressionOptions};
@@ -24,8 +25,8 @@ fn link(event: &Event) -> Link {
     }
 }
 
-#[test]
-fn parallel_campaign_spans_name_their_parents() {
+/// The events of a two-test, two-seed campaign at `--jobs 2`.
+fn parallel_campaign_events() -> Vec<Event> {
     let (sink, handle) = MemorySink::new();
     let tel = Telemetry::builder().with_sink(Box::new(sink)).build();
     let tests = vec![
@@ -40,7 +41,12 @@ fn parallel_campaign_spans_name_their_parents() {
     };
     run_regression(&[NodeConfig::reference()], &tests, &options);
     tel.flush();
-    let events = handle.events();
+    handle.events()
+}
+
+#[test]
+fn parallel_campaign_spans_name_their_parents() {
+    let events = parallel_campaign_events();
 
     let ends: Vec<(&str, Link)> = events
         .iter()
@@ -119,4 +125,37 @@ fn parallel_campaign_spans_name_their_parents() {
         "{reused} of {elaborations}"
     );
     assert!(worker_cells > 0, "cells run on worker threads at --jobs 2");
+}
+
+/// At `--jobs 2` the campaign's self time in the profile is its duration
+/// less its child spans on its own track and its phase slices: the cells
+/// on worker tracks ran beside it, so they are not subtracted.
+#[test]
+fn parallel_campaign_self_time_keeps_worker_cells_out() {
+    let spans = profile::collect_spans(&parallel_campaign_events());
+
+    let campaign = spans
+        .iter()
+        .find(|s| s.name == "regress.campaign")
+        .expect("one campaign span");
+    let children = spans.iter().filter(|s| s.parent == Some(campaign.id));
+    let (own_track, worker_tracks): (Vec<_>, Vec<_>) =
+        children.partition(|s| s.track == campaign.track);
+    let worker_cells: u64 = worker_tracks
+        .iter()
+        .filter(|s| s.name == "regress.cell")
+        .map(|s| s.duration_us())
+        .sum();
+    assert!(worker_cells > 0, "cells ran on worker tracks");
+    let nested: u64 = own_track.iter().map(|s| s.duration_us()).sum();
+    let sliced: u64 = campaign.phases().iter().map(|(_, us)| us).sum();
+    let expected = campaign.duration_us().saturating_sub(nested + sliced);
+
+    let profile = profile::build_profile(&spans, &profile::ProfileOptions::default());
+    let node = &profile.roots["regress.campaign"];
+    assert_eq!(node.count, 1);
+    // Subtracting the worker cells too would give less than `expected`
+    // (or zero), as long as the campaign kept some time of its own.
+    assert!(expected > 0, "the campaign's own track did work");
+    assert_eq!(node.self_us, expected);
 }

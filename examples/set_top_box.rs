@@ -14,8 +14,8 @@
 //! The same workload runs under each of the six arbitration policies and
 //! the table shows how mean latency and completed bandwidth shift.
 
-use catg::{OpMix, TargetProfile, TestSpec, Testbench, TestbenchOptions, TrafficProfile};
-use stbus_protocol::{ArbitrationKind, NodeConfig, TargetId, TransferSize, ViewKind};
+use catg::{ConstraintModel, TargetProfile, TestSpec, Testbench, TestbenchOptions};
+use stbus_protocol::{ArbitrationKind, NodeConfig, OpKind, TargetId, TransferSize, ViewKind};
 
 fn workload() -> TestSpec {
     TestSpec {
@@ -23,35 +23,45 @@ fn workload() -> TestSpec {
         description: "CPU + MPEG + DMA sharing a DDR-like target".into(),
         profiles: vec![
             // CPU: short reads, frequent, latency-sensitive.
-            TrafficProfile {
+            ConstraintModel {
                 n_transactions: 60,
-                mean_gap: 2,
-                op_mix: OpMix::loads_only(),
-                sizes: vec![TransferSize::B4, TransferSize::B8],
-                targets: vec![TargetId(0)],
-                ..TrafficProfile::default()
-            }
-            .to_model(),
+                gap_max: 4,
+                kinds: vec![
+                    (OpKind::Load, 1),
+                    (OpKind::Store, 0),
+                    (OpKind::ReadModifyWrite, 0),
+                    (OpKind::Swap, 0),
+                    (OpKind::Flush, 0),
+                    (OpKind::Purge, 0),
+                ],
+                sizes: vec![(TransferSize::B4, 1), (TransferSize::B8, 1)],
+                targets: vec![(TargetId(0), 1)],
+                ..ConstraintModel::default()
+            },
             // MPEG decoder: steady medium bursts.
-            TrafficProfile {
+            ConstraintModel {
                 n_transactions: 40,
-                mean_gap: 3,
-                op_mix: OpMix::balanced(),
-                sizes: vec![TransferSize::B16, TransferSize::B32],
-                targets: vec![TargetId(0)],
-                ..TrafficProfile::default()
-            }
-            .to_model(),
+                gap_max: 6,
+                sizes: vec![(TransferSize::B16, 1), (TransferSize::B32, 1)],
+                targets: vec![(TargetId(0), 1)],
+                ..ConstraintModel::default()
+            },
             // DMA: bulk stores, saturating.
-            TrafficProfile {
+            ConstraintModel {
                 n_transactions: 40,
-                mean_gap: 0,
-                op_mix: OpMix::stores_only(),
-                sizes: vec![TransferSize::B32, TransferSize::B64],
-                targets: vec![TargetId(0)],
-                ..TrafficProfile::default()
-            }
-            .to_model(),
+                gap_max: 0,
+                kinds: vec![
+                    (OpKind::Load, 0),
+                    (OpKind::Store, 1),
+                    (OpKind::ReadModifyWrite, 0),
+                    (OpKind::Swap, 0),
+                    (OpKind::Flush, 0),
+                    (OpKind::Purge, 0),
+                ],
+                sizes: vec![(TransferSize::B32, 1), (TransferSize::B64, 1)],
+                targets: vec![(TargetId(0), 1)],
+                ..ConstraintModel::default()
+            },
         ],
         target_profiles: vec![TargetProfile {
             min_latency: 2,
